@@ -72,8 +72,8 @@ from .tangency import (
     Verdict,
     estimate_order,
     inner_tangency_order,
-    lojasiewicz_germ,
     outer_tangency_order,
+    pair_reports,
     pair_verdict,
 )
 

@@ -31,6 +31,7 @@ from .report import (
 from .scenarios import (
     BUILTIN_LABELS,
     builtin,
+    medial_grid,
     run_all,
     run_scenario,
     scenario_for_germ,
@@ -213,16 +214,7 @@ def cmd_medial(args) -> int:
         raise InputError("medial extraction supports ambient dimension 2 or 3")
     if config.plot_dir and germ.ambient_dim == 3:
         raise InputError("SVG plots are 2D-only; drop --plot for 3D germs")
-    window = (
-        config.medial.window
-        if config.medial.window is not None
-        else scn.medial_window
-    )
-    resolution = (
-        config.medial.resolution
-        if config.medial.window is not None
-        else scn.medial_resolution
-    )
+    window, resolution = medial_grid(scn, config.medial)
     axis = extract_medial_axis_grid(
         germ,
         window,

@@ -9,7 +9,7 @@ tests, randomized germ generators) can tie their output to a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,9 +89,6 @@ class RunConfig:
 
     def norm(self, dim: int):
         return make_norm(self.norm_kind, self.weights, dim)
-
-    def with_updates(self, **kw) -> "RunConfig":
-        return replace(self, **kw)
 
     def to_dict(self) -> dict:
         return {

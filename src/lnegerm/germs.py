@@ -13,13 +13,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.spatial import cKDTree
 
 from .errors import DomainError, InputError, ReparametrizationError, UndecidableOrderError
-from .metrics import PointCloud
+from .metrics import PointCloud, cluster_labels
 from .norms import EUCLID
 from .series import Series, invert_norm_series
 
@@ -38,10 +38,6 @@ class HalfLine:
         n = np.linalg.norm(d)
         if not math.isclose(n, 1.0, rel_tol=1e-9):
             raise InputError("half-line direction must be a unit vector")
-
-    def angle_to(self, other: "HalfLine") -> float:
-        c = float(np.clip(np.dot(self.direction, other.direction), -1.0, 1.0))
-        return math.acos(c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,15 +97,11 @@ class PuiseuxBranch:
             out += e * np.power(t, e - 1.0)[..., None] * np.asarray(coeff, dtype=float)
         return out
 
-    def eval_deriv2(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape + (self.ambient_dim,))
-        for exp, coeff in self.terms:
-            e = float(exp)
-            out += e * (e - 1.0) * np.power(t, e - 2.0)[..., None] * np.asarray(
-                coeff, dtype=float
-            )
-        return out
+    @cached_property
+    def float_terms(self) -> tuple:
+        """``terms`` as ((float exponent, float coefficient tuple), ...),
+        for scalar Python loops."""
+        return tuple((float(e), tuple(float(v) for v in c)) for e, c in self.terms)
 
     @property
     def max_radius(self) -> float:
@@ -185,14 +177,6 @@ def puiseux_branch(terms, t_max: float, label: str, ambient_dim: int | None = No
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-
-def eval_branch(branch: PuiseuxBranch, t: float) -> np.ndarray:
-    return branch.eval(t)
-
-
-def tangent_halfline(branch: PuiseuxBranch) -> HalfLine:
-    return branch.tangent()
 
 
 def reparametrize_by_distance(branch: PuiseuxBranch, scales) -> np.ndarray:
@@ -411,38 +395,17 @@ def merge_coincident(pts: np.ndarray, labels, params, tol: float):
     new indices.  Shared seam/junction points across pieces become single
     multi-label points this way.
     """
-    labels = [set(l) for l in labels]
-    params = [dict(p) for p in params]
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(r=tol, output_type="ndarray")
-    parent = np.arange(len(pts))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    for i in range(len(pts)):
-        r = find(i)
-        if i != r:
-            labels[r] |= labels[i]
-            params[r].update(params[i])
-    keep, root_to_new = [], {}
-    for i in range(len(pts)):
-        r = find(i)
-        if r not in root_to_new:
-            root_to_new[r] = len(keep)
-            keep.append(r)
-    remap = np.array([root_to_new[find(i)] for i in range(len(pts))])
+    remap = cluster_labels(pts, tol)
+    keep = np.unique(remap, return_index=True)[1]
+    new_labels = [set() for _ in keep]
+    new_params = [{} for _ in keep]
+    for i, g in enumerate(remap):
+        new_labels[g] |= labels[i]
+        new_params[g].update(params[i])
     return (
         pts[keep],
-        tuple(frozenset(labels[r]) for r in keep),
-        tuple(params[r] for r in keep),
+        tuple(frozenset(l) for l in new_labels),
+        tuple(new_params),
         remap,
     )
 

@@ -13,6 +13,7 @@ distinct components.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,10 @@ from .germs import GermSet, merge_coincident
 # links.build_graph by name, so the name stays importable from this module.
 from .metrics import build_graph, edge_matrix  # noqa: F401
 from .norms import EUCLID
-from .tangency import MIN_SCALES, OrderEstimate, Verdict, estimate_order, pair_verdict
+from .tangency import MIN_SCALES, OrderEstimate, Verdict, estimate_order, pair_reports
+# pair_verdict is no longer called here, but perfbench/tracer.py wraps
+# links.pair_verdict by name, so the name stays importable from this module.
+from .tangency import pair_verdict  # noqa: F401
 
 #: trend thresholds for the log-log fit of C(t): flat within BOUNDED_SLOPE is
 #: a bounded constant, steeper negative than DIVERGING_SLOPE is growth as
@@ -232,6 +236,11 @@ def llne_test(
     steeper than -0.2 means C grows as t -> 0; anything in between, or a
     scale grid broken by empty sections, is undecided.
     """
+    return _llne(set_, scales, norm, density, band)[0]
+
+
+def _llne(set_: GermSet, scales, norm, density: int, band: float) -> tuple:
+    """(report, per-scale link sections) of ``llne_test``."""
     scales = [float(t) for t in scales]
     if len(scales) < MIN_SCALES:
         raise InputError(f"need at least {MIN_SCALES} scales, got {len(scales)}")
@@ -252,7 +261,7 @@ def llne_test(
             trend = "BOUNDED"
         elif c_fit.slope <= DIVERGING_SLOPE:
             trend = "DIVERGING"
-    return LLNEReport(
+    report = LLNEReport(
         norm_name=getattr(norm, "name", "euclid"),
         scales=tuple(t for t, _ in kept),
         c_values=c_values,
@@ -263,6 +272,7 @@ def llne_test(
         c_fit=c_fit,
         k_est=float(k_est),
     )
+    return report, samples
 
 
 @dataclass(frozen=True)
@@ -303,7 +313,7 @@ def link_criterion_verdict(
     a non-LNE component closure fails the whole set.
     """
     scales = [float(t) for t in scales]
-    report = llne_test(set_, scales, norm, density, band)
+    report, samples = _llne(set_, scales, norm, density, band)
     notes: list = []
     if report.empty_scales:
         notes.append(
@@ -347,25 +357,22 @@ def link_criterion_verdict(
             )
 
     # component closures: curve pairs landing in one link component must
-    # themselves satisfy the arc criterion
-    pair_reports = []
-    sample = link_section(set_, scales[0], norm, density, band)
+    # themselves satisfy the arc criterion; read off the section at scales[0]
+    sample = samples[0]
     branch_labels = {b.label for b in set_.branches}
+    pairs = []
     for c in range(sample.component_count):
         labs = sorted(sample.component_labels(c) & branch_labels)
-        for i in range(len(labs)):
-            for j in range(i + 1, len(labs)):
-                rep = pair_verdict(
-                    set_, set_.branch(labs[i]), set_.branch(labs[j]), scales, density
-                )
-                pair_reports.append(rep)
-                if rep.verdict is Verdict.NOT_LNE:
-                    failures += 1
-                    notes.append(
-                        f"component pair {rep.pair} fails the arc criterion"
-                    )
-                elif rep.verdict is Verdict.UNDECIDED:
-                    undecided += 1
+        pairs.extend(
+            (set_.branch(a), set_.branch(b)) for a, b in itertools.combinations(labs, 2)
+        )
+    reports = pair_reports(set_, pairs, scales, density)
+    for rep in reports:
+        if rep.verdict is Verdict.NOT_LNE:
+            failures += 1
+            notes.append(f"component pair {rep.pair} fails the arc criterion")
+        elif rep.verdict is Verdict.UNDECIDED:
+            undecided += 1
 
     if failures:
         verdict = Verdict.NOT_LNE
@@ -373,6 +380,4 @@ def link_criterion_verdict(
         verdict = Verdict.UNDECIDED
     else:
         verdict = Verdict.LNE
-    return LinkCriterionResult(
-        verdict, report, sep_fit, tuple(pair_reports), tuple(notes)
-    )
+    return LinkCriterionResult(verdict, report, sep_fit, reports, tuple(notes))

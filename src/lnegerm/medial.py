@@ -40,6 +40,7 @@ from .errors import (
     TraceError,
 )
 from .germs import GermSet, HalfLine, PuiseuxBranch, sample_cloud
+from .metrics import cluster_labels
 from .optimize import golden_min
 
 _SQRT2 = math.sqrt(2.0)
@@ -50,21 +51,6 @@ _SQRT2 = math.sqrt(2.0)
 # ---------------------------------------------------------------------------
 
 
-_BRANCH_TERMS_CACHE: dict = {}
-
-
-def _float_terms(branch: PuiseuxBranch):
-    key = id(branch)
-    hit = _BRANCH_TERMS_CACHE.get(key)
-    if hit is not None and hit[0] is branch:
-        return hit[1]
-    terms = tuple(
-        (float(e), tuple(float(v) for v in c)) for e, c in branch.terms
-    )
-    _BRANCH_TERMS_CACHE[key] = (branch, terms)
-    return terms
-
-
 def _project_branch(branch: PuiseuxBranch, x, seed: float, window: float):
     """Locally nearest branch point to x near parameter ``seed``.
 
@@ -72,7 +58,7 @@ def _project_branch(branch: PuiseuxBranch, x, seed: float, window: float):
     parameter window; falls back to golden-section on the distance when the
     iteration stalls or hits a concave stretch.
     """
-    terms = _float_terms(branch)
+    terms = branch.float_terms
     xt = tuple(float(v) for v in np.asarray(x, dtype=float))
     dim = branch.ambient_dim
     lo = max(0.0, seed - window)
@@ -154,9 +140,6 @@ class FootFinder:
         self.spacing = self.cloud.spacing
         self._cos_split = math.cos(theta_split)
         self._pieces = {p.label: p for p in set_.pieces}
-
-    def sample_distance(self, x) -> float:
-        return float(self.tree.query(np.asarray(x, dtype=float))[0])
 
     def polish(self, label: str, seed_param, x, pinned: bool = False):
         """(dist, point, param) of the local foot on one piece near a seed.
@@ -259,9 +242,6 @@ class NearestPointCluster:
     cluster_count: int
     max_pair_angle: float
 
-    def rep_points(self) -> np.ndarray:
-        return np.array([f.point for f in self.representatives])
-
 
 def _max_pair_angle(x, points) -> float:
     x = np.asarray(x, dtype=float)
@@ -283,25 +263,10 @@ def _merge_feet(x, feet, tol: float):
     each group, return sorted by distance."""
     if len(feet) <= 1:
         return list(feet)
-    pts = np.array([f.point for f in feet])
-    pairs = cKDTree(pts).query_pairs(r=tol, output_type="ndarray")
-    parent = list(range(len(feet)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in pairs:
-        ri, rj = find(int(i)), find(int(j))
-        if ri != rj:
-            parent[rj] = ri
     best: dict = {}
-    for k, f in enumerate(feet):
-        r = find(k)
-        if r not in best or f.dist < best[r].dist:
-            best[r] = f
+    for g, f in zip(cluster_labels(np.array([f.point for f in feet]), tol), feet):
+        if g not in best or f.dist < best[g].dist:
+            best[g] = f
     return sorted(best.values(), key=lambda f: f.dist)
 
 
@@ -888,29 +853,6 @@ def _make_refiner(set_: GermSet, tau: float, theta_min: float, density: int):
     return refiner
 
 
-def _single_linkage(points: np.ndarray, threshold: float):
-    """Index groups under single-linkage at the threshold, in first-seen order."""
-    n = len(points)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    if n > 1:
-        pairs = cKDTree(points).query_pairs(r=threshold, output_type="ndarray")
-        for i, j in pairs:
-            ri, rj = find(int(i)), find(int(j))
-            if ri != rj:
-                parent[rj] = ri
-    groups: dict = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
 def medial_branch_germs(
     axis: MedialAxisSample,
     scales,
@@ -951,8 +893,9 @@ def medial_branch_germs(
             continue
         level_pts = pts[m]
         reps = []
-        for group in _single_linkage(level_pts, link_thresh):
-            members = level_pts[group]
+        groups = cluster_labels(level_pts, link_thresh)
+        for g in range(groups.max() + 1):
+            members = level_pts[groups == g]
             center = members.mean(axis=0)
             reps.append(members[np.argmin(np.linalg.norm(members - center, axis=1))])
         alive = [b for b in branches if b["alive"]]

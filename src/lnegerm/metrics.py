@@ -68,9 +68,6 @@ class NeighborhoodGraph:
     n_components: int
     component_of: np.ndarray
 
-    def distances_from(self, i: int) -> np.ndarray:
-        return dijkstra(self.matrix, directed=False, indices=i)
-
     def edge_array(self) -> np.ndarray:
         coo = sparse.triu(self.matrix).tocoo()
         return np.column_stack([coo.row, coo.col])
@@ -112,6 +109,21 @@ def edge_matrix(pts: np.ndarray, pairs: np.ndarray) -> sparse.csr_matrix:
           np.concatenate([pairs[:, 1], pairs[:, 0]]))),
         shape=(n, n),
     ).tocsr()
+
+
+def cluster_labels(points: np.ndarray, tol: float) -> np.ndarray:
+    """Single-linkage groups of points closer than ``tol``.
+
+    ``labels[i]`` is the group of point i.  Groups are numbered in the order
+    of their lowest index, so that index is each group's representative.
+    """
+    n = len(points)
+    pairs = cKDTree(points).query_pairs(r=tol, output_type="ndarray") if n > 1 else ()
+    if not len(pairs):
+        return np.arange(n)
+    adj = sparse.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    # undirected components are labelled by a scan in index order
+    return connected_components(adj, directed=False)[1]
 
 
 def inner_distance(graph: NeighborhoodGraph, i: int, j: int) -> float:

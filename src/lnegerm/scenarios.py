@@ -17,12 +17,13 @@ the result INCONCLUSIVE rather than FAIL.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig
+from .config import MedialConfig, RunConfig
 from .errors import RegistryError
 from .germs import GermSet, germ_set, puiseux_branch
 from .links import LinkCriterionResult, link_criterion_verdict
@@ -33,7 +34,10 @@ from .medial import (
     reaches_origin,
 )
 from .surfaces import HornPiece, WallPiece
-from .tangency import Verdict, pair_verdict
+from .tangency import Verdict, pair_reports
+# pair_verdict is no longer called here, but perfbench/tracer.py wraps
+# scenarios.pair_verdict by name, so the name stays importable from this module.
+from .tangency import pair_verdict  # noqa: F401
 
 #: expected Lojasiewicz values are graded to this absolute tolerance
 #: (inherited from the default order tolerance).
@@ -292,23 +296,22 @@ def combine_verdicts(reports) -> tuple:
 
 
 def _pairwise_reports(set_: GermSet, scales, config: RunConfig, density=None):
-    density = config.density if density is None else density
-    branches = set_.branches
-    out = []
-    for i in range(len(branches)):
-        for j in range(i + 1, len(branches)):
-            out.append(
-                pair_verdict(
-                    set_,
-                    branches[i],
-                    branches[j],
-                    scales,
-                    density,
-                    order_tolerance=config.order_tolerance,
-                    radius_factor=config.graph_radius_factor,
-                )
-            )
-    return tuple(out)
+    return pair_reports(
+        set_,
+        itertools.combinations(set_.branches, 2),
+        scales,
+        config.density if density is None else density,
+        order_tolerance=config.order_tolerance,
+        radius_factor=config.graph_radius_factor,
+    )
+
+
+def medial_grid(s: Scenario, medial: MedialConfig) -> tuple:
+    """(window, resolution) of the medial grid: the configured window with
+    the configured resolution, else the scenario's own window and resolution."""
+    if medial.window is not None:
+        return medial.window, medial.resolution
+    return s.medial_window, s.medial_resolution
 
 
 def _grade(name: str, expected, actual, detail: str = "") -> Check:
@@ -346,12 +349,7 @@ def run_scenario(s: Scenario, config: RunConfig | None = None) -> ScenarioResult
         set_verdict, l_set = Verdict.LNE, 1.0
 
     medial_cfg = config.medial
-    window = medial_cfg.window if medial_cfg.window is not None else s.medial_window
-    resolution = (
-        medial_cfg.resolution
-        if medial_cfg.window is not None
-        else s.medial_resolution
-    )
+    window, resolution = medial_grid(s, medial_cfg)
     axis = extract_medial_axis_grid(
         germ,
         window,

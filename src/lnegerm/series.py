@@ -70,9 +70,6 @@ class Series:
             return None
         return min(live, key=lambda ec: ec[0])
 
-    def capped(self, trunc) -> "Series":
-        return Series(self.coeffs, min(self.trunc, trunc))
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "Series") -> "Series":

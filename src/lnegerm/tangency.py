@@ -1,4 +1,4 @@
-"""Tangency orders, the arc criterion for LNE, and Lojasiewicz exponents.
+"""Tangency orders, the arc criterion for LNE, and pairwise Lojasiewicz exponents.
 
 Outer orders come from Euclidean distances between distance-parametrized
 curves; inner orders from graph geodesics inside per-scale clouds of the
@@ -107,15 +107,18 @@ def outer_tangency_order(b1, b2, scales):
     return estimate_order(list(zip(scales, d))), exact
 
 
-def inner_tangency_order(
-    set_: GermSet, b1, b2, scales, density: int, radius_factor: float = 4.0
-) -> OrderEstimate:
-    """Inner order via graph geodesics between the distance-parametrized
-    points of the two pieces, inside the per-scale cloud of the whole set."""
-    clouds = sample_germ(set_, scales, density)
+def _scale_graphs(set_: GermSet, scales, density: int, radius_factor: float) -> list:
+    """(cloud, graph) per scale: one cloud of the whole set per scale and
+    its radius graph, shared by every pair of pieces of the set."""
+    return [
+        (cloud, build_graph(cloud, radius_factor * cloud.spacing))
+        for cloud in sample_germ(set_, scales, density)
+    ]
+
+
+def _inner_order(graphs, scales, b1, b2) -> OrderEstimate:
     samples = []
-    for t, cloud in zip(scales, clouds):
-        graph = build_graph(cloud, radius_factor * cloud.spacing)
+    for t, (cloud, graph) in zip(scales, graphs):
         i = cloud.tip_index[b1.label]
         j = cloud.tip_index[b2.label]
         d = inner_distance(graph, i, j)
@@ -126,6 +129,16 @@ def inner_tangency_order(
             )
         samples.append((t, d))
     return estimate_order(samples)
+
+
+def inner_tangency_order(
+    set_: GermSet, b1, b2, scales, density: int, radius_factor: float = 4.0
+) -> OrderEstimate:
+    """Inner order via graph geodesics between the distance-parametrized
+    points of the two pieces, inside the per-scale cloud of the whole set."""
+    return _inner_order(
+        _scale_graphs(set_, scales, density, radius_factor), scales, b1, b2
+    )
 
 
 @dataclass(frozen=True)
@@ -152,6 +165,43 @@ class TangencyReport:
         }
 
 
+def pair_reports(
+    set_: GermSet,
+    pairs,
+    scales,
+    density: int,
+    order_tolerance: float = 0.1,
+    radius_factor: float = 4.0,
+) -> tuple:
+    """Arc-criterion reports for pairs (b1, b2) of pieces of one set: LNE
+    iff outer and inner orders agree within the tolerance, with the
+    outer/inner ratio as the pairwise Lojasiewicz exponent.
+
+    Every outer order is fitted first; the set is then sampled and graphed
+    once per scale, and each pair reads its inner distances from those
+    graphs.
+    """
+    pairs = list(pairs)
+    outer = [outer_tangency_order(b1, b2, scales) for b1, b2 in pairs]
+    if not pairs:
+        return ()
+    graphs = _scale_graphs(set_, scales, density, radius_factor)
+    reports = []
+    for (b1, b2), (tord, exact) in zip(pairs, outer):
+        tord_inn = _inner_order(graphs, scales, b1, b2)
+        l_pair = tord.slope / tord_inn.slope
+        if not (tord.confident and tord_inn.confident):
+            verdict = Verdict.UNDECIDED
+        elif abs(tord.slope - tord_inn.slope) <= order_tolerance:
+            verdict = Verdict.LNE
+        else:
+            verdict = Verdict.NOT_LNE
+        reports.append(
+            TangencyReport((b1.label, b2.label), tord, exact, tord_inn, verdict, l_pair)
+        )
+    return tuple(reports)
+
+
 def pair_verdict(
     set_: GermSet,
     b1,
@@ -161,71 +211,7 @@ def pair_verdict(
     order_tolerance: float = 0.1,
     radius_factor: float = 4.0,
 ) -> TangencyReport:
-    """Arc-criterion verdict for one pair: LNE iff outer and inner orders
-    agree within the tolerance, with the outer/inner ratio as the pairwise
-    Lojasiewicz exponent."""
-    tord, exact = outer_tangency_order(b1, b2, scales)
-    tord_inn = inner_tangency_order(set_, b1, b2, scales, density, radius_factor)
-    l_pair = tord.slope / tord_inn.slope
-    if not (tord.confident and tord_inn.confident):
-        verdict = Verdict.UNDECIDED
-    elif abs(tord.slope - tord_inn.slope) <= order_tolerance:
-        verdict = Verdict.LNE
-    else:
-        verdict = Verdict.NOT_LNE
-    return TangencyReport((b1.label, b2.label), tord, exact, tord_inn, verdict, l_pair)
-
-
-@dataclass(frozen=True)
-class LojasiewiczResult:
-    value: float
-    witness: tuple | None
-    lower_bound_only: bool
-    reports: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "witness": list(self.witness) if self.witness else None,
-            "lower_bound_only": self.lower_bound_only,
-            "reports": [r.to_dict() for r in self.reports],
-        }
-
-
-def lojasiewicz_germ(
-    set_: GermSet,
-    scales,
-    density: int,
-    order_tolerance: float = 0.1,
-    radius_factor: float = 4.0,
-) -> LojasiewiczResult:
-    """Maximum pairwise exponent over the branch pairs of the germ.
-
-    A single-branch set is normally embedded with exponent 1.  Any
-    undecided pair downgrades the result to a lower bound.
-    """
-    branches = set_.branches
-    if len(branches) == 0:
-        raise InputError("germ set has no curve pieces")
-    if len(branches) == 1:
-        return LojasiewiczResult(1.0, None, False, ())
-    reports = []
-    for i in range(len(branches)):
-        for j in range(i + 1, len(branches)):
-            reports.append(
-                pair_verdict(
-                    set_,
-                    branches[i],
-                    branches[j],
-                    scales,
-                    density,
-                    order_tolerance,
-                    radius_factor,
-                )
-            )
-    lower_bound = any(r.verdict is Verdict.UNDECIDED for r in reports)
-    decided = [r for r in reports if r.verdict is not Verdict.UNDECIDED] or reports
-    best = max(decided, key=lambda r: r.lojasiewicz_pair)
-    return LojasiewiczResult(
-        best.lojasiewicz_pair, best.pair, lower_bound, tuple(reports)
-    )
+    """Arc-criterion verdict for one pair (see ``pair_reports``)."""
+    return pair_reports(
+        set_, [(b1, b2)], scales, density, order_tolerance, radius_factor
+    )[0]

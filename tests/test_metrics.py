@@ -22,6 +22,7 @@ from lnegerm import (
     puiseux_branch,
     sample_cloud,
 )
+from lnegerm.metrics import cluster_labels
 
 
 def _cross_cloud(density=16):
@@ -66,6 +67,14 @@ class TestNeighborhoodGraph:
             if math.isinf(d_inn):
                 continue
             assert induced_distance(cloud.points[i], cloud.points[j]) <= d_inn + 1e-12
+
+
+def test_cluster_labels_chain():
+    # a - b - c with only neighbours within tol: one group, represented by
+    # its lowest index a; the far point stays alone and comes first
+    far, a, c, b = (9.0, 9.0), (0.0, 0.0), (2.0, 0.0), (1.0, 0.0)
+    labels = cluster_labels(np.array([far, a, c, b]), tol=1.2)
+    assert labels.tolist() == [0, 1, 1, 1]
 
 
 # ---------------------------------------------------------------------------

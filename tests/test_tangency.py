@@ -14,11 +14,12 @@ from lnegerm import (
     estimate_order,
     germ_set,
     inner_tangency_order,
-    lojasiewicz_germ,
     outer_tangency_order,
     pair_verdict,
     puiseux_branch,
 )
+from lnegerm import tangency
+from lnegerm.scenarios import _pairwise_reports, combine_verdicts
 
 SCALES = tuple(2.0 ** -k for k in range(3, 10))
 
@@ -84,6 +85,18 @@ class TestInnerOrder:
             # a tiny radius factor splits the graph at the origin junction
             inner_tangency_order(germ, b1, b2, SCALES, density=32, radius_factor=0.2)
 
+    def test_one_graph_per_scale(self, config, monkeypatch):
+        # all three pairs of three_tangent read the same 7 per-scale graphs
+        calls = []
+        build = tangency.build_graph
+        monkeypatch.setattr(
+            tangency, "build_graph", lambda *a: calls.append(1) or build(*a)
+        )
+        scales = tuple(2.0 ** -k for k in range(4, 11))
+        reports = _pairwise_reports(builtin("three_tangent").germ(), scales, config)
+        assert len(reports) == 3
+        assert len(calls) == len(scales)
+
 
 class TestPairVerdict:
     def test_cusp_not_lne(self, config):
@@ -110,23 +123,24 @@ class TestPairVerdict:
 
 
 class TestLojasiewiczGerm:
-    def test_three_tangent_witness(self):
+    def test_three_tangent_witness(self, config):
         germ = builtin("three_tangent").germ()
         # start one octave below SCALES: at t_max = 1/8 the higher-order
         # corrections push the outer-fit residual past the confidence gate
         scales = tuple(2.0 ** -k for k in range(4, 11))
-        res = lojasiewicz_germ(germ, scales, density=32)
-        assert res.value == pytest.approx(2.0, abs=0.1)
-        assert not res.lower_bound_only
-        assert len(res.reports) == 3
+        reports = _pairwise_reports(germ, scales, config)
+        verdict, l_val = combine_verdicts(reports)
+        assert l_val == pytest.approx(2.0, abs=0.1)
+        assert verdict is Verdict.NOT_LNE
+        assert len(reports) == 3
         # the extreme pair is any of the three; all have exponent ~2
-        for rep in res.reports:
+        for rep in reports:
             assert rep.verdict is Verdict.NOT_LNE
 
-    def test_single_branch_is_normally_embedded(self):
+    def test_single_branch_is_normally_embedded(self, config):
         germ = germ_set(
             branches=(puiseux_branch([(1, (1, 0))], 1.0, "b"),), label="line"
         )
-        res = lojasiewicz_germ(germ, SCALES, density=32)
-        assert res.value == 1.0
-        assert res.witness is None
+        reports = _pairwise_reports(germ, SCALES, config)
+        assert reports == ()
+        assert combine_verdicts(reports) == (Verdict.LNE, 1.0)
