@@ -137,16 +137,10 @@ def config_from_args(args) -> RunConfig:
 
 
 def _load_scenario(args, config: RunConfig):
-    """Scenario for the requested source, with medial flags taking
-    precedence over the builtin's own extraction defaults."""
+    """Scenario for the requested source; ``medial_grid`` applies the
+    configured medial window and resolution over the scenario's own."""
     if args.builtin:
-        scn = builtin(args.builtin)
-        updates = {}
-        if args.grid_res is not None:
-            updates["medial_resolution"] = args.grid_res
-        if updates:
-            scn = dataclasses.replace(scn, **updates)
-        return scn
+        return builtin(args.builtin)
     return scenario_for_germ(load_germ_file(args.germ), config)
 
 

@@ -23,18 +23,19 @@ MIN_LEVELS = 5
 class MedialConfig:
     """Knobs of the medial-axis extraction pipeline.
 
-    ``window`` is an optional axis-aligned box ((lo, hi), ...); None lets
-    the caller derive one (scenarios carry their own, the CLI builds a
-    symmetric box from the scale range).
+    ``window`` is an optional axis-aligned box ((lo, hi), ...) and
+    ``resolution`` an optional grid step; None means the scenario's own
+    (builtins carry theirs, ad-hoc germs get a symmetric box from the scale
+    range and step 1/256).
     """
 
     window: tuple | None = None
-    resolution: float = 1.0 / 256.0
+    resolution: float | None = None
     tau: float = 1e-3
     theta_min: float = 0.2
 
     def __post_init__(self):
-        if self.resolution <= 0:
+        if self.resolution is not None and self.resolution <= 0:
             raise InputError("medial resolution must be positive")
         if not 0 < self.tau < 1:
             raise InputError("equidistance tolerance must lie in (0, 1)")

@@ -137,11 +137,6 @@ class PuiseuxBranch:
 
     # -- series-level structure ---------------------------------------
 
-    def tangent(self) -> HalfLine:
-        _, c0 = self.terms[0]
-        c0 = np.asarray(c0, dtype=float)
-        return HalfLine(c0 / np.linalg.norm(c0))
-
     def component_series(self, cap) -> list:
         """Per-coordinate scalar series, truncated at exponent ``cap``."""
         out = []

@@ -44,6 +44,14 @@ from .metrics import cluster_labels
 from .optimize import golden_min
 
 _SQRT2 = math.sqrt(2.0)
+# candidate directions more than the default theta_min apart seed new groups
+_COS_FOOT_SPLIT = math.cos(0.2)
+# passes per refine; accepted refines on the plane builtins use at most 3
+_REFINE_PASSES = 16
+# spacing 2.2 r / 64 passes the spacing <= dmin / 2 guard for dmin >= 0.07 r
+_NEAREST_DENSITY = 64
+# traced bisector residuals on the builtin pairs stay below 1e-15 * t
+_BISECTOR_RESIDUAL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -105,21 +113,6 @@ def _project_branch(branch: PuiseuxBranch, x, seed: float, window: float):
     return float(np.linalg.norm(p - np.asarray(x, dtype=float))), p, float(s)
 
 
-def _project_curve(piece, x, seed: float, window: float):
-    """Dispatch: exact Newton for Puiseux branches, radius search otherwise."""
-    if isinstance(piece, PuiseuxBranch):
-        return _project_branch(piece, x, seed, window)
-    x = np.asarray(x, dtype=float)
-    lo = max(0.0, seed - window)
-    hi = min(getattr(piece, "max_radius", seed + window), seed + window)
-
-    def dist_at(r):
-        return float(np.linalg.norm(piece.point_at_radius(r) - x))
-
-    r, d = golden_min(dist_at, lo, hi, iters=48)
-    return d, piece.point_at_radius(r), float(r)
-
-
 @dataclass(frozen=True, eq=False)
 class Foot:
     """One locally nearest point of the set, with its host piece."""
@@ -133,16 +126,18 @@ class Foot:
 class FootFinder:
     """Polished local nearest points of a germ, backed by one cloud sample."""
 
-    def __init__(self, set_: GermSet, scale: float, density: int, theta_split: float = 0.2):
-        self.set = set_
+    def __init__(self, set_: GermSet, scale: float, density: int):
+        for b in set_.branches:
+            if not isinstance(b, PuiseuxBranch):
+                raise InputError(f"curve piece {b.label!r}: feet need a Puiseux branch")
         self.cloud = sample_cloud(set_, scale, density, strict=False)
         self.tree = cKDTree(self.cloud.points)
         self.spacing = self.cloud.spacing
-        self._cos_split = math.cos(theta_split)
         self._pieces = {p.label: p for p in set_.pieces}
 
     def polish(self, label: str, seed_param, x, pinned: bool = False):
-        """(dist, point, param) of the local foot on one piece near a seed.
+        """(dist, point, param) of the local foot on one piece near a seed:
+        surfaces project themselves, Puiseux branches go to ``_project_branch``.
 
         ``pinned`` keeps surface projections on the seeded side of the piece
         even where that side's foot degenerates (continuous extension for
@@ -151,14 +146,9 @@ class FootFinder:
         piece = self._pieces[label]
         if hasattr(piece, "project"):
             return piece.project(x, seed_param, window=8.0 * self.spacing, pinned=pinned)
-        if isinstance(piece, PuiseuxBranch):
-            speed = float(
-                np.linalg.norm(piece.eval_deriv(max(float(seed_param), 1e-12)))
-            )
-            window = min(8.0 * self.spacing / max(speed, 1e-9), piece.t_max)
-        else:
-            window = 8.0 * self.spacing
-        return _project_curve(piece, x, float(seed_param), window)
+        speed = float(np.linalg.norm(piece.eval_deriv(max(float(seed_param), 1e-12))))
+        window = min(8.0 * self.spacing / max(speed, 1e-9), piece.t_max)
+        return _project_branch(piece, x, float(seed_param), window)
 
     def feet(self, x, slack: float | None = None):
         """All polished feet near the query, sorted by distance.
@@ -192,7 +182,7 @@ class FootFinder:
                 if len(groups):
                     cos = seed_dirs @ u
                     gi = int(np.argmax(cos))
-                    if cos[gi] < self._cos_split:
+                    if cos[gi] < _COS_FOOT_SPLIT:
                         gi = -1
             if gi < 0:
                 groups.append({})
@@ -236,11 +226,13 @@ class FootFinder:
 class NearestPointCluster:
     """m(x) as seen at finite resolution: clustered nearest points of X."""
 
-    query: np.ndarray
     distance: float
     representatives: tuple  # of Foot
-    cluster_count: int
     max_pair_angle: float
+
+    @property
+    def cluster_count(self) -> int:
+        return len(self.representatives)
 
 
 def _max_pair_angle(x, points) -> float:
@@ -258,7 +250,7 @@ def _max_pair_angle(x, points) -> float:
     return best
 
 
-def _merge_feet(x, feet, tol: float):
+def _merge_feet(feet, tol: float):
     """Single-linkage merge of feet closer than tol; keep the nearest of
     each group, return sorted by distance."""
     if len(feet) <= 1:
@@ -270,10 +262,18 @@ def _merge_feet(x, feet, tol: float):
     return sorted(best.values(), key=lambda f: f.dist)
 
 
+def _cluster(x, feet, dmin: float, spacing: float, tau: float) -> NearestPointCluster:
+    """The feet within the (1+tau) band above dmin, merged spatially below
+    min(2 spacing, 0.3 dmin), with their largest pairwise angle at x."""
+    reps = [f for f in feet if f.dist <= dmin * (1.0 + tau)]
+    reps = _merge_feet(reps, min(2.0 * spacing, 0.3 * dmin))
+    ang = _max_pair_angle(x, [f.point for f in reps])
+    return NearestPointCluster(dmin, tuple(reps), ang)
+
+
 def nearest_point_set(
     x,
     set_: GermSet,
-    density: int = 64,
     tau: float = 1e-3,
     theta_min: float = 0.2,
     finder: FootFinder | None = None,
@@ -286,7 +286,7 @@ def nearest_point_set(
     if finder is None:
         if r == 0.0:
             raise OnSetError("query is the origin of the germ")
-        finder = FootFinder(set_, 2.2 * r, density)
+        finder = FootFinder(set_, 2.2 * r, _NEAREST_DENSITY)
     feet = finder.feet(x)
     if not feet:
         raise InputError("no candidate feet found; cloud may be degenerate")
@@ -297,12 +297,10 @@ def nearest_point_set(
         raise ResolutionError(
             "cloud spacing exceeds half the query distance; increase density"
         )
-    reps = [f for f in feet if f.dist <= dmin * (1.0 + tau)]
-    reps = _merge_feet(x, reps, min(2.0 * finder.spacing, 0.3 * dmin))
-    ang = _max_pair_angle(x, [f.point for f in reps]) if len(reps) >= 2 else 0.0
-    if len(reps) >= 2 and ang < theta_min:
-        reps, ang = reps[:1], 0.0
-    return NearestPointCluster(x.copy(), dmin, tuple(reps), len(reps), ang)
+    cluster = _cluster(x, feet, dmin, finder.spacing, tau)
+    if cluster.cluster_count >= 2 and cluster.max_pair_angle < theta_min:
+        return NearestPointCluster(dmin, cluster.representatives[:1], 0.0)
+    return cluster
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +384,6 @@ def refine_equidistant(
     tau: float = 1e-3,
     theta_min: float = 0.2,
     tangent=None,
-    max_iter: int = 16,
 ):
     """Polish x onto the medial locus of its nearest feet.
 
@@ -402,7 +399,7 @@ def refine_equidistant(
     p = np.asarray(x, dtype=float).copy()
     band = det_slack
     recovered = False
-    for _ in range(max_iter):
+    for _ in range(_REFINE_PASSES):
         feet = finder.feet(p, slack=None if band is None else band + finder.spacing)
         if not feet:
             return None
@@ -440,18 +437,14 @@ def refine_equidistant(
                 and ang >= theta_min
                 and abs(f_a.dist - f_b.dist) <= max(0.5 * tau * dm, 1e-13)
             ):
-                return p, NearestPointCluster(p.copy(), dm, (f_a, f_b), 2, ang)
+                return p, NearestPointCluster(dm, (f_a, f_b), ang)
             continue
         spread = f_hi.dist - dmin
         if spread <= max(0.5 * tau * dmin, 1e-13):
-            reps = [f for f in feet if f.dist <= dmin * (1.0 + tau)]
-            reps = _merge_feet(p, reps, min(2.0 * finder.spacing, 0.3 * dmin))
-            ang = _max_pair_angle(p, [f.point for f in reps])
-            if len(reps) < 2 or ang < theta_min:
+            cluster = _cluster(p, feet, dmin, finder.spacing, tau)
+            if cluster.cluster_count < 2 or cluster.max_pair_angle < theta_min:
                 return None
-            return p, NearestPointCluster(
-                p.copy(), dmin, tuple(reps), len(reps), ang
-            )
+            return p, cluster
         e = u_lo - (p - f_hi.point) / f_hi.dist
         if tangent is not None:
             e = e - float(np.dot(e, tangent)) * np.asarray(tangent, dtype=float)
@@ -496,7 +489,6 @@ class MedialAxisSample:
     """Accepted medial points with their nearest-point clusters."""
 
     points: tuple  # of (point, NearestPointCluster)
-    source: str  # "GRID" | "BISECTOR"
     resolution: float
     failures: tuple = ()
 
@@ -538,7 +530,6 @@ def extract_medial_axis_grid(
     h: float,
     tau: float = 1e-3,
     theta_min: float = 0.2,
-    finder: FootFinder | None = None,
 ) -> MedialAxisSample:
     """Grid-seeded medial axis inside an axis-aligned window.
 
@@ -562,9 +553,7 @@ def extract_medial_axis_grid(
     nodes = np.stack([m.ravel() for m in mesh], axis=1)
     corners = np.array(list(itertools.product(*window)))
     scale = float(np.max(np.linalg.norm(corners, axis=1))) + 2.0 * h
-    if finder is None:
-        density = max(16, int(math.ceil(scale / h)))
-        finder = FootFinder(set_, scale, density)
+    finder = FootFinder(set_, scale, max(16, int(math.ceil(scale / h))))
     k = min(len(finder.cloud.points), 48)
     cos_gate = math.cos(0.6 * theta_min)
     cand_blocks = []
@@ -587,7 +576,7 @@ def extract_medial_axis_grid(
         cos = np.where(inband, cos, 1.0)
         cand_blocks.append(sub[cos.min(axis=1) <= cos_gate])
     if not cand_blocks:
-        return MedialAxisSample((), "GRID", h)
+        return MedialAxisSample((), h)
     # refinement dominates the cost; thin more aggressively in 3D where
     # medial sheets produce thick candidate slabs
     thin_radius = 1.5 * h if set_.ambient_dim == 2 else 2.2 * h
@@ -608,7 +597,7 @@ def extract_medial_axis_grid(
         if not dedupe.try_add(p):
             continue
         accepted.append((p, cluster))
-    return MedialAxisSample(tuple(accepted), "GRID", h)
+    return MedialAxisSample(tuple(accepted), h)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +609,6 @@ def trace_bisector_2d(
     b1: PuiseuxBranch,
     b2: PuiseuxBranch,
     scales,
-    residual_tol: float = 1e-10,
 ) -> MedialAxisSample:
     """Equidistant points between two plane branches, one per scale.
 
@@ -653,8 +641,8 @@ def trace_bisector_2d(
             def gap(alpha):
                 q = mid + alpha * e
                 return (
-                    _project_curve(b1, q, s1, w1)[0]
-                    - _project_curve(b2, q, s2, w2)[0]
+                    _project_branch(b1, q, s1, w1)[0]
+                    - _project_branch(b2, q, s2, w2)[0]
                 )
 
             lo, hi = -0.75 * length, 0.75 * length
@@ -664,9 +652,9 @@ def trace_bisector_2d(
                     raise TraceError(f"no equidistance bracket at scale {t}")
             alpha = brentq(gap, lo, hi, xtol=1e-15 * max(t, 1e-9))
             q = mid + alpha * e
-            d1, fp1, fm1 = _project_curve(b1, q, s1, w1)
-            d2, fp2, fm2 = _project_curve(b2, q, s2, w2)
-            if abs(d1 - d2) > residual_tol:
+            d1, fp1, fm1 = _project_branch(b1, q, s1, w1)
+            d2, fp2, fm2 = _project_branch(b2, q, s2, w2)
+            if abs(d1 - d2) > _BISECTOR_RESIDUAL:
                 raise TraceError(
                     f"equidistance residual {abs(d1 - d2):.3e} at scale {t}"
                 )
@@ -676,11 +664,11 @@ def trace_bisector_2d(
             )
             ang = _max_pair_angle(q, [fp1, fp2])
             points.append(
-                (q, NearestPointCluster(q.copy(), 0.5 * (d1 + d2), reps, 2, ang))
+                (q, NearestPointCluster(0.5 * (d1 + d2), reps, ang))
             )
         except TraceError as exc:
             failures.append((t, str(exc)))
-    return MedialAxisSample(tuple(points), "BISECTOR", min(scales), tuple(failures))
+    return MedialAxisSample(tuple(points), min(scales), tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -706,16 +694,20 @@ class SampledCurve:
     _radii: list = field(default_factory=list)
     _points: dict = field(default_factory=dict)
 
+    def _anchor_near(self, r: float, rtol: float):
+        """Radius of an anchor within rtol * r of r, or None."""
+        i = bisect.bisect_left(self._radii, r)
+        for j in (i - 1, i):
+            if 0 <= j < len(self._radii) and abs(self._radii[j] - r) <= rtol * r:
+                return self._radii[j]
+        return None
+
     def add_anchor(self, point) -> None:
         p = np.asarray(point, dtype=float)
         r = float(np.linalg.norm(p))
-        if r == 0.0:
+        if r == 0.0 or self._anchor_near(r, 1e-12) is not None:
             return
-        i = bisect.bisect_left(self._radii, r)
-        for j in (i - 1, i):
-            if 0 <= j < len(self._radii) and abs(self._radii[j] - r) <= 1e-12 * r:
-                return
-        self._radii.insert(i, r)
+        bisect.insort(self._radii, r)
         self._points[r] = p
 
     @property
@@ -729,9 +721,6 @@ class SampledCurve:
         if not self._radii:
             raise InputError(f"curve {self.label!r} has no anchors")
         return self._radii[0]
-
-    def anchors(self):
-        return [(r, self._points[r].copy()) for r in self._radii]
 
     def tangent(self) -> HalfLine:
         p = self._points[self.min_anchor_radius]
@@ -772,11 +761,8 @@ class SampledCurve:
         return pred * (r / n) if n > 0 else pred
 
     def _cached(self, r: float):
-        i = bisect.bisect_left(self._radii, r)
-        for j in (i - 1, i):
-            if 0 <= j < len(self._radii) and abs(self._radii[j] - r) <= 1e-9 * r:
-                return self._points[self._radii[j]].copy()
-        return None
+        rr = self._anchor_near(r, 1e-9)
+        return None if rr is None else self._points[rr].copy()
 
     def point_at_radius(self, r: float) -> np.ndarray:
         r = float(r)
@@ -886,7 +872,7 @@ def medial_branch_germs(
         t /= step
     link_thresh = max(3.2 * h, 1e-12)
     gate = 3.0 * h
-    branches: list = []  # {"anchors": [(r, p)], "flags": [], "alive", "misses"}
+    tracks: list = []  # [curve, alive, misses]; label and refiner come last
     for t in levels:
         m = (radii >= t * 2.0**-0.125) & (radii < t * 2.0**0.125)
         if not m.any():
@@ -898,20 +884,19 @@ def medial_branch_germs(
             members = level_pts[groups == g]
             center = members.mean(axis=0)
             reps.append(members[np.argmin(np.linalg.norm(members - center, axis=1))])
-        alive = [b for b in branches if b["alive"]]
+        alive = [tr for tr in tracks if tr[1]]
         cands = []
-        for bi, b in enumerate(alive):
-            r_last, p_last = b["anchors"][-1]
-            if len(b["anchors"]) >= 2:
-                probe = SampledCurve("probe", pts.shape[1])
-                for _, p in b["anchors"][-3:]:
-                    probe.add_anchor(p)
-                pred = probe._predict(t)
+        for bi, (curve, _, _) in enumerate(alive):
+            if len(curve._radii) >= 2:
+                # t lies below every anchor by at least 2^(1/8), so the
+                # prediction uses the two most recent anchors
+                pred = curve._predict(t)
                 b_gate = max(gate, 0.06 * t)
             else:
                 # linear scaling of a single anchor misses curvature by
                 # O(t^2); allow a wider gate for the second match
-                pred = p_last * (t / r_last)
+                r_last = curve.min_anchor_radius
+                pred = curve._points[r_last] * (t / r_last)
                 b_gate = max(gate, 0.15 * t)
             for ci, rep in enumerate(reps):
                 d = float(np.linalg.norm(pred - rep))
@@ -927,44 +912,30 @@ def medial_branch_germs(
                 continue
             taken_b.add(bi)
             taken_c.add(ci)
-            alive[bi]["anchors"].append((float(np.linalg.norm(reps[ci])), reps[ci]))
-            alive[bi]["misses"] = 0
-        for bi, b in enumerate(alive):
+            alive[bi][0].add_anchor(reps[ci])
+            alive[bi][2] = 0
+        for bi, tr in enumerate(alive):
             if bi in taken_b:
                 continue
             if bi in had_candidate:
-                b["flags"].append(("merge", t))
-                b["alive"] = False
+                tr[0].flags.append(("merge", t))
+                tr[1] = False
             else:
-                b["misses"] += 1
-                if b["misses"] >= 2:
-                    b["alive"] = False
+                tr[2] += 1
+                if tr[2] >= 2:
+                    tr[1] = False
         for ci, rep in enumerate(reps):
             if ci not in taken_c:
-                branches.append(
-                    {
-                        "anchors": [(float(np.linalg.norm(rep)), rep)],
-                        "flags": [],
-                        "alive": True,
-                        "misses": 0,
-                    }
-                )
+                curve = SampledCurve(label="", ambient_dim=pts.shape[1])
+                curve.add_anchor(rep)
+                tracks.append([curve, True, 0])
     refiner = (
         _make_refiner(set_, tau, theta_min, density) if set_ is not None else None
     )
-    curves = []
-    idx = 0
-    for b in branches:
-        if len(b["anchors"]) < 3:
-            continue
-        curve = SampledCurve(
-            label=f"medial_{idx}",
-            ambient_dim=pts.shape[1],
-            refiner=refiner,
-            flags=list(b["flags"]),
-        )
-        for _, p in b["anchors"]:
-            curve.add_anchor(p)
+    curves = [tr[0] for tr in tracks if len(tr[0]._radii) >= 3]
+    for idx, curve in enumerate(curves):
+        curve.label = f"medial_{idx}"
+        curve.refiner = refiner
         if refiner is not None:
             try:
                 for t in sorted(scales, reverse=True):
@@ -972,8 +943,6 @@ def medial_branch_germs(
                         curve.point_at_radius(t)
             except ResolutionError:
                 curve.flags.append(("continuation_failed", t))
-        curves.append(curve)
-        idx += 1
     return curves
 
 

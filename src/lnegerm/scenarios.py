@@ -307,11 +307,11 @@ def _pairwise_reports(set_: GermSet, scales, config: RunConfig, density=None):
 
 
 def medial_grid(s: Scenario, medial: MedialConfig) -> tuple:
-    """(window, resolution) of the medial grid: the configured window with
-    the configured resolution, else the scenario's own window and resolution."""
-    if medial.window is not None:
-        return medial.window, medial.resolution
-    return s.medial_window, s.medial_resolution
+    """(window, resolution) of the medial grid: each the configured one
+    where set, else the scenario's own."""
+    window = s.medial_window if medial.window is None else medial.window
+    resolution = s.medial_resolution if medial.resolution is None else medial.resolution
+    return window, resolution
 
 
 def _grade(name: str, expected, actual, detail: str = "") -> Check:
@@ -467,14 +467,11 @@ def run_all(config: RunConfig | None = None) -> list:
 def scenario_for_germ(germ: GermSet, config: RunConfig) -> Scenario:
     """Ad-hoc scenario (no expectations) wrapping a user-supplied germ.
 
-    The medial window defaults to the symmetric box of half-width
-    1.2 * t_max unless the configuration carries one.
+    Its medial window is the symmetric box of half-width 1.2 * t_max and
+    its grid step 1/256; ``medial_grid`` applies a configured window or
+    resolution in their place.
     """
-    if config.medial.window is not None:
-        window = config.medial.window
-    else:
-        w = 1.2 * config.t_max
-        window = ((-w, w),) * germ.ambient_dim
+    w = 1.2 * config.t_max
     return Scenario(
         label=germ.label,
         make_germ=lambda: germ,
@@ -483,7 +480,7 @@ def scenario_for_germ(germ: GermSet, config: RunConfig) -> Scenario:
         expected_L_set=None,
         expected_L_medial=None,
         ambient_dim=germ.ambient_dim,
-        medial_window=window,
-        medial_resolution=config.medial.resolution,
+        medial_window=((-w, w),) * germ.ambient_dim,
+        medial_resolution=1.0 / 256.0,
         medial_scales=config.scales(),
     )

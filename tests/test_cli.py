@@ -163,6 +163,17 @@ class TestConfigPrecedence:
         assert code == 0
         assert len(out.splitlines()) == 7  # header + 6 levels from the flag
 
+    def test_config_resolution_applies_to_builtin(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"medial": {"resolution": 0.0049}}))
+        code, out, _ = run_cli(
+            capsys, "medial", "--builtin", "abs_graph", "--config", str(cfg)
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["resolution"] == 0.0049
+        assert report["config"]["medial"]["resolution"] == 0.0049
+
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nope": 1}))

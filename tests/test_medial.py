@@ -58,6 +58,19 @@ class TestNearestPointSet:
             nearest_point_set((0.0, 1e-2), germ, finder=finder)
 
 
+class TestFootFinder:
+    def test_sampled_curve_branch_rejected(self):
+        from lnegerm import FootFinder
+        from lnegerm.medial import SampledCurve
+
+        curve = SampledCurve("sampled", 2)
+        for r in (0.1, 0.2, 0.4):
+            curve.add_anchor((r, 0.0))
+        line = puiseux_branch([(1, (0.0, 1.0))], 1.0, "line")
+        with pytest.raises(InputError):
+            FootFinder(germ_set(branches=(curve, line)), 0.3, 16)
+
+
 class TestGridExtraction:
     def test_abs_graph_axis_on_y_axis(self, abs_result):
         axis = abs_result.axis
@@ -182,4 +195,4 @@ class TestBranchTracking:
         from lnegerm.medial import MedialAxisSample
 
         with pytest.raises(InputError):
-            medial_branch_germs(MedialAxisSample((), "GRID", 0.01), [0.1, 0.05])
+            medial_branch_germs(MedialAxisSample((), 0.01), [0.1, 0.05])

@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
-from lnegerm import RegistryError, Verdict, builtin
-from lnegerm.scenarios import BUILTIN_LABELS, Scenario, combine_verdicts
+from lnegerm import MedialConfig, RegistryError, Verdict, builtin
+from lnegerm.scenarios import BUILTIN_LABELS, Scenario, combine_verdicts, medial_grid
 
 
 class TestRegistry:
@@ -76,6 +76,15 @@ class TestCombineVerdicts:
 
     def test_empty_is_trivially_lne(self):
         assert combine_verdicts([]) == (Verdict.LNE, 1.0)
+
+
+class TestMedialGrid:
+    def test_window_and_resolution_resolve_independently(self):
+        s = builtin("horn3d")
+        assert medial_grid(s, MedialConfig()) == (s.medial_window, 0.01)
+        assert medial_grid(s, MedialConfig(resolution=0.005)) == (s.medial_window, 0.005)
+        window = ((-0.2, 0.2), (0.0, 0.64), (-0.1, 0.1))
+        assert medial_grid(s, MedialConfig(window=window)) == (window, 0.01)
 
 
 class TestRunResults:
