@@ -25,6 +25,8 @@ from .metrics import build_graph, inner_distance
 #: spans at least MIN_SCALES scales.
 RESIDUAL_GATE = 0.02
 MIN_SCALES = 5
+#: local-slope steps below this are rounding, not pre-asymptotic drift
+ROUNDING_STEP = 1e-12
 
 
 class Verdict(str, enum.Enum):
@@ -84,11 +86,38 @@ def estimate_order(samples) -> OrderEstimate:
     return OrderEstimate(float(slope), float(intercept), resid, tuple(scales), confident)
 
 
+def extrapolate_order(fit: OrderEstimate, values) -> OrderEstimate:
+    """``fit`` with its slope replaced by the Aitken limit of the local slopes.
+
+    For exactly evaluated Puiseux series the local log-log slopes on a
+    geometric grid converge geometrically to the order, while the plain fit
+    averages in the pre-asymptotic coarse scales.  The three finest local
+    slopes give the limit; when their steps are at rounding level or do not
+    shrink with one sign the plain fit is kept.  Residual and confidence
+    stay those of the plain fit; the intercept is re-anchored at the finest
+    scale.
+    """
+    lt = np.log(np.asarray(fit.scales_used))
+    lf = np.log(np.asarray(values, dtype=float))
+    local = np.diff(lf) / np.diff(lt)
+    step_prev = local[-2] - local[-3]
+    step_last = local[-1] - local[-2]
+    if abs(step_prev) < ROUNDING_STEP or not 0 < step_last / step_prev < 1:
+        return fit
+    rho = step_last / step_prev
+    slope = float(local[-1] + step_last * rho / (1 - rho))
+    intercept = float(lf[-1] - slope * lt[-1])
+    return OrderEstimate(slope, intercept, fit.residual, fit.scales_used, fit.confident)
+
+
 def outer_tangency_order(b1, b2, scales):
     """(fit, exact) outer order of tangency between two curve pieces.
 
     The exact rational value is attached when both pieces are Puiseux
     branches and the series oracle decides; ``exact`` is None otherwise.
+    Between two Puiseux branches the distances are exact up to rounding, so
+    the fitted slope is extrapolated to the limit (``extrapolate_order``);
+    sampled pieces keep the plain fit.
     """
     scales = [float(t) for t in scales]
     p1 = np.array([b1.point_at_radius(t) for t in scales])
@@ -96,7 +125,8 @@ def outer_tangency_order(b1, b2, scales):
     d = np.linalg.norm(p1 - p2, axis=1)
     exact = None
     infinite = False
-    if isinstance(b1, PuiseuxBranch) and isinstance(b2, PuiseuxBranch):
+    series_pair = isinstance(b1, PuiseuxBranch) and isinstance(b2, PuiseuxBranch)
+    if series_pair:
         sep = symbolic_separation_order(b1, b2)
         infinite = sep.infinite
         exact = sep.order
@@ -104,7 +134,10 @@ def outer_tangency_order(b1, b2, scales):
         raise InputError(
             f"pieces {b1.label!r} and {b2.label!r} are numerically indistinguishable"
         )
-    return estimate_order(list(zip(scales, d))), exact
+    fit = estimate_order(list(zip(scales, d)))
+    if series_pair:
+        fit = extrapolate_order(fit, d)
+    return fit, exact
 
 
 def _scale_graphs(set_: GermSet, scales, density: int, radius_factor: float) -> list:

@@ -49,6 +49,19 @@ class TestEstimateOrder:
         samples = [(t, t * math.exp(rng.normal(0, 0.3))) for t in SCALES]
         assert not estimate_order(samples).confident
 
+    def test_extrapolation_removes_preasymptotic_drift(self):
+        samples = [(t, 3.0 * t**1.5 * (1.0 + 4.0 * t)) for t in SCALES]
+        fit = estimate_order(samples)
+        assert abs(fit.slope - 1.5) > 0.05
+        limit = tangency.extrapolate_order(fit, [f for _, f in samples])
+        assert limit.slope == pytest.approx(1.5, abs=0.01)
+        assert limit.residual == fit.residual
+
+    def test_extrapolation_keeps_exact_power_law(self):
+        samples = [(t, 3.0 * t**1.5) for t in SCALES]
+        fit = estimate_order(samples)
+        assert tangency.extrapolate_order(fit, [f for _, f in samples]) is fit
+
 
 class TestOuterOrder:
     def test_cusp_pair(self):
@@ -63,6 +76,13 @@ class TestOuterOrder:
         fit, exact = outer_tangency_order(b1, b2, SCALES)
         assert exact == Fraction(5, 2)
         assert fit.slope == pytest.approx(2.5, abs=0.05)
+
+    def test_large_coefficients_at_three_halves(self):
+        b1 = puiseux_branch([(1, (1, 0)), ((3, 2), (0, 2.0))], 1.0, "b1")
+        b2 = puiseux_branch([(1, (1, 0)), ((3, 2), (0, 2.5))], 1.0, "b2")
+        fit, exact = outer_tangency_order(b1, b2, [2.0 ** -k for k in range(4, 11)])
+        assert exact == Fraction(3, 2)
+        assert fit.slope == pytest.approx(1.5, abs=0.05)
 
     def test_indistinguishable_branches_rejected(self):
         b1 = puiseux_branch([(1, (1, 0))], 1.0, "b1")
