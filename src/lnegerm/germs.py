@@ -3,8 +3,9 @@
 Curve germs are finite Puiseux sums with exact rational exponents and float
 coefficient vectors.  Surface germs are procedural samplers (see
 ``surfaces``).  This module owns evaluation, distance reparametrization,
-tangent half-lines, the exact separation-order oracle, sampling into point
-clouds, and the germ JSON file format.
+tangent half-lines, the exact separation-order oracle (dense power series
+on an integer lattice), sampling into point clouds, and the germ JSON file
+format.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DomainError, InputError, ReparametrizationError, UndecidableOrderError
+from .errors import DomainError, InputError, ReparametrizationError
 from .metrics import PointCloud, cluster_labels
 from .norms import EUCLID
-from .series import Series, invert_norm_series
 
 #: |p_k| must match the target radius to this relative tolerance.
 REPARAM_RTOL = 1e-10
@@ -135,16 +135,6 @@ class PuiseuxBranch:
     def point_at_radius(self, r: float, norm=EUCLID) -> np.ndarray:
         return self.eval(self.param_at_radius(r, norm))
 
-    # -- series-level structure ---------------------------------------
-
-    def component_series(self, cap) -> list:
-        """Per-coordinate scalar series, truncated at exponent ``cap``."""
-        out = []
-        for k in range(self.ambient_dim):
-            coeffs = {exp: float(coeff[k]) for exp, coeff in self.terms}
-            out.append(Series(coeffs, cap))
-        return out
-
     def max_exponent(self) -> Fraction:
         return self.terms[-1][0]
 
@@ -200,6 +190,11 @@ def reparametrize_by_distance(branch: PuiseuxBranch, scales) -> np.ndarray:
     return pts
 
 
+#: a lattice coefficient below this fraction of the largest coefficient met
+#: so far is cancellation noise
+COEFF_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class SeparationOrder:
     """Exact order of ||g1~(t) - g2~(t)|| for distance-aligned branches.
@@ -214,43 +209,83 @@ class SeparationOrder:
     undecided_beyond: Fraction | None = None
 
 
+def _miller_powers(a: np.ndarray, alphas: np.ndarray, n: int) -> np.ndarray:
+    """Row i: the first n coefficients of a(u)**alphas[i], for a[0] > 0.
+
+    Miller's recurrence  k a_0 b_k = sum_j ((alpha + 1) j - k) a_j b_{k-j}.
+    """
+    b = np.zeros((len(alphas), n))
+    b[:, 0] = a[0] ** alphas
+    for k in range(1, n):
+        j = np.arange(1, min(k, len(a) - 1) + 1)
+        weights = (alphas[:, None] + 1.0) * j - k
+        b[:, k] = (weights * a[j] * b[:, k - j]).sum(axis=1) / (k * a[0])
+    return b
+
+
+def invert_norm_series(q: np.ndarray, m: int, n: int) -> np.ndarray:
+    """First n coefficients of u = psi(tau) solving tau = u q(u)^{1/(2m)}.
+
+    ``q`` is the squared norm of a branch u^m g(u) divided by u^{2m}, so
+    tau = t^{1/m} at distance t.  Lagrange inversion gives
+    [tau^k] psi = [u^{k-1}] q^{-k/(2m)} / k.
+    """
+    k = np.arange(1, n)
+    powers = _miller_powers(q, -k / (2.0 * m), n - 1)
+    psi = np.zeros(n)
+    psi[1:] = powers[k - 1, k - 1] / k
+    return psi
+
+
+def _aligned_components(b: PuiseuxBranch, cap: Fraction):
+    """(m, A): b at distance t as power series in t^{1/m}; A[:, k] is the
+    coefficient vector of t^{k/m}, for k/m < cap.
+
+    With s = u^N (N the lcm of the exponent denominators) the branch is a
+    polynomial u^m g(u), g(0) != 0; u = psi(t^{1/m}) inverts the norm.
+    """
+    n_sub = math.lcm(*(e.denominator for e, _ in b.terms))
+    powers = [int(e * n_sub) for e, _ in b.terms]
+    m = powers[0]
+    poly = np.zeros((powers[-1] + 1, b.ambient_dim))
+    for p, (_, c) in zip(powers, b.terms):
+        poly[p] = c
+    g = poly[m:]
+    q = sum(np.convolve(g[:, j], g[:, j]) for j in range(b.ambient_dim))
+    n = math.ceil(cap * m)
+    psi = invert_norm_series(q, m, n)
+    out = np.zeros((b.ambient_dim, n))
+    for c in poly[::-1]:  # Horner: out = out * psi + c
+        out = np.array([np.convolve(row, psi)[:n] for row in out])
+        out[:, 0] += c
+    return m, out
+
+
 def symbolic_separation_order(b1: PuiseuxBranch, b2: PuiseuxBranch) -> SeparationOrder:
     """Exact rational separation order of two branches, or INFINITE.
 
-    Both branches are aligned to the distance parametrization symbolically
-    (norm series inverted to a few correction terms) and subtracted; the
-    result is the smallest exponent at which the aligned series differ.
+    Both branches are aligned to the distance parametrization as power
+    series on the common lattice t^{1/M}, up to the cap 3 max_exp + 6; the
+    order is the first lattice exponent at which they differ by more than
+    ``COEFF_TOL`` times the largest coefficient met so far.  The floor must
+    follow the lattice: the aligned coefficients can grow geometrically
+    (like c^{2k} in t for (t, c t^{3/2})), so a floor set by the largest
+    coefficient of the whole truncation would hide the true order.
     """
     if b1.ambient_dim != b2.ambient_dim:
         raise InputError("branches must share an ambient dimension")
     cap = 3 * max(b1.max_exponent(), b2.max_exponent()) + 6
-    aligned = []
-    for b in (b1, b2):
-        comps = b.component_series(cap)
-        nsq = Series.zero(cap)
-        for c in comps:
-            nsq = nsq + c * c
-        s_of_t = invert_norm_series(nsq.pow_rational(Fraction(1, 2)))
-        aligned.append([c.substitute(s_of_t) for c in comps])
-    ref = max(
-        max(c.max_abs_coeff() for c in aligned[0]),
-        max(c.max_abs_coeff() for c in aligned[1]),
-    )
-    best = None
-    trunc = math.inf
-    for c1, c2 in zip(aligned[0], aligned[1]):
-        diff = c1 - c2
-        trunc = min(trunc, diff.trunc)
-        ld = diff.lead(ref_scale=ref)
-        if ld is not None and (best is None or ld[0] < best):
-            best = ld[0]
-    if best is None:
-        return SeparationOrder(None, True, undecided_beyond=Fraction(trunc))
-    if best >= trunc:
-        raise UndecidableOrderError(
-            "separation order lies beyond the series truncation", bound=Fraction(trunc)
-        )
-    return SeparationOrder(Fraction(best), False, None)
+    (m1, a1), (m2, a2) = (_aligned_components(b, cap) for b in (b1, b2))
+    lcm = math.lcm(m1, m2)
+    lattice = np.zeros((2, b1.ambient_dim, math.ceil(cap * lcm)))
+    lattice[0][:, :: lcm // m1] = a1
+    lattice[1][:, :: lcm // m2] = a2
+    diff = np.abs(lattice[0] - lattice[1]).max(axis=0)
+    floor = COEFF_TOL * np.maximum.accumulate(np.abs(lattice).max(axis=(0, 1)))
+    hits = np.flatnonzero(diff > floor)
+    if hits.size == 0:
+        return SeparationOrder(None, True, undecided_beyond=cap)
+    return SeparationOrder(Fraction(int(hits[0]), lcm), False, None)
 
 
 # ---------------------------------------------------------------------------

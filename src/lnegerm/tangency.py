@@ -27,6 +27,9 @@ RESIDUAL_GATE = 0.02
 MIN_SCALES = 5
 #: local-slope steps below this are rounding, not pre-asymptotic drift
 ROUNDING_STEP = 1e-12
+#: geometric decay shows as steady step ratios; ratios further apart than
+#: this mean the slopes are still turning over, where Aitken overshoots
+RATIO_AGREEMENT = 0.2
 
 
 class Verdict(str, enum.Enum):
@@ -91,21 +94,27 @@ def extrapolate_order(fit: OrderEstimate, values) -> OrderEstimate:
 
     For exactly evaluated Puiseux series the local log-log slopes on a
     geometric grid converge geometrically to the order, while the plain fit
-    averages in the pre-asymptotic coarse scales.  The three finest local
-    slopes give the limit; when their steps are at rounding level or do not
-    shrink with one sign the plain fit is kept.  Residual and confidence
-    stay those of the plain fit; the intercept is re-anchored at the finest
-    scale.
+    averages in the pre-asymptotic coarse scales.  The finest local slope,
+    step and step ratio give the limit.  The plain fit is kept when the
+    steps are at rounding level, or when the two finest step ratios are not
+    both in (0, 1) and within ``RATIO_AGREEMENT`` of each other: the steps
+    then do not yet decay geometrically.  Residual and confidence stay those
+    of the plain fit; the intercept is re-anchored at the finest scale.
     """
     lt = np.log(np.asarray(fit.scales_used))
     lf = np.log(np.asarray(values, dtype=float))
     local = np.diff(lf) / np.diff(lt)
-    step_prev = local[-2] - local[-3]
-    step_last = local[-1] - local[-2]
-    if abs(step_prev) < ROUNDING_STEP or not 0 < step_last / step_prev < 1:
+    steps = np.diff(local)[-3:]
+    if np.any(np.abs(steps[:-1]) < ROUNDING_STEP):
         return fit
-    rho = step_last / step_prev
-    slope = float(local[-1] + step_last * rho / (1 - rho))
+    ratios = steps[1:] / steps[:-1]
+    if not (
+        np.all((ratios > 0) & (ratios < 1))
+        and abs(ratios[1] - ratios[0]) <= RATIO_AGREEMENT
+    ):
+        return fit
+    rho = ratios[1]
+    slope = float(local[-1] + steps[-1] * rho / (1 - rho))
     intercept = float(lf[-1] - slope * lt[-1])
     return OrderEstimate(slope, intercept, fit.residual, fit.scales_used, fit.confident)
 

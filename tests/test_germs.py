@@ -107,6 +107,63 @@ class TestSeparationOrder:
         assert sep.undecided_beyond is not None
 
 
+def plane(c, e, label):
+    """(t, c t^e) in the plane; c = 0 is the x axis."""
+    if e == 1:
+        return puiseux_branch([(1, (1.0, float(c)))], 1.0, label)
+    tail = [(e, (0.0, float(c)))] if c else []
+    return puiseux_branch([(1, (1.0, 0.0))] + tail, 1.0, label)
+
+
+class TestLatticeOracle:
+    @pytest.mark.parametrize("e", ["1", "3/2", "2", "5/2", "3"])
+    def test_plane_family_returns_e(self, e):
+        # 42 ordered pairs per exponent; at e = 3/2 the aligned coefficients
+        # grow like c^{2k} in t, which a floor set by the whole truncation hid
+        e = Fraction(e)
+        for c1 in range(-3, 4):
+            for c2 in range(-3, 4):
+                if c1 != c2:
+                    sep = symbolic_separation_order(plane(c1, e, "a"), plane(c2, e, "b"))
+                    assert (c1, c2, sep.order) == (c1, c2, e)
+
+    @pytest.mark.parametrize("e", ["3/2", "2", "5/2", "3"])
+    def test_large_coefficients(self, e):
+        e = Fraction(e)
+        for c1 in (-50, -20, -10, 10, 20, 50):
+            for c2 in (-50, -20, -10, 10, 20, 50):
+                if c1 != c2:
+                    sep = symbolic_separation_order(plane(c1, e, "a"), plane(c2, e, "b"))
+                    assert (c1, c2, sep.order) == (c1, c2, e)
+
+    @pytest.mark.parametrize("lower, upper", [("3/2", "5/2"), ("5/3", "7/3"), ("2", "3")])
+    def test_shared_lower_term(self, lower, upper):
+        lower, upper = Fraction(lower), Fraction(upper)
+
+        def branch(c, label):
+            terms = [(1, (1.0, 0.0)), (lower, (0.0, 20.0)), (upper, (0.0, c))]
+            return puiseux_branch(terms, 1.0, label)
+
+        assert symbolic_separation_order(branch(-3.0, "a"), branch(2.0, "b")).order == upper
+
+    def test_fan_pairs_transversal(self):
+        exps = [Fraction(5, 2), Fraction(3, 2), Fraction(3), Fraction(2)]
+        fan = [
+            puiseux_branch(
+                [(1, (1.0, -1.0 + 2.0 * k / 3)), (e, (0.0, 0.2 + 0.25 * k))], 1.0, f"f{k}"
+            )
+            for k, e in enumerate(exps)
+        ]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert symbolic_separation_order(fan[i], fan[j]).order == 1
+
+    def test_tangent_pair_takes_smaller_tail(self):
+        b1 = puiseux_branch([(1, (1, 0)), ((7, 3), (0, 1))], 1.0, "b1")
+        b2 = puiseux_branch([(1, (1, 0)), ((5, 2), (0, 1))], 1.0, "b2")
+        assert symbolic_separation_order(b1, b2).order == Fraction(7, 3)
+
+
 class TestSampling:
     def test_cloud_meets_spacing_bound(self):
         germ = germ_set(

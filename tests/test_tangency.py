@@ -84,6 +84,19 @@ class TestOuterOrder:
         assert exact == Fraction(3, 2)
         assert fit.slope == pytest.approx(1.5, abs=0.05)
 
+    def test_turning_slopes_keep_plain_fit(self):
+        # an arc_fan pair whose local slopes turn over at the finest default
+        # scales (step ratios 2.46 then 0.985); Aitken read 0.806 here
+        b1 = puiseux_branch(
+            [(1, (1.0, 1 / 3)), ((5, 2), (0.0, 0.9974535496783192))], 1.0, "b1"
+        )
+        b2 = puiseux_branch(
+            [(1, (1.0, 1.0)), ((3, 2), (0.0, 0.4314919566196566))], 1.0, "b2"
+        )
+        fit, exact = outer_tangency_order(b1, b2, SCALES)
+        assert exact == 1
+        assert fit.slope == pytest.approx(1.0, abs=0.05)
+
     def test_indistinguishable_branches_rejected(self):
         b1 = puiseux_branch([(1, (1, 0))], 1.0, "b1")
         b2 = puiseux_branch([(1, (1, 0))], 1.0, "b2")
