@@ -4,16 +4,16 @@ A link section X_t is the intersection of the germ with the norm-sphere of
 radius t: curve pieces contribute exact root-solved points, surface pieces
 their per-ray section samplers.  Per-scale sections carry a graph that
 joins neighbouring samples of each surface piece in sampling order, with
-pieces meeting only at shared seam points; its components stand in for
-the connected components of the punctured germ at that scale.  The
-criterion combines a uniform bound on the link inner/outer distance ratio
-C(t) per component with a linear lower bound on the separation between
-distinct components.
+pieces meeting only at shared seam points, and places each curve point
+lying on a surface piece between the section samples on either side of
+it; its components stand in for the connected components of the
+punctured germ at that scale.  The criterion combines a uniform bound on
+the link inner/outer distance ratio C(t) per component with a linear
+lower bound on the separation between distinct components.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +26,7 @@ from .germs import GermSet, merge_coincident
 # links.build_graph by name, so the name stays importable from this module.
 from .metrics import build_graph, edge_matrix  # noqa: F401
 from .norms import EUCLID
-from .tangency import MIN_SCALES, OrderEstimate, Verdict, estimate_order, pair_reports
+from .tangency import MIN_SCALES, OrderEstimate, Verdict, estimate_order
 # pair_verdict is no longer called here, but perfbench/tracer.py wraps
 # links.pair_verdict by name, so the name stays importable from this module.
 from .tangency import pair_verdict  # noqa: F401
@@ -40,6 +40,12 @@ DIVERGING_SLOPE = -0.2
 #: flat and the worst constant stays above K_MIN.
 SEPARATION_SLOPE = 0.2
 K_MIN = 0.05
+#: every section point must meet | ||x||_norm - t | <= BAND * t; the samplers
+#: root-solve onto the sphere, so only a faulty sampler can leave the band.
+BAND = 0.02
+#: points within COINCIDENT_TOL * t are one point: seam samples merge, and a
+#: curve point that close to a surface piece's local foot lies on the piece.
+COINCIDENT_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +54,8 @@ class LinkSample:
 
     ``graph`` is the sparse adjacency matrix (weight = Euclidean edge
     length) joining each surface sample to its neighbours on the same piece
-    in sampling order; curve points, one per branch, have no edges.
+    in sampling order; curve points, one per branch, have edges only where
+    they lie on a surface piece.
     ``component_of`` assigns each point a component id; an empty section is
     a valid value (the set misses that scale), flagged rather than raised.
     """
@@ -66,29 +73,50 @@ class LinkSample:
     def component_indices(self, c: int) -> np.ndarray:
         return np.flatnonzero(self.component_of == c)
 
-    def component_labels(self, c: int) -> frozenset:
-        out: set = set()
-        for i in self.component_indices(c):
-            out |= self.labels[i]
-        return frozenset(out)
+
+def _on_piece_edges(piece, curve_pts, spts, sparams, sedges, t, base) -> list:
+    """Edges placing each curve point (index c in ``curve_pts``) that lies on
+    ``piece`` between its section samples (index base + j) on either side.
+
+    A point lies on the piece when ``piece.project``, seeded at the nearest
+    section sample, returns a distance <= COINCIDENT_TOL * t; it joins both
+    ends of the nearest section edge (the nearest sample alone on a section
+    without edges).
+    """
+    out: list = []
+    if not spts:
+        return out
+    spts = np.asarray(spts, dtype=float)
+    e = np.array(sedges, dtype=int).reshape(-1, 2)
+    a, d = spts[e[:, 0]], spts[e[:, 1]] - spts[e[:, 0]]
+    for c, x in enumerate(curve_pts):
+        near = int(np.argmin(np.linalg.norm(spts - x, axis=1)))
+        if piece.project(x, sparams[near])[0] > COINCIDENT_TOL * t:
+            continue
+        ends = (near,)
+        if len(e):
+            s = np.clip(np.sum((x - a) * d, axis=1) / np.sum(d * d, axis=1), 0.0, 1.0)
+            ends = e[np.argmin(np.linalg.norm(a + s[:, None] * d - x, axis=1))]
+        out.extend((c, base + int(j)) for j in ends)
+    return out
 
 
-def link_section(
-    set_: GermSet, t: float, norm=EUCLID, density: int = 32, band: float = 0.02
-) -> LinkSample:
+def link_section(set_: GermSet, t: float, norm=EUCLID, density: int = 32) -> LinkSample:
     """Points of {x in X : ||x||_norm = t} with their component graph.
 
     Curve pieces are solved exactly on the monotone initial range of the
     norm along the piece; pieces too short to reach the sphere contribute
     nothing.  All emitted points satisfy the band constraint
-    | ||x||_norm - t | <= band * t by construction.
+    | ||x||_norm - t | <= BAND * t by construction.
 
     The graph follows sample adjacency, not a radius: consecutive theta
     rays on a horn (a closed cycle when no ray is skipped) and consecutive
     u samples on a wall.  Pieces connect only through the seam points that
     ``merge_coincident`` shares between them.  A radius would have to stay
     below the section's own feature size (a horn circle of diameter
-    3t^2/4 at scale t), which no fixed multiple of t/density does.
+    3t^2/4 at scale t), which no fixed multiple of t/density does.  A
+    curve point lying on a surface piece joins that piece's section graph
+    (``_on_piece_edges``); one that coincides with a sample merges with it.
     """
     if t <= 0:
         raise InputError("link scale must be positive")
@@ -101,10 +129,12 @@ def link_section(
         pts_list.append(np.asarray(piece.eval(s), dtype=float))
         labels.append({piece.label})
         params.append({piece.label: s})
+    curve_pts = list(pts_list)
     for piece in set_.surfaces:
         spts, sparams, sedges = piece.section(t, norm=norm, density=density)
         base = len(pts_list)
         edges.extend((base + i, base + j) for i, j in sedges)
+        edges.extend(_on_piece_edges(piece, curve_pts, spts, sparams, sedges, t, base))
         for p, prm in zip(spts, sparams):
             pts_list.append(np.asarray(p, dtype=float))
             labels.append({piece.label})
@@ -122,10 +152,10 @@ def link_section(
             empty=True,
         )
     pts, mlabels, mparams, remap = merge_coincident(
-        np.array(pts_list), labels, params, tol=1e-9 * t
+        np.array(pts_list), labels, params, tol=COINCIDENT_TOL * t
     )
     values = np.asarray(norm(pts), dtype=float)
-    if np.any(np.abs(values - t) > band * t):
+    if np.any(np.abs(values - t) > BAND * t):
         raise InputError(
             f"link section at t={t}: point outside the sphere band"
         )
@@ -227,24 +257,17 @@ class LLNEReport:
         }
 
 
-def llne_test(
-    set_: GermSet, scales, norm=EUCLID, density: int = 32, band: float = 0.02
-) -> LLNEReport:
+def llne_test(set_: GermSet, scales, norm=EUCLID, density: int = 32) -> LLNEReport:
     """Fit the trend of C(t) over a geometric scale grid.
 
     A flat fit (|slope| <= 0.1) means the ratios stay bounded; a slope
     steeper than -0.2 means C grows as t -> 0; anything in between, or a
     scale grid broken by empty sections, is undecided.
     """
-    return _llne(set_, scales, norm, density, band)[0]
-
-
-def _llne(set_: GermSet, scales, norm, density: int, band: float) -> tuple:
-    """(report, per-scale link sections) of ``llne_test``."""
     scales = [float(t) for t in scales]
     if len(scales) < MIN_SCALES:
         raise InputError(f"need at least {MIN_SCALES} scales, got {len(scales)}")
-    samples = [link_section(set_, t, norm, density, band) for t in scales]
+    samples = [link_section(set_, t, norm, density) for t in scales]
     if all(s.empty for s in samples):
         raise InputError("all link sections are empty")
     empty = tuple(t for t, s in zip(scales, samples) if s.empty)
@@ -261,7 +284,7 @@ def _llne(set_: GermSet, scales, norm, density: int, band: float) -> tuple:
             trend = "BOUNDED"
         elif c_fit.slope <= DIVERGING_SLOPE:
             trend = "DIVERGING"
-    report = LLNEReport(
+    return LLNEReport(
         norm_name=getattr(norm, "name", "euclid"),
         scales=tuple(t for t, _ in kept),
         c_values=c_values,
@@ -272,7 +295,6 @@ def _llne(set_: GermSet, scales, norm, density: int, band: float) -> tuple:
         c_fit=c_fit,
         k_est=float(k_est),
     )
-    return report, samples
 
 
 @dataclass(frozen=True)
@@ -280,7 +302,6 @@ class LinkCriterionResult:
     verdict: Verdict
     report: LLNEReport
     separation_fit: OrderEstimate | None
-    pair_reports: tuple
     notes: tuple
 
     def to_dict(self) -> dict:
@@ -290,18 +311,14 @@ class LinkCriterionResult:
             "separation_fit": (
                 self.separation_fit.to_dict() if self.separation_fit else None
             ),
-            "pair_reports": [r.to_dict() for r in self.pair_reports],
+            # always empty; kept so the canonical JSON keeps its schema
+            "pair_reports": [],
             "notes": list(self.notes),
         }
 
 
 def link_criterion_verdict(
-    set_: GermSet,
-    scales,
-    density: int = 32,
-    norm=EUCLID,
-    band: float = 0.02,
-    k_min: float = K_MIN,
+    set_: GermSet, scales, density: int = 32, norm=EUCLID
 ) -> LinkCriterionResult:
     """LNE iff every link component stays LNE with a uniform constant and
     distinct components separate at least linearly in the scale.
@@ -309,22 +326,19 @@ def link_criterion_verdict(
     Failures: a diverging ratio trend, or a component separation whose
     fitted order in t exceeds linear (d_0(X_t)/t -> 0).  An unstable
     component count across the scale range leaves the criterion undecided.
-    Within-component curve pairs are cross-checked with the arc criterion;
-    a non-LNE component closure fails the whole set.
     """
-    scales = [float(t) for t in scales]
-    report, samples = _llne(set_, scales, norm, density, band)
+    report = llne_test(set_, scales, norm, density)
     notes: list = []
     if report.empty_scales:
         notes.append(
             f"empty link sections at scales {list(report.empty_scales)}"
         )
-        return LinkCriterionResult(Verdict.UNDECIDED, report, None, (), tuple(notes))
+        return LinkCriterionResult(Verdict.UNDECIDED, report, None, tuple(notes))
     if len(set(report.component_counts)) != 1:
         notes.append(
             f"component count unstable across scales: {list(report.component_counts)}"
         )
-        return LinkCriterionResult(Verdict.UNDECIDED, report, None, (), tuple(notes))
+        return LinkCriterionResult(Verdict.UNDECIDED, report, None, tuple(notes))
 
     failures = 0
     undecided = 0
@@ -347,7 +361,7 @@ def link_criterion_verdict(
                 "component separation decays: d0(X_t)/t has fitted order "
                 f"{sep_fit.slope:.3f}"
             )
-        elif abs(sep_fit.slope) <= BOUNDED_SLOPE and report.k_est >= k_min:
+        elif abs(sep_fit.slope) <= BOUNDED_SLOPE and report.k_est >= K_MIN:
             notes.append(f"separation constant K_est = {report.k_est:.4f}")
         else:
             undecided += 1
@@ -356,28 +370,10 @@ def link_criterion_verdict(
                 f"K_est {report.k_est:.4f})"
             )
 
-    # component closures: curve pairs landing in one link component must
-    # themselves satisfy the arc criterion; read off the section at scales[0]
-    sample = samples[0]
-    branch_labels = {b.label for b in set_.branches}
-    pairs = []
-    for c in range(sample.component_count):
-        labs = sorted(sample.component_labels(c) & branch_labels)
-        pairs.extend(
-            (set_.branch(a), set_.branch(b)) for a, b in itertools.combinations(labs, 2)
-        )
-    reports = pair_reports(set_, pairs, scales, density)
-    for rep in reports:
-        if rep.verdict is Verdict.NOT_LNE:
-            failures += 1
-            notes.append(f"component pair {rep.pair} fails the arc criterion")
-        elif rep.verdict is Verdict.UNDECIDED:
-            undecided += 1
-
     if failures:
         verdict = Verdict.NOT_LNE
     elif undecided:
         verdict = Verdict.UNDECIDED
     else:
         verdict = Verdict.LNE
-    return LinkCriterionResult(verdict, report, sep_fit, reports, tuple(notes))
+    return LinkCriterionResult(verdict, report, sep_fit, tuple(notes))

@@ -335,18 +335,16 @@ def run_scenario(s: Scenario, config: RunConfig | None = None) -> ScenarioResult
         germ, scales, density=config.density, norm=norm
     )
 
-    if len(germ.branches) >= 2:
-        set_reports = _pairwise_reports(germ, scales, config)
-        set_verdict, l_set = combine_verdicts(set_reports)
-    elif germ.surfaces:
-        # no curve pairs to run the arc criterion on; the link criterion
-        # carries the set verdict (an LNE germ has exponent 1 by definition)
-        set_reports = link.pair_reports
+    if germ.surfaces:
+        # the arc criterion's radius graphs do not join curves lying on a
+        # surface to it; the link criterion carries the set verdict (an
+        # LNE germ has exponent 1 by definition)
+        set_reports = ()
         set_verdict = link.verdict
         l_set = 1.0 if set_verdict is Verdict.LNE else None
     else:
-        set_reports = ()
-        set_verdict, l_set = Verdict.LNE, 1.0
+        set_reports = _pairwise_reports(germ, scales, config)
+        set_verdict, l_set = combine_verdicts(set_reports)
 
     medial_cfg = config.medial
     window, resolution = medial_grid(s, medial_cfg)

@@ -19,9 +19,18 @@ from lnegerm import (
     puiseux_branch,
 )
 from lnegerm.links import _link_ratio
-from lnegerm.surfaces import HornPiece
+from lnegerm.surfaces import HornPiece, WallPiece
 
 SCALES = tuple(2.0 ** -k for k in range(3, 10))
+
+
+def wall_with_lines(term):
+    """The horn3d wall strip with the centre line (0, t, 0) and the line
+    (0, t, 0) + term t^2."""
+    l1 = puiseux_branch([(1, (0.0, 1.0, 0.0))], t_max=1.0, label="l1")
+    l2 = puiseux_branch([(1, (0.0, 1.0, 0.0)), (2, term)], t_max=1.0, label="l2")
+    wall = WallPiece(label="wall", half_width_coef=0.25)
+    return germ_set(branches=(l1, l2), surfaces=(wall,), label="wall_lines")
 
 
 class TestLinkSection:
@@ -137,3 +146,21 @@ class TestLLNE:
             ).verdict
             if Verdict.UNDECIDED not in (v_euc, v_max):
                 assert v_euc is v_max
+
+
+class TestCurvesOnSurfaces:
+    @pytest.mark.parametrize(
+        "term, verdict, count",
+        [
+            # l2 on a wall sample column, then between two columns
+            ((0.125, 0.0, 0.0), Verdict.LNE, 1),
+            ((0.075, 0.0, 0.0), Verdict.LNE, 1),
+            # t^2/8 above the strip: near the wall but never on it
+            ((0.0, 0.0, 0.125), Verdict.NOT_LNE, 2),
+        ],
+        ids=["on_sample", "between_samples", "off_strip"],
+    )
+    def test_curve_on_wall_joins_its_section(self, term, verdict, count):
+        res = link_criterion_verdict(wall_with_lines(term), SCALES)
+        assert res.verdict is verdict, res.notes
+        assert res.report.component_counts == (count,) * len(SCALES)

@@ -4,8 +4,9 @@ import dataclasses
 
 import pytest
 
-from lnegerm import MedialConfig, RegistryError, Verdict, builtin
+from lnegerm import MedialConfig, RegistryError, RunConfig, Verdict, builtin, run_scenario
 from lnegerm.scenarios import BUILTIN_LABELS, Scenario, combine_verdicts, medial_grid
+from test_links import wall_with_lines
 
 
 class TestRegistry:
@@ -136,3 +137,26 @@ class TestRunResults:
             "pass",
         } <= set(d)
         assert d["pass"] is True
+
+
+class TestSetVerdictRule:
+    def test_curves_on_a_surface_take_the_link_verdict(self):
+        # the arc criterion's radius graph does not join l2 to the wall and
+        # would read NOT_LNE with L 2; the link criterion sees one component
+        scn = Scenario(
+            label="wall_lines",
+            make_germ=lambda: wall_with_lines((0.125, 0.0, 0.0)),
+            expected_set_verdict=None,
+            expected_medial_verdict=None,
+            expected_L_set=None,
+            expected_L_medial=None,
+            ambient_dim=3,
+            medial_window=((-0.005, 0.005), (0.0, 0.32), (-0.005, 0.005)),
+            medial_resolution=0.005,
+            medial_scales=RunConfig().scales(),
+        )
+        res = run_scenario(scn)
+        assert res.set_verdict is Verdict.LNE
+        assert res.l_set == 1.0
+        assert res.set_reports == ()
+        assert res.link.verdict is Verdict.LNE
