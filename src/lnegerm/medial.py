@@ -26,6 +26,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,9 @@ from .optimize import golden_min
 _SQRT2 = math.sqrt(2.0)
 # candidate directions more than the default theta_min apart seed new groups
 _COS_FOOT_SPLIT = math.cos(0.2)
+# BLAS roundings of one cosine differ by a few ulp; decisions this close to
+# the split or to a tie are recomputed exactly
+_COS_MARGIN = 1e-12
 # passes per refine; accepted refines on the plane builtins use at most 3
 _REFINE_PASSES = 16
 # spacing 2.2 r / 64 passes the spacing <= dmin / 2 guard for dmin >= 0.07 r
@@ -113,6 +117,78 @@ def _project_branch(branch: PuiseuxBranch, x, seed: float, window: float):
     return float(np.linalg.norm(p - np.asarray(x, dtype=float))), p, float(s)
 
 
+def _direction_groups(vecs: np.ndarray, dists: np.ndarray):
+    """Direction group of each candidate; returns (group per candidate, count).
+
+    ``vecs`` are the candidate offsets from the query, in candidate order,
+    and ``dists`` their norms.  The rule is sequential: a candidate joins the
+    earlier seed direction of largest cosine when that cosine reaches
+    ``_COS_FOOT_SPLIT``, else it seeds a new group; a candidate within 1e-14
+    of the query has no direction and seeds a group whose direction is 0.
+
+    The cosines come from one row ``U @ u_seed`` per seed, kept groups x n
+    (an n x n Gram matrix costs memory for nothing).  BLAS rounds that
+    product differently from the rule's ``seeds @ u``, so every decision
+    within ``_COS_MARGIN`` of the split or of a tie between seeds is made
+    again with ``seeds @ u``, exactly as the sequential loop made it.
+    """
+    n = len(dists)
+    if n == 0:
+        return np.zeros(0, dtype=int), 0
+    dead = dists <= 1e-14
+    units = np.zeros_like(vecs)
+    units[~dead] = vecs[~dead] / dists[~dead, None]
+    seeds = [0]
+
+    def exact(j, n_earlier):
+        return units[seeds[:n_earlier]] @ units[j]
+
+    cos = np.empty((min(n, 64), n))  # row k: cosines to seed k, -inf up to it
+    best = np.full(n, -np.inf)  # running max over the seeds so far
+    s = 0
+    while True:
+        k = len(seeds) - 1
+        if k == len(cos):
+            cos = np.concatenate([cos, np.empty_like(cos)])
+        np.matmul(units, units[s], out=cos[k])
+        np.maximum(best, cos[k], out=best)
+        cos[k, : s + 1] = -np.inf
+        if s + 1 == n:
+            break
+        # the next seed is the first later candidate that misses every seed;
+        # a best cosine within the margin of the split is decided exactly
+        below = best[s + 1 :] <= _COS_FOOT_SPLIT + _COS_MARGIN
+        below |= dead[s + 1 :]
+        nxt = n
+        for j in (s + 1 + np.flatnonzero(below)).tolist():
+            if (
+                dead[j]
+                or best[j] < _COS_FOOT_SPLIT - _COS_MARGIN
+                or exact(j, len(seeds)).max() < _COS_FOOT_SPLIT
+            ):
+                nxt = j
+                break
+        if nxt == n:
+            break
+        seeds.append(nxt)
+        s = nxt
+    cos = cos[: len(seeds)]
+    seed_idx = np.array(seeds)
+    group_of = cos.argmax(axis=0)
+    group_of[seed_idx] = np.arange(len(seeds))
+    if len(seeds) > 1:
+        members = np.ones(n, dtype=bool)
+        members[seed_idx] = False
+        rows = np.flatnonzero(members)
+        top = cos[group_of[rows], rows]
+        cos[group_of[rows], rows] = -np.inf
+        tied = rows[top - cos[:, rows].max(axis=0) <= _COS_MARGIN]
+        for j in tied.tolist():
+            n_earlier = int(np.searchsorted(seed_idx, j))
+            group_of[j] = int(np.argmax(exact(j, n_earlier)))
+    return group_of, len(seeds)
+
+
 @dataclass(frozen=True, eq=False)
 class Foot:
     """One locally nearest point of the set, with its host piece."""
@@ -121,6 +197,29 @@ class Foot:
     dist: float
     label: str
     param: object
+
+
+def _drop_repeats(feet: list, tol: float) -> list:
+    """The feet, in order, without each one within tol of an earlier kept one.
+
+    Most feet of a ring repeat a kept one exactly, and few are kept, so the
+    norm test runs only where the largest coordinate gap g leaves it open:
+    g > tol means farther than tol, and sqrt(dim) g <= tol means nearer; a
+    relative margin of 1e-9 absorbs the norm's rounding.
+    """
+    far = tol * (1 + 1e-9)
+    close = tol * (1 - 1e-9) / math.sqrt(len(feet[0].point)) if feet else 0.0
+    kept, kept_coords = [], []
+    for f in feet:
+        p = f.point.tolist()
+        for g, q in zip(kept, kept_coords):
+            gap = max(map(abs, map(operator.sub, p, q)))
+            if gap <= far and (gap <= close or np.linalg.norm(f.point - g.point) <= tol):
+                break
+        else:
+            kept.append(f)
+            kept_coords.append(p)
+    return kept
 
 
 class FootFinder:
@@ -166,30 +265,16 @@ class FootFinder:
         # by at most spacing^2/(8 d), so a thin margin suffices
         gather = d0 + slack + 0.5 * self.spacing
         idx = np.array(sorted(self.tree.query_ball_point(x, gather)), dtype=int)
-        dists = np.linalg.norm(self.cloud.points[idx] - x, axis=1)
+        vecs = self.cloud.points[idx] - x
+        dists = np.linalg.norm(vecs, axis=1)
         order = np.argsort(dists, kind="stable")
         # group candidates by direction from the query; keep one seed per
         # piece per direction group (a ring of feet stays a ring, repeated
         # samples along one piece collapse)
-        seed_dirs = np.zeros((0, len(x)))
-        groups: list = []  # {label: (cand dist, cloud index)}
-        for k in order:
-            i = int(idx[k])
-            d = float(dists[k])
-            gi = -1
-            if d > 1e-14:
-                u = (self.cloud.points[i] - x) / d
-                if len(groups):
-                    cos = seed_dirs @ u
-                    gi = int(np.argmax(cos))
-                    if cos[gi] < _COS_FOOT_SPLIT:
-                        gi = -1
-            if gi < 0:
-                groups.append({})
-                gi = len(groups) - 1
-                seed_dirs = np.vstack(
-                    [seed_dirs, u[None, :] if d > 1e-14 else np.zeros((1, len(x)))]
-                )
+        idx, dists = idx[order], dists[order]
+        group_of, n_groups = _direction_groups(vecs[order], dists)
+        groups: list = [{} for _ in range(n_groups)]  # {label: (cand dist, cloud index)}
+        for gi, i, d in zip(group_of.tolist(), idx.tolist(), dists.tolist()):
             for lab in sorted(self.cloud.labels[i]):
                 groups[gi].setdefault(lab, (d, i))
         # polish in order of candidate distance, culling groups that cannot
@@ -208,13 +293,7 @@ class FootFinder:
             best = min(best, dist)
             feet.append(Foot(point=point, dist=dist, label=lab, param=prm))
         feet.sort(key=lambda f: f.dist)
-        tol = 1e-6 * self.cloud.scale
-        kept: list = []
-        for f in feet:
-            if any(np.linalg.norm(f.point - g.point) <= tol for g in kept):
-                continue
-            kept.append(f)
-        return kept
+        return _drop_repeats(feet, 1e-6 * self.cloud.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +580,16 @@ class MedialAxisSample:
 class _SpatialHash:
     """Deterministic incremental radius-exclusion test."""
 
-    def __init__(self, tol: float):
+    def __init__(self, tol: float, dim: int):
         self.tol = tol
         self.cells: dict = {}
+        self._offsets = list(itertools.product((-1, 0, 1), repeat=dim))
 
     def try_add(self, p) -> bool:
         p = np.asarray(p, dtype=float)
         key = tuple(int(math.floor(v / self.tol)) for v in p)
-        dim = len(key)
-        for off in itertools.product((-1, 0, 1), repeat=dim):
-            cell = tuple(k + o for k, o in zip(key, off))
+        for off in self._offsets:
+            cell = tuple(map(operator.add, key, off))
             for q in self.cells.get(cell, ()):
                 if np.linalg.norm(p - q) < self.tol:
                     return False
@@ -519,7 +598,7 @@ class _SpatialHash:
 
 
 def _thin(points: np.ndarray, tol: float) -> np.ndarray:
-    sh = _SpatialHash(tol)
+    sh = _SpatialHash(tol, points.shape[1])
     kept = [p for p in points if sh.try_add(p)]
     return np.array(kept) if kept else np.zeros((0, points.shape[1]))
 
@@ -582,7 +661,7 @@ def extract_medial_axis_grid(
     thin_radius = 1.5 * h if set_.ambient_dim == 2 else 2.2 * h
     cands = _thin(np.concatenate(cand_blocks), thin_radius)
     accepted = []
-    dedupe = _SpatialHash(0.5 * h)
+    dedupe = _SpatialHash(0.5 * h, set_.ambient_dim)
     for node in cands:
         res = refine_equidistant(
             node, finder, det_slack=2.4 * h, tau=tau, theta_min=theta_min

@@ -1,8 +1,10 @@
 """Tiny scalar minimization helper.
 
 Foot-point polishing evaluates cheap closed-form distance functions many
-thousands of times per extraction run; a dependency-free golden-section
-search keeps the per-call overhead negligible.
+thousands of times per extraction run, through a dependency-free
+golden-section search.  Its overhead is not negligible: about 50 loop
+steps per call in Python, which put it next to the horn distance function
+it calls at the top of the self time in a profile of the horn3d grid.
 """
 
 from __future__ import annotations

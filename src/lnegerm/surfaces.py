@@ -96,27 +96,34 @@ class HornPiece:
         and dedupes away.
         """
         x = np.asarray(x, dtype=float)
-        wx, wy, wz = self.sign * x[0], x[1], x[2]
+        # Python floats throughout: scalar ops on np.float64 cost several
+        # float ops each, and every evaluation below runs ~50 times per call
+        x0, wy, wz = x.tolist()
+        wx = self.sign * x0
         theta0 = float(seed_param[1])
-
-        def circle_theta(y):
-            cx, r = self._cx_r(y)
-            phi = math.atan2(wz, wx - cx)
-            delta = math.remainder(phi - theta0, 2 * math.pi)
-            if abs(delta) > 0.25 * math.pi:
-                return theta0 + math.copysign(0.25 * math.pi, delta)
-            return phi
+        a_out, a_in = self.a_outer, self.a_inner
+        quarter, full = 0.25 * math.pi, 2 * math.pi
 
         def dist_at(y):
-            cx, r = self._cx_r(y)
-            th = circle_theta(y)
-            dx = wx - cx - r * math.cos(th)
+            # ``** 2`` is libm pow, as in ``_cx_r``; x*x would round differently
+            x_out = (y / a_out) ** 2
+            x_in = (y / a_in) ** 2
+            cx = 0.5 * (x_out + x_in)
+            r = 0.5 * (x_out - x_in)
+            ex = wx - cx
+            th = math.atan2(wz, ex)
+            delta = math.remainder(th - theta0, full)
+            if abs(delta) > quarter:
+                th = theta0 + math.copysign(quarter, delta)
+            dx = ex - r * math.cos(th)
             dz = wz - r * math.sin(th)
             return math.sqrt(dx * dx + dz * dz + (wy - y) ** 2)
 
         def dist_free(y):
-            cx, r = self._cx_r(y)
-            w = math.hypot(wx - cx, wz)
+            x_out = (y / a_out) ** 2
+            x_in = (y / a_in) ** 2
+            r = 0.5 * (x_out - x_in)
+            w = math.hypot(wx - 0.5 * (x_out + x_in), wz)
             return math.hypot(wy - y, w - r if w > 0 else r)
 
         y0 = float(seed_param[0])
@@ -125,15 +132,16 @@ class HornPiece:
         lo = max(0.0, y0 - window)
         hi = min(self.y_max, y0 + window)
         y, _ = golden_min(dist_at, lo, hi)
-        theta = circle_theta(y)
         cx, _ = self._cx_r(y)
         phi = math.atan2(wz, wx - cx)
-        if not pinned and abs(math.remainder(phi - theta, 2 * math.pi)) > 1e-9:
+        delta = math.remainder(phi - theta0, full)
+        theta = theta0 + math.copysign(quarter, delta) if abs(delta) > quarter else phi
+        if not pinned and abs(math.remainder(phi - theta, full)) > 1e-9:
             y, _ = golden_min(dist_free, lo, hi)
             cx, _ = self._cx_r(y)
             w = math.hypot(wx - cx, wz)
             theta = math.atan2(wz, wx - cx) if w > 1e-300 else theta0
-        prm = (y, theta % (2 * math.pi))
+        prm = (y, theta % full)
         p = self.eval_param(prm)
         return float(np.linalg.norm(p - x)), p, prm
 
@@ -193,6 +201,10 @@ class WallPiece:
     y_max: float = 1.0
     ambient_dim: int = 3
 
+    def __post_init__(self):
+        if not self.half_width_coef >= 0:
+            raise InputError("wall needs half_width_coef >= 0")
+
     def eval_param(self, prm) -> np.ndarray:
         u, y = prm
         if y < 0 or y > self.y_max * (1 + 1e-12):
@@ -221,21 +233,24 @@ class WallPiece:
     def project(self, x, seed_param, window: float | None = None, pinned: bool = False):
         """Locally nearest strip point; closed-form clamp in x, 1D over y."""
         x = np.asarray(x, dtype=float)
+        x0, x1, x2 = x.tolist()
+        zz = x2 * x2
         c = self.half_width_coef
 
         def dist_at(y):
             half = c * y * y
-            dx = x[0] - min(max(x[0], -half), half)
-            return math.sqrt(dx * dx + (x[1] - y) ** 2 + x[2] * x[2])
+            # x0 minus its clamp to [-half, half]
+            dx = x0 - half if x0 > half else (x0 + half if x0 < -half else 0.0)
+            return math.sqrt(dx * dx + (x1 - y) ** 2 + zz)
 
         y0 = float(seed_param[1])
         if window is None:
-            window = 0.35 * max(y0, abs(x[1])) + 1e-9
+            window = 0.35 * max(y0, abs(x1)) + 1e-9
         lo = max(0.0, y0 - window)
         hi = min(self.y_max, y0 + window)
         y, _ = golden_min(dist_at, lo, hi)
         half = c * y * y
-        u = min(max(x[0] / half, -1.0), 1.0) if half > 0 else 0.0
+        u = min(max(x0 / half, -1.0), 1.0) if half > 0 else 0.0
         p = self.eval_param((u, y))
         return float(np.linalg.norm(p - x)), p, (u, y)
 
