@@ -56,6 +56,9 @@ _REFINE_PASSES = 16
 _NEAREST_DENSITY = 64
 # traced bisector residuals on the builtin pairs stay below 1e-15 * t
 _BISECTOR_RESIDUAL = 1e-10
+# grid nodes per prefilter block: the horn3d window's k-nearest arrays stay
+# near 2 MB each (the whole window in one block peaks at ~56 MB of them)
+_GRID_BLOCK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +236,27 @@ class FootFinder:
         self.tree = cKDTree(self.cloud.points)
         self.spacing = self.cloud.spacing
         self._pieces = {p.label: p for p in set_.pieces}
+        # candidates visit their pieces in label order; a cloud has a handful
+        # of distinct label sets, so each is sorted once
+        in_order = {labels: tuple(sorted(labels)) for labels in set(self.cloud.labels)}
+        self._sorted_labels = [in_order[labels] for labels in self.cloud.labels]
 
-    def polish(self, label: str, seed_param, x, pinned: bool = False):
+    def polish(
+        self, label: str, seed_param, x, pinned: bool = False, shared: dict | None = None
+    ):
         """(dist, point, param) of the local foot on one piece near a seed:
         surfaces project themselves, Puiseux branches go to ``_project_branch``.
 
         ``pinned`` keeps surface projections on the seeded side of the piece
         even where that side's foot degenerates (continuous extension for
-        equidistance root solves).
+        equidistance root solves).  ``shared`` is the per-query dict of the
+        surface kernels (see ``HornPiece.project``); branches ignore it.
         """
         piece = self._pieces[label]
         if hasattr(piece, "project"):
-            return piece.project(x, seed_param, window=8.0 * self.spacing, pinned=pinned)
+            return piece.project(
+                x, seed_param, window=8.0 * self.spacing, pinned=pinned, shared=shared
+            )
         speed = float(np.linalg.norm(piece.eval_deriv(max(float(seed_param), 1e-12))))
         window = min(8.0 * self.spacing / max(speed, 1e-9), piece.t_max)
         return _project_branch(piece, x, float(seed_param), window)
@@ -275,7 +287,7 @@ class FootFinder:
         group_of, n_groups = _direction_groups(vecs[order], dists)
         groups: list = [{} for _ in range(n_groups)]  # {label: (cand dist, cloud index)}
         for gi, i, d in zip(group_of.tolist(), idx.tolist(), dists.tolist()):
-            for lab in sorted(self.cloud.labels[i]):
+            for lab in self._sorted_labels[i]:
                 groups[gi].setdefault(lab, (d, i))
         # polish in order of candidate distance, culling groups that cannot
         # reach the selection band around the best polished distance
@@ -286,10 +298,11 @@ class FootFinder:
         )
         feet = []
         best = math.inf
+        shared: dict = {}  # surface work reused across this query's seeds
         for d, lab, i in tasks:
             if d - 0.5 * self.spacing > best + slack:
                 break
-            dist, point, prm = self.polish(lab, self.cloud.params[i][lab], x)
+            dist, point, prm = self.polish(lab, self.cloud.params[i][lab], x, shared=shared)
             best = min(best, dist)
             feet.append(Foot(point=point, dist=dist, label=lab, param=prm))
         feet.sort(key=lambda f: f.dist)
@@ -603,6 +616,41 @@ def _thin(points: np.ndarray, tol: float) -> np.ndarray:
     return np.array(kept) if kept else np.zeros((0, points.shape[1]))
 
 
+def _grid_candidates(finder: FootFinder, nodes: np.ndarray, h: float, theta_min: float):
+    """The nodes, in order, farther than 1.2 h from the cloud whose samples
+    within 2.6 h of the nearest one spread by more than 0.6 theta_min in
+    direction.
+
+    Nodes go through in blocks of ``_GRID_BLOCK``: the k-nearest arrays of
+    a block take about k * dim * 8 bytes per surviving node, tens of MB for
+    a whole 3D grid.  Each node's test reads only its own rows, so the
+    result does not depend on the block size.
+    """
+    k = min(len(finder.cloud.points), 48)
+    cos_gate = math.cos(0.6 * theta_min)
+    block = _GRID_BLOCK
+    cand_blocks = [np.zeros((0, nodes.shape[1]))]
+    for start in range(0, len(nodes), block):
+        chunk = nodes[start : start + block]
+        d1 = finder.tree.query(chunk)[0]
+        m = d1 > 1.2 * h
+        if not m.any():
+            continue
+        sub = chunk[m]
+        dsub = d1[m]
+        dd, ii = finder.tree.query(sub, k=k)
+        if k == 1:
+            dd, ii = dd[:, None], ii[:, None]
+        inband = dd <= dsub[:, None] + 2.6 * h
+        dirs = (finder.cloud.points[ii] - sub[:, None, :]) / np.maximum(
+            dd[..., None], 1e-300
+        )
+        cos = np.einsum("ijk,ik->ij", dirs, dirs[:, 0, :])
+        cos = np.where(inband, cos, 1.0)
+        cand_blocks.append(sub[cos.min(axis=1) <= cos_gate])
+    return np.concatenate(cand_blocks)
+
+
 def extract_medial_axis_grid(
     set_: GermSet,
     window,
@@ -633,33 +681,13 @@ def extract_medial_axis_grid(
     corners = np.array(list(itertools.product(*window)))
     scale = float(np.max(np.linalg.norm(corners, axis=1))) + 2.0 * h
     finder = FootFinder(set_, scale, max(16, int(math.ceil(scale / h))))
-    k = min(len(finder.cloud.points), 48)
-    cos_gate = math.cos(0.6 * theta_min)
-    cand_blocks = []
-    for start in range(0, len(nodes), 32768):
-        chunk = nodes[start : start + 32768]
-        d1 = finder.tree.query(chunk)[0]
-        m = d1 > 1.2 * h
-        if not m.any():
-            continue
-        sub = chunk[m]
-        dsub = d1[m]
-        dd, ii = finder.tree.query(sub, k=k)
-        if k == 1:
-            dd, ii = dd[:, None], ii[:, None]
-        inband = dd <= dsub[:, None] + 2.6 * h
-        dirs = (finder.cloud.points[ii] - sub[:, None, :]) / np.maximum(
-            dd[..., None], 1e-300
-        )
-        cos = np.einsum("ijk,ik->ij", dirs, dirs[:, 0, :])
-        cos = np.where(inband, cos, 1.0)
-        cand_blocks.append(sub[cos.min(axis=1) <= cos_gate])
-    if not cand_blocks:
+    cands = _grid_candidates(finder, nodes, h, theta_min)
+    if not len(cands):
         return MedialAxisSample((), h)
     # refinement dominates the cost; thin more aggressively in 3D where
     # medial sheets produce thick candidate slabs
     thin_radius = 1.5 * h if set_.ambient_dim == 2 else 2.2 * h
-    cands = _thin(np.concatenate(cand_blocks), thin_radius)
+    cands = _thin(cands, thin_radius)
     accepted = []
     dedupe = _SpatialHash(0.5 * h, set_.ambient_dim)
     for node in cands:

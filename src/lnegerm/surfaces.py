@@ -77,7 +77,14 @@ class HornPiece:
                     params.append((y, theta))
         return pts, params
 
-    def project(self, x, seed_param, window: float | None = None, pinned: bool = False):
+    def project(
+        self,
+        x,
+        seed_param,
+        window: float | None = None,
+        pinned: bool = False,
+        shared: dict | None = None,
+    ):
         """Locally nearest horn point to x, seeded at (y, theta).
 
         For fixed height the nearest circle point is closed-form, so the
@@ -94,6 +101,23 @@ class HornPiece:
         equidistance root solves need); otherwise the unconstrained local
         foot is reported, which coincides with another seed group's foot
         and dedupes away.
+
+        ``shared`` is a dict the unpinned calls for one query ``x`` may pass
+        to reuse each other's work; results are bitwise those without it.
+        Its entries are keyed on (label, seed height, window), which fix
+        the golden search interval, and reused as follows:
+
+        * If no evaluation of the clamped search met the arc clamp, the
+          call did not depend on the seed angle, and its result is stored
+          with the angle atan2 of every evaluation.  A later seed whose arc
+          holds every stored angle evaluates the same values along the
+          same path, so it would end at the same foot: it takes the stored
+          one.  Any other seed meets the clamp and runs its own search.
+        * The fallback search for the unconstrained foot does not read the
+          seed angle, so its height is stored and shared; the angle is
+          recomputed per seed.
+
+        Pinned calls neither read nor write ``shared``.
         """
         x = np.asarray(x, dtype=float)
         # Python floats throughout: scalar ops on np.float64 cost several
@@ -103,8 +127,11 @@ class HornPiece:
         theta0 = float(seed_param[1])
         a_out, a_in = self.a_outer, self.a_inner
         quarter, full = 0.25 * math.pi, 2 * math.pi
+        seen = []  # the unclamped angle of every dist_at evaluation
+        clamped = False
 
         def dist_at(y):
+            nonlocal clamped
             # ``** 2`` is libm pow, as in ``_cx_r``; x*x would round differently
             x_out = (y / a_out) ** 2
             x_in = (y / a_in) ** 2
@@ -112,9 +139,11 @@ class HornPiece:
             r = 0.5 * (x_out - x_in)
             ex = wx - cx
             th = math.atan2(wz, ex)
+            seen.append(th)
             delta = math.remainder(th - theta0, full)
             if abs(delta) > quarter:
                 th = theta0 + math.copysign(quarter, delta)
+                clamped = True
             dx = ex - r * math.cos(th)
             dz = wz - r * math.sin(th)
             return math.sqrt(dx * dx + dz * dz + (wy - y) ** 2)
@@ -131,19 +160,35 @@ class HornPiece:
             window = 0.35 * max(y0, abs(wy)) + 1e-9
         lo = max(0.0, y0 - window)
         hi = min(self.y_max, y0 + window)
+        # slot: [(free result, its evaluation angles), fallback height]
+        slot = None
+        if shared is not None and not pinned:
+            slot = shared.setdefault((self.label, y0, window), [None, None])
+            if slot[0] is not None:
+                (dist, p, prm), angles = slot[0]
+                if all(abs(math.remainder(th - theta0, full)) <= quarter for th in angles):
+                    return dist, p.copy(), prm
         y, _ = golden_min(dist_at, lo, hi)
         cx, _ = self._cx_r(y)
         phi = math.atan2(wz, wx - cx)
         delta = math.remainder(phi - theta0, full)
         theta = theta0 + math.copysign(quarter, delta) if abs(delta) > quarter else phi
         if not pinned and abs(math.remainder(phi - theta, full)) > 1e-9:
-            y, _ = golden_min(dist_free, lo, hi)
+            if slot is None or slot[1] is None:
+                y, _ = golden_min(dist_free, lo, hi)
+                if slot is not None:
+                    slot[1] = y
+            else:
+                y = slot[1]
             cx, _ = self._cx_r(y)
             w = math.hypot(wx - cx, wz)
             theta = math.atan2(wz, wx - cx) if w > 1e-300 else theta0
         prm = (y, theta % full)
         p = self.eval_param(prm)
-        return float(np.linalg.norm(p - x)), p, prm
+        dist = float(np.linalg.norm(p - x))
+        if slot is not None and not clamped:
+            slot[0] = (dist, p.copy(), prm), seen
+        return dist, p, prm
 
     def section(self, t: float, norm=EUCLID, density: int = 32):
         """Points on {x in piece : ||x||_norm = t}, one per theta ray.
@@ -230,8 +275,23 @@ class WallPiece:
                     params.append((u, y))
         return pts, params
 
-    def project(self, x, seed_param, window: float | None = None, pinned: bool = False):
-        """Locally nearest strip point; closed-form clamp in x, 1D over y."""
+    def project(
+        self,
+        x,
+        seed_param,
+        window: float | None = None,
+        pinned: bool = False,
+        shared: dict | None = None,
+    ):
+        """Locally nearest strip point; closed-form clamp in x, 1D over y.
+
+        The foot depends on (x, seed height, window) alone: neither the seed
+        abscissa u nor ``pinned`` is read.  So ``shared``, a dict the
+        unpinned calls for one query ``x`` may pass, keeps the first result
+        per (label, seed height, window) and hands later seeds at that
+        height a copy, bitwise what their own search would return.  Pinned
+        calls neither read nor write it.
+        """
         x = np.asarray(x, dtype=float)
         x0, x1, x2 = x.tolist()
         zz = x2 * x2
@@ -246,13 +306,20 @@ class WallPiece:
         y0 = float(seed_param[1])
         if window is None:
             window = 0.35 * max(y0, abs(x1)) + 1e-9
+        key = (self.label, y0, window)
+        if shared is not None and not pinned and key in shared:
+            dist, p, prm = shared[key]
+            return dist, p.copy(), prm
         lo = max(0.0, y0 - window)
         hi = min(self.y_max, y0 + window)
         y, _ = golden_min(dist_at, lo, hi)
         half = c * y * y
         u = min(max(x0 / half, -1.0), 1.0) if half > 0 else 0.0
         p = self.eval_param((u, y))
-        return float(np.linalg.norm(p - x)), p, (u, y)
+        dist = float(np.linalg.norm(p - x))
+        if shared is not None and not pinned:
+            shared[key] = (dist, p.copy(), (u, y))
+        return dist, p, (u, y)
 
     def section(self, t: float, norm=EUCLID, density: int = 32):
         """Points on {x in piece : ||x||_norm = t}, one per u sample.

@@ -1,5 +1,6 @@
 """Nearest-point sets, grid extraction, bisector tracing, branch tracking."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from lnegerm import (
     reaches_origin,
     trace_bisector_2d,
 )
+from lnegerm.optimize import golden_min
 
 
 class TestNearestPointSet:
@@ -69,6 +71,117 @@ class TestFootFinder:
         line = puiseux_branch([(1, (0.0, 1.0))], 1.0, "line")
         with pytest.raises(InputError):
             FootFinder(germ_set(branches=(curve, line)), 0.3, 16)
+
+
+def _grid_setup(germ, window, h):
+    """The node array and foot finder ``extract_medial_axis_grid`` builds
+    for a window and grid step."""
+    from lnegerm import FootFinder
+
+    axes = [np.arange(a, b + 0.5 * h, h) for a, b in window]
+    nodes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    corners = np.array(list(itertools.product(*window)))
+    scale = float(np.max(np.linalg.norm(corners, axis=1))) + 2.0 * h
+    return FootFinder(germ, scale, max(16, int(math.ceil(scale / h)))), nodes
+
+
+#: the cropped horn3d medial window of the benchmark, at its grid step
+HORN_WINDOW = ((-0.14, 0.14), (0.0, 0.64), (-0.05, 0.05))
+HORN_STEP = 0.01
+
+
+def _foot_bits(feet):
+    return [
+        (f.label, f.dist.hex(), f.point.tobytes(), tuple(float(v).hex() for v in f.param))
+        for f in feet
+    ]
+
+
+class TestSharedFeet:
+    """Sharing surface work across the seeds of one ``feet`` query changes
+    no bit of its feet."""
+
+    def queries(self):
+        # near either horn tube's axis, where the seeds form a ring round
+        # the tube, and inside and beside the wall strip
+        out = []
+        for y in (0.12, 0.3, 0.45, 0.6):
+            x_out, x_in = y * y, (y / 2.0) ** 2
+            cx, r = 0.5 * (x_out + x_in), 0.5 * (x_out - x_in)
+            for sign in (1.0, -1.0):
+                out.append((sign * (cx + 0.1 * r), y + 0.02, 0.0))
+                out.append((sign * cx, y + 0.01, 0.05 * r))
+            half = 0.25 * y * y
+            out += [(0.3 * half, y, 0.02), (0.0, y + 0.003, -0.01), (1.5 * half, y, 0.004)]
+        return out
+
+    def test_feet_match_unshared(self, monkeypatch):
+        from lnegerm import FootFinder, surfaces
+
+        finder, _ = _grid_setup(builtin("horn3d").germ(), HORN_WINDOW, HORN_STEP)
+        calls = []
+
+        def counting(f, lo, hi, iters=48):
+            calls.append(f.__name__)
+            return golden_min(f, lo, hi, iters)
+
+        monkeypatch.setattr(surfaces, "golden_min", counting)
+        shared = [finder.feet(np.array(q)) for q in self.queries()]
+        n_shared = len(calls)
+        polish = FootFinder.polish
+        seeds = []
+
+        def unshared(self, label, seed_param, x, pinned=False, shared=None):
+            seeds.append(label)
+            return polish(self, label, seed_param, x, pinned=pinned)
+
+        monkeypatch.setattr(FootFinder, "polish", unshared)
+        plain = []
+        for q in self.queries():
+            seeds.clear()
+            plain.append((finder.feet(np.array(q)), len(seeds)))
+        assert n_shared < len(calls) - n_shared
+        for q, a, (b, _) in zip(self.queries(), shared, plain):
+            assert _foot_bits(a) == _foot_bits(b), q
+            for f, g in itertools.combinations(a, 2):
+                assert not np.shares_memory(f.point, g.point)
+        # the ring queries do see rings: over a hundred seeds round a tube
+        assert max(n for _, n in plain) >= 100
+
+
+class TestGridPrefilter:
+    def test_blocks_do_not_change_candidates(self, monkeypatch):
+        from lnegerm import medial
+
+        cusp = builtin("cusp")
+        for germ, window, h in (
+            (builtin("horn3d").germ(), HORN_WINDOW, HORN_STEP),
+            (cusp.germ(), cusp.medial_window, cusp.medial_resolution),
+        ):
+            finder, nodes = _grid_setup(germ, window, h)
+            assert len(nodes) > 2 * medial._GRID_BLOCK
+            blocked = medial._grid_candidates(finder, nodes, h, 0.2)
+            with monkeypatch.context() as m:
+                m.setattr(medial, "_GRID_BLOCK", len(nodes))
+                whole = medial._grid_candidates(finder, nodes, h, 0.2)
+            assert len(blocked) > 0
+            assert blocked.tobytes() == whole.tobytes()
+
+    def test_prefilter_peak_memory(self):
+        # the whole horn3d window in one block peaks near 56 MB of numpy
+        # temporaries; blocks of _GRID_BLOCK nodes stay near 10 MB
+        import tracemalloc
+
+        from lnegerm.medial import _grid_candidates
+
+        finder, nodes = _grid_setup(builtin("horn3d").germ(), HORN_WINDOW, HORN_STEP)
+        tracemalloc.start()
+        try:
+            _grid_candidates(finder, nodes, HORN_STEP, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 def _sequential_direction_groups(vecs, dists):

@@ -290,3 +290,132 @@ def test_wall_rejects_negative_half_width():
     # the strip |x| <= c y^2 needs c >= 0; the kernel's clamp assumes it
     with pytest.raises(InputError):
         WallPiece(label="wall", half_width_coef=-0.25)
+
+
+# ---------------------------------------------------------------------------
+# Per-query sharing: one dict across the seeds of a query changes no bit.
+# ---------------------------------------------------------------------------
+
+
+def _counting_golden_min(counts):
+    """golden_min that counts its calls by the name of the minimized
+    function (``dist_at`` or ``dist_free``)."""
+
+    def minimize(f, lo, hi, iters=48):
+        counts[f.__name__] = counts.get(f.__name__, 0) + 1
+        return optimize.golden_min(f, lo, hi, iters)
+
+    return minimize
+
+
+def _entries(shared):
+    """The dict's entries, with each horn slot's items, as objects."""
+    return {k: tuple(v) for k, v in shared.items()}
+
+
+def _assert_untouched(shared, before):
+    after = _entries(shared)
+    assert after.keys() == before.keys()
+    for k, items in before.items():
+        assert all(a is b for a, b in zip(after[k], items))
+
+
+def _check_group(kind, piece, x, seeds, window, monkeypatch):
+    """Project every seed of a group with and without one shared dict;
+    pinned seeds go through the dict too and must leave it as it was.
+    Returns the golden_min call counts (shared, unshared)."""
+    counts_none, counts_shared = {}, {}
+    monkeypatch.setattr(surfaces, "golden_min", _counting_golden_min(counts_none))
+    plain = [kind.project(piece, x, prm, window=window, pinned=pinned) for prm, pinned in seeds]
+    monkeypatch.setattr(surfaces, "golden_min", _counting_golden_min(counts_shared))
+    shared, got = {}, []
+    for prm, pinned in seeds:
+        before = _entries(shared)
+        got.append(kind.project(piece, x, prm, window=window, pinned=pinned, shared=shared))
+        if pinned:
+            _assert_untouched(shared, before)
+    for (prm, pinned), a, b in zip(seeds, got, plain):
+        assert _bits(a) == _bits(b), (x, prm, window, pinned)
+    monkeypatch.setattr(surfaces, "golden_min", optimize.golden_min)
+    # each result owns its point: writing to one changes no other
+    for a in got:
+        a[1][:] = np.nan
+    again = [
+        kind.project(piece, x, prm, window=window, pinned=pinned, shared=shared)
+        for prm, pinned in seeds
+    ]
+    assert all(_bits(a) == _bits(b) for a, b in zip(again, plain))
+    return counts_shared, counts_none
+
+
+def _arc_offsets(rng):
+    """Seed angles relative to the query's direction: near it, spread round
+    the circle, and on either side of the quarter-arc boundary."""
+    near = rng.uniform(-0.3, 0.3, 4)
+    spread = np.linspace(0.0, 2 * math.pi, 12, endpoint=False) + rng.uniform(0, 0.5)
+    edges = [
+        s * (0.25 * math.pi + e) for s in (1.0, -1.0) for e in (-1e-3, -1e-12, 1e-12, 1e-3)
+    ]
+    return [float(v) for v in np.concatenate([near, spread])] + edges
+
+
+def test_horn_shared_matches_unshared_bitwise(monkeypatch):
+    rng = np.random.default_rng(7)
+    pieces = [
+        HornPiece(label="pos", sign=1.0, a_outer=1.0, a_inner=2.0, y_max=1.0),
+        HornPiece(label="neg", sign=-1.0, a_outer=1.0, a_inner=2.0, y_max=1.0),
+    ]
+    totals = {"dist_at": [0, 0], "dist_free": [0, 0]}
+    lo_cut = hi_cut = flat = 0
+    for n in range(48):
+        horn = pieces[n % 2]
+        y = _height(rng)
+        cx, r = horn._cx_r(y)
+        theta = float(rng.uniform(0.0, 2 * math.pi))
+        # near the tube axis (a ring of feet), inside, or outside the tube
+        rho = float(rng.choice([0.02, 0.3, 1.4])) * r + float(rng.uniform(0.0, 0.005))
+        x = np.array([horn.sign * (cx + rho * math.cos(theta)), y, rho * math.sin(theta)])
+        x[1] += float(rng.uniform(-0.01, 0.01))
+        if n % 4 == 3:
+            x[2] = 0.0
+        y0 = min(max(y + float(rng.uniform(-0.01, 0.01)), 0.0), 1.0)
+        window = [None, 0.08, 0.16][int(rng.integers(3))]
+        seeds = [
+            ((y0, (theta + off) % (2 * math.pi)), k % 5 == 4)
+            for k, off in enumerate(_arc_offsets(rng))
+        ]
+        shared, plain = _check_group(HornPiece, horn, x, seeds, window, monkeypatch)
+        for name, calls in totals.items():
+            calls[0] += shared.get(name, 0)
+            calls[1] += plain.get(name, 0)
+        lo, hi = _window(window, y0, x[1], horn.y_max)
+        lo_cut += lo == 0.0
+        hi_cut += hi == horn.y_max
+        flat += x[2] == 0.0
+    assert min(lo_cut, hi_cut, flat) >= 4
+    # both reuse paths ran: whole free feet and fallback heights
+    assert totals["dist_at"][0] < totals["dist_at"][1]
+    assert 0 < totals["dist_free"][0] < totals["dist_free"][1]
+
+
+def test_wall_shared_matches_unshared_bitwise(monkeypatch):
+    rng = np.random.default_rng(8)
+    wall = WallPiece(label="wall", half_width_coef=0.25, y_max=1.0)
+    lo_cut = hi_cut = 0
+    for _ in range(40):
+        y = _height(rng)
+        half = 0.25 * y * y
+        xs = float(rng.choice([rng.uniform(-1, 1), rng.uniform(1, 3)])) * half
+        x = np.array([xs, y + float(rng.uniform(-0.01, 0.01)), float(rng.uniform(-0.05, 0.05))])
+        window = [None, 0.08, 0.16][int(rng.integers(3))]
+        heights = [min(max(y + float(rng.uniform(-0.01, 0.01)), 0.0), 1.0) for _ in range(3)]
+        seeds = [
+            ((float(rng.uniform(-1, 1)), heights[k % 3]), k % 4 == 3) for k in range(12)
+        ]
+        shared, _ = _check_group(WallPiece, wall, x, seeds, window, monkeypatch)
+        # one search per seed height; pinned seeds search for themselves
+        assert shared["dist_at"] == len(set(heights)) + 3
+        lo, hi = _window(window, heights[0], x[1], wall.y_max)
+        lo_cut += lo == 0.0
+        hi_cut += hi == wall.y_max
+    assert min(lo_cut, hi_cut) >= 4
