@@ -2,9 +2,10 @@
 """Fit bisector orders between parabola pairs with the exact 2D tracer.
 
 For y = a x^2 vs y = b x^2 the bisector approaches y = ((a+b)/2) x^2, so
-the traced points should fit order 2 with leading constant (a+b)/2.  This
-cross-checks the high-precision tracer against the grid pipeline used by
-the scenario runner.
+the traced points should fit order 2 with leading constant (a+b)/2.  The
+tracer is the exact per-radius bisector solve from which the scenario runner
+builds the medial branches of plane germs, so this checks the solve against
+the closed form.
 """
 
 import argparse

@@ -43,6 +43,7 @@ from .medial import (
     extract_medial_axis_grid,
     medial_branch_germs,
     nearest_point_set,
+    plane_medial_branches,
     reaches_origin,
     refine_equidistant,
     trace_bisector_2d,

@@ -48,7 +48,8 @@ class DisconnectedError(LnegermError):
 
 
 class TraceError(LnegermError):
-    """Bisector tracing failed to bracket a root at some scale."""
+    """A bisector solve failed at some radius: no bracket, no convergence, a
+    residual too large, feet too close together, or a nearer branch."""
 
 
 class RegistryError(LnegermError):

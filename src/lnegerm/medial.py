@@ -1,6 +1,13 @@
 """Nearest-point sets, medial-axis extraction, and medial-branch recovery.
 
-The discrete pipeline has three layers:
+Plane germs of Puiseux branches take their medial branches from exact
+bisectors (``plane_medial_branches``): near 0 the medial axis is the union of
+the bisectors of the cyclically adjacent half-branch pairs whose sector is
+narrower than pi, and each is solved on every circle |q| = r as a 1D root in
+the angle of q, against the branches' own parametrizations.
+
+Germs with surface pieces, and the ``lnegerm medial`` export, go through the
+discrete pipeline, which has three layers:
 
 * ``FootFinder`` turns the cloud sample of a germ into polished local
   nearest points ("feet"): cloud candidates are grouped by direction from
@@ -91,6 +98,8 @@ def _project_branch(branch: PuiseuxBranch, x, seed: float, window: float):
     s = min(max(float(seed), lo), hi)
     converged = False
     for _ in range(30):
+        if s == 0.0 and terms[0][0] < 1.0:
+            break  # gamma' is unbounded at 0
         g = [0.0] * dim
         g1 = [0.0] * dim
         for e, c in terms:
@@ -708,77 +717,6 @@ def extract_medial_axis_grid(
 
 
 # ---------------------------------------------------------------------------
-# Exact 2D bisector tracing
-# ---------------------------------------------------------------------------
-
-
-def trace_bisector_2d(
-    b1: PuiseuxBranch,
-    b2: PuiseuxBranch,
-    scales,
-) -> MedialAxisSample:
-    """Equidistant points between two plane branches, one per scale.
-
-    Each point solves d(p, b1) = d(p, b2) on the segment between the
-    distance-parametrized branch points; failures are recorded per scale
-    and the trace continues.
-    """
-    if b1.ambient_dim != 2 or b2.ambient_dim != 2:
-        raise InputError("bisector tracing is 2D only")
-    scales = [float(t) for t in scales]
-    if not scales:
-        raise InputError("no scales to trace")
-    points = []
-    failures = []
-    for t in scales:
-        try:
-            s1 = b1.param_at_radius(t)
-            s2 = b2.param_at_radius(t)
-            p1 = b1.eval(s1)
-            p2 = b2.eval(s2)
-            seg = p1 - p2
-            length = float(np.linalg.norm(seg))
-            if length < 1e-13 * t:
-                raise TraceError(f"branch points coincide at scale {t}")
-            e = seg / length
-            mid = 0.5 * (p1 + p2)
-            w1 = s1 + t
-            w2 = s2 + t
-
-            def gap(alpha):
-                q = mid + alpha * e
-                return (
-                    _project_branch(b1, q, s1, w1)[0]
-                    - _project_branch(b2, q, s2, w2)[0]
-                )
-
-            lo, hi = -0.75 * length, 0.75 * length
-            if gap(lo) * gap(hi) > 0:
-                lo, hi = -1.5 * length, 1.5 * length
-                if gap(lo) * gap(hi) > 0:
-                    raise TraceError(f"no equidistance bracket at scale {t}")
-            alpha = brentq(gap, lo, hi, xtol=1e-15 * max(t, 1e-9))
-            q = mid + alpha * e
-            d1, fp1, fm1 = _project_branch(b1, q, s1, w1)
-            d2, fp2, fm2 = _project_branch(b2, q, s2, w2)
-            if abs(d1 - d2) > _BISECTOR_RESIDUAL:
-                raise TraceError(
-                    f"equidistance residual {abs(d1 - d2):.3e} at scale {t}"
-                )
-            reps = (
-                Foot(fp1, d1, b1.label, fm1),
-                Foot(fp2, d2, b2.label, fm2),
-            )
-            ang = _max_pair_angle(q, [fp1, fp2])
-            points.append(
-                (q, NearestPointCluster(0.5 * (d1 + d2), reps, ang))
-            )
-        except TraceError as exc:
-            failures.append((t, str(exc)))
-    return MedialAxisSample(tuple(points), min(scales), tuple(failures))
-
-
-# ---------------------------------------------------------------------------
 # Branch tracking and continuation
 # ---------------------------------------------------------------------------
 
@@ -1060,3 +998,157 @@ def reaches_origin(curve: SampledCurve, radius: float) -> bool:
         return True
     except (ResolutionError, DomainError):
         return False
+
+
+# ---------------------------------------------------------------------------
+# Exact 2D bisectors
+# ---------------------------------------------------------------------------
+
+
+def _angle(p) -> float:
+    return math.atan2(float(p[1]), float(p[0]))
+
+
+def _sectors_below_pi(branches, r: float) -> list:
+    """(b1, b2) for each cyclically adjacent pair of plane branches whose
+    counterclockwise opening from b1 to b2, seen at radius r, is below pi."""
+    if len(branches) < 2:
+        return []
+    ordered = sorted(
+        ((_angle(b.point_at_radius(r)), k) for k, b in enumerate(branches))
+    )
+    pairs = []
+    for (a1, k1), (a2, k2) in zip(ordered, ordered[1:] + ordered[:1]):
+        if (a2 - a1) % (2.0 * math.pi) < math.pi:
+            pairs.append((branches[k1], branches[k2]))
+    return pairs
+
+
+def _bisector_point(b1, b2, r: float, others, theta_min: float):
+    """(q, NearestPointCluster): the point q with |q| = r, in the sector swept
+    counterclockwise from b1 to b2, equidistant from both branches.
+
+    The unknown is the angle of q from b1's radius-r point.  The distance gap
+    to the local feet near each branch's radius-r parameter is negative at
+    b1's point and positive at b2's, so ``brentq`` brackets it.  Raises
+    ``TraceError`` when the gap does not change sign or the root leaves a
+    residual above ``_BISECTOR_RESIDUAL``, when the feet are less than
+    ``theta_min`` apart as seen from q (the two halves of a smooth curve,
+    whose feet both collapse to 0), and when a branch of ``others`` is
+    nearer; ``DomainError`` when a branch does not reach radius r.
+    """
+    s1, s2 = b1.param_at_radius(r), b2.param_at_radius(r)
+    a1 = _angle(b1.eval(s1))
+    span = (_angle(b2.eval(s2)) - a1) % (2.0 * math.pi)
+
+    def feet(phi):
+        q = r * np.array([math.cos(a1 + phi), math.sin(a1 + phi)])
+        return q, _project_branch(b1, q, s1, s1 + r), _project_branch(b2, q, s2, s2 + r)
+
+    def gap(phi):
+        _, f1, f2 = feet(phi)
+        return f1[0] - f2[0]
+
+    if not (gap(0.0) < 0.0 < gap(span)):
+        raise TraceError(f"no equidistance bracket at radius {r}")
+    phi, info = brentq(gap, 0.0, span, xtol=1e-15, full_output=True, disp=False)
+    if not info.converged:
+        raise TraceError(f"equidistance solve did not converge at radius {r}")
+    q, (d1, fp1, fm1), (d2, fp2, fm2) = feet(phi)
+    if abs(d1 - d2) > _BISECTOR_RESIDUAL:
+        raise TraceError(f"equidistance residual {abs(d1 - d2):.3e} at radius {r}")
+    ang = _max_pair_angle(q, [fp1, fp2])
+    if ang < theta_min:
+        raise TraceError(f"feet {ang:.3g} rad apart at radius {r}")
+    dist = 0.5 * (d1 + d2)
+    for b in others:
+        sb = b.param_at_radius(r)
+        if _project_branch(b, q, sb, sb + r)[0] < dist - _BISECTOR_RESIDUAL:
+            raise TraceError(f"branch {b.label!r} is nearer at radius {r}")
+    reps = (Foot(fp1, d1, b1.label, fm1), Foot(fp2, d2, b2.label, fm2))
+    return q, NearestPointCluster(dist, reps, ang)
+
+
+def trace_bisector_2d(
+    b1: PuiseuxBranch,
+    b2: PuiseuxBranch,
+    scales,
+) -> MedialAxisSample:
+    """Equidistant points between two plane branches, one per scale.
+
+    The bisector runs in the sector between the branches whose opening at
+    the smallest scale is below pi; each point is the exact per-radius solve
+    of ``plane_medial_branches`` with the default ``theta_min`` of 0.2.
+    Failures are recorded per scale and the trace continues.
+    """
+    if b1.ambient_dim != 2 or b2.ambient_dim != 2:
+        raise InputError("bisector tracing is 2D only")
+    scales = [float(t) for t in scales]
+    if not scales:
+        raise InputError("no scales to trace")
+    sectors = _sectors_below_pi((b1, b2), min(scales))
+    if not sectors:
+        raise InputError(f"branches {b1.label!r} and {b2.label!r} bound no sector below pi")
+    points, failures = [], []
+    for t in scales:
+        try:
+            points.append(_bisector_point(*sectors[0], t, (), 0.2))
+        except (DomainError, TraceError) as exc:
+            failures.append((t, str(exc)))
+    return MedialAxisSample(tuple(points), min(scales), tuple(failures))
+
+
+def has_exact_bisectors(set_: GermSet) -> bool:
+    """Whether every piece of the germ is a plane Puiseux branch, so that its
+    medial branches come from exact bisectors rather than the grid."""
+    return (
+        set_.ambient_dim == 2
+        and not set_.surfaces
+        and all(isinstance(b, PuiseuxBranch) for b in set_.branches)
+    )
+
+
+def plane_medial_branches(set_: GermSet, scales, theta_min: float = 0.2):
+    """(MedialAxisSample, curves): the medial branches of a plane germ of
+    Puiseux branches, from exact per-radius bisector solves.
+
+    Near 0 the medial axis is the union of the bisectors of the cyclically
+    adjacent half-branch pairs whose sector, at the smallest scale, is
+    narrower than pi.  Each pair whose solve holds at the largest scale
+    becomes a ``SampledCurve`` anchored at the solves on ``scales`` and
+    refined by the same solve, so ``point_at_radius`` stays exact; the
+    first failing smaller scale flags it ``("continuation_failed", t)``.
+    The sample holds every anchor with its two feet, the failed solves, and
+    the smallest scale as its resolution.
+    """
+    if not has_exact_bisectors(set_):
+        raise InputError("exact bisectors need a plane germ of Puiseux branches")
+    scales = sorted((float(t) for t in scales), reverse=True)
+    if not scales:
+        raise InputError("no scales to trace")
+    points, failures, curves = [], [], []
+    for b1, b2 in _sectors_below_pi(set_.branches, scales[-1]):
+        others = tuple(b for b in set_.branches if b is not b1 and b is not b2)
+
+        def refiner(r, seed, b1=b1, b2=b2, others=others):
+            try:
+                return _bisector_point(b1, b2, r, others, theta_min)[0]
+            except (DomainError, TraceError):
+                return None
+
+        curve = SampledCurve(f"medial_{len(curves)}", 2, refiner=refiner)
+        anchors = []
+        for t in scales:
+            try:
+                anchors.append(_bisector_point(b1, b2, t, others, theta_min))
+            except (DomainError, TraceError) as exc:
+                failures.append((t, str(exc)))
+                if anchors:
+                    curve.flags.append(("continuation_failed", t))
+                break
+        if anchors:
+            for q, _ in anchors:
+                curve.add_anchor(q)
+            points += anchors
+            curves.append(curve)
+    return MedialAxisSample(tuple(points), scales[-1], tuple(failures)), tuple(curves)

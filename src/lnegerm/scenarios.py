@@ -10,7 +10,7 @@ The registry holds the four canonical cases of the LNE/medial interplay:
   implies set non-LNE) does not survive into three dimensions.
 
 ``run_scenario`` executes the full pipeline (arc criterion, medial
-extraction + medial-branch tangency, link criterion) and grades the
+branches + medial-branch tangency, link criterion) and grades the
 outcome against the expected verdicts.  Any UNDECIDED sub-verdict marks
 the result INCONCLUSIVE rather than FAIL.
 """
@@ -30,7 +30,9 @@ from .links import LinkCriterionResult, link_criterion_verdict
 from .medial import (
     MedialAxisSample,
     extract_medial_axis_grid,
+    has_exact_bisectors,
     medial_branch_germs,
+    plane_medial_branches,
     reaches_origin,
 )
 from .surfaces import HornPiece, WallPiece
@@ -347,27 +349,31 @@ def run_scenario(s: Scenario, config: RunConfig | None = None) -> ScenarioResult
         set_verdict, l_set = combine_verdicts(set_reports)
 
     medial_cfg = config.medial
-    window, resolution = medial_grid(s, medial_cfg)
-    axis = extract_medial_axis_grid(
-        germ,
-        window,
-        resolution,
-        tau=medial_cfg.tau,
-        theta_min=medial_cfg.theta_min,
-    )
-    if axis.points:
-        curves = tuple(
-            medial_branch_germs(
-                axis,
-                s.medial_scales,
-                set_=germ,
-                tau=medial_cfg.tau,
-                theta_min=medial_cfg.theta_min,
-                density=s.medial_density,
-            )
+    if has_exact_bisectors(germ):
+        axis, curves = plane_medial_branches(
+            germ, s.medial_scales, theta_min=medial_cfg.theta_min
         )
     else:
+        window, resolution = medial_grid(s, medial_cfg)
+        axis = extract_medial_axis_grid(
+            germ,
+            window,
+            resolution,
+            tau=medial_cfg.tau,
+            theta_min=medial_cfg.theta_min,
+        )
         curves = ()
+        if axis.points:
+            curves = tuple(
+                medial_branch_germs(
+                    axis,
+                    s.medial_scales,
+                    set_=germ,
+                    tau=medial_cfg.tau,
+                    theta_min=medial_cfg.theta_min,
+                    density=s.medial_density,
+                )
+            )
     selected = tuple(c for c in curves if s.medial_filter(c))
     if not selected:
         medial_reports = ()
@@ -422,8 +428,9 @@ def run_scenario(s: Scenario, config: RunConfig | None = None) -> ScenarioResult
                 )
             )
         if set_verdict is Verdict.NOT_LNE:
-            # the medial closure must contain the origin: the tracked
-            # branches continue down to a few grid cells and beyond
+            # the medial closure must contain the origin: a selected branch
+            # continues down to four axis resolutions (grid steps, or the
+            # smallest medial scale for exact bisectors)
             r0 = 4.0 * axis.resolution
             ok = any(reaches_origin(c, r0) for c in selected)
             checks.append(
@@ -465,9 +472,12 @@ def run_all(config: RunConfig | None = None) -> list:
 def scenario_for_germ(germ: GermSet, config: RunConfig) -> Scenario:
     """Ad-hoc scenario (no expectations) wrapping a user-supplied germ.
 
-    Its medial window is the symmetric box of half-width 1.2 * t_max and
-    its grid step 1/256; ``medial_grid`` applies a configured window or
-    resolution in their place.
+    Its medial scales are the configured scales.  Its medial window is the
+    symmetric box of half-width 1.2 * t_max and its grid step 1/256;
+    ``medial_grid`` applies a configured window or resolution in their
+    place.  Window and step serve only the grid: a plane germ of Puiseux
+    branches takes exact bisectors in ``run_scenario``, and the grid only
+    in ``lnegerm medial``.
     """
     w = 1.2 * config.t_max
     return Scenario(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from lnegerm import RunConfig, builtin, run_scenario
+from lnegerm import RunConfig, builtin, extract_medial_axis_grid, run_scenario
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +35,18 @@ def three_result(config):
 @pytest.fixture(scope="session")
 def horn_result(config):
     return run_scenario(builtin("horn3d"), config)
+
+
+@pytest.fixture(scope="session")
+def grid_axes():
+    """The grid medial axis of each plane builtin on its registered window
+    and step.  The runner takes exact bisectors for these germs; the grid
+    still serves surface germs and ``lnegerm medial``."""
+    out = {}
+    for label in ("cusp", "abs_graph", "three_tangent"):
+        s = builtin(label)
+        out[label] = extract_medial_axis_grid(s.germ(), s.medial_window, s.medial_resolution)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from lnegerm import (
     germ_set,
     medial_branch_germs,
     nearest_point_set,
+    plane_medial_branches,
     puiseux_branch,
     reaches_origin,
     trace_bisector_2d,
@@ -348,36 +349,36 @@ class TestDropRepeats:
 
 
 class TestGridExtraction:
-    def test_abs_graph_axis_on_y_axis(self, abs_result):
-        axis = abs_result.axis
+    def test_abs_graph_axis_on_y_axis(self, grid_axes):
+        axis = grid_axes["abs_graph"]
         h = axis.resolution
         coords = axis.coords()
         assert len(coords) > 10
         assert np.max(np.abs(coords[:, 0])) <= 2.0 * h
         assert np.min(coords[:, 1]) > 0
 
-    def test_cusp_axis_on_x_axis(self, cusp_result):
-        axis = cusp_result.axis
+    def test_cusp_axis_on_x_axis(self, grid_axes):
+        axis = grid_axes["cusp"]
         coords = axis.coords()
         assert len(coords) > 10
         assert np.max(np.abs(coords[:, 1])) <= 2.0 * axis.resolution
 
-    def test_equidistance_invariant(self, three_result):
-        axis = three_result.axis
+    def test_equidistance_invariant(self, grid_axes):
+        axis = grid_axes["three_tangent"]
         for p, cluster in axis.points:
             dists = [f.dist for f in cluster.representatives]
             assert max(dists) - min(dists) <= 1e-3 * cluster.distance + 1e-12
 
-    def test_distance_floor_invariant(self, three_result):
-        axis = three_result.axis
+    def test_distance_floor_invariant(self, grid_axes):
+        axis = grid_axes["three_tangent"]
         for _, cluster in axis.points:
             assert cluster.distance > axis.resolution
 
-    def test_mirror_symmetry_cusp(self, cusp_result):
+    def test_mirror_symmetry_cusp(self, grid_axes):
         # the cusp is mirror-symmetric in y; the axis must be too, up to
         # one grid cell
-        coords = cusp_result.axis.coords()
-        h = cusp_result.axis.resolution
+        coords = grid_axes["cusp"].coords()
+        h = grid_axes["cusp"].resolution
         mirrored = coords * np.array([1.0, -1.0])
         for q in mirrored:
             assert np.min(np.linalg.norm(coords - q, axis=1)) <= h
@@ -431,15 +432,15 @@ class TestBisectorTrace:
         with pytest.raises(InputError):
             trace_bisector_2d(b1, b2, self.SCALES)
 
-    def test_agrees_with_grid(self, three_result):
+    def test_agrees_with_grid(self, grid_axes):
         # grid extraction and exact tracing must agree within 2h where both
         # exist (here: the central bisector of the parabola fan)
-        germ = three_result.scenario.germ()
+        germ = builtin("three_tangent").germ()
         axis = trace_bisector_2d(
             germ.branch("parab1"), germ.branch("parab2"), [0.25, 0.2, 0.15, 0.1]
         )
-        grid_coords = three_result.axis.coords()
-        h = three_result.axis.resolution
+        grid_coords = grid_axes["three_tangent"].coords()
+        h = grid_axes["three_tangent"].resolution
         checked = 0
         for p, cluster in axis.points:
             if cluster.distance < 2.0 * h:
@@ -447,6 +448,164 @@ class TestBisectorTrace:
             assert np.min(np.linalg.norm(grid_coords - p, axis=1)) <= 2.0 * h
             checked += 1
         assert checked >= 3
+
+    def test_grid_points_lie_on_bisectors(self, grid_axes):
+        # where the axis is farther than 8h from the set the grid resolves
+        # it: every accepted point lies within 2h of the exact bisector
+        # solved at its own radius
+        for label, axis in grid_axes.items():
+            germ = builtin(label).germ()
+            h = axis.resolution
+            checked = 0
+            for p, cluster in axis.points:
+                if cluster.distance <= 8.0 * h:
+                    continue
+                exact, _ = plane_medial_branches(germ, [float(np.linalg.norm(p))])
+                assert exact.points, (label, p)
+                assert np.min(np.linalg.norm(exact.coords() - p, axis=1)) <= 2.0 * h, (label, p)
+                checked += 1
+            assert checked >= 3, label
+
+
+def _line(direction, label, t_max=1.0):
+    return puiseux_branch([(1, direction)], t_max, label)
+
+
+def _grid_branches(scn):
+    """The flag-free medial branches the grid pipeline tracks for a scenario."""
+    germ = scn.germ()
+    axis = extract_medial_axis_grid(germ, scn.medial_window, scn.medial_resolution)
+    if not axis.points:
+        return []
+    return [c for c in medial_branch_germs(axis, scn.medial_scales, set_=germ) if not c.flags]
+
+
+class TestPlaneMedialBranches:
+    """Exact bisector branches of plane germs, each case against the branches
+    the grid pipeline tracks for it."""
+
+    @pytest.mark.parametrize(
+        "branches, n_branches",
+        [
+            # the two halves of y = x^2: the feet of their sector's bisector
+            # both collapse to 0
+            (
+                (
+                    puiseux_branch([(1, (1, 0)), (2, (0, 1))], 1.0, "right"),
+                    puiseux_branch([(1, (-1, 0)), (2, (0, 1))], 1.0, "left"),
+                ),
+                0,
+            ),
+            # opposite half-lines bound no sector below pi
+            ((_line((1, 0), "east"), _line((-1, 0), "west")), 0),
+            # a single branch bounds no sector at all
+            ((puiseux_branch([(1, (1, 0)), (2, (0, 1))], 1.0, "only"),), 0),
+            # four axis half-lines: one diagonal per quadrant
+            (
+                tuple(
+                    _line(d, lab)
+                    for d, lab in (((1, 0), "e"), ((0, 1), "n"), ((-1, 0), "w"), ((0, -1), "s"))
+                ),
+                4,
+            ),
+        ],
+        ids=["parabola_halves", "opposite_lines", "single_branch", "axis_lines"],
+    )
+    def test_branches_match_grid(self, branches, n_branches):
+        from lnegerm import RunConfig, Verdict, run_scenario
+        from lnegerm.scenarios import scenario_for_germ
+
+        config = RunConfig()
+        scn = scenario_for_germ(germ_set(branches=branches, label="edge"), config)
+        res = run_scenario(scn, config)
+        grid = _grid_branches(scn)
+        assert len(res.medial_curves) == len(grid) == n_branches
+        if n_branches == 0:
+            assert res.medial_verdict is Verdict.UNDECIDED
+            return
+        assert res.medial_verdict is Verdict.LNE
+        exact = sorted(tuple(np.round(c.tangent().direction, 6)) for c in res.medial_curves)
+        want = sorted((sx / math.sqrt(2.0), sy / math.sqrt(2.0)) for sx in (-1, 1) for sy in (-1, 1))
+        assert np.allclose(exact, want, atol=1e-6)
+        for c in grid:
+            assert np.min(np.linalg.norm(np.array(exact) - c.tangent().direction, axis=1)) <= 0.05
+
+    def test_three_tangent_constants(self, three_result):
+        # y = (3/2) x^2 and y = (5/2) x^2 to within 1e-3 at the smallest scale
+        ratios = sorted(
+            float(p[1] / p[0] ** 2)
+            for p in (c.point_at_radius(2.0**-10) for c in three_result.medial_curves)
+        )
+        assert ratios == pytest.approx([1.5, 2.5], abs=1e-3)
+
+    def test_short_branch_gives_no_curve(self):
+        # the short branch ends at radius 0.04, below the largest scale
+        germ = germ_set(branches=(_line((1, 0), "long"), _line((0, 1), "short", 0.04)))
+        scales = [2.0 ** -k for k in range(4, 11)]
+        axis, curves = plane_medial_branches(germ, scales)
+        assert curves == ()
+        assert [t for t, _ in axis.failures] == [2.0**-4]
+        # reaching the largest scale, the same pair gives its curve
+        axis, curves = plane_medial_branches(germ, scales[1:])
+        assert len(curves) == 1 and not curves[0].flags
+        assert len(axis.points) == len(scales) - 1
+
+    def test_no_other_branch_nearer(self):
+        # a branch starting just below the east half-line and bending up
+        # through it (angle -0.1 + 8r) enters the east/north sector at the
+        # largest scale, so that sector's bisector point is nearer to it
+        a = -0.1
+        riser = puiseux_branch([(1, (math.cos(a), math.sin(a))), (2, (0, 8))], 1.0, "riser")
+        germ = germ_set(branches=(_line((1, 0), "east"), _line((0, 1), "north"), riser))
+        axis, curves = plane_medial_branches(germ, [2.0 ** -k for k in range(4, 11)])
+        assert curves == ()
+        assert any("'riser' is nearer" in msg for _, msg in axis.failures)
+
+    def test_failure_below_the_largest_scale_flags(self, monkeypatch):
+        from lnegerm import TraceError, medial
+
+        solve = medial._bisector_point
+
+        def failing_below(b1, b2, r, others, theta_min):
+            if r < 2.0**-7:
+                raise TraceError(f"no root at radius {r}")
+            return solve(b1, b2, r, others, theta_min)
+
+        monkeypatch.setattr(medial, "_bisector_point", failing_below)
+        germ = builtin("abs_graph").germ()
+        axis, curves = plane_medial_branches(germ, [2.0 ** -k for k in range(4, 11)])
+        assert len(curves) == 1
+        assert curves[0].flags == [("continuation_failed", 2.0**-8)]
+        assert len(axis.points) == 4
+        assert not reaches_origin(curves[0], 2.0**-9)
+
+    def test_solve_lets_other_errors_through(self, monkeypatch):
+        from lnegerm import medial
+
+        def broken(*args):
+            raise ValueError("not a trace failure")
+
+        monkeypatch.setattr(medial, "_bisector_point", broken)
+        with pytest.raises(ValueError):
+            plane_medial_branches(builtin("cusp").germ(), [0.1, 0.05])
+
+    def test_lead_exponent_below_one(self):
+        # (t^{1/2}, 0) and (0, t^{1/2}): the foot solve starts at s = 0,
+        # where gamma' is unbounded
+        germ = germ_set(
+            branches=(
+                puiseux_branch([((1, 2), (1, 0))], 1.0, "a"),
+                puiseux_branch([((1, 2), (0, 1))], 1.0, "b"),
+            )
+        )
+        axis, curves = plane_medial_branches(germ, [2.0 ** -k for k in range(4, 11)])
+        assert len(curves) == 1 and not axis.failures
+        for p, _ in axis.points:
+            assert p[0] == pytest.approx(p[1], rel=1e-12)
+
+    def test_rejects_surface_germs(self):
+        with pytest.raises(InputError):
+            plane_medial_branches(builtin("horn3d").germ(), [0.1, 0.05])
 
 
 class TestBranchTracking:

@@ -1,11 +1,31 @@
 """Scenario registry and runner."""
 
 import dataclasses
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lnegerm import MedialConfig, RegistryError, RunConfig, Verdict, builtin, run_scenario
-from lnegerm.scenarios import BUILTIN_LABELS, Scenario, combine_verdicts, medial_grid
+from lnegerm import (
+    LnegermError,
+    MedialConfig,
+    RegistryError,
+    RunConfig,
+    Verdict,
+    builtin,
+    germ_set,
+    puiseux_branch,
+    run_scenario,
+    symbolic_separation_order,
+)
+from lnegerm.scenarios import (
+    BUILTIN_LABELS,
+    Scenario,
+    combine_verdicts,
+    medial_grid,
+    scenario_for_germ,
+)
 from test_links import wall_with_lines
 
 
@@ -160,3 +180,39 @@ class TestSetVerdictRule:
         assert res.l_set == 1.0
         assert res.set_reports == ()
         assert res.link.verdict is Verdict.LNE
+
+
+#: a plane branch (cos a, sin a) t^m + c t^e (-sin a, cos a): a = k pi/4 for
+#: the drawn k, so that branches share tangents, and e only matters when c != 0
+_plane_branch = st.tuples(
+    st.sampled_from(["1", "1/2"]),
+    st.integers(0, 7),
+    st.sampled_from(["3/2", "2", "5/2", "3"]),
+    st.integers(-3, 3),
+).map(lambda b: (b[0], b[1], b[2] if b[3] else None, b[3]))
+
+
+class TestPlaneFuzz:
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.lists(_plane_branch, min_size=1, max_size=4, unique=True))
+    def test_random_plane_germs(self, specs):
+        branches = []
+        for i, (m, k, e, c) in enumerate(specs):
+            a = k * math.pi / 4.0
+            terms = [(Fraction(m), (math.cos(a), math.sin(a)))]
+            if c:
+                terms.append((Fraction(e), (-c * math.sin(a), c * math.cos(a))))
+            branches.append(puiseux_branch(terms, 1.0, f"b{i}"))
+        germ = germ_set(branches=branches, label="fuzz")
+        config = RunConfig()
+        try:
+            res = run_scenario(scenario_for_germ(germ, config), config)
+        except LnegermError:
+            return  # typed failures are allowed; any other exception fails
+        checks = {c.name: c for c in res.checks}
+        assert checks["plane_implication"].passed is not False
+        if res.l_set is not None and res.l_medial is not None:
+            assert res.l_medial <= res.l_set + 0.1
+        for r in res.set_reports:
+            b1, b2 = (germ.branch(lab) for lab in r.pair)
+            assert r.tord_exact == symbolic_separation_order(b1, b2).order

@@ -25,3 +25,19 @@ def test_bisector_orders(monkeypatch, capsys):
     assert len(orders) == 3
     for order in orders:
         assert abs(order - 2.0) <= 0.01
+
+
+def test_plane_family(monkeypatch, capsys):
+    script = _load("plane_family")
+    monkeypatch.setattr(
+        sys, "argv", ["plane_family.py", "--exponents", "3", "3/2", "--coeffs", "-2", "1"]
+    )
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    # one line per exponent, each over the two ordered coefficient pairs;
+    # at e = 3 the bisector sits below a 1/256 grid step at the smallest
+    # scales, yet every germ keeps its medial branch
+    assert lines[0] == "e = 3: 2 germs; set NOT_LNE/medial LNE: 2; defects: none"
+    assert lines[1].startswith("e = 3/2: 2 germs;")
+    assert "failed" not in lines[1] and "raised" not in lines[1]
+    assert lines[2].startswith("elapsed ")
