@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Fit bisector orders between parabola pairs with the exact 2D tracer.
+"""Fit bisector orders between parabola pairs from exact bisector solves.
 
 For y = a x^2 vs y = b x^2 the bisector approaches y = ((a+b)/2) x^2, so
-the traced points should fit order 2 with leading constant (a+b)/2.  The
-tracer is the exact per-radius bisector solve from which the scenario runner
-builds the medial branches of plane germs, so this checks the solve against
-the closed form.
+the solved points should fit order 2 with leading constant (a+b)/2.  The
+points come from ``medial_branch_germs``, from which the scenario runner
+builds every medial branch, so this checks the solve against the closed
+form.
 """
 
 import argparse
@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from lnegerm import puiseux_branch, trace_bisector_2d
+from lnegerm import germ_set, medial_branch_germs, puiseux_branch
 
 
 def main() -> int:
@@ -26,7 +26,7 @@ def main() -> int:
     for a, b in pairs:
         b1 = puiseux_branch([(1, (1, 0)), (2, (0, a))], 1.0, "a")
         b2 = puiseux_branch([(1, (1, 0)), (2, (0, b))], 1.0, "b")
-        axis = trace_bisector_2d(b1, b2, scales)
+        axis, _ = medial_branch_germs(germ_set(branches=(b1, b2)), scales)
         if axis.failures:
             print(f"pair ({a}, {b}): trace failures {axis.failures}", file=sys.stderr)
             return 1

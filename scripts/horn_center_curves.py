@@ -1,64 +1,58 @@
 #!/usr/bin/env python3
-"""Track the horn germ's medial center curves and watch x/y^2 -> +-5/8.
+"""Follow the horn germ's medial center curves and watch x/y^2 tend to the
+center abscissa of the horn tube.
 
-Extracts the 3D medial axis of the horn scenario on a grid, tracks it into
-branch curves, and continues the two off-plane center curves toward 0,
-printing the ratio x/y^2 per radius together with the fitted pairwise
-orders.  The asymptotic ratio follows from the equidistance between the
-near horn (center abscissa (5/8) y^2, tube radius (3/8) y^2) and the wall
-strip of half-width y^2/4.
+For outer generator x = (y/a_o)^2 and inner generator x = (y/a_i)^2, with
+the wall strip |x| <= (y/a_i)^2 joining the two horns, the tube's center
+curve approaches x = +-(1/a_o^2 + 1/a_i^2)/2 y^2: (1 + 1/a_i^2)/2 for
+a_o = 1, which is 5/8 for the registered horn3d germ (a_i = 2).  Each curve
+is the exact bisector of the germ's z = 0 trace (``medial_branch_germs``).
+The script prints the ratio per radius for a_i in {1.5, 2, 3}, then fits the
+center pair's outer and inner orders with ``pair_reports``.
 """
 
 import argparse
 import sys
-import time
 
-import numpy as np
+from lnegerm import builtin, germ_set, medial_branch_germs, pair_reports
+from lnegerm.surfaces import HornPiece, WallPiece
 
-from lnegerm import builtin, germ_set, pair_verdict
-from lnegerm.medial import extract_medial_axis_grid, medial_branch_germs
-from lnegerm.scenarios import _off_axis_ribbon
+
+def horn_germ(a_inner: float):
+    """Two horns over x = +-y^2 and x = +-(y/a_inner)^2, joined by the wall."""
+    horns = tuple(
+        HornPiece(label=label, sign=sign, a_outer=1.0, a_inner=a_inner)
+        for label, sign in (("horn_pos", 1.0), ("horn_neg", -1.0))
+    )
+    wall = WallPiece(label="wall", half_width_coef=1.0 / a_inner**2)
+    return germ_set(surfaces=horns + (wall,), label=f"horn_a{a_inner:g}")
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--grid-res", type=float, default=0.01)
     ap.add_argument("--density", type=int, default=48)
     args = ap.parse_args()
 
     scn = builtin("horn3d")
+    radii = [2.0**-k for k in range(4, 11)]
+    for a_inner in (1.5, 2.0, 3.0):
+        limit = 0.5 * (1.0 + 1.0 / a_inner**2)
+        _, curves = medial_branch_germs(horn_germ(a_inner), radii)
+        if len(curves) != 2:
+            print(f"a_i = {a_inner:g}: {len(curves)} center curves, expected 2", file=sys.stderr)
+            return 1
+        print(f"a_i = {a_inner:g}: radius, x/y^2 per center curve (limit +-{limit:.6f})")
+        for r in radii:
+            ratios = [p[0] / p[1] ** 2 for p in (c.point_at_radius(r) for c in curves)]
+            print(f"  {r:.6f}  " + "  ".join(f"{v:+.7f}" for v in ratios))
+
     germ = scn.germ()
-    t0 = time.time()
-    axis = extract_medial_axis_grid(germ, scn.medial_window, args.grid_res)
-    print(f"# extracted {len(axis.points)} axis points in {time.time()-t0:.1f}s")
-
-    curves = medial_branch_germs(
-        axis, scn.medial_scales, set_=germ, density=args.density
-    )
-    for c in curves:
-        print(f"# tracked {c.label}: anchors [{c.min_anchor_radius:.4f}, "
-              f"{c.max_radius:.4f}], flags {c.flags}")
-    ribbons = [c for c in curves if _off_axis_ribbon(c)]
-    if len(ribbons) != 2:
-        print(f"expected 2 center curves, found {len(ribbons)}", file=sys.stderr)
-        return 1
-
-    print("radius, x/y^2 per center curve (limit +-5/8 = +-0.625):")
-    for k in range(3, 11):
-        r = 2.0**-k
-        row = [f"{r:.6f}"]
-        for c in ribbons:
-            p = c.point_at_radius(r)
-            row.append(f"{p[0] / p[1] ** 2:+.5f}")
-        print("  " + "  ".join(row))
-
-    medial = germ_set(branches=ribbons, label="horn_center_curves")
-    rep = pair_verdict(
-        medial, ribbons[0], ribbons[1], scn.medial_scales, density=args.density
-    )
-    print(f"center pair: outer order {rep.tord.slope:.4f} "
+    _, curves = medial_branch_germs(germ, scn.medial_scales)
+    medial = germ_set(branches=curves, label="horn_center_curves")
+    (rep,) = pair_reports(medial, [curves], scn.medial_scales, args.density)
+    print(f"horn3d center pair: outer order {rep.tord.slope:.5f} "
           f"(residual {rep.tord.residual:.4f}), inner order "
-          f"{rep.tord_inn.slope:.4f} -> {rep.verdict.value}, "
+          f"{rep.tord_inn.slope:.6f} -> {rep.verdict.value}, "
           f"L = {rep.lojasiewicz_pair:.4f}")
     return 0
 

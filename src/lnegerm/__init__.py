@@ -2,9 +2,9 @@
 
 The package decides and quantifies the LNE property for curve/surface germs
 at the origin: induced vs. inner (graph-geodesic) vs. pancake metrics,
-tangency orders and Lojasiewicz exponents via the arc criterion, discrete
-medial-axis extraction with branch tracking, and link sections with the
-link-based LNE criterion.  A scenario registry packages the four canonical
+tangency orders and Lojasiewicz exponents via the arc criterion, medial
+branches from exact bisectors (and a grid medial-axis export), and link
+sections with the link-based LNE criterion.  A scenario registry packages the four canonical
 benchmark cases, and ``lnegerm.cli`` exposes everything as a command-line
 tool.
 """
@@ -15,7 +15,6 @@ from .errors import (
     DomainError,
     InputError,
     LnegermError,
-    OnSetError,
     RegistryError,
     ReparametrizationError,
     ResolutionError,
@@ -42,11 +41,8 @@ from .medial import (
     SampledCurve,
     extract_medial_axis_grid,
     medial_branch_germs,
-    nearest_point_set,
-    plane_medial_branches,
     reaches_origin,
     refine_equidistant,
-    trace_bisector_2d,
 )
 from .metrics import (
     NeighborhoodGraph,

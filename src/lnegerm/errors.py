@@ -32,10 +32,6 @@ class ResolutionError(LnegermError):
     """Sampling too coarse relative to the requested tolerance."""
 
 
-class OnSetError(LnegermError):
-    """Query point lies on the set (within snapping tolerance)."""
-
-
 class DisconnectedError(LnegermError):
     """Required points are in different graph components.
 
@@ -49,7 +45,8 @@ class DisconnectedError(LnegermError):
 
 class TraceError(LnegermError):
     """A bisector solve failed at some radius: no bracket, no convergence, a
-    residual too large, feet too close together, or a nearer branch."""
+    residual too large, feet too close together, or a nearer branch or
+    piece."""
 
 
 class RegistryError(LnegermError):

@@ -1,27 +1,28 @@
-"""Nearest-point sets, medial-axis extraction, and medial-branch recovery.
+"""Medial branches from exact bisectors, and the grid medial-axis export.
 
-Plane germs of Puiseux branches take their medial branches from exact
-bisectors (``plane_medial_branches``): near 0 the medial axis is the union of
-the bisectors of the cyclically adjacent half-branch pairs whose sector is
+``medial_branch_germs`` is the one source of medial branches.  Near 0 the
+medial axis of a plane germ of Puiseux branches is the union of the
+bisectors of the cyclically adjacent half-branch pairs whose sector is
 narrower than pi, and each is solved on every circle |q| = r as a 1D root in
-the angle of q, against the branches' own parametrizations.
+the angle of q, against the branches' own parametrizations.  A 3D germ
+symmetric under z -> -z is solved on its z = 0 trace, a plane germ of
+Puiseux branches, and each bisector point is kept where no piece of the
+germ is nearer.  Each branch is a ``SampledCurve`` whose ``point_at_radius``
+is the same exact solve.
 
-Germs with surface pieces, and the ``lnegerm medial`` export, go through the
-discrete pipeline, which has three layers:
+``lnegerm medial`` exports the grid medial axis, built in three layers:
 
 * ``FootFinder`` turns the cloud sample of a germ into polished local
   nearest points ("feet"): cloud candidates are grouped by direction from
   the query, then each group is refined against the exact parametrization
   of its piece (Newton on the foot-point equation for Puiseux branches,
-  bounded 1D minimization for procedural surfaces).
+  bounded 1D minimization for procedural surfaces).  The bisector lift
+  uses it too, to find a nearer piece.
 * ``refine_equidistant`` moves a point onto the equidistance locus of its
-  nearest feet by repeatedly equalizing the worst pair of foot distances
+  nearest feet by repeatedly equalizing the nearest opposing foot pair
   along the difference of their directions (a monotone 1D root solve).
 * Grid extraction screens nodes with a vectorized distance/angular-spread
-  prefilter and polishes the survivors; branch tracking clusters the
-  accepted points per radius level and follows clusters toward 0, handing
-  each branch to a ``SampledCurve`` whose ``point_at_radius`` continues the
-  branch to arbitrarily small radii by predict-refine-rescale steps.
+  prefilter and polishes the survivors.
 
 Polished feet are essential: near a tangency the interesting distances
 shrink like radius**2 while any affordable cloud spacing is of order
@@ -40,18 +41,11 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
-from .errors import (
-    DomainError,
-    InputError,
-    OnSetError,
-    ResolutionError,
-    TraceError,
-)
-from .germs import GermSet, HalfLine, PuiseuxBranch, sample_cloud
+from .errors import DomainError, InputError, ResolutionError, TraceError
+from .germs import GermSet, HalfLine, PuiseuxBranch, puiseux_branch, sample_cloud
 from .metrics import cluster_labels
 from .optimize import golden_min
 
-_SQRT2 = math.sqrt(2.0)
 # candidate directions more than the default theta_min apart seed new groups
 _COS_FOOT_SPLIT = math.cos(0.2)
 # BLAS roundings of one cosine differ by a few ulp; decisions this close to
@@ -59,8 +53,6 @@ _COS_FOOT_SPLIT = math.cos(0.2)
 _COS_MARGIN = 1e-12
 # passes per refine; accepted refines on the plane builtins use at most 3
 _REFINE_PASSES = 16
-# spacing 2.2 r / 64 passes the spacing <= dmin / 2 guard for dmin >= 0.07 r
-_NEAREST_DENSITY = 64
 # traced bisector residuals on the builtin pairs stay below 1e-15 * t
 _BISECTOR_RESIDUAL = 1e-10
 # grid nodes per prefilter block: the horn3d window's k-nearest arrays stay
@@ -372,142 +364,35 @@ def _cluster(x, feet, dmin: float, spacing: float, tau: float) -> NearestPointCl
     return NearestPointCluster(dmin, tuple(reps), ang)
 
 
-def nearest_point_set(
-    x,
-    set_: GermSet,
-    tau: float = 1e-3,
-    theta_min: float = 0.2,
-    finder: FootFinder | None = None,
-) -> NearestPointCluster:
-    """Discrete m(x): polished nearest points within the (1+tau) band,
-    merged spatially, with the angular gate collapsing one-sided curvature
-    artifacts to a single cluster."""
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if finder is None:
-        if r == 0.0:
-            raise OnSetError("query is the origin of the germ")
-        finder = FootFinder(set_, 2.2 * r, _NEAREST_DENSITY)
-    feet = finder.feet(x)
-    if not feet:
-        raise InputError("no candidate feet found; cloud may be degenerate")
-    dmin = feet[0].dist
-    if dmin <= max(1e-6 * finder.cloud.scale, 1e-12):
-        raise OnSetError(f"query lies on the set (distance {dmin:.3e})")
-    if finder.spacing > 0.5 * dmin:
-        raise ResolutionError(
-            "cloud spacing exceeds half the query distance; increase density"
-        )
-    cluster = _cluster(x, feet, dmin, finder.spacing, tau)
-    if cluster.cluster_count >= 2 and cluster.max_pair_angle < theta_min:
-        return NearestPointCluster(dmin, cluster.representatives[:1], 0.0)
-    return cluster
-
-
 # ---------------------------------------------------------------------------
 # Equidistance refinement
 # ---------------------------------------------------------------------------
 
 
-def _recover_opposing(p, finder, tangent, s_max):
-    """Walk tangentially away from a lone foot until the nearest-foot
-    direction flips, then bisect onto the flip.
-
-    Near a thin medial sheet the basin where both feet are simultaneously
-    visible can be far narrower than the prediction error of a continuation
-    step (or than machine epsilon), but the flip of the nearest-foot
-    direction still locates the sheet.  Returns (point, near-side Foot,
-    far-side Foot) with the feet re-polished at the flip point, or None.
-    """
-    feet = finder.feet(p)
-    if not feet:
-        return None
-    f_near = feet[0]
-    u0 = (p - f_near.point) / f_near.dist
-    w = u0 - float(np.dot(u0, tangent)) * np.asarray(tangent, dtype=float)
-    nw = float(np.linalg.norm(w))
-    if nw < 1e-9:
-        return None
-    w = w / nw
-    radius = float(np.linalg.norm(p))
-    f_far = None
-
-    def at(s):
-        q = p + s * w
-        return q * (radius / float(np.linalg.norm(q)))
-
-    def flipped(s):
-        nonlocal f_near, f_far
-        ft = finder.feet(at(s))
-        if not ft:
-            return None
-        u = (at(s) - ft[0].point) / ft[0].dist
-        if float(np.dot(u, u0)) < 0.0:
-            f_far = ft[0]
-            return True
-        f_near = ft[0]
-        return False
-
-    lo, hi = 0.0, None
-    for s in (s_max / 8.0, s_max / 4.0, s_max / 2.0, s_max):
-        fl = flipped(s)
-        if fl is None:
-            return None
-        if fl:
-            hi = s
-            break
-        lo = s
-    if hi is None:
-        return None
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fl = flipped(mid)
-        if fl is None:
-            return None
-        if fl:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-16 * (radius + 1.0):
-            break
-    q = at(0.5 * (lo + hi))
-    pair = []
-    for f in (f_near, f_far):
-        d, pt, prm = finder.polish(f.label, f.param, q, pinned=True)
-        pair.append(Foot(point=pt, dist=d, label=f.label, param=prm))
-    return q, pair[0], pair[1]
-
-
 def refine_equidistant(
     x,
     finder: FootFinder,
-    det_slack: float | None = None,
+    det_slack: float,
     tau: float = 1e-3,
     theta_min: float = 0.2,
-    tangent=None,
 ):
     """Polish x onto the medial locus of its nearest feet.
 
-    ``det_slack`` is the absolute distance band selecting competing feet
-    (grid detection); None selects relatively (0.35 * d_min, continuation).
-    With ``tangent`` given, motion is restricted to its orthogonal
-    complement.  Each pass equalizes the nearest opposing foot pair (the
-    nearest foot against the nearest foot at an admissible angle from it)
-    by a monotone 1D root solve along the difference of the two foot
-    directions.  Returns
+    ``det_slack`` is the absolute distance band selecting competing feet.
+    Each pass equalizes the nearest opposing foot pair (the nearest foot
+    against the nearest foot at an admissible angle from it) by a monotone
+    1D root solve along the difference of the two foot directions.  Returns
     (point, NearestPointCluster) or None if no valid medial point emerges.
     """
     p = np.asarray(x, dtype=float).copy()
     band = det_slack
-    recovered = False
     for _ in range(_REFINE_PASSES):
-        feet = finder.feet(p, slack=None if band is None else band + finder.spacing)
+        feet = finder.feet(p, slack=band + finder.spacing)
         if not feet:
             return None
         dmin = feet[0].dist
         if dmin <= 1e-12:
             return None
-        b = band if band is not None else 0.35 * dmin
         # equalize the nearest opposing pair: the nearest foot against the
         # nearest foot at an admissible angle from it.  Chasing the worst
         # pair instead stalls when a continuum arc of feet sits in the band
@@ -516,7 +401,7 @@ def refine_equidistant(
         u_lo = (p - f_lo.point) / f_lo.dist
         f_hi = None
         for f in feet[1:]:
-            if f.dist > dmin + b:
+            if f.dist > dmin + band:
                 break
             u = (p - f.point) / f.dist
             c = min(1.0, max(-1.0, float(np.dot(u_lo, u))))
@@ -524,22 +409,7 @@ def refine_equidistant(
                 f_hi = f
                 break
         if f_hi is None:
-            if tangent is None or recovered:
-                return None
-            rec = _recover_opposing(p, finder, tangent, s_max=dmin)
-            if rec is None:
-                return None
-            p, f_a, f_b = rec
-            recovered = True
-            dm = min(f_a.dist, f_b.dist)
-            ang = _max_pair_angle(p, [f_a.point, f_b.point])
-            if (
-                dm > 1e-12
-                and ang >= theta_min
-                and abs(f_a.dist - f_b.dist) <= max(0.5 * tau * dm, 1e-13)
-            ):
-                return p, NearestPointCluster(dm, (f_a, f_b), ang)
-            continue
+            return None
         spread = f_hi.dist - dmin
         if spread <= max(0.5 * tau * dmin, 1e-13):
             cluster = _cluster(p, feet, dmin, finder.spacing, tau)
@@ -547,8 +417,6 @@ def refine_equidistant(
                 return None
             return p, cluster
         e = u_lo - (p - f_hi.point) / f_hi.dist
-        if tangent is not None:
-            e = e - float(np.dot(e, tangent)) * np.asarray(tangent, dtype=float)
         ne = float(np.linalg.norm(e))
         if ne < 1e-9:
             return None
@@ -562,7 +430,7 @@ def refine_equidistant(
 
         # gap is nondecreasing along e with gap(0) ~ -spread; polishing
         # noise can flip the sign at 0, so bracket on whichever side works
-        lim = 4.0 * (b + spread) + 4.0 * finder.spacing
+        lim = 4.0 * (band + spread) + 4.0 * finder.spacing
         g0 = gap(0.0)
         if g0 == 0.0:
             alpha = 0.0
@@ -575,8 +443,7 @@ def refine_equidistant(
             lo_a, hi_a = (0.0, end) if end > 0 else (end, 0.0)
             alpha = brentq(gap, lo_a, hi_a, xtol=1e-13 * max(dmin, 1e-6))
         p = p + alpha * e
-        if band is not None:
-            band = max(2.0 * tau * dmin, min(band, 1.2 * spread))
+        band = max(2.0 * tau * dmin, min(band, 1.2 * spread))
     return None
 
 
@@ -717,24 +584,21 @@ def extract_medial_axis_grid(
 
 
 # ---------------------------------------------------------------------------
-# Branch tracking and continuation
+# Medial branches from exact bisectors
 # ---------------------------------------------------------------------------
 
 
 @dataclass(eq=False)
 class SampledCurve:
-    """Distance-parametrized curve known through refined anchor points.
+    """Distance-parametrized curve known through exact anchor points.
 
-    ``point_at_radius`` walks geometrically from the nearest anchor to the
-    requested radius: predict by per-component power laws fitted to the two
-    nearest anchors, hand the prediction to the refiner, rescale onto the
-    target sphere, and cache the result as a new anchor.  With no refiner
-    the prediction itself is used (pure extrapolation).
+    ``point_at_radius`` returns the anchor at the requested radius, or else
+    the point ``refiner`` solves for it, cached as a new anchor.
     """
 
     label: str
     ambient_dim: int
-    refiner: object = None  # callable(radius, seed point) -> point | None
+    refiner: object  # callable(radius) -> point | None
     flags: list = field(default_factory=list)
     _radii: list = field(default_factory=list)
     _points: dict = field(default_factory=dict)
@@ -771,44 +635,6 @@ class SampledCurve:
         p = self._points[self.min_anchor_radius]
         return HalfLine(p / np.linalg.norm(p))
 
-    def _nearest_two(self, r: float):
-        i = bisect.bisect_left(self._radii, r)
-        pool = sorted(
-            (abs(math.log(rr / r)), rr)
-            for rr in self._radii[max(0, i - 2) : i + 2]
-        )
-        return [rr for _, rr in pool[:2]]
-
-    def _predict(self, r: float) -> np.ndarray:
-        near = self._nearest_two(r)
-        ra = near[0]
-        pa = self._points[ra]
-        if len(near) == 1:
-            pred = pa * (r / ra)
-        else:
-            # per-coordinate power laws through the two nearest anchors;
-            # coordinates that vanish or change sign fall back to linear
-            rb = near[1]
-            pb = self._points[rb]
-            pred = np.zeros(self.ambient_dim)
-            for j in range(self.ambient_dim):
-                if (
-                    abs(pa[j]) > 1e-13 * ra
-                    and abs(pb[j]) > 1e-13 * rb
-                    and pa[j] * pb[j] > 0
-                ):
-                    kappa = math.log(pa[j] / pb[j]) / math.log(ra / rb)
-                    kappa = min(max(kappa, 0.5), 6.0)
-                    pred[j] = pa[j] * (r / ra) ** kappa
-                else:
-                    pred[j] = pa[j] * (r / ra)
-        n = float(np.linalg.norm(pred))
-        return pred * (r / n) if n > 0 else pred
-
-    def _cached(self, r: float):
-        rr = self._anchor_near(r, 1e-9)
-        return None if rr is None else self._points[rr].copy()
-
     def point_at_radius(self, r: float) -> np.ndarray:
         r = float(r)
         if r < 0:
@@ -819,176 +645,15 @@ class SampledCurve:
             raise DomainError(
                 f"curve {self.label!r}: radius {r} beyond the tracked range"
             )
-        hit = self._cached(r)
+        hit = self._anchor_near(r, 1e-9)
         if hit is not None:
-            return hit
-        r0 = min(self._radii, key=lambda rr: abs(math.log(rr / r)))
-        n_steps = max(1, int(math.ceil(abs(math.log(r / r0)) / math.log(1.6))))
-        targets = np.geomspace(r0, r, n_steps + 1)[1:]
-        p = self._points[r0]
-        for rt in targets:
-            rt = float(rt)
-            hit = self._cached(rt)
-            if hit is not None:
-                p = hit
-                continue
-            seed = self._predict(rt)
-            if self.refiner is None:
-                p = seed
-            else:
-                q = self.refiner(rt, seed)
-                if q is None:
-                    raise ResolutionError(
-                        f"curve {self.label!r}: refinement failed at radius {rt}"
-                    )
-                p = np.asarray(q, dtype=float)
-            self.add_anchor(p)
+            return self._points[hit].copy()
+        q = self.refiner(r)
+        if q is None:
+            raise ResolutionError(f"curve {self.label!r}: refinement failed at radius {r}")
+        p = np.asarray(q, dtype=float)
+        self.add_anchor(p)
         return p.copy()
-
-
-def _make_refiner(set_: GermSet, tau: float, theta_min: float, density: int):
-    """Radius-indexed equidistance refiner over cached per-scale finders."""
-    finders: dict = {}
-    log_step = math.log(_SQRT2)
-
-    def finder_for(radius: float) -> FootFinder:
-        k = math.floor(math.log(radius) / log_step + 1e-9)
-        f = finders.get(k)
-        if f is None:
-            f = FootFinder(set_, 1.45 * _SQRT2**k, density)
-            finders[k] = f
-        return f
-
-    def refiner(radius: float, seed):
-        f = finder_for(radius)
-        p = np.asarray(seed, dtype=float)
-        for _ in range(4):
-            n = float(np.linalg.norm(p))
-            if n == 0.0:
-                return None
-            p = p * (radius / n)
-            res = refine_equidistant(
-                p, f, det_slack=None, tau=tau, theta_min=theta_min,
-                tangent=p / radius,
-            )
-            if res is None:
-                return None
-            p = res[0]
-            if abs(float(np.linalg.norm(p)) - radius) <= 1e-9 * radius:
-                return p
-        n = float(np.linalg.norm(p))
-        if abs(n - radius) <= 1e-6 * radius:
-            return p * (radius / n)
-        return None
-
-    return refiner
-
-
-def medial_branch_germs(
-    axis: MedialAxisSample,
-    scales,
-    set_: GermSet | None = None,
-    tau: float = 1e-3,
-    theta_min: float = 0.2,
-    density: int = 24,
-):
-    """Track axis points into branch curves reaching 0.
-
-    Axis points are binned into geometric radius levels, clustered per
-    level, and clusters are matched level-to-level against branch
-    predictions (3h gate).  Ambiguous matches are flagged as merges, never
-    silently resolved.  With ``set_`` given, each branch is validated by
-    continuing it down to the smallest requested scale; continuation
-    failures are flagged on the curve.
-    """
-    if not axis.points:
-        raise InputError("medial axis sample is empty")
-    scales = [float(t) for t in scales]
-    pts = np.array([np.asarray(p, dtype=float) for p, _ in axis.points])
-    radii = np.linalg.norm(pts, axis=1)
-    h = axis.resolution
-    rmax = float(radii.max())
-    r_lo = max(float(radii.min()), 4.0 * h)
-    step = 2.0**0.25
-    levels = []
-    t = rmax * 0.95
-    while t >= r_lo * 0.99:
-        levels.append(t)
-        t /= step
-    link_thresh = max(3.2 * h, 1e-12)
-    gate = 3.0 * h
-    tracks: list = []  # [curve, alive, misses]; label and refiner come last
-    for t in levels:
-        m = (radii >= t * 2.0**-0.125) & (radii < t * 2.0**0.125)
-        if not m.any():
-            continue
-        level_pts = pts[m]
-        reps = []
-        groups = cluster_labels(level_pts, link_thresh)
-        for g in range(groups.max() + 1):
-            members = level_pts[groups == g]
-            center = members.mean(axis=0)
-            reps.append(members[np.argmin(np.linalg.norm(members - center, axis=1))])
-        alive = [tr for tr in tracks if tr[1]]
-        cands = []
-        for bi, (curve, _, _) in enumerate(alive):
-            if len(curve._radii) >= 2:
-                # t lies below every anchor by at least 2^(1/8), so the
-                # prediction uses the two most recent anchors
-                pred = curve._predict(t)
-                b_gate = max(gate, 0.06 * t)
-            else:
-                # linear scaling of a single anchor misses curvature by
-                # O(t^2); allow a wider gate for the second match
-                r_last = curve.min_anchor_radius
-                pred = curve._points[r_last] * (t / r_last)
-                b_gate = max(gate, 0.15 * t)
-            for ci, rep in enumerate(reps):
-                d = float(np.linalg.norm(pred - rep))
-                if d <= b_gate:
-                    cands.append((d, bi, ci))
-        cands.sort(key=lambda c: (c[0], c[1], c[2]))
-        taken_b: set = set()
-        taken_c: set = set()
-        had_candidate: set = set()
-        for d, bi, ci in cands:
-            had_candidate.add(bi)
-            if bi in taken_b or ci in taken_c:
-                continue
-            taken_b.add(bi)
-            taken_c.add(ci)
-            alive[bi][0].add_anchor(reps[ci])
-            alive[bi][2] = 0
-        for bi, tr in enumerate(alive):
-            if bi in taken_b:
-                continue
-            if bi in had_candidate:
-                tr[0].flags.append(("merge", t))
-                tr[1] = False
-            else:
-                tr[2] += 1
-                if tr[2] >= 2:
-                    tr[1] = False
-        for ci, rep in enumerate(reps):
-            if ci not in taken_c:
-                curve = SampledCurve(label="", ambient_dim=pts.shape[1])
-                curve.add_anchor(rep)
-                tracks.append([curve, True, 0])
-    refiner = (
-        _make_refiner(set_, tau, theta_min, density) if set_ is not None else None
-    )
-    curves = [tr[0] for tr in tracks if len(tr[0]._radii) >= 3]
-    for idx, curve in enumerate(curves):
-        curve.label = f"medial_{idx}"
-        curve.refiner = refiner
-        if refiner is not None:
-            try:
-                for t in sorted(scales, reverse=True):
-                    if t <= curve.max_radius:
-                        curve.point_at_radius(t)
-            except ResolutionError:
-                curve.flags.append(("continuation_failed", t))
-    return curves
 
 
 def reaches_origin(curve: SampledCurve, radius: float) -> bool:
@@ -998,11 +663,6 @@ def reaches_origin(curve: SampledCurve, radius: float) -> bool:
         return True
     except (ResolutionError, DomainError):
         return False
-
-
-# ---------------------------------------------------------------------------
-# Exact 2D bisectors
-# ---------------------------------------------------------------------------
 
 
 def _angle(p) -> float:
@@ -1069,78 +729,97 @@ def _bisector_point(b1, b2, r: float, others, theta_min: float):
     return q, NearestPointCluster(dist, reps, ang)
 
 
-def trace_bisector_2d(
-    b1: PuiseuxBranch,
-    b2: PuiseuxBranch,
-    scales,
-) -> MedialAxisSample:
-    """Equidistant points between two plane branches, one per scale.
+def _z_trace(set_: GermSet):
+    """The z = 0 trace of a 3D germ as plane Puiseux branches, identical
+    ones merged into the longest; None unless the germ is symmetric under
+    z -> -z.
 
-    The bisector runs in the sector between the branches whose opening at
-    the smallest scale is below pi; each point is the exact per-radius solve
-    of ``plane_medial_branches`` with the default ``theta_min`` of 0.2.
-    Failures are recorded per scale and the trace continues.
+    Every surface piece is symmetric and gives its z = 0 generators
+    (``trace``); a curve piece is symmetric when it lies in z = 0.
     """
-    if b1.ambient_dim != 2 or b2.ambient_dim != 2:
-        raise InputError("bisector tracing is 2D only")
-    scales = [float(t) for t in scales]
-    if not scales:
-        raise InputError("no scales to trace")
-    sectors = _sectors_below_pi((b1, b2), min(scales))
-    if not sectors:
-        raise InputError(f"branches {b1.label!r} and {b2.label!r} bound no sector below pi")
-    points, failures = [], []
-    for t in scales:
-        try:
-            points.append(_bisector_point(*sectors[0], t, (), 0.2))
-        except (DomainError, TraceError) as exc:
-            failures.append((t, str(exc)))
-    return MedialAxisSample(tuple(points), min(scales), tuple(failures))
+    if set_.ambient_dim != 3 or any(c[2] for b in set_.branches for _, c in b.terms):
+        return None
+    pieces = [
+        puiseux_branch([(e, c[:2]) for e, c in b.terms], b.t_max, b.label)
+        for b in set_.branches
+    ]
+    for s in set_.surfaces:
+        pieces += s.trace()
+    merged: dict = {}
+    for b in pieces:
+        key = tuple((e, tuple(c.tolist())) for e, c in b.terms)
+        if key not in merged or b.t_max > merged[key].t_max:
+            merged[key] = b
+    return list(merged.values())
 
 
-def has_exact_bisectors(set_: GermSet) -> bool:
-    """Whether every piece of the germ is a plane Puiseux branch, so that its
-    medial branches come from exact bisectors rather than the grid."""
-    return (
-        set_.ambient_dim == 2
-        and not set_.surfaces
-        and all(isinstance(b, PuiseuxBranch) for b in set_.branches)
+def _lift(set_: GermSet, q, cluster: NearestPointCluster, r: float):
+    """A bisector point of the z = 0 trace, and its feet, at z = 0 in R^3.
+
+    Raises ``TraceError`` when a ``FootFinder`` on the whole germ finds a
+    piece nearer than the trace distance (less ``_BISECTOR_RESIDUAL``): the
+    point is not a medial point of the germ, for instance it lies inside
+    the wall strip.
+    """
+    p = np.append(q, 0.0)
+    # a piece nearer than |p| = r lies within 2 r of 0, inside the cloud
+    feet = FootFinder(set_, 2.2 * r, 64).feet(p)
+    if feet[0].dist < cluster.distance - _BISECTOR_RESIDUAL:
+        raise TraceError(f"piece {feet[0].label!r} is nearer at radius {r}")
+    reps = tuple(
+        Foot(np.append(f.point, 0.0), f.dist, f.label, f.param)
+        for f in cluster.representatives
     )
+    return p, NearestPointCluster(cluster.distance, reps, cluster.max_pair_angle)
 
 
-def plane_medial_branches(set_: GermSet, scales, theta_min: float = 0.2):
-    """(MedialAxisSample, curves): the medial branches of a plane germ of
-    Puiseux branches, from exact per-radius bisector solves.
+def medial_branch_germs(set_: GermSet, scales, theta_min: float = 0.2):
+    """(MedialAxisSample, curves): the medial branches of a germ near 0, from
+    exact per-radius bisector solves.
 
-    Near 0 the medial axis is the union of the bisectors of the cyclically
-    adjacent half-branch pairs whose sector, at the smallest scale, is
-    narrower than pi.  Each pair whose solve holds at the largest scale
-    becomes a ``SampledCurve`` anchored at the solves on ``scales`` and
-    refined by the same solve, so ``point_at_radius`` stays exact; the
-    first failing smaller scale flags it ``("continuation_failed", t)``.
-    The sample holds every anchor with its two feet, the failed solves, and
-    the smallest scale as its resolution.
+    Near 0 the medial axis of a plane germ of Puiseux branches is the union
+    of the bisectors of the cyclically adjacent half-branch pairs whose
+    sector, at the smallest scale, is narrower than pi.  A 3D germ symmetric
+    under z -> -z is solved on its z = 0 trace (``_z_trace``), and each
+    anchor is lifted to z = 0 by ``_lift``; any other germ gives no curves
+    and records the cause as its one failure.
+
+    Each pair whose solve holds at the largest scale becomes a
+    ``SampledCurve`` anchored at the solves on ``scales`` and refined by the
+    same solve, so ``point_at_radius`` stays exact; the first failing
+    smaller scale flags it ``("continuation_failed", t)``.  The refiner of
+    a lifted curve skips the ``FootFinder`` check, which its anchors passed
+    at every scale.  The sample holds every anchor with its two feet, the
+    failed solves, and the smallest scale as its resolution.
     """
-    if not has_exact_bisectors(set_):
-        raise InputError("exact bisectors need a plane germ of Puiseux branches")
     scales = sorted((float(t) for t in scales), reverse=True)
     if not scales:
         raise InputError("no scales to trace")
+    for b in set_.branches:
+        if not isinstance(b, PuiseuxBranch):
+            raise InputError(f"curve piece {b.label!r}: bisectors need a Puiseux branch")
+    dim = set_.ambient_dim
+    trace = set_.branches if dim == 2 else _z_trace(set_)
+    if trace is None:
+        cause = "not symmetric under z -> -z" if dim == 3 else f"no bisectors in dimension {dim}"
+        return MedialAxisSample((), scales[-1], ((scales[0], cause),)), ()
     points, failures, curves = [], [], []
-    for b1, b2 in _sectors_below_pi(set_.branches, scales[-1]):
-        others = tuple(b for b in set_.branches if b is not b1 and b is not b2)
+    for b1, b2 in _sectors_below_pi(trace, scales[-1]):
+        others = tuple(b for b in trace if b is not b1 and b is not b2)
 
-        def refiner(r, seed, b1=b1, b2=b2, others=others):
+        def refiner(r, b1=b1, b2=b2, others=others):
             try:
-                return _bisector_point(b1, b2, r, others, theta_min)[0]
+                q = _bisector_point(b1, b2, r, others, theta_min)[0]
             except (DomainError, TraceError):
                 return None
+            return q if dim == 2 else np.append(q, 0.0)
 
-        curve = SampledCurve(f"medial_{len(curves)}", 2, refiner=refiner)
+        curve = SampledCurve(f"medial_{len(curves)}", dim, refiner)
         anchors = []
         for t in scales:
             try:
-                anchors.append(_bisector_point(b1, b2, t, others, theta_min))
+                q, cluster = _bisector_point(b1, b2, t, others, theta_min)
+                anchors.append((q, cluster) if dim == 2 else _lift(set_, q, cluster, t))
             except (DomainError, TraceError) as exc:
                 failures.append((t, str(exc)))
                 if anchors:

@@ -9,53 +9,36 @@ The registry holds the four canonical cases of the LNE/medial interplay:
   registered witness that the plane-case implication (medial non-LNE
   implies set non-LNE) does not survive into three dimensions.
 
-``run_scenario`` executes the full pipeline (arc criterion, medial
-branches + medial-branch tangency, link criterion) and grades the
-outcome against the expected verdicts.  Any UNDECIDED sub-verdict marks
-the result INCONCLUSIVE rather than FAIL.
+``run_scenario`` executes the full pipeline (link criterion, arc criterion,
+medial branches from exact bisectors + medial-branch tangency) and grades
+the outcome against the expected verdicts.  Any UNDECIDED sub-verdict marks
+the result INCONCLUSIVE rather than FAIL.  The medial grid window and step
+of a scenario serve only ``lnegerm medial``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .config import MedialConfig, RunConfig
 from .errors import RegistryError
 from .germs import GermSet, germ_set, puiseux_branch
 from .links import LinkCriterionResult, link_criterion_verdict
-from .medial import (
-    MedialAxisSample,
-    extract_medial_axis_grid,
-    has_exact_bisectors,
-    medial_branch_germs,
-    plane_medial_branches,
-    reaches_origin,
-)
+from .medial import MedialAxisSample, medial_branch_germs, reaches_origin
 from .surfaces import HornPiece, WallPiece
 from .tangency import Verdict, pair_reports
-# pair_verdict is no longer called here, but perfbench/tracer.py wraps
-# scenarios.pair_verdict by name, so the name stays importable from this module.
+# pair_verdict and extract_medial_axis_grid are no longer called here, but
+# perfbench/tracer.py wraps scenarios.pair_verdict and
+# scenarios.extract_medial_axis_grid by name, so the names stay importable
+# from this module.
+from .medial import extract_medial_axis_grid  # noqa: F401
 from .tangency import pair_verdict  # noqa: F401
 
 #: expected Lojasiewicz values are graded to this absolute tolerance
 #: (inherited from the default order tolerance).
 L_TOLERANCE = 0.1
-
-
-def _no_flags(curve) -> bool:
-    return not curve.flags
-
-
-def _off_axis_ribbon(curve) -> bool:
-    """Horn medial center-curve selector: flag-free branches leaving the
-    x = 0 plane (the wall-induced sheet branches stay on it)."""
-    if curve.flags:
-        return False
-    return abs(float(curve.point_at_radius(2.0**-6)[0])) > 1e-5
 
 
 @dataclass(frozen=True)
@@ -78,7 +61,6 @@ class Scenario:
     medial_resolution: float
     medial_scales: tuple
     medial_density: int = 24
-    medial_filter: object = _no_flags  # callable (SampledCurve) -> bool
     notes: str = ""
 
     def __post_init__(self):
@@ -193,13 +175,13 @@ _REGISTRY = {
         medial_resolution=0.01,
         medial_scales=_MEDIAL_SCALES_3D,
         medial_density=48,
-        medial_filter=_off_axis_ribbon,
         notes="two horns with generator abscissae y^2 and y^2/4 (cross-"
         "sections are circles over the generator midpoint, diameter the "
         "generator gap) joined by the wall |x| <= y^2/4 in the z = 0 "
         "plane; medial center curves approach x = +-(5/8) y^2, pairwise "
-        "outer order 2 vs inner 1.  The wall-induced medial sheet is "
-        "excluded from the center-pair order fit by the branch filter.",
+        "outer order 2 vs inner 1.  They are the exact bisectors of the "
+        "z = 0 trace between each horn's generators; the bisector of the "
+        "wall edges lies inside the wall and gives no curve.",
     ),
 }
 
@@ -348,33 +330,11 @@ def run_scenario(s: Scenario, config: RunConfig | None = None) -> ScenarioResult
         set_reports = _pairwise_reports(germ, scales, config)
         set_verdict, l_set = combine_verdicts(set_reports)
 
-    medial_cfg = config.medial
-    if has_exact_bisectors(germ):
-        axis, curves = plane_medial_branches(
-            germ, s.medial_scales, theta_min=medial_cfg.theta_min
-        )
-    else:
-        window, resolution = medial_grid(s, medial_cfg)
-        axis = extract_medial_axis_grid(
-            germ,
-            window,
-            resolution,
-            tau=medial_cfg.tau,
-            theta_min=medial_cfg.theta_min,
-        )
-        curves = ()
-        if axis.points:
-            curves = tuple(
-                medial_branch_germs(
-                    axis,
-                    s.medial_scales,
-                    set_=germ,
-                    tau=medial_cfg.tau,
-                    theta_min=medial_cfg.theta_min,
-                    density=s.medial_density,
-                )
-            )
-    selected = tuple(c for c in curves if s.medial_filter(c))
+    axis, curves = medial_branch_germs(
+        germ, s.medial_scales, theta_min=config.medial.theta_min
+    )
+    # a flagged curve does not reach the smallest scale
+    selected = tuple(c for c in curves if not c.flags)
     if not selected:
         medial_reports = ()
         medial_verdict, l_medial = Verdict.UNDECIDED, None
@@ -429,8 +389,7 @@ def run_scenario(s: Scenario, config: RunConfig | None = None) -> ScenarioResult
             )
         if set_verdict is Verdict.NOT_LNE:
             # the medial closure must contain the origin: a selected branch
-            # continues down to four axis resolutions (grid steps, or the
-            # smallest medial scale for exact bisectors)
+            # continues down to four times the smallest medial scale
             r0 = 4.0 * axis.resolution
             ok = any(reaches_origin(c, r0) for c in selected)
             checks.append(
@@ -475,9 +434,8 @@ def scenario_for_germ(germ: GermSet, config: RunConfig) -> Scenario:
     Its medial scales are the configured scales.  Its medial window is the
     symmetric box of half-width 1.2 * t_max and its grid step 1/256;
     ``medial_grid`` applies a configured window or resolution in their
-    place.  Window and step serve only the grid: a plane germ of Puiseux
-    branches takes exact bisectors in ``run_scenario``, and the grid only
-    in ``lnegerm medial``.
+    place.  Window and step serve only the grid of ``lnegerm medial``:
+    ``run_scenario`` takes exact bisectors for every germ.
     """
     w = 1.2 * config.t_max
     return Scenario(

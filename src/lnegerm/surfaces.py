@@ -16,8 +16,16 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError, InputError, RegistryError
+from .germs import puiseux_branch
 from .norms import EUCLID
 from .optimize import golden_min
+
+
+def _generator(label: str, x_coef: float, y_max: float):
+    """The plane curve (x_coef y^2, y), y in [0, y_max], as a Puiseux branch;
+    the line x = 0 when x_coef is 0."""
+    terms = [(1, (0.0, 1.0))] + ([(2, (x_coef, 0.0))] if x_coef else [])
+    return puiseux_branch(terms, y_max, label)
 
 
 def _canonical_heights(scale: float, density: int) -> np.ndarray:
@@ -190,6 +198,13 @@ class HornPiece:
             slot[0] = (dist, p.copy(), prm), seen
         return dist, p, prm
 
+    def trace(self) -> list:
+        """The horn's z = 0 generators x = sign (y/a)^2, as plane branches."""
+        return [
+            _generator(f"{self.label}_{side}", self.sign / a**2, self.y_max)
+            for side, a in (("outer", self.a_outer), ("inner", self.a_inner))
+        ]
+
     def section(self, t: float, norm=EUCLID, density: int = 32):
         """Points on {x in piece : ||x||_norm = t}, one per theta ray.
 
@@ -320,6 +335,16 @@ class WallPiece:
         if shared is not None and not pinned:
             shared[key] = (dist, p.copy(), (u, y))
         return dist, p, (u, y)
+
+    def trace(self) -> list:
+        """The strip's edges x = +-c y^2, as plane branches; the strip lies
+        in z = 0 and its interior is on the set, so only the edges bound
+        the medial axis there."""
+        c = self.half_width_coef
+        return [
+            _generator(f"{self.label}_plus", c, self.y_max),
+            _generator(f"{self.label}_minus", -c, self.y_max),
+        ]
 
     def section(self, t: float, norm=EUCLID, density: int = 32):
         """Points on {x in piece : ||x||_norm = t}, one per u sample.

@@ -1,8 +1,9 @@
 """Shared fixtures.
 
-The scenario runs (especially the 3D horn, whose grid extraction takes
-about a minute) are session-scoped so that the functional tests and the
-acceptance gate grade the same computation instead of repeating it.
+The scenario runs are session-scoped so that the functional tests and the
+acceptance gate grade the same computation instead of repeating it.  The 3D
+horn takes its medial branches from exact bisectors of its z = 0 trace, as
+the plane germs take theirs; only ``grid_axes`` runs the medial grid.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ def horn_result(config):
 @pytest.fixture(scope="session")
 def grid_axes():
     """The grid medial axis of each plane builtin on its registered window
-    and step.  The runner takes exact bisectors for these germs; the grid
-    still serves surface germs and ``lnegerm medial``."""
+    and step.  The runner takes exact bisectors; the grid serves only
+    ``lnegerm medial``."""
     out = {}
     for label in ("cusp", "abs_graph", "three_tangent"):
         s = builtin(label)

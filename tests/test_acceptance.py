@@ -160,7 +160,7 @@ def test_criterion_05_horn3d(horn_result):
     c_max = max(rep.c_values)
     outer = inner = None
     pair_ok = False
-    if res.medial_reports:
+    if res.medial_reports and len(res.medial_curves) == 2:
         mrep = res.medial_reports[0]
         outer, inner = mrep.tord.slope, mrep.tord_inn.slope
         pair_ok = (
@@ -179,7 +179,8 @@ def test_criterion_05_horn3d(horn_result):
         "horn3d",
         ok,
         f"link {res.link.verdict.value}, max C(t) {c_max:.4f} (exact pi/2 = {math.pi / 2:.4f}), "
-        f"trend {rep.trend}, medial pair {outer} vs {inner}",
+        f"trend {rep.trend}, {len(res.medial_curves)} medial curves, "
+        f"medial pair {outer} vs {inner}",
     )
 
 

@@ -1,4 +1,4 @@
-"""Nearest-point sets, grid extraction, bisector tracing, branch tracking."""
+"""Nearest points, grid extraction, and medial branches from exact bisectors."""
 
 import itertools
 import math
@@ -7,66 +7,54 @@ import numpy as np
 import pytest
 
 from lnegerm import (
+    FootFinder,
     InputError,
-    OnSetError,
-    ResolutionError,
     builtin,
     extract_medial_axis_grid,
     germ_set,
     medial_branch_germs,
-    nearest_point_set,
-    plane_medial_branches,
     puiseux_branch,
     reaches_origin,
-    trace_bisector_2d,
 )
 from lnegerm.optimize import golden_min
+from lnegerm.surfaces import HornPiece, WallPiece
+
+
+def _nearest(germ, x):
+    """m(x) at tolerance 1e-3: the polished feet of x, from a cloud covering
+    2.2 |x|, clustered as grid extraction clusters them."""
+    from lnegerm.medial import _cluster
+
+    x = np.asarray(x, dtype=float)
+    finder = FootFinder(germ, 2.2 * float(np.linalg.norm(x)), 64)
+    feet = finder.feet(x)
+    return _cluster(x, feet, feet[0].dist, finder.spacing, 1e-3)
 
 
 class TestNearestPointSet:
+    """m(x), the nearest points of the set, from ``FootFinder.feet``."""
+
     def test_single_nearest_point(self):
         germ = builtin("abs_graph").germ()
         # a point well off the axis of symmetry sees one branch only
-        res = nearest_point_set((0.2, 0.1), germ)
+        res = _nearest(germ, (0.2, 0.1))
         assert res.cluster_count == 1
         assert res.representatives[0].label == "abs_plus"
 
     def test_medial_point_has_two_feet(self):
         germ = builtin("abs_graph").germ()
-        res = nearest_point_set((0.0, 0.2), germ)
+        res = _nearest(germ, (0.0, 0.2))
         assert res.cluster_count == 2
         assert {f.label for f in res.representatives} == {"abs_plus", "abs_minus"}
         d1, d2 = (f.dist for f in res.representatives)
         assert abs(d1 - d2) <= 1e-3 * min(d1, d2)
 
-    def test_on_set_query_rejected(self):
-        germ = builtin("abs_graph").germ()
-        p = germ.branch("abs_plus").point_at_radius(0.1)
-        with pytest.raises(OnSetError):
-            nearest_point_set(p, germ)
-
-    def test_origin_rejected(self):
-        germ = builtin("abs_graph").germ()
-        with pytest.raises(OnSetError):
-            nearest_point_set((0.0, 0.0), germ)
-
-    def test_resolution_guard(self):
-        from lnegerm import FootFinder
-
-        germ = builtin("abs_graph").germ()
-        # an explicitly coarse finder: spacing 1/8 against a query whose
-        # distance to the set is ~7e-3
-        finder = FootFinder(germ, 0.9, 8)
-        with pytest.raises(ResolutionError):
-            nearest_point_set((0.0, 1e-2), germ, finder=finder)
-
 
 class TestFootFinder:
     def test_sampled_curve_branch_rejected(self):
-        from lnegerm import FootFinder
         from lnegerm.medial import SampledCurve
 
-        curve = SampledCurve("sampled", 2)
+        curve = SampledCurve("sampled", 2, refiner=lambda r: None)
         for r in (0.1, 0.2, 0.4):
             curve.add_anchor((r, 0.0))
         line = puiseux_branch([(1, (0.0, 1.0))], 1.0, "line")
@@ -408,9 +396,8 @@ class TestBisectorTrace:
     SCALES = [2.0 ** -k for k in range(3, 12)]
 
     def test_symmetric_lines(self):
-        germ = builtin("abs_graph").germ()
-        axis = trace_bisector_2d(*germ.branches, self.SCALES)
-        assert not axis.failures
+        axis, curves = medial_branch_germs(builtin("abs_graph").germ(), self.SCALES)
+        assert not axis.failures and len(curves) == 1
         for p, cluster in axis.points:
             assert abs(p[0]) <= 1e-10
             d1, d2 = (f.dist for f in cluster.representatives)
@@ -419,7 +406,7 @@ class TestBisectorTrace:
     def test_parabola_pair_constant(self):
         b1 = puiseux_branch([(1, (1, 0)), (2, (0, 1))], 1.0, "a")
         b2 = puiseux_branch([(1, (1, 0)), (2, (0, 2))], 1.0, "b")
-        axis = trace_bisector_2d(b1, b2, self.SCALES)
+        axis, _ = medial_branch_germs(germ_set(branches=(b1, b2)), self.SCALES)
         assert not axis.failures
         small = [p for p, _ in axis.points if np.linalg.norm(p) < 0.05]
         assert small
@@ -427,18 +414,32 @@ class TestBisectorTrace:
             assert p[1] / p[0] ** 2 == pytest.approx(1.5, rel=0.05)
 
     def test_rejects_3d(self):
-        b1 = puiseux_branch([(1, (1, 0, 0))], 1.0, "a")
-        b2 = puiseux_branch([(1, (0, 1, 0))], 1.0, "b")
-        with pytest.raises(InputError):
-            trace_bisector_2d(b1, b2, self.SCALES)
+        # (t, t^2, 0) and (t, 0, t^2) are not symmetric under z -> -z: no
+        # curves, the cause recorded, and the medial verdict UNDECIDED while
+        # the set and link verdicts are still decided
+        from lnegerm import RunConfig, Verdict, run_scenario
+        from lnegerm.scenarios import scenario_for_germ
+
+        b1 = puiseux_branch([(1, (1, 0, 0)), (2, (0, 1, 0))], 1.0, "a")
+        b2 = puiseux_branch([(1, (1, 0, 0)), (2, (0, 0, 1))], 1.0, "b")
+        germ = germ_set(branches=(b1, b2))
+        axis, curves = medial_branch_germs(germ, self.SCALES)
+        assert curves == () and axis.points == ()
+        assert axis.failures == ((self.SCALES[0], "not symmetric under z -> -z"),)
+        config = RunConfig()
+        res = run_scenario(scenario_for_germ(germ, config), config)
+        assert res.medial_verdict is Verdict.UNDECIDED
+        assert res.axis.failures[0][1] == "not symmetric under z -> -z"
+        assert res.set_verdict is Verdict.NOT_LNE
+        assert res.l_set == pytest.approx(2.0, abs=0.05)
+        assert res.link.verdict is Verdict.NOT_LNE
 
     def test_agrees_with_grid(self, grid_axes):
-        # grid extraction and exact tracing must agree within 2h where both
-        # exist (here: the central bisector of the parabola fan)
+        # grid extraction and exact bisectors must agree within 2h where
+        # both exist (here: the central bisector of the parabola fan)
         germ = builtin("three_tangent").germ()
-        axis = trace_bisector_2d(
-            germ.branch("parab1"), germ.branch("parab2"), [0.25, 0.2, 0.15, 0.1]
-        )
+        pair = germ_set(branches=(germ.branch("parab1"), germ.branch("parab2")))
+        axis, _ = medial_branch_germs(pair, [0.25, 0.2, 0.15, 0.1])
         grid_coords = grid_axes["three_tangent"].coords()
         h = grid_axes["three_tangent"].resolution
         checked = 0
@@ -460,7 +461,7 @@ class TestBisectorTrace:
             for p, cluster in axis.points:
                 if cluster.distance <= 8.0 * h:
                     continue
-                exact, _ = plane_medial_branches(germ, [float(np.linalg.norm(p))])
+                exact, _ = medial_branch_germs(germ, [float(np.linalg.norm(p))])
                 assert exact.points, (label, p)
                 assert np.min(np.linalg.norm(exact.coords() - p, axis=1)) <= 2.0 * h, (label, p)
                 checked += 1
@@ -471,18 +472,8 @@ def _line(direction, label, t_max=1.0):
     return puiseux_branch([(1, direction)], t_max, label)
 
 
-def _grid_branches(scn):
-    """The flag-free medial branches the grid pipeline tracks for a scenario."""
-    germ = scn.germ()
-    axis = extract_medial_axis_grid(germ, scn.medial_window, scn.medial_resolution)
-    if not axis.points:
-        return []
-    return [c for c in medial_branch_germs(axis, scn.medial_scales, set_=germ) if not c.flags]
-
-
 class TestPlaneMedialBranches:
-    """Exact bisector branches of plane germs, each case against the branches
-    the grid pipeline tracks for it."""
+    """Exact bisector branches of plane germs."""
 
     @pytest.mark.parametrize(
         "branches, n_branches",
@@ -518,17 +509,35 @@ class TestPlaneMedialBranches:
         config = RunConfig()
         scn = scenario_for_germ(germ_set(branches=branches, label="edge"), config)
         res = run_scenario(scn, config)
-        grid = _grid_branches(scn)
-        assert len(res.medial_curves) == len(grid) == n_branches
+        assert len(res.medial_curves) == n_branches
         if n_branches == 0:
             assert res.medial_verdict is Verdict.UNDECIDED
-            return
-        assert res.medial_verdict is Verdict.LNE
-        exact = sorted(tuple(np.round(c.tangent().direction, 6)) for c in res.medial_curves)
-        want = sorted((sx / math.sqrt(2.0), sy / math.sqrt(2.0)) for sx in (-1, 1) for sy in (-1, 1))
-        assert np.allclose(exact, want, atol=1e-6)
-        for c in grid:
-            assert np.min(np.linalg.norm(np.array(exact) - c.tangent().direction, axis=1)) <= 0.05
+        else:
+            assert res.medial_verdict is Verdict.LNE
+            exact = sorted(tuple(np.round(c.tangent().direction, 6)) for c in res.medial_curves)
+            want = sorted(
+                (sx / math.sqrt(2.0), sy / math.sqrt(2.0)) for sx in (-1, 1) for sy in (-1, 1)
+            )
+            assert np.allclose(exact, want, atol=1e-6)
+        # two-sided against the raw grid points, where the grid resolves the
+        # axis (farther than 8h from the set): every grid point inside the
+        # largest scale lies within 2h of an exact curve at its radius, and
+        # every exact curve has an anchor within 2h of a grid point
+        grid = extract_medial_axis_grid(scn.germ(), scn.medial_window, scn.medial_resolution)
+        h = grid.resolution
+        top = max(scn.medial_scales)
+        for p, cluster in grid.points:
+            r = float(np.linalg.norm(p))
+            if cluster.distance > 8.0 * h and r <= top:
+                gaps = [np.linalg.norm(c.point_at_radius(r) - p) for c in res.medial_curves]
+                assert min(gaps, default=math.inf) <= 2.0 * h, p
+        coords = grid.coords()
+        near = set()
+        for q, cluster in res.axis.points:
+            if cluster.distance > 8.0 * h:
+                assert np.min(np.linalg.norm(coords - q, axis=1)) <= 2.0 * h, q
+                near.add(frozenset(f.label for f in cluster.representatives))
+        assert len(near) == n_branches
 
     def test_three_tangent_constants(self, three_result):
         # y = (3/2) x^2 and y = (5/2) x^2 to within 1e-3 at the smallest scale
@@ -542,11 +551,11 @@ class TestPlaneMedialBranches:
         # the short branch ends at radius 0.04, below the largest scale
         germ = germ_set(branches=(_line((1, 0), "long"), _line((0, 1), "short", 0.04)))
         scales = [2.0 ** -k for k in range(4, 11)]
-        axis, curves = plane_medial_branches(germ, scales)
+        axis, curves = medial_branch_germs(germ, scales)
         assert curves == ()
         assert [t for t, _ in axis.failures] == [2.0**-4]
         # reaching the largest scale, the same pair gives its curve
-        axis, curves = plane_medial_branches(germ, scales[1:])
+        axis, curves = medial_branch_germs(germ, scales[1:])
         assert len(curves) == 1 and not curves[0].flags
         assert len(axis.points) == len(scales) - 1
 
@@ -557,7 +566,7 @@ class TestPlaneMedialBranches:
         a = -0.1
         riser = puiseux_branch([(1, (math.cos(a), math.sin(a))), (2, (0, 8))], 1.0, "riser")
         germ = germ_set(branches=(_line((1, 0), "east"), _line((0, 1), "north"), riser))
-        axis, curves = plane_medial_branches(germ, [2.0 ** -k for k in range(4, 11)])
+        axis, curves = medial_branch_germs(germ, [2.0 ** -k for k in range(4, 11)])
         assert curves == ()
         assert any("'riser' is nearer" in msg for _, msg in axis.failures)
 
@@ -573,7 +582,7 @@ class TestPlaneMedialBranches:
 
         monkeypatch.setattr(medial, "_bisector_point", failing_below)
         germ = builtin("abs_graph").germ()
-        axis, curves = plane_medial_branches(germ, [2.0 ** -k for k in range(4, 11)])
+        axis, curves = medial_branch_germs(germ, [2.0 ** -k for k in range(4, 11)])
         assert len(curves) == 1
         assert curves[0].flags == [("continuation_failed", 2.0**-8)]
         assert len(axis.points) == 4
@@ -587,7 +596,7 @@ class TestPlaneMedialBranches:
 
         monkeypatch.setattr(medial, "_bisector_point", broken)
         with pytest.raises(ValueError):
-            plane_medial_branches(builtin("cusp").germ(), [0.1, 0.05])
+            medial_branch_germs(builtin("cusp").germ(), [0.1, 0.05])
 
     def test_lead_exponent_below_one(self):
         # (t^{1/2}, 0) and (0, t^{1/2}): the foot solve starts at s = 0,
@@ -598,14 +607,29 @@ class TestPlaneMedialBranches:
                 puiseux_branch([((1, 2), (0, 1))], 1.0, "b"),
             )
         )
-        axis, curves = plane_medial_branches(germ, [2.0 ** -k for k in range(4, 11)])
+        axis, curves = medial_branch_germs(germ, [2.0 ** -k for k in range(4, 11)])
         assert len(curves) == 1 and not axis.failures
         for p, _ in axis.points:
             assert p[0] == pytest.approx(p[1], rel=1e-12)
 
     def test_rejects_surface_germs(self):
+        # horn3d's surfaces are symmetric under z -> -z, but a curve leaving
+        # z = 0 makes the germ asymmetric: no curves, the cause recorded
+        horn = builtin("horn3d").germ()
+        riser = puiseux_branch([(1, (0, 1, 0)), (2, (0, 0, 1))], 1.0, "riser")
+        germ = germ_set(branches=(riser,), surfaces=horn.surfaces)
+        axis, curves = medial_branch_germs(germ, [0.1, 0.05])
+        assert curves == ()
+        assert axis.failures == ((0.1, "not symmetric under z -> -z"),)
+
+    def test_rejects_sampled_curves(self):
+        from lnegerm.medial import SampledCurve
+
+        curve = SampledCurve("sampled", 2, refiner=lambda r: None)
+        curve.add_anchor((0.1, 0.0))
+        germ = germ_set(branches=(curve, _line((0, 1), "line")))
         with pytest.raises(InputError):
-            plane_medial_branches(builtin("horn3d").germ(), [0.1, 0.05])
+            medial_branch_germs(germ, [0.1, 0.05])
 
 
 class TestBranchTracking:
@@ -626,8 +650,100 @@ class TestBranchTracking:
             if not c.flags:
                 assert reaches_origin(c, 2.0 ** -10)
 
-    def test_empty_axis_rejected(self):
-        from lnegerm.medial import MedialAxisSample
 
-        with pytest.raises(InputError):
-            medial_branch_germs(MedialAxisSample((), 0.01), [0.1, 0.05])
+def _horn_family(a_inner: float):
+    """Two horns over x = +-y^2 and x = +-(y/a_inner)^2, joined by the wall
+    strip |x| <= (y/a_inner)^2, like horn3d (a_inner = 2)."""
+    horns = tuple(
+        HornPiece(label=label, sign=sign, a_outer=1.0, a_inner=a_inner)
+        for label, sign in (("horn_pos", 1.0), ("horn_neg", -1.0))
+    )
+    wall = WallPiece(label="wall", half_width_coef=1.0 / a_inner**2)
+    return germ_set(surfaces=horns + (wall,), label="horn_family")
+
+
+class TestHornTrace:
+    """Medial branches of the horns: exact bisectors of the z = 0 trace."""
+
+    @pytest.mark.parametrize("a_inner", [1.5, 2.0, 3.0])
+    def test_center_curves_closed_form(self, a_inner):
+        # the tube centers x = +-(1 + 1/a_i^2)/2 y^2; the bisector of the
+        # wall edges lies inside the wall and gives no curve
+        axis, curves = medial_branch_germs(
+            _horn_family(a_inner), [2.0 ** -k for k in range(4, 11)]
+        )
+        assert len(curves) == 2 and not any(c.flags for c in curves)
+        assert [msg for _, msg in axis.failures] == ["piece 'wall' is nearer at radius 0.0625"]
+        limit = 0.5 * (1.0 + 1.0 / a_inner**2)
+        ratios = sorted(
+            float(p[0] / p[1] ** 2) for p in (c.point_at_radius(2.0**-10) for c in curves)
+        )
+        assert ratios == pytest.approx([-limit, limit], abs=1e-3)
+        for c in curves:
+            assert c.point_at_radius(2.0**-7)[2] == 0.0
+
+    def test_trace_merges_identical_branches(self):
+        from lnegerm.medial import _z_trace
+
+        # each inner generator is also a wall edge, y^2/4
+        trace = _z_trace(builtin("horn3d").germ())
+        coefs = sorted(float(b.terms[1][1][0]) for b in trace)
+        assert coefs == [-1.0, -0.25, 0.25, 1.0]
+        # a zero-width wall has one edge, the line x = 0
+        (line,) = _z_trace(germ_set(surfaces=(WallPiece(label="w", half_width_coef=0.0),)))
+        assert len(line.terms) == 1 and line.terms[0][1].tolist() == [0.0, 1.0]
+
+    def test_anchors_against_brute_force(self, horn_result):
+        # no point of a dense (height, angle) grid on both horns and the
+        # wall is nearer to an anchor than its distance d, and the grid's
+        # own error (its largest steps) bounds how far above d its minimum
+        # sits, so a piece nearer by more than that error would show
+        germ = builtin("horn3d").germ()
+        horns = [p for p in germ.surfaces if isinstance(p, HornPiece)]
+        (wall,) = [p for p in germ.surfaces if isinstance(p, WallPiece)]
+        theta = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+        u = np.linspace(-1.0, 1.0, 721)
+        assert len(horn_result.axis.points) == 14
+        for q, cluster in horn_result.axis.points:
+            d = cluster.distance
+            # only heights within d of q hold points nearer than d
+            ys = np.linspace(max(q[1] - 1.5 * d, 0.0), q[1] + 1.5 * d, 301)
+            sheets = []
+            for horn in horns:
+                y, th = np.meshgrid(ys, theta, indexing="ij")
+                cx, r = horn._cx_r(y)
+                sheets.append(
+                    np.stack([horn.sign * (cx + r * np.cos(th)), y, r * np.sin(th)], axis=-1)
+                )
+            y, uu = np.meshgrid(ys, u, indexing="ij")
+            sheets.append(
+                np.stack([uu * wall.half_width_coef * y**2, y, np.zeros_like(y)], axis=-1)
+            )
+            best = min(float(np.linalg.norm(s - q, axis=-1).min()) for s in sheets)
+            err = max(
+                sum(float(np.linalg.norm(np.diff(s, axis=k), axis=-1).max()) for k in (0, 1))
+                for s in sheets
+            )
+            assert err <= 0.05 * d
+            assert d * (1.0 - 1e-9) <= best <= d + err, q
+
+    def test_grid_points_on_trace(self):
+        # a grid point whose feet all lie on one horn is a tube center; the
+        # grid resolves those only where the tube radius exceeds its step,
+        # and each lies within 2h of an exact curve at its own radius
+        scn = builtin("horn3d")
+        germ = scn.germ()
+        grid = extract_medial_axis_grid(germ, HORN_WINDOW, HORN_STEP)
+        _, curves = medial_branch_germs(germ, (0.64,) + scn.medial_scales)
+        assert len(curves) == 2
+        on_curve = {c.label: 0 for c in curves}
+        for p, cluster in grid.points:
+            labels = {f.label for f in cluster.representatives}
+            if len(labels) != 1 or labels == {"wall"}:
+                continue
+            r = float(np.linalg.norm(p))
+            gaps = {c.label: float(np.linalg.norm(c.point_at_radius(r) - p)) for c in curves}
+            label = min(gaps, key=gaps.get)
+            assert gaps[label] <= 2.0 * HORN_STEP, p
+            on_curve[label] += 1
+        assert min(on_curve.values()) >= 3

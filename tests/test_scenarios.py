@@ -134,16 +134,26 @@ class TestRunResults:
             assert res.l_medial <= res.l_set + 0.1, label
 
     def test_horn_medial_center_curves(self, horn_result):
-        from lnegerm.scenarios import _off_axis_ribbon
-
-        ribbons = [c for c in horn_result.medial_curves if _off_axis_ribbon(c)]
-        assert len(ribbons) == 2
+        # the two center curves are all the medial curves there are
+        curves = horn_result.medial_curves
+        assert len(curves) == 2
         ratios = sorted(
             float(c.point_at_radius(2.0 ** -9)[0] / c.point_at_radius(2.0 ** -9)[1] ** 2)
-            for c in ribbons
+            for c in curves
         )
         assert ratios[0] == pytest.approx(-0.625, abs=0.01)
         assert ratios[1] == pytest.approx(0.625, abs=0.01)
+
+    def test_horn_runs_without_the_grid(self, monkeypatch):
+        from lnegerm import medial, scenarios
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the medial grid ran")
+
+        monkeypatch.setattr(scenarios, "extract_medial_axis_grid", no_grid)
+        monkeypatch.setattr(medial, "extract_medial_axis_grid", no_grid)
+        res = run_scenario(builtin("horn3d"))
+        assert res.status == "PASS"
 
     def test_json_projection_keys(self, cusp_result):
         d = cusp_result.to_dict()
