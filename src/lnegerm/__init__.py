@@ -19,7 +19,6 @@ from .errors import (
     ReparametrizationError,
     ResolutionError,
     TraceError,
-    UndecidableOrderError,
 )
 from .germs import (
     GermSet,

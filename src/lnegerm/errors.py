@@ -17,17 +17,6 @@ class ReparametrizationError(LnegermError):
     """The norm along a curve is not monotone on the probed range."""
 
 
-class UndecidableOrderError(LnegermError):
-    """Series truncation too short to decide a separation order.
-
-    ``bound`` is the exponent up to which the series were compared.
-    """
-
-    def __init__(self, message, bound=None):
-        super().__init__(message)
-        self.bound = bound
-
-
 class ResolutionError(LnegermError):
     """Sampling too coarse relative to the requested tolerance."""
 

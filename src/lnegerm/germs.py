@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -22,9 +22,6 @@ from scipy.optimize import brentq
 from .errors import DomainError, InputError, ReparametrizationError
 from .metrics import PointCloud, cluster_labels
 from .norms import EUCLID
-
-#: |p_k| must match the target radius to this relative tolerance.
-REPARAM_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,32 +159,6 @@ def puiseux_branch(terms, t_max: float, label: str, ambient_dim: int | None = No
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-
-def reparametrize_by_distance(branch: PuiseuxBranch, scales) -> np.ndarray:
-    """Points p_k on the branch with ||p_k|| = t_k.
-
-    The norm is checked to be strictly increasing on the probed parameter
-    range; each radius is then solved by bracketed root finding.
-    """
-    scales = [float(t) for t in scales]
-    if any(t <= 0 for t in scales):
-        raise DomainError("target radii must be positive")
-    params = [branch.param_at_radius(t) for t in scales]
-    s_hi = max(params) * 1.05
-    probe = np.linspace(0.0, min(s_hi, branch.t_max), 65)
-    norms = branch.norm_at(probe)
-    if np.any(np.diff(norms) <= 0):
-        raise ReparametrizationError(
-            f"branch {branch.label!r}: norm not strictly increasing on probed range"
-        )
-    pts = branch.eval(np.asarray(params))
-    radii = np.linalg.norm(pts, axis=1)
-    if np.any(np.abs(radii - np.asarray(scales)) > REPARAM_RTOL * np.asarray(scales)):
-        raise ReparametrizationError(
-            f"branch {branch.label!r}: radius solve did not converge"
-        )
-    return pts
 
 
 #: a lattice coefficient below this fraction of the largest coefficient met
@@ -440,15 +411,23 @@ def merge_coincident(pts: np.ndarray, labels, params, tol: float):
     )
 
 
+def check_scale_ladder(scales) -> None:
+    """Raise ``InputError`` unless the scales decrease strictly along a
+    geometric sequence."""
+    t = np.asarray(scales, dtype=float)
+    if len(t) < 2:
+        return
+    ratios = t[1:] / t[:-1]
+    if np.any(ratios >= 1):
+        raise InputError("scales must be strictly decreasing")
+    if np.max(ratios) - np.min(ratios) > 1e-6:
+        raise InputError("scales must form a geometric sequence")
+
+
 def sample_germ(set_: GermSet, scales, density: int) -> list:
     """Per-scale clouds for a decreasing geometric scale sequence."""
     scales = [float(t) for t in scales]
-    if len(scales) >= 2:
-        ratios = np.array(scales[1:]) / np.array(scales[:-1])
-        if np.any(ratios >= 1):
-            raise InputError("scales must be strictly decreasing")
-        if np.max(ratios) - np.min(ratios) > 1e-6:
-            raise InputError("scales must form a geometric sequence")
+    check_scale_ladder(scales)
     return [sample_cloud(set_, t, density) for t in scales]
 
 

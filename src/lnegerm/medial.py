@@ -5,10 +5,10 @@ medial axis of a plane germ of Puiseux branches is the union of the
 bisectors of the cyclically adjacent half-branch pairs whose sector is
 narrower than pi, and each is solved on every circle |q| = r as a 1D root in
 the angle of q, against the branches' own parametrizations.  A 3D germ
-symmetric under z -> -z is solved on its z = 0 trace, a plane germ of
-Puiseux branches, and each bisector point is kept where no piece of the
-germ is nearer.  Each branch is a ``SampledCurve`` whose ``point_at_radius``
-is the same exact solve.
+symmetric under z -> -z is solved in place on its z = 0 slice: the same
+solve runs on the pieces' z = 0 traces, and a bisector point inside a
+surface's slice (``covers``) is rejected.  Each branch is a
+``SampledCurve`` whose ``point_at_radius`` is the same exact solve.
 
 ``lnegerm medial`` exports the grid medial axis, built in three layers:
 
@@ -16,8 +16,7 @@ is the same exact solve.
   nearest points ("feet"): cloud candidates are grouped by direction from
   the query, then each group is refined against the exact parametrization
   of its piece (Newton on the foot-point equation for Puiseux branches,
-  bounded 1D minimization for procedural surfaces).  The bisector lift
-  uses it too, to find a nearer piece.
+  bounded 1D minimization for procedural surfaces).
 * ``refine_equidistant`` moves a point onto the equidistance locus of its
   nearest feet by repeatedly equalizing the nearest opposing foot pair
   along the difference of their directions (a monotone 1D root solve).
@@ -42,7 +41,7 @@ from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
 from .errors import DomainError, InputError, ResolutionError, TraceError
-from .germs import GermSet, HalfLine, PuiseuxBranch, puiseux_branch, sample_cloud
+from .germs import GermSet, HalfLine, PuiseuxBranch, sample_cloud
 from .metrics import cluster_labels
 from .optimize import golden_min
 
@@ -684,9 +683,10 @@ def _sectors_below_pi(branches, r: float) -> list:
     return pairs
 
 
-def _bisector_point(b1, b2, r: float, others, theta_min: float):
-    """(q, NearestPointCluster): the point q with |q| = r, in the sector swept
-    counterclockwise from b1 to b2, equidistant from both branches.
+def _bisector_point(b1, b2, r: float, others, theta_min: float, surfaces):
+    """(q, NearestPointCluster): the point q = r (cos phi, sin phi, 0, ...)
+    in the sector swept counterclockwise from b1 to b2, equidistant from
+    both branches.
 
     The unknown is the angle of q from b1's radius-r point.  The distance gap
     to the local feet near each branch's radius-r parameter is negative at
@@ -694,15 +694,17 @@ def _bisector_point(b1, b2, r: float, others, theta_min: float):
     ``TraceError`` when the gap does not change sign or the root leaves a
     residual above ``_BISECTOR_RESIDUAL``, when the feet are less than
     ``theta_min`` apart as seen from q (the two halves of a smooth curve,
-    whose feet both collapse to 0), and when a branch of ``others`` is
-    nearer; ``DomainError`` when a branch does not reach radius r.
+    whose feet both collapse to 0), when a branch of ``others`` is nearer,
+    and when a piece of ``surfaces`` covers q (q lies on the set);
+    ``DomainError`` when a branch does not reach radius r.
     """
     s1, s2 = b1.param_at_radius(r), b2.param_at_radius(r)
     a1 = _angle(b1.eval(s1))
     span = (_angle(b2.eval(s2)) - a1) % (2.0 * math.pi)
+    pad = [0.0] * (b1.ambient_dim - 2)
 
     def feet(phi):
-        q = r * np.array([math.cos(a1 + phi), math.sin(a1 + phi)])
+        q = r * np.array([math.cos(a1 + phi), math.sin(a1 + phi)] + pad)
         return q, _project_branch(b1, q, s1, s1 + r), _project_branch(b2, q, s2, s2 + r)
 
     def gap(phi):
@@ -725,52 +727,28 @@ def _bisector_point(b1, b2, r: float, others, theta_min: float):
         sb = b.param_at_radius(r)
         if _project_branch(b, q, sb, sb + r)[0] < dist - _BISECTOR_RESIDUAL:
             raise TraceError(f"branch {b.label!r} is nearer at radius {r}")
+    for piece in surfaces:
+        if piece.covers(q):
+            raise TraceError(f"piece {piece.label!r} is nearer at radius {r}")
     reps = (Foot(fp1, d1, b1.label, fm1), Foot(fp2, d2, b2.label, fm2))
     return q, NearestPointCluster(dist, reps, ang)
 
 
 def _z_trace(set_: GermSet):
-    """The z = 0 trace of a 3D germ as plane Puiseux branches, identical
-    ones merged into the longest; None unless the germ is symmetric under
-    z -> -z.
+    """The z = 0 trace of a 3D germ: its curve pieces and the ``trace`` of
+    each surface piece, identical branches merged into the longest; None
+    unless the germ is symmetric under z -> -z.
 
-    Every surface piece is symmetric and gives its z = 0 generators
-    (``trace``); a curve piece is symmetric when it lies in z = 0.
+    Every surface piece is symmetric; a curve piece is when it lies in z = 0.
     """
     if set_.ambient_dim != 3 or any(c[2] for b in set_.branches for _, c in b.terms):
         return None
-    pieces = [
-        puiseux_branch([(e, c[:2]) for e, c in b.terms], b.t_max, b.label)
-        for b in set_.branches
-    ]
-    for s in set_.surfaces:
-        pieces += s.trace()
     merged: dict = {}
-    for b in pieces:
+    for b in set_.branches + tuple(p for s in set_.surfaces for p in s.trace()):
         key = tuple((e, tuple(c.tolist())) for e, c in b.terms)
         if key not in merged or b.t_max > merged[key].t_max:
             merged[key] = b
     return list(merged.values())
-
-
-def _lift(set_: GermSet, q, cluster: NearestPointCluster, r: float):
-    """A bisector point of the z = 0 trace, and its feet, at z = 0 in R^3.
-
-    Raises ``TraceError`` when a ``FootFinder`` on the whole germ finds a
-    piece nearer than the trace distance (less ``_BISECTOR_RESIDUAL``): the
-    point is not a medial point of the germ, for instance it lies inside
-    the wall strip.
-    """
-    p = np.append(q, 0.0)
-    # a piece nearer than |p| = r lies within 2 r of 0, inside the cloud
-    feet = FootFinder(set_, 2.2 * r, 64).feet(p)
-    if feet[0].dist < cluster.distance - _BISECTOR_RESIDUAL:
-        raise TraceError(f"piece {feet[0].label!r} is nearer at radius {r}")
-    reps = tuple(
-        Foot(np.append(f.point, 0.0), f.dist, f.label, f.param)
-        for f in cluster.representatives
-    )
-    return p, NearestPointCluster(cluster.distance, reps, cluster.max_pair_angle)
 
 
 def medial_branch_germs(set_: GermSet, scales, theta_min: float = 0.2):
@@ -780,17 +758,17 @@ def medial_branch_germs(set_: GermSet, scales, theta_min: float = 0.2):
     Near 0 the medial axis of a plane germ of Puiseux branches is the union
     of the bisectors of the cyclically adjacent half-branch pairs whose
     sector, at the smallest scale, is narrower than pi.  A 3D germ symmetric
-    under z -> -z is solved on its z = 0 trace (``_z_trace``), and each
-    anchor is lifted to z = 0 by ``_lift``; any other germ gives no curves
-    and records the cause as its one failure.
+    under z -> -z is solved in z = 0 on its trace (``_z_trace``), which is
+    exact there (see ``HornPiece.trace``), and a point a surface ``covers``
+    is rejected; any other germ gives no curves and records the cause as
+    its one failure.
 
     Each pair whose solve holds at the largest scale becomes a
     ``SampledCurve`` anchored at the solves on ``scales`` and refined by the
     same solve, so ``point_at_radius`` stays exact; the first failing
-    smaller scale flags it ``("continuation_failed", t)``.  The refiner of
-    a lifted curve skips the ``FootFinder`` check, which its anchors passed
-    at every scale.  The sample holds every anchor with its two feet, the
-    failed solves, and the smallest scale as its resolution.
+    smaller scale flags it ``("continuation_failed", t)``.  The sample holds
+    every anchor with its two feet, the failed solves, and the smallest
+    scale as its resolution.
     """
     scales = sorted((float(t) for t in scales), reverse=True)
     if not scales:
@@ -807,19 +785,20 @@ def medial_branch_germs(set_: GermSet, scales, theta_min: float = 0.2):
     for b1, b2 in _sectors_below_pi(trace, scales[-1]):
         others = tuple(b for b in trace if b is not b1 and b is not b2)
 
-        def refiner(r, b1=b1, b2=b2, others=others):
+        def solve(r, b1=b1, b2=b2, others=others):
+            return _bisector_point(b1, b2, r, others, theta_min, set_.surfaces)
+
+        def refiner(r, solve=solve):
             try:
-                q = _bisector_point(b1, b2, r, others, theta_min)[0]
+                return solve(r)[0]
             except (DomainError, TraceError):
                 return None
-            return q if dim == 2 else np.append(q, 0.0)
 
         curve = SampledCurve(f"medial_{len(curves)}", dim, refiner)
         anchors = []
         for t in scales:
             try:
-                q, cluster = _bisector_point(b1, b2, t, others, theta_min)
-                anchors.append((q, cluster) if dim == 2 else _lift(set_, q, cluster, t))
+                anchors.append(solve(t))
             except (DomainError, TraceError) as exc:
                 failures.append((t, str(exc)))
                 if anchors:

@@ -80,8 +80,7 @@ class Scenario:
 
 
 _SQ2 = math.sqrt(2.0)
-_MEDIAL_SCALES_2D = tuple(2.0 ** -k for k in range(4, 11))
-_MEDIAL_SCALES_3D = tuple(2.0 ** -k for k in range(4, 11))
+_MEDIAL_SCALES = tuple(2.0 ** -k for k in range(4, 11))
 
 
 def _make_cusp() -> GermSet:
@@ -131,7 +130,7 @@ _REGISTRY = {
         ambient_dim=2,
         medial_window=((-0.02, 0.3), (-0.12, 0.12)),
         medial_resolution=1.0 / 256.0,
-        medial_scales=_MEDIAL_SCALES_2D,
+        medial_scales=_MEDIAL_SCALES,
         notes="branches (t, +-t^{3/2}); outer order 3/2 vs inner 1; "
         "medial axis is the positive x-axis",
     ),
@@ -145,7 +144,7 @@ _REGISTRY = {
         ambient_dim=2,
         medial_window=((-0.12, 0.12), (-0.02, 0.3)),
         medial_resolution=1.0 / 256.0,
-        medial_scales=_MEDIAL_SCALES_2D,
+        medial_scales=_MEDIAL_SCALES,
         notes="unit-speed branches along (+-1, 1)/sqrt 2; medial axis is the "
         "positive y-axis",
     ),
@@ -159,7 +158,7 @@ _REGISTRY = {
         ambient_dim=2,
         medial_window=((-0.02, 0.3), (-0.04, 0.16)),
         medial_resolution=1.0 / 256.0,
-        medial_scales=_MEDIAL_SCALES_2D,
+        medial_scales=_MEDIAL_SCALES,
         notes="parabolas (t, k t^2), k = 1, 2, 3; medial branches near "
         "y = (3/2) x^2 and y = (5/2) x^2, mutually tangent of order 2",
     ),
@@ -173,7 +172,7 @@ _REGISTRY = {
         ambient_dim=3,
         medial_window=((-0.28, 0.28), (0.0, 0.64), (-0.1, 0.1)),
         medial_resolution=0.01,
-        medial_scales=_MEDIAL_SCALES_3D,
+        medial_scales=_MEDIAL_SCALES,
         medial_density=48,
         notes="two horns with generator abscissae y^2 and y^2/4 (cross-"
         "sections are circles over the generator midpoint, diameter the "

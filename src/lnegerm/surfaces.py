@@ -4,7 +4,9 @@ Two builtin samplers are provided: a horn (cross-sections are circles in
 planes y = const whose diameter joins two generator curves x = ±(y/a)^2)
 and a plane wall strip {|x| <= c y^2, z = 0}.  Both emit seam points on a
 canonical height grid so that coinciding boundary samples merge across
-pieces when a cloud is assembled.
+pieces when a cloud is assembled.  Each piece also gives its exact z = 0
+slice (``trace`` and ``covers``), on which the medial branches of a germ
+symmetric under z -> -z are solved.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from .optimize import golden_min
 
 
 def _generator(label: str, x_coef: float, y_max: float):
-    """The plane curve (x_coef y^2, y), y in [0, y_max], as a Puiseux branch;
-    the line x = 0 when x_coef is 0."""
-    terms = [(1, (0.0, 1.0))] + ([(2, (x_coef, 0.0))] if x_coef else [])
+    """The curve (x_coef y^2, y, 0), y in [0, y_max], as a Puiseux branch;
+    the line x = z = 0 when x_coef is 0."""
+    terms = [(1, (0.0, 1.0, 0.0))] + ([(2, (x_coef, 0.0, 0.0))] if x_coef else [])
     return puiseux_branch(terms, y_max, label)
 
 
@@ -199,11 +201,23 @@ class HornPiece:
         return dist, p, prm
 
     def trace(self) -> list:
-        """The horn's z = 0 generators x = sign (y/a)^2, as plane branches."""
+        """The horn's z = 0 slice: its generators x = sign (y/a)^2, as
+        Puiseux branches with z component 0.
+
+        The slice is exact for points q of z = 0: their distance to the horn
+        is their distance to the generators.  At each height the circle is
+        centered in z = 0 and q's offset from the center lies in z = 0, so a
+        nearest circle point to q is a generator point.
+        """
         return [
             _generator(f"{self.label}_{side}", self.sign / a**2, self.y_max)
             for side, a in (("outer", self.a_outer), ("inner", self.a_inner))
         ]
+
+    def covers(self, q) -> bool:
+        """Whether the point q of z = 0 lies inside the horn's z = 0 slice:
+        never, the slice is just the two generators (``trace``)."""
+        return False
 
     def section(self, t: float, norm=EUCLID, density: int = 32):
         """Points on {x in piece : ||x||_norm = t}, one per theta ray.
@@ -337,14 +351,24 @@ class WallPiece:
         return dist, p, (u, y)
 
     def trace(self) -> list:
-        """The strip's edges x = +-c y^2, as plane branches; the strip lies
-        in z = 0 and its interior is on the set, so only the edges bound
-        the medial axis there."""
+        """The strip's edges x = +-c y^2, as Puiseux branches with z
+        component 0.
+
+        With ``covers`` the slice is exact for points q of z = 0: the strip
+        is planar, in z = 0, so q is on it when it covers q, and otherwise
+        its nearest strip point is an edge point.
+        """
         c = self.half_width_coef
         return [
             _generator(f"{self.label}_plus", c, self.y_max),
             _generator(f"{self.label}_minus", -c, self.y_max),
         ]
+
+    def covers(self, q) -> bool:
+        """Whether the point q of z = 0 lies inside the strip, |x| <= c y^2
+        with 0 <= y <= y_max."""
+        x, y = float(q[0]), float(q[1])
+        return 0.0 <= y <= self.y_max and abs(x) <= self.half_width_coef * y * y
 
     def section(self, t: float, norm=EUCLID, density: int = 32):
         """Points on {x in piece : ||x||_norm = t}, one per u sample.

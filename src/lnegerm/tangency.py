@@ -17,8 +17,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DisconnectedError, InputError
-from .germs import GermSet, PuiseuxBranch, sample_germ, symbolic_separation_order
+from .errors import DisconnectedError, InputError, ResolutionError
+from .germs import (
+    GermSet,
+    PuiseuxBranch,
+    check_scale_ladder,
+    sample_germ,
+    symbolic_separation_order,
+)
 from .metrics import build_graph, inner_distance
 
 #: log-log fits are trusted when the RMS residual is below this and the fit
@@ -62,22 +68,13 @@ class OrderEstimate:
         }
 
 
-def _check_geometric(scales) -> None:
-    t = np.asarray(scales, dtype=float)
-    if len(t) < MIN_SCALES:
-        raise InputError(f"need at least {MIN_SCALES} scales, got {len(t)}")
-    ratios = t[1:] / t[:-1]
-    if np.any(ratios >= 1):
-        raise InputError("scales must be strictly decreasing")
-    if np.max(ratios) - np.min(ratios) > 1e-6:
-        raise InputError("scales must form a geometric sequence")
-
-
 def estimate_order(samples) -> OrderEstimate:
     """Least-squares log-log fit of positive values over geometric scales."""
     samples = [(float(t), float(f)) for t, f in samples]
     scales = [t for t, _ in samples]
-    _check_geometric(scales)
+    if len(scales) < MIN_SCALES:
+        raise InputError(f"need at least {MIN_SCALES} scales, got {len(scales)}")
+    check_scale_ladder(scales)
     values = np.array([f for _, f in samples])
     if np.any(values <= 0):
         raise InputError("order undefined: nonpositive sample value")
@@ -163,6 +160,11 @@ def _inner_order(graphs, scales, b1, b2) -> OrderEstimate:
     for t, (cloud, graph) in zip(scales, graphs):
         i = cloud.tip_index[b1.label]
         j = cloud.tip_index[b2.label]
+        if i == j:
+            raise ResolutionError(
+                f"pieces {b1.label!r}, {b2.label!r}: tips merged into one cloud "
+                f"point at scale {t}"
+            )
         d = inner_distance(graph, i, j)
         if math.isinf(d):
             raise DisconnectedError(

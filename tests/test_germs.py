@@ -1,7 +1,6 @@
 """Curve germs: construction, evaluation, reparametrization, series oracle,
 and the germ JSON format."""
 
-import json
 import math
 from fractions import Fraction
 
@@ -11,7 +10,6 @@ import pytest
 from lnegerm import (
     DomainError,
     InputError,
-    ReparametrizationError,
     WeightedMaxNorm,
     germ_set,
     germset_from_json,
@@ -19,9 +17,10 @@ from lnegerm import (
     load_germ_file,
     puiseux_branch,
     sample_cloud,
+    sample_germ,
     symbolic_separation_order,
 )
-from lnegerm.germs import merge_coincident, reparametrize_by_distance
+from lnegerm.germs import merge_coincident
 
 
 def line(direction, label="line", t_max=1.0):
@@ -69,12 +68,6 @@ class TestReparametrization:
         s = b.param_at_radius(0.25, norm)
         p = b.eval(s)
         assert math.isclose(float(np.max(np.abs(p))), 0.25, rel_tol=1e-12)
-
-    def test_points_land_on_spheres(self):
-        b = puiseux_branch([(1, (1, 0)), ((3, 2), (0, 1))], 1.0, "b")
-        scales = [0.2, 0.1, 0.05]
-        pts = reparametrize_by_distance(b, scales)
-        assert np.allclose(np.linalg.norm(pts, axis=1), scales, rtol=1e-9)
 
     def test_radius_beyond_reach(self):
         b = line((1, 0), t_max=0.1)
@@ -191,6 +184,13 @@ class TestSampling:
         germ = germ_set(branches=(line((1, 0)),), label="l")
         with pytest.raises(InputError):
             sample_cloud(germ, 0.5, 4)
+
+    def test_sample_germ_rejects_bad_ladders(self):
+        germ = germ_set(branches=(line((1, 0)),), label="l")
+        with pytest.raises(InputError, match="strictly decreasing"):
+            sample_germ(germ, [0.1, 0.2, 0.4], 16)
+        with pytest.raises(InputError, match="geometric sequence"):
+            sample_germ(germ, [0.4, 0.2, 0.15], 16)
 
     def test_merge_coincident_unions_labels(self):
         pts = np.array([[0.0, 0.0], [1e-12, 0.0], [1.0, 0.0]])

@@ -575,10 +575,10 @@ class TestPlaneMedialBranches:
 
         solve = medial._bisector_point
 
-        def failing_below(b1, b2, r, others, theta_min):
+        def failing_below(b1, b2, r, *rest):
             if r < 2.0**-7:
                 raise TraceError(f"no root at radius {r}")
-            return solve(b1, b2, r, others, theta_min)
+            return solve(b1, b2, r, *rest)
 
         monkeypatch.setattr(medial, "_bisector_point", failing_below)
         germ = builtin("abs_graph").germ()
@@ -662,6 +662,24 @@ def _horn_family(a_inner: float):
     return germ_set(surfaces=horns + (wall,), label="horn_family")
 
 
+def _dense_sheet(piece, ys, n: int = 720):
+    """A horn3d piece sampled on a grid over the heights ``ys``: n circle
+    angles per height for a horn, n + 1 abscissae across the wall."""
+    if isinstance(piece, HornPiece):
+        theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        y, th = np.meshgrid(ys, theta, indexing="ij")
+        cx, r = piece._cx_r(y)
+        return np.stack([piece.sign * (cx + r * np.cos(th)), y, r * np.sin(th)], axis=-1)
+    y, u = np.meshgrid(ys, np.linspace(-1.0, 1.0, n + 1), indexing="ij")
+    return np.stack([u * piece.half_width_coef * y**2, y, np.zeros_like(y)], axis=-1)
+
+
+def _sheet_error(sheet) -> float:
+    """A bound on how far a piece point over the sheet's heights lies from
+    the nearest grid point: the sum of the largest steps along both axes."""
+    return sum(float(np.linalg.norm(np.diff(sheet, axis=k), axis=-1).max()) for k in (0, 1))
+
+
 class TestHornTrace:
     """Medial branches of the horns: exact bisectors of the z = 0 trace."""
 
@@ -691,7 +709,7 @@ class TestHornTrace:
         assert coefs == [-1.0, -0.25, 0.25, 1.0]
         # a zero-width wall has one edge, the line x = 0
         (line,) = _z_trace(germ_set(surfaces=(WallPiece(label="w", half_width_coef=0.0),)))
-        assert len(line.terms) == 1 and line.terms[0][1].tolist() == [0.0, 1.0]
+        assert len(line.terms) == 1 and line.terms[0][1].tolist() == [0.0, 1.0, 0.0]
 
     def test_anchors_against_brute_force(self, horn_result):
         # no point of a dense (height, angle) grid on both horns and the
@@ -699,33 +717,57 @@ class TestHornTrace:
         # own error (its largest steps) bounds how far above d its minimum
         # sits, so a piece nearer by more than that error would show
         germ = builtin("horn3d").germ()
-        horns = [p for p in germ.surfaces if isinstance(p, HornPiece)]
-        (wall,) = [p for p in germ.surfaces if isinstance(p, WallPiece)]
-        theta = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-        u = np.linspace(-1.0, 1.0, 721)
         assert len(horn_result.axis.points) == 14
         for q, cluster in horn_result.axis.points:
             d = cluster.distance
             # only heights within d of q hold points nearer than d
             ys = np.linspace(max(q[1] - 1.5 * d, 0.0), q[1] + 1.5 * d, 301)
-            sheets = []
-            for horn in horns:
-                y, th = np.meshgrid(ys, theta, indexing="ij")
-                cx, r = horn._cx_r(y)
-                sheets.append(
-                    np.stack([horn.sign * (cx + r * np.cos(th)), y, r * np.sin(th)], axis=-1)
-                )
-            y, uu = np.meshgrid(ys, u, indexing="ij")
-            sheets.append(
-                np.stack([uu * wall.half_width_coef * y**2, y, np.zeros_like(y)], axis=-1)
-            )
+            sheets = [_dense_sheet(piece, ys) for piece in germ.surfaces]
             best = min(float(np.linalg.norm(s - q, axis=-1).min()) for s in sheets)
-            err = max(
-                sum(float(np.linalg.norm(np.diff(s, axis=k), axis=-1).max()) for k in (0, 1))
-                for s in sheets
-            )
+            err = max(_sheet_error(s) for s in sheets)
             assert err <= 0.05 * d
             assert d * (1.0 - 1e-9) <= best <= d + err, q
+
+    def test_slice_distance_is_exact(self):
+        # at points q of z = 0 the distance to each piece of horn3d is its
+        # slice distance: 0 where the piece covers q, else the distance to
+        # its trace.  Both sides are dense samples that overshoot the true
+        # distance by at most their own step error.
+        germ = builtin("horn3d").germ()
+        kinds = {"wall": 0, "tube": 0, "outside": 0}
+        for r in (2.0**-k for k in range(4, 9)):
+            # 40 points along x = k y^2 across the tubes and the strip, and
+            # 8 directions around the circle
+            dirs = [(k * r * r, r) for k in np.linspace(-1.6, 1.6, 40)]
+            dirs += [(math.cos(a), math.sin(a)) for a in np.arange(8) * math.pi / 4 + 0.1]
+            for v in dirs:
+                q = r * np.array([v[0], v[1], 0.0]) / math.hypot(*v)
+                k = abs(q[0]) / q[1] ** 2 if q[1] > 0 else math.inf
+                kinds["wall" if k <= 0.25 else "tube" if k < 1.0 else "outside"] += 1
+                y0 = max(q[1], 0.0)
+                for piece in germ.surfaces:
+                    branches = piece.trace()
+                    # the origin and the trace points at q's height bound the
+                    # trace distance, so the nearest trace point lies within
+                    # that bound of q's height
+                    bound = min([r] + [float(np.linalg.norm(b.eval(y0) - q)) for b in branches])
+                    ts = np.linspace(max(q[1] - bound, 0.0), q[1] + bound, 2001)
+                    pts = [b.eval(ts) for b in branches]
+                    err0 = max(float(np.linalg.norm(np.diff(p, axis=0), axis=-1).max()) for p in pts)
+                    if piece.covers(q):
+                        d0 = 0.0
+                    else:
+                        d0 = min(float(np.linalg.norm(p - q, axis=-1).min()) for p in pts)
+                    w = 1.5 * d0 + 1e-3 * r
+                    ys = np.linspace(max(q[1] - w, 0.0), q[1] + w, 201)
+                    sheet = _dense_sheet(piece, ys, 360)
+                    d3 = float(np.linalg.norm(sheet - q, axis=-1).min())
+                    slack = 1e-12 * r
+                    assert -err0 - slack <= d3 - d0 <= _sheet_error(sheet) + slack, (
+                        piece.label,
+                        q,
+                    )
+        assert min(kinds.values()) >= 20, kinds
 
     def test_grid_points_on_trace(self):
         # a grid point whose feet all lie on one horn is a tube center; the

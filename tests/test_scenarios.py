@@ -148,10 +148,11 @@ class TestRunResults:
         from lnegerm import medial, scenarios
 
         def no_grid(*args, **kwargs):
-            raise AssertionError("the medial grid ran")
+            raise AssertionError("the medial grid or a FootFinder ran")
 
         monkeypatch.setattr(scenarios, "extract_medial_axis_grid", no_grid)
         monkeypatch.setattr(medial, "extract_medial_axis_grid", no_grid)
+        monkeypatch.setattr(medial.FootFinder, "__init__", no_grid)
         res = run_scenario(builtin("horn3d"))
         assert res.status == "PASS"
 

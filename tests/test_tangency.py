@@ -9,6 +9,8 @@ import pytest
 from lnegerm import (
     DisconnectedError,
     InputError,
+    ResolutionError,
+    RunConfig,
     Verdict,
     builtin,
     estimate_order,
@@ -17,9 +19,10 @@ from lnegerm import (
     outer_tangency_order,
     pair_verdict,
     puiseux_branch,
+    run_scenario,
 )
 from lnegerm import tangency
-from lnegerm.scenarios import _pairwise_reports, combine_verdicts
+from lnegerm.scenarios import _pairwise_reports, combine_verdicts, scenario_for_germ
 
 SCALES = tuple(2.0 ** -k for k in range(3, 10))
 
@@ -117,6 +120,15 @@ class TestInnerOrder:
         with pytest.raises(DisconnectedError):
             # a tiny radius factor splits the graph at the origin junction
             inner_tangency_order(germ, b1, b2, SCALES, density=32, radius_factor=0.2)
+
+    def test_merged_tips_named(self):
+        # (-u, -u^5) and (-u, 0), u = s^{1/2}, separate like t^5: below the
+        # cloud's merge tolerance at the small scales their tips are one point
+        a = puiseux_branch([((1, 2), (-1, 0)), ((5, 2), (0, -1))], 1.0, "a")
+        b = puiseux_branch([((1, 2), (-1, 0))], 1.0, "b")
+        scn = scenario_for_germ(germ_set(branches=(a, b), label="merged"), RunConfig())
+        with pytest.raises(ResolutionError, match=r"'a', 'b': tips merged .* at scale"):
+            run_scenario(scn)
 
     def test_one_graph_per_scale(self, config, monkeypatch):
         # all three pairs of three_tangent read the same 7 per-scale graphs
