@@ -30,8 +30,7 @@ def horn_germ(a_inner: float):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--density", type=int, default=48)
-    args = ap.parse_args()
+    ap.parse_args()
 
     scn = builtin("horn3d")
     radii = [2.0**-k for k in range(4, 11)]
@@ -48,8 +47,7 @@ def main() -> int:
 
     germ = scn.germ()
     _, curves = medial_branch_germs(germ, scn.medial_scales)
-    medial = germ_set(branches=curves, label="horn_center_curves")
-    (rep,) = pair_reports(medial, [curves], scn.medial_scales, args.density)
+    (rep,) = pair_reports([curves], scn.medial_scales)
     print(f"horn3d center pair: outer order {rep.tord.slope:.5f} "
           f"(residual {rep.tord.residual:.4f}), inner order "
           f"{rep.tord_inn.slope:.6f} -> {rep.verdict.value}, "

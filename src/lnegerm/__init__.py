@@ -2,16 +2,16 @@
 
 The package decides and quantifies the LNE property for curve/surface germs
 at the origin: induced vs. inner (graph-geodesic) vs. pancake metrics,
-tangency orders and Lojasiewicz exponents via the arc criterion, medial
-branches from exact bisectors (and a grid medial-axis export), and link
-sections with the link-based LNE criterion.  A scenario registry packages the four canonical
+tangency orders and Lojasiewicz exponents via the arc criterion (inner
+distances of curve germs from arc lengths), medial branches from exact
+bisectors (and a grid medial-axis export), and link sections with the
+link-based LNE criterion.  A scenario registry packages the four canonical
 benchmark cases, and ``lnegerm.cli`` exposes everything as a command-line
 tool.
 """
 
 from .config import MedialConfig, RunConfig
 from .errors import (
-    DisconnectedError,
     DomainError,
     InputError,
     LnegermError,
@@ -30,7 +30,6 @@ from .germs import (
     load_germ_file,
     puiseux_branch,
     sample_cloud,
-    sample_germ,
     symbolic_separation_order,
 )
 from .links import LinkSample, LLNEReport, link_criterion_verdict, link_section, llne_test

@@ -50,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--t-max", type=float, default=None)
     common.add_argument("--levels", type=int, default=None)
     common.add_argument("--density", type=int, default=None)
-    common.add_argument("--radius-factor", type=float, default=None)
     common.add_argument("--order-tol", type=float, default=None)
     common.add_argument("--grid-res", type=float, default=None)
     common.add_argument("--tau", type=float, default=None)
@@ -87,7 +86,6 @@ _FLAG_FIELDS = {
     "t_max": "t_max",
     "levels": "levels",
     "density": "density",
-    "radius_factor": "graph_radius_factor",
     "order_tol": "order_tolerance",
     "norm": "norm_kind",
     "format": "output_format",

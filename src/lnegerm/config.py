@@ -1,10 +1,11 @@
 """Run configuration shared by the scenario runner and the CLI.
 
-A configuration bundles the geometric scale grid, the discretization knobs
-of the graph and medial pipelines, the ambient norm selector, and output
-options.  Everything downstream is deterministic for a fixed configuration;
-``seed`` is recorded in reports so that randomized *callers* (property
-tests, randomized germ generators) can tie their output to a run.
+A configuration bundles the geometric scale grid, the sampling density of
+link sections and point clouds, the medial knobs, the order tolerance of the
+arc criterion, the ambient norm selector, and output options.  Everything
+downstream is deterministic for a fixed configuration; ``seed`` is recorded
+in reports so that randomized *callers* (property tests, randomized germ
+generators) can tie their output to a run.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ class RunConfig:
     t_max: float = 2.0**-3
     levels: int = 7
     density: int = 32
-    graph_radius_factor: float = 4.0
     order_tolerance: float = 0.1
     medial: MedialConfig = field(default_factory=MedialConfig)
     norm_kind: str = "euclid"
@@ -70,8 +70,6 @@ class RunConfig:
             raise InputError(f"need at least {MIN_LEVELS} scale levels")
         if self.density < 8:
             raise InputError("density must be at least 8")
-        if self.graph_radius_factor <= 0:
-            raise InputError("graph radius factor must be positive")
         if self.order_tolerance <= 0:
             raise InputError("order tolerance must be positive")
         if self.norm_kind not in ("euclid", "maxv"):
@@ -97,7 +95,6 @@ class RunConfig:
             "t_max": self.t_max,
             "levels": self.levels,
             "density": self.density,
-            "graph_radius_factor": self.graph_radius_factor,
             "order_tolerance": self.order_tolerance,
             "medial": {
                 "window": (

@@ -21,17 +21,6 @@ class ResolutionError(LnegermError):
     """Sampling too coarse relative to the requested tolerance."""
 
 
-class DisconnectedError(LnegermError):
-    """Required points are in different graph components.
-
-    ``scale`` records the scale at which connectivity failed, when known.
-    """
-
-    def __init__(self, message, scale=None):
-        super().__init__(message)
-        self.scale = scale
-
-
 class TraceError(LnegermError):
     """A bisector solve failed at some radius: no bracket, no convergence, a
     residual too large, feet too close together, or a nearer branch or

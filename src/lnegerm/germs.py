@@ -3,9 +3,9 @@
 Curve germs are finite Puiseux sums with exact rational exponents and float
 coefficient vectors.  Surface germs are procedural samplers (see
 ``surfaces``).  This module owns evaluation, distance reparametrization,
-tangent half-lines, the exact separation-order oracle (dense power series
-on an integer lattice), sampling into point clouds, and the germ JSON file
-format.
+arc lengths, tangent half-lines, the exact separation-order oracle (dense
+power series on an integer lattice), sampling into point clouds, and the
+germ JSON file format.
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ class HalfLine:
         n = np.linalg.norm(d)
         if not math.isclose(n, 1.0, rel_tol=1e-9):
             raise InputError("half-line direction must be a unit vector")
+
+
+#: Gauss-Legendre nodes and weights on [-1, 1] for ``PuiseuxBranch.arc_length``
+_ARC_NODES, _ARC_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,9 +104,32 @@ class PuiseuxBranch:
         for scalar Python loops."""
         return tuple((float(e), tuple(float(v) for v in c)) for e, c in self.terms)
 
+    @cached_property
+    def u_powers(self) -> tuple:
+        """(N, powers): with s = u^N, N the lcm of the exponent denominators,
+        the branch is the polynomial sum_i coeff_i u^powers_i."""
+        n = math.lcm(*(e.denominator for e, _ in self.terms))
+        return n, tuple(int(e * n) for e, _ in self.terms)
+
     @property
     def max_radius(self) -> float:
         return float(np.linalg.norm(self.eval(self.t_max)))
+
+    def arc_length(self, r: float) -> float:
+        """Length of the branch from 0 to its radius-r point.
+
+        In u = s^{1/N} (see ``u_powers``) the speed N u^{N-1} |gamma'(u^N)|
+        is the norm of a polynomial vector, smooth on [0, u_r]; a fixed
+        Gauss-Legendre rule integrates it to rounding.
+        """
+        n, powers = self.u_powers
+        u_r = self.param_at_radius(r) ** (1.0 / n)
+        u = 0.5 * u_r * (_ARC_NODES + 1.0)
+        velocity = sum(
+            p * np.power(u, p - 1)[:, None] * np.asarray(c, dtype=float)
+            for p, (_, c) in zip(powers, self.terms)
+        )
+        return float(0.5 * u_r * _ARC_WEIGHTS @ np.linalg.norm(velocity, axis=1))
 
     def param_at_radius(self, r: float, norm=EUCLID) -> float:
         """Solve ||gamma(s)||_norm = r on the monotone initial range."""
@@ -215,8 +242,7 @@ def _aligned_components(b: PuiseuxBranch, cap: Fraction):
     With s = u^N (N the lcm of the exponent denominators) the branch is a
     polynomial u^m g(u), g(0) != 0; u = psi(t^{1/m}) inverts the norm.
     """
-    n_sub = math.lcm(*(e.denominator for e, _ in b.terms))
-    powers = [int(e * n_sub) for e, _ in b.terms]
+    _, powers = b.u_powers
     m = powers[0]
     poly = np.zeros((powers[-1] + 1, b.ambient_dim))
     for p, (_, c) in zip(powers, b.terms):
@@ -269,7 +295,8 @@ class GermSet:
     """Named union of curve pieces and procedural surface pieces at 0.
 
     ``branches`` may hold any objects with the curve-piece interface
-    (``label``, ``point_at_radius``, ``max_radius``); exact Puiseux branches
+    (``label``, ``point_at_radius``, ``max_radius``, and ``arc_length``, the
+    length from 0 to the radius-r point); exact Puiseux branches
     additionally support the series-level oracles.
     """
 
@@ -422,13 +449,6 @@ def check_scale_ladder(scales) -> None:
         raise InputError("scales must be strictly decreasing")
     if np.max(ratios) - np.min(ratios) > 1e-6:
         raise InputError("scales must form a geometric sequence")
-
-
-def sample_germ(set_: GermSet, scales, density: int) -> list:
-    """Per-scale clouds for a decreasing geometric scale sequence."""
-    scales = [float(t) for t in scales]
-    check_scale_ladder(scales)
-    return [sample_cloud(set_, t, density) for t in scales]
 
 
 # ---------------------------------------------------------------------------

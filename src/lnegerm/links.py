@@ -311,8 +311,6 @@ class LinkCriterionResult:
             "separation_fit": (
                 self.separation_fit.to_dict() if self.separation_fit else None
             ),
-            # always empty; kept so the canonical JSON keeps its schema
-            "pair_reports": [],
             "notes": list(self.notes),
         }
 

@@ -592,13 +592,15 @@ class SampledCurve:
     """Distance-parametrized curve known through exact anchor points.
 
     ``point_at_radius`` returns the anchor at the requested radius, or else
-    the point ``refiner`` solves for it, cached as a new anchor.
+    the point ``refiner`` solves for it, cached as a new anchor.  ``ladder``
+    holds the radii the curve was first anchored at.
     """
 
     label: str
     ambient_dim: int
     refiner: object  # callable(radius) -> point | None
     flags: list = field(default_factory=list)
+    ladder: tuple = ()
     _radii: list = field(default_factory=list)
     _points: dict = field(default_factory=dict)
 
@@ -653,6 +655,20 @@ class SampledCurve:
         p = np.asarray(q, dtype=float)
         self.add_anchor(p)
         return p.copy()
+
+    def arc_length(self, r: float) -> float:
+        """Length of the chord path from 0 through the points at the
+        ``ladder`` radii below r to the radius-r point.
+
+        Only ladder points are used, so the result does not depend on the
+        anchors earlier queries added; at a ladder radius it needs no new
+        solve.
+        """
+        r = float(r)
+        below = sorted(t for t in self.ladder if t < r * (1 - 1e-9))
+        path = [np.zeros(self.ambient_dim)] + [self.point_at_radius(t) for t in below]
+        path.append(self.point_at_radius(r))
+        return float(np.linalg.norm(np.diff(path, axis=0), axis=1).sum())
 
 
 def reaches_origin(curve: SampledCurve, radius: float) -> bool:
@@ -807,6 +823,7 @@ def medial_branch_germs(set_: GermSet, scales, theta_min: float = 0.2):
         if anchors:
             for q, _ in anchors:
                 curve.add_anchor(q)
+            curve.ladder = tuple(scales[: len(anchors)])
             points += anchors
             curves.append(curve)
     return MedialAxisSample(tuple(points), scales[-1], tuple(failures)), tuple(curves)

@@ -60,7 +60,6 @@ class Scenario:
     medial_window: tuple
     medial_resolution: float
     medial_scales: tuple
-    medial_density: int = 24
     notes: str = ""
 
     def __post_init__(self):
@@ -173,7 +172,6 @@ _REGISTRY = {
         medial_window=((-0.28, 0.28), (0.0, 0.64), (-0.1, 0.1)),
         medial_resolution=0.01,
         medial_scales=_MEDIAL_SCALES,
-        medial_density=48,
         notes="two horns with generator abscissae y^2 and y^2/4 (cross-"
         "sections are circles over the generator midpoint, diameter the "
         "generator gap) joined by the wall |x| <= y^2/4 in the z = 0 "
@@ -278,14 +276,9 @@ def combine_verdicts(reports) -> tuple:
     return verdict, l_val
 
 
-def _pairwise_reports(set_: GermSet, scales, config: RunConfig, density=None):
+def _pairwise_reports(set_: GermSet, scales, config: RunConfig):
     return pair_reports(
-        set_,
-        itertools.combinations(set_.branches, 2),
-        scales,
-        config.density if density is None else density,
-        order_tolerance=config.order_tolerance,
-        radius_factor=config.graph_radius_factor,
+        itertools.combinations(set_.branches, 2), scales, config.order_tolerance
     )
 
 
@@ -319,9 +312,9 @@ def run_scenario(s: Scenario, config: RunConfig | None = None) -> ScenarioResult
     )
 
     if germ.surfaces:
-        # the arc criterion's radius graphs do not join curves lying on a
-        # surface to it; the link criterion carries the set verdict (an
-        # LNE germ has exponent 1 by definition)
+        # arc lengths are inner distances only where the pieces meet at 0
+        # alone, and a curve may lie on a surface; the link criterion
+        # carries the set verdict (an LNE germ has exponent 1 by definition)
         set_reports = ()
         set_verdict = link.verdict
         l_set = 1.0 if set_verdict is Verdict.LNE else None
@@ -346,9 +339,7 @@ def run_scenario(s: Scenario, config: RunConfig | None = None) -> ScenarioResult
             label=f"{s.label}_medial",
             ambient_dim=germ.ambient_dim,
         )
-        medial_reports = _pairwise_reports(
-            medial_set, s.medial_scales, config, density=s.medial_density
-        )
+        medial_reports = _pairwise_reports(medial_set, s.medial_scales, config)
         medial_verdict, l_medial = combine_verdicts(medial_reports)
 
     checks = []

@@ -1,11 +1,12 @@
 """Tangency orders, the arc criterion for LNE, and pairwise Lojasiewicz exponents.
 
 Outer orders come from Euclidean distances between distance-parametrized
-curves; inner orders from graph geodesics inside per-scale clouds of the
-whole set.  Orders are slopes of log-log fits over a geometric scale grid,
-cross-checked against the exact series oracle where one exists.  The
-pairwise Lojasiewicz exponent is the ratio outer/inner order, so that a
-germ is LNE exactly when its exponent is 1.
+curves.  Near 0 the curve pieces of a germ meet only at 0, so the inner
+distance between their radius-t points is the sum of their arc lengths back
+to 0, and inner orders come from those.  Orders are slopes of log-log fits
+over a geometric scale grid, cross-checked against the exact series oracle
+where one exists.  The pairwise Lojasiewicz exponent is the ratio
+outer/inner order, so that a germ is LNE exactly when its exponent is 1.
 """
 
 from __future__ import annotations
@@ -17,15 +18,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DisconnectedError, InputError, ResolutionError
-from .germs import (
-    GermSet,
-    PuiseuxBranch,
-    check_scale_ladder,
-    sample_germ,
-    symbolic_separation_order,
-)
-from .metrics import build_graph, inner_distance
+from .errors import InputError
+from .germs import PuiseuxBranch, check_scale_ladder, symbolic_separation_order
+# build_graph and inner_distance are no longer called here, but
+# perfbench/tracer.py wraps tangency.build_graph and tangency.inner_distance
+# by name, so the names stay importable from this module.
+from .metrics import build_graph, inner_distance  # noqa: F401
 
 #: log-log fits are trusted when the RMS residual is below this and the fit
 #: spans at least MIN_SCALES scales.
@@ -146,42 +144,12 @@ def outer_tangency_order(b1, b2, scales):
     return fit, exact
 
 
-def _scale_graphs(set_: GermSet, scales, density: int, radius_factor: float) -> list:
-    """(cloud, graph) per scale: one cloud of the whole set per scale and
-    its radius graph, shared by every pair of pieces of the set."""
-    return [
-        (cloud, build_graph(cloud, radius_factor * cloud.spacing))
-        for cloud in sample_germ(set_, scales, density)
-    ]
-
-
-def _inner_order(graphs, scales, b1, b2) -> OrderEstimate:
-    samples = []
-    for t, (cloud, graph) in zip(scales, graphs):
-        i = cloud.tip_index[b1.label]
-        j = cloud.tip_index[b2.label]
-        if i == j:
-            raise ResolutionError(
-                f"pieces {b1.label!r}, {b2.label!r}: tips merged into one cloud "
-                f"point at scale {t}"
-            )
-        d = inner_distance(graph, i, j)
-        if math.isinf(d):
-            raise DisconnectedError(
-                f"pieces {b1.label!r}, {b2.label!r} disconnected at scale {t}",
-                scale=t,
-            )
-        samples.append((t, d))
-    return estimate_order(samples)
-
-
-def inner_tangency_order(
-    set_: GermSet, b1, b2, scales, density: int, radius_factor: float = 4.0
-) -> OrderEstimate:
-    """Inner order via graph geodesics between the distance-parametrized
-    points of the two pieces, inside the per-scale cloud of the whole set."""
-    return _inner_order(
-        _scale_graphs(set_, scales, density, radius_factor), scales, b1, b2
+def inner_tangency_order(b1, b2, scales) -> OrderEstimate:
+    """Inner order of tangency between two curve pieces meeting only at 0:
+    the fit of l1(t) + l2(t), the arc lengths from 0 to their radius-t
+    points (``arc_length``)."""
+    return estimate_order(
+        [(t, b1.arc_length(t) + b2.arc_length(t)) for t in scales]
     )
 
 
@@ -209,30 +177,14 @@ class TangencyReport:
         }
 
 
-def pair_reports(
-    set_: GermSet,
-    pairs,
-    scales,
-    density: int,
-    order_tolerance: float = 0.1,
-    radius_factor: float = 4.0,
-) -> tuple:
-    """Arc-criterion reports for pairs (b1, b2) of pieces of one set: LNE
-    iff outer and inner orders agree within the tolerance, with the
-    outer/inner ratio as the pairwise Lojasiewicz exponent.
-
-    Every outer order is fitted first; the set is then sampled and graphed
-    once per scale, and each pair reads its inner distances from those
-    graphs.
-    """
-    pairs = list(pairs)
-    outer = [outer_tangency_order(b1, b2, scales) for b1, b2 in pairs]
-    if not pairs:
-        return ()
-    graphs = _scale_graphs(set_, scales, density, radius_factor)
+def pair_reports(pairs, scales, order_tolerance: float = 0.1) -> tuple:
+    """Arc-criterion reports for pairs (b1, b2) of curve pieces: LNE iff
+    outer and inner orders agree within the tolerance, with the
+    outer/inner ratio as the pairwise Lojasiewicz exponent."""
     reports = []
-    for (b1, b2), (tord, exact) in zip(pairs, outer):
-        tord_inn = _inner_order(graphs, scales, b1, b2)
+    for b1, b2 in pairs:
+        tord, exact = outer_tangency_order(b1, b2, scales)
+        tord_inn = inner_tangency_order(b1, b2, scales)
         l_pair = tord.slope / tord_inn.slope
         if not (tord.confident and tord_inn.confident):
             verdict = Verdict.UNDECIDED
@@ -246,16 +198,6 @@ def pair_reports(
     return tuple(reports)
 
 
-def pair_verdict(
-    set_: GermSet,
-    b1,
-    b2,
-    scales,
-    density: int,
-    order_tolerance: float = 0.1,
-    radius_factor: float = 4.0,
-) -> TangencyReport:
+def pair_verdict(b1, b2, scales, order_tolerance: float = 0.1) -> TangencyReport:
     """Arc-criterion verdict for one pair (see ``pair_reports``)."""
-    return pair_reports(
-        set_, [(b1, b2)], scales, density, order_tolerance, radius_factor
-    )[0]
+    return pair_reports([(b1, b2)], scales, order_tolerance)[0]

@@ -6,18 +6,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from lnegerm import (
     DomainError,
     InputError,
     WeightedMaxNorm,
+    estimate_order,
     germ_set,
     germset_from_json,
     germset_to_json,
     load_germ_file,
     puiseux_branch,
     sample_cloud,
-    sample_germ,
     symbolic_separation_order,
 )
 from lnegerm.germs import merge_coincident
@@ -73,6 +74,34 @@ class TestReparametrization:
         b = line((1, 0), t_max=0.1)
         with pytest.raises(DomainError):
             b.param_at_radius(0.5)
+
+
+class TestArcLength:
+    RADII = (0.5, 2.0**-3, 2.0**-9)
+
+    def test_line_length_is_radius(self):
+        b = line((3, 4))
+        for r in self.RADII:
+            assert math.isclose(b.arc_length(r), r, rel_tol=1e-12)
+
+    def test_cusp_closed_form(self):
+        b = puiseux_branch([(1, (1, 0)), ((3, 2), (0, 1))], 1.0, "cusp")
+        for r in self.RADII:
+            s = b.param_at_radius(r)
+            exact = (8 / 27) * ((1 + 9 * s / 4) ** 1.5 - 1)
+            assert math.isclose(b.arc_length(r), exact, rel_tol=1e-12)
+
+    def test_matches_quad_on_thirds(self):
+        b = puiseux_branch(
+            [(1, (1, 0.3)), ((4, 3), (0, -2)), ((7, 3), (0.5, 1))], 1.0, "thirds"
+        )
+        for r in self.RADII:
+            s = b.param_at_radius(r)
+            ref, _ = quad(
+                lambda x: float(np.linalg.norm(b.eval_deriv(x))),
+                0.0, s, epsabs=0.0, epsrel=1e-13, limit=200,
+            )
+            assert math.isclose(b.arc_length(r), ref, rel_tol=1e-12)
 
 
 class TestSeparationOrder:
@@ -186,11 +215,11 @@ class TestSampling:
             sample_cloud(germ, 0.5, 4)
 
     def test_sample_germ_rejects_bad_ladders(self):
-        germ = germ_set(branches=(line((1, 0)),), label="l")
+        # estimate_order is the caller of the one scale-ladder check
         with pytest.raises(InputError, match="strictly decreasing"):
-            sample_germ(germ, [0.1, 0.2, 0.4], 16)
+            estimate_order([(t, t) for t in (0.1, 0.2, 0.4, 0.8, 1.6)])
         with pytest.raises(InputError, match="geometric sequence"):
-            sample_germ(germ, [0.4, 0.2, 0.15], 16)
+            estimate_order([(t, t) for t in (0.4, 0.2, 0.15, 0.1, 0.05)])
 
     def test_merge_coincident_unions_labels(self):
         pts = np.array([[0.0, 0.0], [1e-12, 0.0], [1.0, 0.0]])

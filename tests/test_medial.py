@@ -650,6 +650,25 @@ class TestBranchTracking:
             if not c.flags:
                 assert reaches_origin(c, 2.0 ** -10)
 
+    @pytest.mark.parametrize("label", ["three_tangent", "horn3d"])
+    def test_arc_length_against_dense_path(self, label):
+        # the ladder chord path against a path through the refiner's points
+        # at 16 radii per octave, from four octaves below the ladder
+        s = builtin(label)
+        _, curves = medial_branch_germs(s.germ(), s.medial_scales)
+        assert len(curves) == 2
+        lo, hi = min(s.medial_scales) / 16, max(s.medial_scales)
+        radii = lo * 2.0 ** (np.arange(round(16 * math.log2(hi / lo)) + 1) / 16)
+        for c in curves:
+            lengths = [c.arc_length(t) for t in s.medial_scales]
+            path = np.array([np.zeros(c.ambient_dim)] + [c.point_at_radius(r) for r in radii])
+            dense = np.cumsum(np.linalg.norm(np.diff(path, axis=0), axis=1))
+            for t, length in zip(s.medial_scales, lengths):
+                (k,) = np.flatnonzero(radii == t)
+                assert length == pytest.approx(dense[k], rel=1e-3)
+            # the dense queries added anchors; the ladder path ignores them
+            assert [c.arc_length(t) for t in s.medial_scales] == lengths
+
 
 def _horn_family(a_inner: float):
     """Two horns over x = +-y^2 and x = +-(y/a_inner)^2, joined by the wall

@@ -1,5 +1,6 @@
 """Order estimation, the arc criterion, and Lojasiewicz exponents."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,21 +8,23 @@ import numpy as np
 import pytest
 
 from lnegerm import (
-    DisconnectedError,
+    BUILTIN_LABELS,
     InputError,
-    ResolutionError,
     RunConfig,
     Verdict,
+    build_graph,
     builtin,
     estimate_order,
     germ_set,
+    inner_distance,
     inner_tangency_order,
     outer_tangency_order,
     pair_verdict,
     puiseux_branch,
     run_scenario,
+    sample_cloud,
 )
-from lnegerm import tangency
+from lnegerm import germs, links, medial, metrics, tangency
 from lnegerm.scenarios import _pairwise_reports, combine_verdicts, scenario_for_germ
 
 SCALES = tuple(2.0 ** -k for k in range(3, 10))
@@ -110,60 +113,77 @@ class TestOuterOrder:
 class TestInnerOrder:
     def test_transverse_lines_order_one(self):
         germ = builtin("abs_graph").germ()
-        fit = inner_tangency_order(germ, *germ.branches, SCALES, density=32)
+        fit = inner_tangency_order(*germ.branches, SCALES)
         assert fit.slope == pytest.approx(1.0, abs=0.02)
 
-    def test_disconnected_reported(self):
-        b1 = puiseux_branch([(1, (1, 0))], 1.0, "b1")
-        b2 = puiseux_branch([(1, (0, 1))], 1.0, "b2")
-        germ = germ_set(branches=(b1, b2), label="cross")
-        with pytest.raises(DisconnectedError):
-            # a tiny radius factor splits the graph at the origin junction
-            inner_tangency_order(germ, b1, b2, SCALES, density=32, radius_factor=0.2)
-
     def test_merged_tips_named(self):
-        # (-u, -u^5) and (-u, 0), u = s^{1/2}, separate like t^5: below the
-        # cloud's merge tolerance at the small scales their tips are one point
+        # (-u, -u^5) and (-u, 0), u = s^{1/2}, separate like t^5, below
+        # 1e-9 t at the small scales; their inner distance is still l1 + l2
         a = puiseux_branch([((1, 2), (-1, 0)), ((5, 2), (0, -1))], 1.0, "a")
         b = puiseux_branch([((1, 2), (-1, 0))], 1.0, "b")
         scn = scenario_for_germ(germ_set(branches=(a, b), label="merged"), RunConfig())
-        with pytest.raises(ResolutionError, match=r"'a', 'b': tips merged .* at scale"):
-            run_scenario(scn)
+        result = run_scenario(scn)
+        assert result.set_verdict is Verdict.NOT_LNE
+        (rep,) = result.set_reports
+        assert rep.tord_exact == 5
+        assert result.l_set == pytest.approx(5.0, abs=1e-3)
 
     def test_one_graph_per_scale(self, config, monkeypatch):
-        # all three pairs of three_tangent read the same 7 per-scale graphs
-        calls = []
-        build = tangency.build_graph
-        monkeypatch.setattr(
-            tangency, "build_graph", lambda *a: calls.append(1) or build(*a)
-        )
-        scales = tuple(2.0 ** -k for k in range(4, 11))
-        reports = _pairwise_reports(builtin("three_tangent").germ(), scales, config)
-        assert len(reports) == 3
-        assert len(calls) == len(scales)
+        # no builtin samples a cloud or builds a radius graph
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_scenario sampled a cloud or built a graph")
+
+        for mod, name in (
+            (germs, "sample_cloud"),
+            (medial, "sample_cloud"),
+            (metrics, "build_graph"),
+            (tangency, "build_graph"),
+            (links, "build_graph"),
+        ):
+            monkeypatch.setattr(mod, name, refuse)
+        for label in BUILTIN_LABELS:
+            assert run_scenario(builtin(label), config).passed
+
+    @pytest.mark.parametrize("label", ["cusp", "abs_graph", "three_tangent"])
+    def test_graph_agrees_with_arc_lengths(self, label, config):
+        # the radius graph of the whole set is the reference inner distance
+        germ = builtin(label).germ()
+        for t in config.scales():
+            cloud = sample_cloud(germ, t, config.density)
+            graph = build_graph(cloud, 4.0 * cloud.spacing)
+            for b1, b2 in itertools.combinations(germ.branches, 2):
+                d = inner_distance(graph, cloud.tip_index[b1.label], cloud.tip_index[b2.label])
+                arcs = b1.arc_length(t) + b2.arc_length(t)
+                assert d == pytest.approx(arcs, rel=1e-3)
+
+    def test_cubic_contact_reads_three(self, config):
+        # the branches come within 1e-9 t of each other at radii far below
+        # t, yet meet only at 0
+        b1 = puiseux_branch([(1, (1, 0))], 1.0, "b1")
+        b2 = puiseux_branch([(1, (1, 0)), (3, (0, -1))], 1.0, "b2")
+        scn = scenario_for_germ(germ_set(branches=(b1, b2), label="cubic"), config)
+        assert run_scenario(scn, config).l_set == pytest.approx(3.0, abs=5e-3)
 
 
 class TestPairVerdict:
     def test_cusp_not_lne(self, config):
         germ = builtin("cusp").germ()
-        rep = pair_verdict(germ, *germ.branches, SCALES, density=32)
+        rep = pair_verdict(*germ.branches, SCALES)
         assert rep.verdict is Verdict.NOT_LNE
         assert rep.lojasiewicz_pair == pytest.approx(1.5, abs=0.1)
 
     def test_abs_graph_lne(self):
         germ = builtin("abs_graph").germ()
-        rep = pair_verdict(germ, *germ.branches, SCALES, density=32)
+        rep = pair_verdict(*germ.branches, SCALES)
         assert rep.verdict is Verdict.LNE
         assert rep.lojasiewicz_pair == pytest.approx(1.0, abs=0.05)
 
     def test_order_tolerance_gate(self):
         # the LNE/NOT_LNE boundary is exactly |tord - tord_inn| <= tol
         germ = builtin("cusp").germ()
-        loose = pair_verdict(germ, *germ.branches, SCALES, density=32,
-                             order_tolerance=1.0)
+        loose = pair_verdict(*germ.branches, SCALES, order_tolerance=1.0)
         assert loose.verdict is Verdict.LNE
-        tight = pair_verdict(germ, *germ.branches, SCALES, density=32,
-                             order_tolerance=0.1)
+        tight = pair_verdict(*germ.branches, SCALES, order_tolerance=0.1)
         assert tight.verdict is Verdict.NOT_LNE
 
 
