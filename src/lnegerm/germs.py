@@ -17,11 +17,11 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, InputError, ReparametrizationError
 from .metrics import PointCloud, cluster_labels
 from .norms import EUCLID
+from .optimize import brentq
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,14 +116,18 @@ class PuiseuxBranch:
         return float(np.linalg.norm(self.eval(self.t_max)))
 
     def arc_length(self, r: float) -> float:
-        """Length of the branch from 0 to its radius-r point.
+        """Length of the branch from 0 to its radius-r point."""
+        return self.arc_length_at(self.param_at_radius(r))
+
+    def arc_length_at(self, s: float) -> float:
+        """Length of the branch from 0 to gamma(s).
 
         In u = s^{1/N} (see ``u_powers``) the speed N u^{N-1} |gamma'(u^N)|
         is the norm of a polynomial vector, smooth on [0, u_r]; a fixed
         Gauss-Legendre rule integrates it to rounding.
         """
         n, powers = self.u_powers
-        u_r = self.param_at_radius(r) ** (1.0 / n)
+        u_r = s ** (1.0 / n)
         u = 0.5 * u_r * (_ARC_NODES + 1.0)
         velocity = sum(
             p * np.power(u, p - 1)[:, None] * np.asarray(c, dtype=float)
@@ -146,14 +150,8 @@ class PuiseuxBranch:
                     f"branch {self.label!r}: radius {r} not reached within t_max"
                 )
             hi = min(hi * 1.5, self.t_max)
-        return float(
-            brentq(
-                lambda s: self.norm_at(s, norm) - r,
-                0.0,
-                hi,
-                xtol=1e-14 * hi,
-                rtol=8.9e-16,
-            )
+        return brentq(
+            lambda s: self.norm_at(s, norm) - r, 0.0, hi, xtol=1e-14 * hi, rtol=8.9e-16
         )
 
     def point_at_radius(self, r: float, norm=EUCLID) -> np.ndarray:

@@ -18,13 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import DomainError, InputError
 from .germs import GermSet, merge_coincident
 # build_graph is no longer called here, but perfbench/tracer.py wraps
 # links.build_graph by name, so the name stays importable from this module.
-from .metrics import build_graph, edge_matrix  # noqa: F401
+from .metrics import build_graph, components, edge_matrix  # noqa: F401
 from .norms import EUCLID
 from .tangency import MIN_SCALES, OrderEstimate, Verdict, estimate_order
 # pair_verdict is no longer called here, but perfbench/tracer.py wraps
@@ -55,7 +54,8 @@ class LinkSample:
     ``graph`` is the sparse adjacency matrix (weight = Euclidean edge
     length) joining each surface sample to its neighbours on the same piece
     in sampling order; curve points, one per branch, have edges only where
-    they lie on a surface piece.
+    they lie on a surface piece.  A section without edges (every curve
+    germ's) has ``graph`` None.
     ``component_of`` assigns each point a component id; an empty section is
     a valid value (the set misses that scale), flagged rather than raised.
     """
@@ -65,7 +65,7 @@ class LinkSample:
     points: np.ndarray
     labels: tuple
     params: tuple
-    graph: object  # scipy CSR matrix, None for an empty section
+    graph: object  # scipy CSR matrix, None for a section without edges
     component_of: np.ndarray
     component_count: int
     empty: bool
@@ -161,15 +161,14 @@ def link_section(set_: GermSet, t: float, norm=EUCLID, density: int = 32) -> Lin
         )
     pairs = np.sort(remap[np.array(edges, dtype=int).reshape(-1, 2)], axis=1)
     pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
-    graph = edge_matrix(pts, pairs)
-    ncomp, comp = connected_components(graph, directed=False)
+    ncomp, comp = components(len(pts), pairs)
     return LinkSample(
         scale=t,
         norm=norm,
         points=pts,
         labels=mlabels,
         params=mparams,
-        graph=graph,
+        graph=edge_matrix(pts, pairs) if len(pairs) else None,
         component_of=comp,
         component_count=ncomp,
         empty=False,
@@ -179,11 +178,13 @@ def link_section(set_: GermSet, t: float, norm=EUCLID, density: int = 32) -> Lin
 def _link_ratio(sample: LinkSample) -> float:
     """C(t): max over same-component pairs of inner/Euclidean distance.
 
-    Sections whose components are all singletons have no pairs and are
-    bounded trivially with C = 1.
+    Sections without edges have singleton components only, so no pairs,
+    and are bounded trivially with C = 1.
     """
     if sample.graph is None:
         return 1.0
+    from scipy.sparse.csgraph import dijkstra
+
     best = 1.0
     pts = sample.points
     for c in range(sample.component_count):

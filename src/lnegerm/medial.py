@@ -37,13 +37,11 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.spatial import cKDTree
 
 from .errors import DomainError, InputError, ResolutionError, TraceError
 from .germs import GermSet, HalfLine, PuiseuxBranch, sample_cloud
 from .metrics import cluster_labels
-from .optimize import golden_min
+from .optimize import brentq, golden_min
 
 # candidate directions more than the default theta_min apart seed new groups
 _COS_FOOT_SPLIT = math.cos(0.2)
@@ -229,6 +227,8 @@ class FootFinder:
     """Polished local nearest points of a germ, backed by one cloud sample."""
 
     def __init__(self, set_: GermSet, scale: float, density: int):
+        from scipy.spatial import cKDTree
+
         for b in set_.branches:
             if not isinstance(b, PuiseuxBranch):
                 raise InputError(f"curve piece {b.label!r}: feet need a Puiseux branch")
@@ -729,9 +729,10 @@ def _bisector_point(b1, b2, r: float, others, theta_min: float, surfaces):
 
     if not (gap(0.0) < 0.0 < gap(span)):
         raise TraceError(f"no equidistance bracket at radius {r}")
-    phi, info = brentq(gap, 0.0, span, xtol=1e-15, full_output=True, disp=False)
-    if not info.converged:
-        raise TraceError(f"equidistance solve did not converge at radius {r}")
+    try:
+        phi = brentq(gap, 0.0, span, xtol=1e-15)
+    except ResolutionError as exc:
+        raise TraceError(f"equidistance solve did not converge at radius {r}") from exc
     q, (d1, fp1, fm1), (d2, fp2, fm2) = feet(phi)
     if abs(d1 - d2) > _BISECTOR_RESIDUAL:
         raise TraceError(f"equidistance residual {abs(d1 - d2):.3e} at radius {r}")

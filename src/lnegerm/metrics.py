@@ -4,18 +4,20 @@ The neighborhood graph connects points of the same piece within a radius;
 points shared by several pieces (stored once, with the union of labels) are
 the only junctions between pieces.  This keeps graph geodesics inside the
 sampled set even where distinct pieces pass arbitrarily close to each other.
+
+Components and single-linkage clusters need only numpy (``components``,
+``cluster_labels``).  The radius graph, its CSR matrix and its shortest
+paths import scipy inside the functions that build or walk them.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components, dijkstra
-from scipy.spatial import cKDTree
 
 from .errors import InputError
 
@@ -64,11 +66,13 @@ class NeighborhoodGraph:
 
     cloud: PointCloud
     radius: float
-    matrix: sparse.csr_matrix
+    matrix: object  # scipy CSR matrix
     n_components: int
     component_of: np.ndarray
 
     def edge_array(self) -> np.ndarray:
+        from scipy import sparse
+
         coo = sparse.triu(self.matrix).tocoo()
         return np.column_stack([coo.row, coo.col])
 
@@ -78,6 +82,8 @@ def build_graph(cloud: PointCloud, radius: float) -> NeighborhoodGraph:
 
     An edge (i, j) requires ||p_i - p_j|| <= radius and a shared piece label.
     """
+    from scipy.spatial import cKDTree
+
     if radius <= 0:
         raise InputError("graph radius must be positive")
     pts = cloud.points
@@ -90,13 +96,15 @@ def build_graph(cloud: PointCloud, radius: float) -> NeighborhoodGraph:
             count=len(pairs),
         )
         pairs = pairs[keep]
-    mat = edge_matrix(pts, pairs)
-    ncomp, comp = connected_components(mat, directed=False)
-    return NeighborhoodGraph(cloud, radius, mat, ncomp, comp)
+    ncomp, comp = components(len(pts), pairs)
+    return NeighborhoodGraph(cloud, radius, edge_matrix(pts, pairs), ncomp, comp)
 
 
-def edge_matrix(pts: np.ndarray, pairs: np.ndarray) -> sparse.csr_matrix:
-    """Symmetric adjacency over distinct index pairs, weight = edge length."""
+def edge_matrix(pts: np.ndarray, pairs: np.ndarray):
+    """Symmetric scipy CSR adjacency over distinct index pairs, weight =
+    edge length."""
+    from scipy import sparse
+
     n = len(pts)
     if not len(pairs):
         return sparse.csr_matrix((n, n))
@@ -111,19 +119,105 @@ def edge_matrix(pts: np.ndarray, pairs: np.ndarray) -> sparse.csr_matrix:
     ).tocsr()
 
 
+def components(n: int, pairs) -> tuple:
+    """(count, labels): connected components of the undirected graph on
+    nodes 0..n-1 with edges ``pairs`` (an (m, 2) index array).
+
+    A union-find on whole arrays: each round hooks the larger root of every
+    edge whose ends have different roots onto the smaller, then compresses
+    paths until every node points at its root.  Roots are the lowest index
+    of their component, and components are numbered in that order (as
+    scipy's ``connected_components`` numbers them).
+    """
+    root = np.arange(n)
+    edges = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    u, v = edges[:, 0], edges[:, 1]
+    while True:
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        if not split.any():
+            break
+        ru, rv = ru[split], rv[split]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    is_root = root == np.arange(n)
+    return int(is_root.sum()), (np.cumsum(is_root) - 1)[root]
+
+
+#: up to this many points ``cluster_labels`` checks every pair
+ALL_PAIRS_MAX = 64
+
+
 def cluster_labels(points: np.ndarray, tol: float) -> np.ndarray:
     """Single-linkage groups of points closer than ``tol``.
 
     ``labels[i]`` is the group of point i.  Groups are numbered in the order
     of their lowest index, so that index is each group's representative.
+    A candidate pair joins when its squared distance is at most tol**2.
+    Up to ``ALL_PAIRS_MAX`` points every pair is a candidate; above that,
+    the pairs from ``_cube_pairs``.
     """
+    points = np.asarray(points, dtype=float)
     n = len(points)
-    pairs = cKDTree(points).query_pairs(r=tol, output_type="ndarray") if n > 1 else ()
-    if not len(pairs):
-        return np.arange(n)
-    adj = sparse.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    # undirected components are labelled by a scan in index order
-    return connected_components(adj, directed=False)[1]
+    if n <= ALL_PAIRS_MAX:
+        diff = points[:, None, :] - points[None, :, :]
+        i, j = np.nonzero(np.sum(diff * diff, axis=2) <= tol * tol)
+    else:
+        i, j = _cube_pairs(points, tol)
+        near = np.sum((points[i] - points[j]) ** 2, axis=1) <= tol * tol
+        i, j = i[near], j[near]
+    return components(n, np.column_stack([i, j]))[1]
+
+
+def _cube_pairs(points: np.ndarray, tol: float) -> tuple:
+    """(i, j): candidate pairs of points within ``tol``, i != j.
+
+    Each point is paired with the first copy of itself; the distinct
+    points are bucketed into cubes of side 2 tol, so two points within tol
+    lie in the same or adjacent cubes whatever the rounding of their cube
+    coordinates, and are paired with the points of their own cube and of
+    the lexicographically positive half of its neighbours.  The count grows
+    with the points plus the near pairs: a line of points, or many copies
+    of one point, does not inflate it.
+    """
+    order = np.lexsort(points.T[::-1])  # equal rows keep index order
+    rows = points[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    first = order[new]  # lowest index of each distinct point
+    pairs_i, pairs_j = [first[np.cumsum(new) - 1][~new]], [order[~new]]
+    if len(first) > 1 and tol > 0:
+        cells = np.floor(rows[new] / (2.0 * tol))
+        m, dim = cells.shape
+        # row 0 the cube itself, then its lexicographically positive
+        # neighbours, so each pair of cubes is visited once
+        shifts = np.array(
+            [o for o in itertools.product((-1, 0, 1), repeat=dim) if o >= (0,) * dim]
+        )
+        # mixed-radix key of each shifted cube from the ranks of its
+        # coordinates among those occupied on each axis; -1 where one is not
+        key = np.zeros((len(shifts), m), dtype=np.int64)
+        hit = np.ones((len(shifts), m), dtype=bool)
+        for col, shift in zip(cells.T, shifts.T):
+            vals, rank = np.unique(col, return_inverse=True)
+            rank = rank.reshape(1, -1) + shift[:, None]
+            hit &= vals[np.clip(rank, 0, len(vals) - 1)] == col + shift[:, None]
+            key = key * len(vals) + rank
+        key[~hit] = -1
+        by_cube = np.argsort(key[0], kind="stable")
+        sorted_keys = key[0][by_cube]
+        start = np.searchsorted(sorted_keys, key, side="left")
+        end = np.searchsorted(sorted_keys, key, side="right")
+        start[0, by_cube] = np.arange(m) + 1  # in its own cube, the later points only
+        count = np.maximum(end - start, 0).ravel()
+        at = np.repeat(np.cumsum(count) - count - start.ravel(), count)
+        pairs_i.append(first[np.repeat(np.tile(np.arange(m), len(shifts)), count)])
+        pairs_j.append(first[by_cube[np.arange(count.sum()) - at]])
+    return np.concatenate(pairs_i), np.concatenate(pairs_j)
 
 
 def inner_distance(graph: NeighborhoodGraph, i: int, j: int) -> float:
@@ -132,6 +226,8 @@ def inner_distance(graph: NeighborhoodGraph, i: int, j: int) -> float:
         return 0.0
     if graph.component_of[i] != graph.component_of[j]:
         return math.inf
+    from scipy.sparse.csgraph import dijkstra
+
     d = dijkstra(graph.matrix, directed=False, indices=i, min_only=False)
     return float(d[j])
 

@@ -1,4 +1,10 @@
-"""Tiny scalar minimization helper.
+"""Scalar root finding and minimization without scipy.
+
+``brentq`` is a line-for-line port of scipy's ``brentq.c`` (Brent 1973,
+*Algorithms for Minimization Without Derivatives*, ch. 4): for the same
+function, bracket and tolerances it makes the same evaluations and returns
+the same bits, and a call costs less than scipy's Python wrapper.  Keeping
+it here means analysing a germ never imports ``scipy.optimize``.
 
 Foot-point polishing evaluates cheap closed-form distance functions many
 thousands of times per extraction run, through a dependency-free
@@ -11,7 +17,87 @@ from __future__ import annotations
 
 import math
 
+from .errors import DomainError, InputError, ResolutionError
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: scipy's brentq defaults: absolute and relative (4 machine epsilon)
+#: tolerances, iteration cap
+XTOL = 2e-12
+RTOL = 4 * 2.220446049250313e-16
+MAXITER = 100
+
+
+def brentq(f, a: float, b: float, xtol: float = XTOL, rtol: float = RTOL,
+           maxiter: int = MAXITER) -> float:
+    """A root of f in the bracket [a, b] by Brent's method.
+
+    f(a) and f(b) must have opposite signs; the root is located to within
+    xtol + rtol |x|.  Raises ``InputError`` on bad tolerances or when f(a)
+    and f(b) have the same sign, ``DomainError`` when f returns NaN, and
+    ``ResolutionError`` when ``maxiter`` iterations do not converge.
+
+    At the top of the loop the root lies between xcur and xblk, xcur is the
+    latest estimate, xpre the previous one, and |f(xcur)| <= |f(xblk)|.
+    """
+    if not xtol > 0:
+        raise InputError(f"xtol too small ({xtol:g} <= 0)")
+    if not rtol >= RTOL:
+        raise InputError(f"rtol too small ({rtol:g} < {RTOL:g})")
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise DomainError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise InputError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ResolutionError(f"brentq did not converge in {maxiter} iterations (x={xcur})")
 
 
 def golden_min(f, lo: float, hi: float, iters: int = 48):
@@ -25,11 +111,14 @@ def golden_min(f, lo: float, hi: float, iters: int = 48):
     distance from 0, since the iters = 48 steps shrink the interval by
     0.618**48 ~ 1e-10.  Foot windows (8 cloud spacings on each side of the
     seed, ~0.16 wide on the horn3d grid) are far wider, so there the test
-    never fires and every call makes exactly 50 evaluations.
+    never fires and every call makes exactly 50 evaluations.  a and b stay
+    in [lo, hi], so the test cannot fire while b - a is above ``bound``
+    (twice its own threshold at most), and is evaluated only below it.
     """
     a, b = float(lo), float(hi)
     if not b > a:
         return a, f(a)
+    bound = 4e-15 * (max(abs(a), abs(b)) + 1e-9)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
@@ -42,6 +131,6 @@ def golden_min(f, lo: float, hi: float, iters: int = 48):
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = f(d)
-        if b - a <= 1e-15 * (abs(a) + abs(b) + 1e-9):
+        if b - a < bound and b - a <= 1e-15 * (abs(a) + abs(b) + 1e-9):
             break
     return (c, fc) if fc <= fd else (d, fd)

@@ -15,12 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, InputError, RegistryError
 from .germs import puiseux_branch
 from .norms import EUCLID
-from .optimize import golden_min
+from .optimize import brentq, golden_min
 
 
 def _generator(label: str, x_coef: float, y_max: float):

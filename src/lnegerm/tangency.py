@@ -15,6 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -114,19 +115,45 @@ def extrapolate_order(fit: OrderEstimate, values) -> OrderEstimate:
     return OrderEstimate(slope, intercept, fit.residual, fit.scales_used, fit.confident)
 
 
-def outer_tangency_order(b1, b2, scales):
+class _Ladder:
+    """A curve piece on a scale ladder: its radius-t points and the arc
+    lengths to them, each computed once.  A Puiseux branch solves each
+    radius once (``param_at_radius``) for both."""
+
+    def __init__(self, piece, scales):
+        self.piece = piece
+        self.scales = [float(t) for t in scales]
+
+    @cached_property
+    def params(self) -> list:
+        return [self.piece.param_at_radius(t) for t in self.scales]
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        if isinstance(self.piece, PuiseuxBranch):
+            return np.array([self.piece.eval(s) for s in self.params])
+        return np.array([self.piece.point_at_radius(t) for t in self.scales])
+
+    @cached_property
+    def lengths(self) -> list:
+        if isinstance(self.piece, PuiseuxBranch):
+            return [self.piece.arc_length_at(s) for s in self.params]
+        return [self.piece.arc_length(t) for t in self.scales]
+
+
+def outer_tangency_order(b1, b2, scales, ladders=None):
     """(fit, exact) outer order of tangency between two curve pieces.
 
     The exact rational value is attached when both pieces are Puiseux
     branches and the series oracle decides; ``exact`` is None otherwise.
     Between two Puiseux branches the distances are exact up to rounding, so
     the fitted slope is extrapolated to the limit (``extrapolate_order``);
-    sampled pieces keep the plain fit.
+    sampled pieces keep the plain fit.  ``ladders`` are the pieces'
+    ``_Ladder`` on ``scales`` when the caller keeps them.
     """
     scales = [float(t) for t in scales]
-    p1 = np.array([b1.point_at_radius(t) for t in scales])
-    p2 = np.array([b2.point_at_radius(t) for t in scales])
-    d = np.linalg.norm(p1 - p2, axis=1)
+    l1, l2 = ladders or (_Ladder(b1, scales), _Ladder(b2, scales))
+    d = np.linalg.norm(l1.points - l2.points, axis=1)
     exact = None
     infinite = False
     series_pair = isinstance(b1, PuiseuxBranch) and isinstance(b2, PuiseuxBranch)
@@ -144,12 +171,13 @@ def outer_tangency_order(b1, b2, scales):
     return fit, exact
 
 
-def inner_tangency_order(b1, b2, scales) -> OrderEstimate:
+def inner_tangency_order(b1, b2, scales, ladders=None) -> OrderEstimate:
     """Inner order of tangency between two curve pieces meeting only at 0:
     the fit of l1(t) + l2(t), the arc lengths from 0 to their radius-t
-    points (``arc_length``)."""
+    points (``arc_length``).  ``ladders`` as in ``outer_tangency_order``."""
+    l1, l2 = ladders or (_Ladder(b1, scales), _Ladder(b2, scales))
     return estimate_order(
-        [(t, b1.arc_length(t) + b2.arc_length(t)) for t in scales]
+        [(t, a1 + a2) for t, a1, a2 in zip(scales, l1.lengths, l2.lengths)]
     )
 
 
@@ -180,11 +208,14 @@ class TangencyReport:
 def pair_reports(pairs, scales, order_tolerance: float = 0.1) -> tuple:
     """Arc-criterion reports for pairs (b1, b2) of curve pieces: LNE iff
     outer and inner orders agree within the tolerance, with the
-    outer/inner ratio as the pairwise Lojasiewicz exponent."""
+    outer/inner ratio as the pairwise Lojasiewicz exponent.  Each piece is
+    put on the ladder once, however many pairs it is in."""
     reports = []
+    ladders = {}  # id(piece) -> _Ladder; the pieces live in ``pairs``
     for b1, b2 in pairs:
-        tord, exact = outer_tangency_order(b1, b2, scales)
-        tord_inn = inner_tangency_order(b1, b2, scales)
+        pair = tuple(ladders.setdefault(id(b), _Ladder(b, scales)) for b in (b1, b2))
+        tord, exact = outer_tangency_order(b1, b2, scales, pair)
+        tord_inn = inner_tangency_order(b1, b2, scales, pair)
         l_pair = tord.slope / tord_inn.slope
         if not (tord.confident and tord_inn.confident):
             verdict = Verdict.UNDECIDED

@@ -588,6 +588,17 @@ class TestPlaneMedialBranches:
         assert len(axis.points) == 4
         assert not reaches_origin(curves[0], 2.0**-9)
 
+    def test_unconverged_solve_is_a_trace_failure(self, monkeypatch):
+        from lnegerm import medial, optimize
+
+        monkeypatch.setattr(
+            medial, "brentq", lambda f, a, b, **kw: optimize.brentq(f, a, b, maxiter=1, **kw)
+        )
+        axis, curves = medial_branch_germs(builtin("cusp").germ(), [0.1, 0.05])
+        assert curves == ()
+        assert axis.failures
+        assert all("did not converge" in msg for _, msg in axis.failures)
+
     def test_solve_lets_other_errors_through(self, monkeypatch):
         from lnegerm import medial
 

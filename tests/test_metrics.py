@@ -22,7 +22,8 @@ from lnegerm import (
     puiseux_branch,
     sample_cloud,
 )
-from lnegerm.metrics import cluster_labels
+from lnegerm import metrics
+from lnegerm.metrics import cluster_labels, components
 
 
 def _cross_cloud(density=16):
@@ -75,6 +76,62 @@ def test_cluster_labels_chain():
     far, a, c, b = (9.0, 9.0), (0.0, 0.0), (2.0, 0.0), (1.0, 0.0)
     labels = cluster_labels(np.array([far, a, c, b]), tol=1.2)
     assert labels.tolist() == [0, 1, 1, 1]
+
+
+def test_components_match_scipy():
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(1, 120))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+        adj = sparse.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+        want_count, want = connected_components(adj, directed=False)
+        count, labels = components(n, pairs)
+        assert count == want_count
+        assert labels.tolist() == want.tolist()
+
+
+def _single_linkage(points, tol):
+    """Reference groups: every pair within tol joins."""
+    n = len(points)
+    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    return components(n, np.argwhere(d2 <= tol * tol))[1]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cluster_labels_random_clouds(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(40):
+        n = int(rng.integers(metrics.ALL_PAIRS_MAX + 1, 400))
+        pts = np.round(rng.random((n, dim)), 1 + int(rng.integers(0, 3)))
+        tol = float(rng.uniform(0.001, 0.2))
+        assert cluster_labels(pts, tol).tolist() == _single_linkage(pts, tol).tolist()
+
+
+@pytest.mark.parametrize(
+    "cloud",
+    [
+        lambda s: np.column_stack([np.full_like(s, 0.3), s, np.full_like(s, -0.2)]),
+        lambda s: np.column_stack([s, np.full_like(s, 0.7)]),
+        lambda s: np.column_stack([s, -s, 2 * s]) / 3.0,
+        lambda s: np.tile([0.25, -0.5, 0.125], (len(s), 1)),
+    ],
+    ids=["line_y", "line_x", "diagonal", "coincident"],
+)
+def test_cluster_labels_degenerate_clouds(cloud):
+    # each point twice, in runs of three 1e-3 apart with gaps of 2e-3: at
+    # tol 1.5e-3 a run is one group (on the diagonal too, where both
+    # shrink by 0.82)
+    s = np.repeat(np.cumsum(np.where(np.arange(300) % 3 == 0, 2e-3, 1e-3)), 2)
+    pts = cloud(s)
+    tol = 1.5e-3
+    labels = cluster_labels(pts, tol)
+    assert labels.tolist() == _single_linkage(pts, tol).tolist()
+    assert labels.max() + 1 == (1 if (pts == pts[0]).all() else 100)
+    # the cube candidates stay linear in the points
+    assert len(metrics._cube_pairs(pts, tol)[0]) <= 20 * len(pts)
 
 
 # ---------------------------------------------------------------------------
