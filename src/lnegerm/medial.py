@@ -114,8 +114,10 @@ def _project_branch(branch: PuiseuxBranch, x, seed: float, window: float):
         s = s_new
     if not converged:
         s, _ = golden_min(dist_at, lo, hi)
-    p = branch.eval(s)
-    return float(np.linalg.norm(p - np.asarray(x, dtype=float))), p, float(s)
+    p = branch.eval(float(s))
+    d = p - np.asarray(x, dtype=float)
+    # np.linalg.norm of a vector is exactly sqrt(d.dot(d)), at several times the cost
+    return math.sqrt(d.dot(d)), p, float(s)
 
 
 def _direction_groups(vecs: np.ndarray, dists: np.ndarray):
@@ -684,13 +686,14 @@ def _angle(p) -> float:
     return math.atan2(float(p[1]), float(p[0]))
 
 
-def _sectors_below_pi(branches, r: float) -> list:
+def _sectors_below_pi(branches, r: float, param) -> list:
     """(b1, b2) for each cyclically adjacent pair of plane branches whose
-    counterclockwise opening from b1 to b2, seen at radius r, is below pi."""
+    counterclockwise opening from b1 to b2, seen at radius r, is below pi.
+    ``param(b, r)`` is b's radius-r parameter."""
     if len(branches) < 2:
         return []
     ordered = sorted(
-        ((_angle(b.point_at_radius(r)), k) for k, b in enumerate(branches))
+        ((_angle(b.eval(param(b, r))), k) for k, b in enumerate(branches))
     )
     pairs = []
     for (a1, k1), (a2, k2) in zip(ordered, ordered[1:] + ordered[:1]):
@@ -699,10 +702,10 @@ def _sectors_below_pi(branches, r: float) -> list:
     return pairs
 
 
-def _bisector_point(b1, b2, r: float, others, theta_min: float, surfaces):
+def _bisector_point(b1, b2, r: float, others, theta_min: float, surfaces, param):
     """(q, NearestPointCluster): the point q = r (cos phi, sin phi, 0, ...)
     in the sector swept counterclockwise from b1 to b2, equidistant from
-    both branches.
+    both branches.  ``param(b, r)`` is b's radius-r parameter.
 
     The unknown is the angle of q from b1's radius-r point.  The distance gap
     to the local feet near each branch's radius-r parameter is negative at
@@ -714,7 +717,7 @@ def _bisector_point(b1, b2, r: float, others, theta_min: float, surfaces):
     and when a piece of ``surfaces`` covers q (q lies on the set);
     ``DomainError`` when a branch does not reach radius r.
     """
-    s1, s2 = b1.param_at_radius(r), b2.param_at_radius(r)
+    s1, s2 = param(b1, r), param(b2, r)
     a1 = _angle(b1.eval(s1))
     span = (_angle(b2.eval(s2)) - a1) % (2.0 * math.pi)
     pad = [0.0] * (b1.ambient_dim - 2)
@@ -741,7 +744,7 @@ def _bisector_point(b1, b2, r: float, others, theta_min: float, surfaces):
         raise TraceError(f"feet {ang:.3g} rad apart at radius {r}")
     dist = 0.5 * (d1 + d2)
     for b in others:
-        sb = b.param_at_radius(r)
+        sb = param(b, r)
         if _project_branch(b, q, sb, sb + r)[0] < dist - _BISECTOR_RESIDUAL:
             raise TraceError(f"branch {b.label!r} is nearer at radius {r}")
     for piece in surfaces:
@@ -798,12 +801,22 @@ def medial_branch_germs(set_: GermSet, scales, theta_min: float = 0.2):
     if trace is None:
         cause = "not symmetric under z -> -z" if dim == 3 else f"no bisectors in dimension {dim}"
         return MedialAxisSample((), scales[-1], ((scales[0], cause),)), ()
+    # each (branch, radius) parameter is solved once for all the sectors
+    # and bisectors of this call; the table lives with this call's curves,
+    # never on a branch, which later analyses may share
+    solved: dict = {}
+
+    def param(b, r):
+        if (b, r) not in solved:
+            solved[b, r] = b.param_at_radius(r)
+        return solved[b, r]
+
     points, failures, curves = [], [], []
-    for b1, b2 in _sectors_below_pi(trace, scales[-1]):
+    for b1, b2 in _sectors_below_pi(trace, scales[-1], param):
         others = tuple(b for b in trace if b is not b1 and b is not b2)
 
         def solve(r, b1=b1, b2=b2, others=others):
-            return _bisector_point(b1, b2, r, others, theta_min, set_.surfaces)
+            return _bisector_point(b1, b2, r, others, theta_min, set_.surfaces, param)
 
         def refiner(r, solve=solve):
             try:

@@ -60,13 +60,15 @@ class HornPiece:
         return 0.5 * (x_out + x_in), 0.5 * (x_out - x_in)
 
     def eval_param(self, prm) -> np.ndarray:
+        return np.array(self._point(prm))
+
+    def _point(self, prm) -> list:
+        """The point at (y, theta) as a list of floats, for scalar solves."""
         y, theta = prm
         if y < 0 or y > self.y_max * (1 + 1e-12):
             raise DomainError(f"horn {self.label!r}: height outside [0, {self.y_max}]")
         cx, r = self._cx_r(y)
-        return np.array(
-            [self.sign * (cx + r * math.cos(theta)), y, r * math.sin(theta)]
-        )
+        return [self.sign * (cx + r * math.cos(theta)), y, r * math.sin(theta)]
 
     def sample(self, scale: float, density: int):
         pts, params = [], []
@@ -194,7 +196,8 @@ class HornPiece:
             theta = math.atan2(wz, wx - cx) if w > 1e-300 else theta0
         prm = (y, theta % full)
         p = self.eval_param(prm)
-        dist = float(np.linalg.norm(p - x))
+        d = p - x
+        dist = math.sqrt(d.dot(d))  # exactly np.linalg.norm of a vector
         if slot is not None and not clamped:
             slot[0] = (dist, p.copy(), prm), seen
         return dist, p, prm
@@ -233,7 +236,7 @@ class HornPiece:
             theta = 2 * math.pi * k / n_theta
 
             def g(y):
-                return float(norm(self.eval_param((y, theta)))) - t
+                return norm.of(self._point((y, theta))) - t
 
             if g(y_hi) < 0:
                 continue
@@ -279,12 +282,16 @@ class WallPiece:
             raise InputError("wall needs half_width_coef >= 0")
 
     def eval_param(self, prm) -> np.ndarray:
+        return np.array(self._point(prm))
+
+    def _point(self, prm) -> list:
+        """The point at (u, y) as a list of floats, for scalar solves."""
         u, y = prm
         if y < 0 or y > self.y_max * (1 + 1e-12):
             raise DomainError(f"wall {self.label!r}: height outside [0, {self.y_max}]")
         if abs(u) > 1 + 1e-12:
             raise DomainError(f"wall {self.label!r}: u outside [-1, 1]")
-        return np.array([u * self.half_width_coef * y * y, y, 0.0])
+        return [u * self.half_width_coef * y * y, y, 0.0]
 
     def sample(self, scale: float, density: int):
         pts, params = [], []
@@ -344,7 +351,8 @@ class WallPiece:
         half = c * y * y
         u = min(max(x0 / half, -1.0), 1.0) if half > 0 else 0.0
         p = self.eval_param((u, y))
-        dist = float(np.linalg.norm(p - x))
+        d = p - x
+        dist = math.sqrt(d.dot(d))
         if shared is not None and not pinned:
             shared[key] = (dist, p.copy(), (u, y))
         return dist, p, (u, y)
@@ -378,10 +386,10 @@ class WallPiece:
         pts, params, edges = [], [], []
         y_hi = min(self.y_max, t * 1.5)
         prev = None
-        for j, u in enumerate(np.linspace(-1.0, 1.0, max(8, density // 2) + 1)):
+        for j, u in enumerate(np.linspace(-1.0, 1.0, max(8, density // 2) + 1).tolist()):
 
             def g(y):
-                return float(norm(self.eval_param((u, y)))) - t
+                return norm.of(self._point((u, y))) - t
 
             if g(y_hi) < 0:
                 continue

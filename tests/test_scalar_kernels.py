@@ -1,0 +1,220 @@
+"""Scalar point kernels: bitwise equal to the array paths they stand in for.
+
+A float parameter takes ``PuiseuxBranch._point`` and ``norm.of``; arrays
+take ``eval`` and the norm's ``__call__``.  Each pair must give the same
+bits, so every comparison here is on the float's hex or the array's bytes.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from lnegerm import (
+    EUCLID,
+    DomainError,
+    RunConfig,
+    WeightedMaxNorm,
+    builtin,
+    puiseux_branch,
+    run_scenario,
+    surfaces,
+)
+from lnegerm.germs import PuiseuxBranch
+from lnegerm.norms import EuclideanNorm
+from lnegerm.report import canonical_json
+from lnegerm.surfaces import HornPiece, WallPiece
+
+
+def _branches(seed):
+    """Seeded 2D and 3D branches whose exponents have denominators 1-3."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(40):
+        dim = 2 + k % 2
+        dens = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        exps = sorted({Fraction(rng.randint(1, 4 * d), d) for d in dens})
+        terms = [(e, [rng.uniform(-3.0, 3.0) for _ in range(dim)]) for e in exps]
+        out.append(puiseux_branch(terms, rng.uniform(0.05, 2.0), f"b{k}"))
+    return out
+
+
+def _params(b, rng):
+    return [0.0, 1e-12, b.t_max] + [rng.uniform(0.0, b.t_max) for _ in range(50)]
+
+
+def _norms(dim):
+    return (EUCLID, WeightedMaxNorm(tuple(0.5 + 0.25 * k for k in range(dim))))
+
+
+def test_branch_point_matches_array_eval():
+    rng = random.Random(1)
+    for b in _branches(0):
+        for s in _params(b, rng):
+            ref = b.eval(np.asarray(s))
+            got = b.eval(s)
+            assert got.dtype == ref.dtype and got.shape == ref.shape == (b.ambient_dim,)
+            assert got.tobytes() == ref.tobytes(), (b.label, s)
+
+
+def test_denominators_covered():
+    dens = {e.denominator for b in _branches(0) for e, _ in b.terms}
+    assert dens == {1, 2, 3}
+
+
+def test_norm_at_matches_array_norm():
+    rng = random.Random(2)
+    for b in _branches(0):
+        for norm in _norms(b.ambient_dim):
+            for s in _params(b, rng):
+                ref = norm(b.eval(np.asarray(s)))
+                got = b.norm_at(s, norm)
+                assert type(got) is float
+                assert got.hex() == float(ref).hex(), (b.label, norm, s)
+
+
+def test_norm_of_matches_array_call():
+    rng = np.random.default_rng(3)
+    for dim in (2, 3):
+        # magnitudes from 1e-13 to 1e13, so sums of squares mix exponents
+        pts = rng.standard_normal((20000, dim)) * np.exp(rng.uniform(-30, 30, (20000, 1)))
+        for norm in _norms(dim):
+            ref = norm(pts)
+            got = np.array([norm.of(p) for p in pts.tolist()])
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_branch_domain_errors_on_both_paths():
+    for b in _branches(0)[:8]:
+        for s in (-1e-300, -0.5, math.nextafter(b.t_max * (1 + 1e-12), math.inf), 2 * b.t_max):
+            with pytest.raises(DomainError):
+                b.eval(s)
+            with pytest.raises(DomainError):
+                b.eval(np.asarray(s))
+            with pytest.raises(DomainError):
+                b.norm_at(s)
+        # the tolerance above t_max holds on both paths alike
+        edge = b.t_max * (1 + 1e-12)
+        assert b.eval(edge).tobytes() == b.eval(np.asarray(edge)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Surface sections: each ray's Brent function against the array point
+# ---------------------------------------------------------------------------
+
+
+def _ref_horn_point(self, prm):
+    y, theta = prm
+    if y < 0 or y > self.y_max * (1 + 1e-12):
+        raise DomainError("height")
+    cx, r = self._cx_r(y)
+    return np.array([self.sign * (cx + r * math.cos(theta)), y, r * math.sin(theta)])
+
+
+def _ref_wall_point(self, prm):
+    u, y = prm
+    if y < 0 or y > self.y_max * (1 + 1e-12):
+        raise DomainError("height")
+    if abs(u) > 1 + 1e-12:
+        raise DomainError("u")
+    return np.array([u * self.half_width_coef * y * y, y, 0.0])
+
+
+def _recorded_rays(monkeypatch, piece, t, norm, heights):
+    """(section, rays): the section, and per ray, in ray order, the heights
+    ``heights(y_hi)`` with the values of the function the section handed to
+    brentq there and whether it raised DomainError below 0 and above y_max.
+
+    A ray function reads its ray's coordinate from the section's loop, so
+    it is evaluated while brentq holds it."""
+    rays = []
+    solve = surfaces.brentq
+
+    def recording(f, a, b, **kw):
+        ys = heights(b)
+        outside = []
+        for y in (-1e-9, piece.y_max * 1.01):
+            try:
+                f(y)
+            except DomainError:
+                outside.append(y)
+        rays.append((ys, [f(y) for y in ys], outside))
+        return solve(f, a, b, **kw)
+
+    monkeypatch.setattr(surfaces, "brentq", recording)
+    out = piece.section(t, norm=norm)
+    monkeypatch.setattr(surfaces, "brentq", solve)
+    return out, rays
+
+
+_SURFACES = [
+    (HornPiece(label="pos"), _ref_horn_point, 1),
+    (HornPiece(label="neg", sign=-1.0, a_outer=0.7, a_inner=1.9, y_max=0.8), _ref_horn_point, 1),
+    (WallPiece(label="wall"), _ref_wall_point, 0),
+    (WallPiece(label="wide", half_width_coef=3.0, y_max=0.6), _ref_wall_point, 0),
+]
+_IDS = [piece.label for piece, _, _ in _SURFACES]
+
+
+@pytest.mark.parametrize("piece, ref_point, fixed", _SURFACES, ids=_IDS)
+@pytest.mark.parametrize("t", [0.003, 0.07, 0.5])
+def test_section_ray_functions_match_array_point(monkeypatch, piece, ref_point, fixed, t):
+    rng = random.Random(4)
+
+    def heights(y_hi):
+        return [0.0, y_hi] + [rng.uniform(0.0, y_hi) for _ in range(20)]
+
+    for norm in _norms(3):
+        (pts, params, _), rays = _recorded_rays(monkeypatch, piece, t, norm, heights)
+        assert len(rays) == len(params) > 0
+        for (ys, values, outside), prm in zip(rays, params):
+            other = prm[fixed]  # the ray's fixed coordinate: theta or u
+            for y, v in zip(ys, values):
+                at = (y, other) if fixed else (other, y)
+                ref = float(norm(ref_point(piece, at))) - t
+                assert v.hex() == ref.hex(), (piece.label, t, prm, y)
+            assert outside == [-1e-9, piece.y_max * 1.01]
+        for p, prm in zip(pts, params):
+            assert p.tobytes() == ref_point(piece, prm).tobytes()
+
+
+@pytest.mark.parametrize("piece, ref_point, fixed", _SURFACES, ids=_IDS)
+def test_surface_domain_errors_on_both_paths(piece, ref_point, fixed):
+    for y in (-1e-12, piece.y_max * (1 + 1e-9)):
+        prm = (y, 0.3) if fixed else (0.3, y)
+        with pytest.raises(DomainError):
+            piece.eval_param(prm)
+        with pytest.raises(DomainError):
+            piece._point(prm)
+        with pytest.raises(DomainError):
+            ref_point(piece, prm)
+
+
+# ---------------------------------------------------------------------------
+# End to end: the scalar paths routed back through the array paths
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("label", ["cusp", "abs_graph", "three_tangent", "horn3d"])
+def test_builtin_bytes_without_scalar_paths(monkeypatch, label):
+    config = RunConfig()
+    fast = canonical_json(run_scenario(builtin(label), config).to_dict())
+
+    calls = {"point": 0, "of": 0}
+
+    def array_point(self, s):
+        calls["point"] += 1
+        return self.eval(np.asarray(s)).tolist()
+
+    def array_of(self, xs):
+        calls["of"] += 1
+        return float(self(np.array(xs)))
+
+    monkeypatch.setattr(PuiseuxBranch, "_point", array_point)
+    for kind in (EuclideanNorm, WeightedMaxNorm):
+        monkeypatch.setattr(kind, "of", array_of)
+    slow = canonical_json(run_scenario(builtin(label), config).to_dict())
+    assert calls["point"] > 0 and calls["of"] > 0
+    assert slow == fast

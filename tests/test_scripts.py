@@ -61,3 +61,14 @@ def test_horn_center_curves(monkeypatch, capsys):
     assert abs(float(outer) - 2.0) <= 0.01
     assert abs(float(inner) - 1.0) <= 0.01
     assert "-> NOT_LNE" in out
+
+
+def test_digests_repeat(capsys):
+    script = _load("digests")
+    outs = []
+    for _ in range(2):
+        assert script.main(["--workloads", "arc_fan", "--seeds", "3"]) == 0
+        outs.append(capsys.readouterr().out)
+    # one line per germ; a second run of the same germ gives the same bytes
+    assert re.fullmatch(r"arc_fan 3 arc_fan [0-9a-f]{64}\n", outs[0])
+    assert outs[1] == outs[0]
