@@ -9,12 +9,18 @@ raises prints ``raised <type>`` in place of the digest.  Two checkouts that
 print the same lines give the same bytes on every germ, so a change meant
 to keep the output compares its lines with its parent's.
 
+``--cli`` prints instead one line ``cli <arguments> exit <code> sha256``
+per command line of ``CLI_RUNS``: the sha256 of what ``lnegerm`` writes to
+stdout, run in this process.
+
 Run from the root of a checkout as ``PYTHONPATH=src python
 scripts/digests.py``; ``--workloads`` and ``--seeds`` restrict the set.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import sys
 from pathlib import Path
 
@@ -22,11 +28,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from workloads import build_cases  # noqa: E402
 
+from lnegerm import cli  # noqa: E402
 from lnegerm.report import canonical_json  # noqa: E402
-from lnegerm.scenarios import run_scenario  # noqa: E402
+from lnegerm.scenarios import BUILTIN_LABELS, run_scenario  # noqa: E402
 
 #: (workload, seeds) of the default set
 DEFAULT = (("plane_sweep", range(8)), ("arc_fan", range(8)), ("horn3d", range(1)))
+#: command lines of ``--cli``: analyze and medial in both formats and link as
+#: CSV on every builtin, then the builtin table
+CLI_FORMATS = (("analyze", ("json", "csv")), ("medial", ("json", "csv")), ("link", ("csv",)))
+CLI_RUNS = tuple(
+    (command, "--builtin", label, "--format", fmt)
+    for label in BUILTIN_LABELS
+    for command, fmts in CLI_FORMATS
+    for fmt in fmts
+) + (("scenarios", "--format", "csv"),)
 
 
 def digest(case) -> str:
@@ -37,12 +53,24 @@ def digest(case) -> str:
     return hashlib.sha256(canonical_json(result.to_dict()).encode()).hexdigest()
 
 
+def cli_digest(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return f"exit {code} {hashlib.sha256(out.getvalue().encode()).hexdigest()}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workloads", nargs="+", choices=[w for w, _ in DEFAULT])
     ap.add_argument("--seeds", nargs="+", type=int)
+    ap.add_argument("--cli", action="store_true", help="digest lnegerm's stdout on CLI_RUNS")
     args = ap.parse_args(argv)
 
+    if args.cli:
+        for run in CLI_RUNS:
+            print(f"cli {' '.join(run)} {cli_digest(run)}", flush=True)
+        return 0
     for workload, seeds in DEFAULT:
         if args.workloads and workload not in args.workloads:
             continue

@@ -4,10 +4,10 @@ The package decides and quantifies the LNE property for curve/surface germs
 at the origin: induced vs. inner (graph-geodesic) vs. pancake metrics,
 tangency orders and Lojasiewicz exponents via the arc criterion (inner
 distances of curve germs from arc lengths), medial branches from exact
-bisectors (and a grid medial-axis export), and link sections with the
-link-based LNE criterion.  A scenario registry packages the four canonical
-benchmark cases, and ``lnegerm.cli`` exposes everything as a command-line
-tool.
+bisectors (with the grid medial axis kept as the reference the tests hold
+them to), and link sections with the link-based LNE criterion.  A scenario
+registry packages the four canonical benchmark cases, and ``lnegerm.cli``
+exposes everything as a command-line tool.
 """
 
 from .config import MedialConfig, RunConfig

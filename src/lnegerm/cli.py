@@ -4,7 +4,11 @@ Configuration precedence is flags > config file (--config, JSON) >
 defaults.  JSON output is canonical and byte-deterministic for a fixed
 configuration and seed; CSV is a flat projection; SVG plots are 2D-only
 and never affect exit codes.  Exit codes: 0 on completion, 2 when a
-verdict stays UNDECIDED (or a scenario is INCONCLUSIVE), 1 on errors.
+verdict stays UNDECIDED (or a scenario is INCONCLUSIVE), 1 on errors,
+usage errors included.
+
+``medial`` exports the anchors of the exact medial branches that
+``analyze`` grades: ``medial_branch_germs`` on the scenario's medial scales.
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ import sys
 from pathlib import Path
 
 from .config import MedialConfig, RunConfig
-from .errors import InputError, LnegermError
+from .errors import InputError, LnegermError, TraceError
 from .germs import load_germ_file, sample_cloud
 from .links import link_criterion_verdict
-from .medial import extract_medial_axis_grid
+from .medial import medial_branch_germs
 from .report import (
     axis_csv,
     canonical_json,
@@ -31,7 +35,6 @@ from .report import (
 from .scenarios import (
     BUILTIN_LABELS,
     builtin,
-    medial_grid,
     run_all,
     run_scenario,
     scenario_for_germ,
@@ -51,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--levels", type=int, default=None)
     common.add_argument("--density", type=int, default=None)
     common.add_argument("--order-tol", type=float, default=None)
-    common.add_argument("--grid-res", type=float, default=None)
-    common.add_argument("--tau", type=float, default=None)
     common.add_argument("--theta-min", type=float, default=None)
     common.add_argument("--norm", choices=("euclid", "maxv"), default=None)
     common.add_argument("--weights", default=None, help="comma-separated positives")
@@ -92,7 +93,7 @@ _FLAG_FIELDS = {
     "plot": "plot_dir",
     "seed": "seed",
 }
-_MEDIAL_FLAG_FIELDS = {"grid_res": "resolution", "tau": "tau", "theta_min": "theta_min"}
+_MEDIAL_FLAG_FIELDS = {"theta_min": "theta_min"}
 
 
 def config_from_args(args) -> RunConfig:
@@ -121,22 +122,19 @@ def config_from_args(args) -> RunConfig:
             values["weights"] = tuple(float(w) for w in args.weights.split(","))
         except ValueError as exc:
             raise InputError(f"malformed --weights: {exc}") from exc
-    if "window" in medial and medial["window"] is not None:
-        medial["window"] = tuple(tuple(ab) for ab in medial["window"])
     known = {f.name for f in dataclasses.fields(RunConfig)} - {"medial"}
     unknown = set(values) - known
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}")
-    known_m = {f.name for f in dataclasses.fields(MedialConfig)}
-    unknown = set(medial) - known_m
+    unknown = set(medial) - set(_MEDIAL_FLAG_FIELDS.values())
     if unknown:
         raise InputError(f"unknown medial config keys: {sorted(unknown)}")
     return RunConfig(medial=MedialConfig(**medial), **values)
 
 
 def _load_scenario(args, config: RunConfig):
-    """Scenario for the requested source; ``medial_grid`` applies the
-    configured medial window and resolution over the scenario's own."""
+    """Scenario for the requested source: the builtin, or an ad-hoc
+    scenario whose medial scales are the configured ladder."""
     if args.builtin:
         return builtin(args.builtin)
     return scenario_for_germ(load_germ_file(args.germ), config)
@@ -202,18 +200,11 @@ def cmd_medial(args) -> int:
     config = config_from_args(args)
     scn = _load_scenario(args, config)
     germ = scn.germ()
-    if germ.ambient_dim not in (2, 3):
-        raise InputError("medial extraction supports ambient dimension 2 or 3")
     if config.plot_dir and germ.ambient_dim == 3:
         raise InputError("SVG plots are 2D-only; drop --plot for 3D germs")
-    window, resolution = medial_grid(scn, config.medial)
-    axis = extract_medial_axis_grid(
-        germ,
-        window,
-        resolution,
-        tau=config.medial.tau,
-        theta_min=config.medial.theta_min,
-    )
+    axis, _ = medial_branch_germs(germ, scn.medial_scales, config.medial.theta_min)
+    if not axis.points and axis.failures:
+        raise TraceError(f"{germ.label}: no medial point: {axis.failures[0][1]}")
     if config.output_format == "csv":
         sys.stdout.write(axis_csv(axis))
     else:
@@ -277,7 +268,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on misuse
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return _COMMANDS[args.command](args)
     except LnegermError as exc:

@@ -1,11 +1,11 @@
 """Run configuration shared by the scenario runner and the CLI.
 
 A configuration bundles the geometric scale grid, the sampling density of
-link sections and point clouds, the medial knobs, the order tolerance of the
-arc criterion, the ambient norm selector, and output options.  Everything
-downstream is deterministic for a fixed configuration; ``seed`` is recorded
-in reports so that randomized *callers* (property tests, randomized germ
-generators) can tie their output to a run.
+link sections and point clouds, the angular threshold of medial bisectors,
+the order tolerance of the arc criterion, the ambient norm selector, and
+output options.  Everything downstream is deterministic for a fixed
+configuration; ``seed`` is recorded in reports so that randomized *callers*
+(property tests, randomized germ generators) can tie their output to a run.
 """
 
 from __future__ import annotations
@@ -22,31 +22,22 @@ MIN_LEVELS = 5
 
 @dataclass(frozen=True)
 class MedialConfig:
-    """Knobs of the medial-axis extraction pipeline.
+    """Settings of the medial bisector solve.
 
-    ``window`` is an optional axis-aligned box ((lo, hi), ...) and
-    ``resolution`` an optional grid step; None means the scenario's own
-    (builtins carry theirs, ad-hoc germs get a symmetric box from the scale
-    range and step 1/256).
+    ``theta_min`` is the least angle between the two feet of a bisector
+    point, as seen from it.  ``window`` and ``resolution`` are read by
+    nothing: they set the medial grid that ``lnegerm medial`` no longer
+    runs, and stay constructible only for callers that still pass them.
+    They are not echoed, and a config file that sets them is rejected.
     """
 
     window: tuple | None = None
     resolution: float | None = None
-    tau: float = 1e-3
     theta_min: float = 0.2
 
     def __post_init__(self):
-        if self.resolution is not None and self.resolution <= 0:
-            raise InputError("medial resolution must be positive")
-        if not 0 < self.tau < 1:
-            raise InputError("equidistance tolerance must lie in (0, 1)")
         if not 0 < self.theta_min < np.pi:
             raise InputError("angular threshold must lie in (0, pi)")
-        if self.window is not None:
-            w = tuple((float(a), float(b)) for a, b in self.window)
-            if any(b <= a for a, b in w):
-                raise InputError("medial window must have positive extent")
-            object.__setattr__(self, "window", w)
 
 
 @dataclass(frozen=True)
@@ -96,16 +87,7 @@ class RunConfig:
             "levels": self.levels,
             "density": self.density,
             "order_tolerance": self.order_tolerance,
-            "medial": {
-                "window": (
-                    [list(ab) for ab in self.medial.window]
-                    if self.medial.window is not None
-                    else None
-                ),
-                "resolution": self.medial.resolution,
-                "tau": self.medial.tau,
-                "theta_min": self.medial.theta_min,
-            },
+            "medial": {"theta_min": self.medial.theta_min},
             "norm": self.norm_kind,
             "weights": list(self.weights) if self.weights else None,
             "format": self.output_format,

@@ -1,4 +1,5 @@
-"""Medial branches from exact bisectors, and the grid medial-axis export.
+"""Medial branches from exact bisectors, and the grid medial axis that tests
+hold them to.
 
 ``medial_branch_germs`` is the one source of medial branches.  Near 0 the
 medial axis of a plane germ of Puiseux branches is the union of the
@@ -8,9 +9,12 @@ the angle of q, against the branches' own parametrizations.  A 3D germ
 symmetric under z -> -z is solved in place on its z = 0 slice: the same
 solve runs on the pieces' z = 0 traces, and a bisector point inside a
 surface's slice (``covers``) is rejected.  Each branch is a
-``SampledCurve`` whose ``point_at_radius`` is the same exact solve.
+``SampledCurve`` whose ``point_at_radius`` is the same exact solve.  Both
+``run_scenario`` and ``lnegerm medial`` take their medial points from it.
 
-``lnegerm medial`` exports the grid medial axis, built in three layers:
+The grid medial axis is an independent reference that only tests call: it
+samples the germ and searches the space around it, so it would show a
+medial branch the bisector path misses.  It is built in three layers:
 
 * ``FootFinder`` turns the cloud sample of a germ into polished local
   nearest points ("feet"): cloud candidates are grouped by direction from

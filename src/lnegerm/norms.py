@@ -68,5 +68,9 @@ def make_norm(kind: str, weights=None, dim: int | None = None):
             if dim is None:
                 raise InputError("maxv norm needs weights or an ambient dimension")
             weights = (1.0,) * dim
+        elif dim is not None and len(weights) != dim:
+            raise InputError(
+                f"max-norm weights: {len(weights)} given for ambient dimension {dim}"
+            )
         return WeightedMaxNorm(tuple(float(w) for w in weights))
     raise InputError(f"unknown norm kind {kind!r}")

@@ -12,8 +12,7 @@ The registry holds the four canonical cases of the LNE/medial interplay:
 ``run_scenario`` executes the full pipeline (link criterion, arc criterion,
 medial branches from exact bisectors + medial-branch tangency) and grades
 the outcome against the expected verdicts.  Any UNDECIDED sub-verdict marks
-the result INCONCLUSIVE rather than FAIL.  The medial grid window and step
-of a scenario serve only ``lnegerm medial``.
+the result INCONCLUSIVE rather than FAIL.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .config import MedialConfig, RunConfig
+from .config import RunConfig
 from .errors import RegistryError
 from .germs import GermSet, germ_set, puiseux_branch
 from .links import LinkCriterionResult, link_criterion_verdict
@@ -57,8 +56,6 @@ class Scenario:
     expected_L_set: float | None
     expected_L_medial: float | None
     ambient_dim: int
-    medial_window: tuple
-    medial_resolution: float
     medial_scales: tuple
     notes: str = ""
 
@@ -127,8 +124,6 @@ _REGISTRY = {
         expected_L_set=1.5,
         expected_L_medial=1.0,
         ambient_dim=2,
-        medial_window=((-0.02, 0.3), (-0.12, 0.12)),
-        medial_resolution=1.0 / 256.0,
         medial_scales=_MEDIAL_SCALES,
         notes="branches (t, +-t^{3/2}); outer order 3/2 vs inner 1; "
         "medial axis is the positive x-axis",
@@ -141,8 +136,6 @@ _REGISTRY = {
         expected_L_set=1.0,
         expected_L_medial=1.0,
         ambient_dim=2,
-        medial_window=((-0.12, 0.12), (-0.02, 0.3)),
-        medial_resolution=1.0 / 256.0,
         medial_scales=_MEDIAL_SCALES,
         notes="unit-speed branches along (+-1, 1)/sqrt 2; medial axis is the "
         "positive y-axis",
@@ -155,8 +148,6 @@ _REGISTRY = {
         expected_L_set=2.0,
         expected_L_medial=2.0,
         ambient_dim=2,
-        medial_window=((-0.02, 0.3), (-0.04, 0.16)),
-        medial_resolution=1.0 / 256.0,
         medial_scales=_MEDIAL_SCALES,
         notes="parabolas (t, k t^2), k = 1, 2, 3; medial branches near "
         "y = (3/2) x^2 and y = (5/2) x^2, mutually tangent of order 2",
@@ -169,8 +160,6 @@ _REGISTRY = {
         expected_L_set=1.0,
         expected_L_medial=2.0,
         ambient_dim=3,
-        medial_window=((-0.28, 0.28), (0.0, 0.64), (-0.1, 0.1)),
-        medial_resolution=0.01,
         medial_scales=_MEDIAL_SCALES,
         notes="two horns with generator abscissae y^2 and y^2/4 (cross-"
         "sections are circles over the generator midpoint, diameter the "
@@ -282,14 +271,6 @@ def _pairwise_reports(set_: GermSet, scales, config: RunConfig):
     )
 
 
-def medial_grid(s: Scenario, medial: MedialConfig) -> tuple:
-    """(window, resolution) of the medial grid: each the configured one
-    where set, else the scenario's own."""
-    window = s.medial_window if medial.window is None else medial.window
-    resolution = s.medial_resolution if medial.resolution is None else medial.resolution
-    return window, resolution
-
-
 def _grade(name: str, expected, actual, detail: str = "") -> Check:
     if actual is Verdict.UNDECIDED or actual is None:
         return Check(name, None, f"undecided ({detail})" if detail else "undecided")
@@ -379,8 +360,8 @@ def run_scenario(s: Scenario, config: RunConfig | None = None) -> ScenarioResult
             )
         if set_verdict is Verdict.NOT_LNE:
             # the medial closure must contain the origin: a selected branch
-            # continues down to four times the smallest medial scale
-            r0 = 4.0 * axis.resolution
+            # continues down to the smallest medial scale
+            r0 = axis.resolution
             ok = any(reaches_origin(c, r0) for c in selected)
             checks.append(
                 Check(
@@ -421,13 +402,8 @@ def run_all(config: RunConfig | None = None) -> list:
 def scenario_for_germ(germ: GermSet, config: RunConfig) -> Scenario:
     """Ad-hoc scenario (no expectations) wrapping a user-supplied germ.
 
-    Its medial scales are the configured scales.  Its medial window is the
-    symmetric box of half-width 1.2 * t_max and its grid step 1/256;
-    ``medial_grid`` applies a configured window or resolution in their
-    place.  Window and step serve only the grid of ``lnegerm medial``:
-    ``run_scenario`` takes exact bisectors for every germ.
+    Its medial scales are the configured scales.
     """
-    w = 1.2 * config.t_max
     return Scenario(
         label=germ.label,
         make_germ=lambda: germ,
@@ -436,7 +412,5 @@ def scenario_for_germ(germ: GermSet, config: RunConfig) -> Scenario:
         expected_L_set=None,
         expected_L_medial=None,
         ambient_dim=germ.ambient_dim,
-        medial_window=((-w, w),) * germ.ambient_dim,
-        medial_resolution=1.0 / 256.0,
         medial_scales=config.scales(),
     )

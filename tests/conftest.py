@@ -3,14 +3,14 @@
 The scenario runs are session-scoped so that the functional tests and the
 acceptance gate grade the same computation instead of repeating it.  The 3D
 horn takes its medial branches from exact bisectors of its z = 0 trace, as
-the plane germs take theirs; only ``grid_axes`` runs the medial grid.
+the plane germs take theirs.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from lnegerm import RunConfig, builtin, extract_medial_axis_grid, run_scenario
+from lnegerm import RunConfig, builtin, run_scenario
 
 
 @pytest.fixture(scope="session")
@@ -36,18 +36,6 @@ def three_result(config):
 @pytest.fixture(scope="session")
 def horn_result(config):
     return run_scenario(builtin("horn3d"), config)
-
-
-@pytest.fixture(scope="session")
-def grid_axes():
-    """The grid medial axis of each plane builtin on its registered window
-    and step.  The runner takes exact bisectors; the grid serves only
-    ``lnegerm medial``."""
-    out = {}
-    for label in ("cusp", "abs_graph", "three_tangent"):
-        s = builtin(label)
-        out[label] = extract_medial_axis_grid(s.germ(), s.medial_window, s.medial_resolution)
-    return out
 
 
 @pytest.fixture(scope="session")

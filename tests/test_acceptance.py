@@ -203,8 +203,6 @@ def _random_parabola_pairs(n, rng):
             expected_L_set=None,
             expected_L_medial=None,
             ambient_dim=2,
-            medial_window=((-0.02, 0.3), (-0.05, 0.3)),
-            medial_resolution=1.0 / 256.0,
             medial_scales=tuple(2.0 ** -k for k in range(4, 11)),
         )
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lnegerm import builtin, germset_to_json
+from lnegerm import BUILTIN_LABELS, builtin, germset_to_json
 from lnegerm.cli import main
 from lnegerm.report import canonical_json
 
@@ -71,6 +71,43 @@ class TestAnalyze:
         assert report["set_verdict"] == "LNE"
         assert report["link_report"]["verdict"] == "LNE"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--builtin", "cusp", "--norm", "maxv", "--weights", "1,2,3"),
+            ("link", "--builtin", "horn3d", "--norm", "maxv", "--weights", "1,2"),
+        ],
+        ids=["analyze_2d", "link_3d"],
+    )
+    def test_weights_of_the_wrong_length(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("lnegerm: error: max-norm weights:")
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--builtin", "cusp", "--bogus"),
+            ("medial", "--builtin", "cusp", "--grid-res", "0.01"),
+            ("medial", "--builtin", "cusp", "--tau", "0.001"),
+            ("analyze",),
+        ],
+    )
+    def test_usage_error_is_an_error(self, capsys, argv):
+        # exit code 2 means UNDECIDED, never a usage error
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "usage: lnegerm" in err
+
+    def test_help(self, capsys):
+        code, out, _ = run_cli(capsys, "medial", "--help")
+        assert code == 0
+        assert out.startswith("usage: lnegerm medial")
+
 
 class TestMedial:
     def test_csv_header_2d(self, capsys):
@@ -80,7 +117,51 @@ class TestMedial:
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "x,y,distance,cluster_count,max_pair_angle"
-        assert len(lines) > 10
+        # one anchor of the one bisector per medial scale
+        assert len(lines) == 1 + len(builtin("abs_graph").medial_scales)
+
+    @pytest.mark.parametrize("label", BUILTIN_LABELS)
+    def test_rows_are_the_analysed_anchors(self, capsys, all_results, label):
+        code, out, _ = run_cli(capsys, "medial", "--builtin", label)
+        assert code == 0
+        report = json.loads(out)
+        axis = all_results[label].axis
+        assert report["resolution"] == axis.resolution
+        assert report["points"] == [
+            {
+                "point": [float(v) for v in p],
+                "distance": cluster.distance,
+                "cluster_count": cluster.cluster_count,
+                "max_pair_angle": cluster.max_pair_angle,
+            }
+            for p, cluster in axis.points
+        ]
+        assert len(report["points"]) >= len(builtin(label).medial_scales)
+
+    def test_asymmetric_3d_germ_is_an_error(self, capsys, tmp_path):
+        # (t, t^2, 0) and (t, 0, t^2): no bisector path, and no grid either
+        germ = {
+            "label": "twisted",
+            "ambient_dim": 3,
+            "branches": [
+                {
+                    "label": label,
+                    "t_max": 1.0,
+                    "terms": [
+                        {"exp": [1, 1], "coeff": [1.0, 0.0, 0.0]},
+                        {"exp": [2, 1], "coeff": coeff},
+                    ],
+                }
+                for label, coeff in (("a", [0.0, 1.0, 0.0]), ("b", [0.0, 0.0, 1.0]))
+            ],
+            "surfaces": [],
+        }
+        path = tmp_path / "twisted.json"
+        path.write_text(json.dumps(germ))
+        code, out, err = run_cli(capsys, "medial", "--germ", str(path))
+        assert code == 1
+        assert out == ""
+        assert "not symmetric under z -> -z" in err
 
     def test_empty_axis_single_line_germ(self, capsys, tmp_path):
         germ = {
@@ -163,16 +244,29 @@ class TestConfigPrecedence:
         assert code == 0
         assert len(out.splitlines()) == 7  # header + 6 levels from the flag
 
-    def test_config_resolution_applies_to_builtin(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "medial",
+        [{"window": [[-0.1, 0.1], [0.0, 0.2]]}, {"resolution": 0.0049}, {"tau": 0.001}],
+        ids=["window", "resolution", "tau"],
+    )
+    def test_grid_keys_rejected(self, capsys, tmp_path, medial):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"medial": {"resolution": 0.0049}}))
+        cfg.write_text(json.dumps({"medial": medial}))
+        code, out, err = run_cli(
+            capsys, "medial", "--builtin", "abs_graph", "--config", str(cfg)
+        )
+        assert code == 1
+        assert out == ""
+        assert f"unknown medial config keys: {sorted(medial)}" in err
+
+    def test_theta_min_from_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"medial": {"theta_min": 0.3}}))
         code, out, _ = run_cli(
             capsys, "medial", "--builtin", "abs_graph", "--config", str(cfg)
         )
         assert code == 0
-        report = json.loads(out)
-        assert report["resolution"] == 0.0049
-        assert report["config"]["medial"]["resolution"] == 0.0049
+        assert json.loads(out)["config"]["medial"] == {"theta_min": 0.3}
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,10 +1,10 @@
 """Which scipy modules an analysis loads.
 
-``import lnegerm`` and the analysis of a germ of curve pieces load no
-scipy module: the package's own ``optimize.brentq`` and
-``metrics.components`` serve them.  scipy is imported inside the
-functions that need it, and a surface germ's link sections load only
-``scipy.sparse`` (shortest paths).  Each check runs in a fresh interpreter
+``import lnegerm``, the analysis of a germ of curve pieces and
+``lnegerm medial`` on any builtin load no scipy module: the package's own
+``optimize.brentq`` and ``metrics.components`` serve them.  scipy is
+imported inside the functions that need it, and a surface germ's link
+sections load only ``scipy.sparse`` (shortest paths).  Each check runs in a fresh interpreter
 so that ``sys.modules`` starts clean.
 """
 
@@ -47,6 +47,11 @@ with contextlib.redirect_stdout(io.StringIO()):
 loaded["cli"] = scipy_modules()
 loaded["cli_code"] = code
 
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["medial", "--builtin", "horn3d"])
+loaded["medial"] = scipy_modules()
+loaded["medial_code"] = code
+
 run_scenario(builtin("horn3d"))
 loaded["horn3d"] = scipy_modules()
 print(json.dumps(loaded))
@@ -69,6 +74,8 @@ def test_curve_germs_load_no_scipy():
     assert loaded["curves"] == []
     assert loaded["cli_code"] == 0
     assert loaded["cli"] == []
+    assert loaded["medial_code"] == 0
+    assert loaded["medial"] == []
     horn = loaded["horn3d"]
     assert "scipy.sparse" in horn
     assert not [m for m in horn if m.startswith(("scipy.optimize", "scipy.spatial"))]

@@ -1,4 +1,8 @@
-"""Nearest points, grid extraction, and medial branches from exact bisectors."""
+"""Nearest points, grid extraction, and medial branches from exact bisectors.
+
+The medial grid runs only here: it is the independent reference that the
+exact bisector branches are held to.
+"""
 
 import itertools
 import math
@@ -77,6 +81,24 @@ def _grid_setup(germ, window, h):
 #: the cropped horn3d medial window of the benchmark, at its grid step
 HORN_WINDOW = ((-0.14, 0.14), (0.0, 0.64), (-0.05, 0.05))
 HORN_STEP = 0.01
+#: grid window and step of each plane builtin: each window holds the
+#: builtin's medial branches out to its largest medial scale, 1/16
+PLANE_GRIDS = {
+    "cusp": (((-0.02, 0.3), (-0.12, 0.12)), 1.0 / 256.0),
+    "abs_graph": (((-0.12, 0.12), (-0.02, 0.3)), 1.0 / 256.0),
+    "three_tangent": (((-0.02, 0.3), (-0.04, 0.16)), 1.0 / 256.0),
+}
+#: grid of a germ at the default ladder: the box of half-width 1.2 t_max
+ADHOC_GRID = (((-0.15, 0.15), (-0.15, 0.15)), 1.0 / 256.0)
+
+
+@pytest.fixture(scope="session")
+def grid_axes():
+    """The grid medial axis of each plane builtin on its window and step."""
+    return {
+        label: extract_medial_axis_grid(builtin(label).germ(), window, h)
+        for label, (window, h) in PLANE_GRIDS.items()
+    }
 
 
 def _foot_bits(feet):
@@ -142,10 +164,9 @@ class TestGridPrefilter:
     def test_blocks_do_not_change_candidates(self, monkeypatch):
         from lnegerm import medial
 
-        cusp = builtin("cusp")
         for germ, window, h in (
             (builtin("horn3d").germ(), HORN_WINDOW, HORN_STEP),
-            (cusp.germ(), cusp.medial_window, cusp.medial_resolution),
+            (builtin("cusp").germ(), *PLANE_GRIDS["cusp"]),
         ):
             finder, nodes = _grid_setup(germ, window, h)
             assert len(nodes) > 2 * medial._GRID_BLOCK
@@ -523,7 +544,7 @@ class TestPlaneMedialBranches:
         # axis (farther than 8h from the set): every grid point inside the
         # largest scale lies within 2h of an exact curve at its radius, and
         # every exact curve has an anchor within 2h of a grid point
-        grid = extract_medial_axis_grid(scn.germ(), scn.medial_window, scn.medial_resolution)
+        grid = extract_medial_axis_grid(scn.germ(), *ADHOC_GRID)
         h = grid.resolution
         top = max(scn.medial_scales)
         for p, cluster in grid.points:

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from lnegerm import (
     LnegermError,
-    MedialConfig,
     RegistryError,
     RunConfig,
     Verdict,
@@ -23,7 +22,6 @@ from lnegerm.scenarios import (
     BUILTIN_LABELS,
     Scenario,
     combine_verdicts,
-    medial_grid,
     scenario_for_germ,
 )
 from test_links import wall_with_lines
@@ -99,15 +97,6 @@ class TestCombineVerdicts:
         assert combine_verdicts([]) == (Verdict.LNE, 1.0)
 
 
-class TestMedialGrid:
-    def test_window_and_resolution_resolve_independently(self):
-        s = builtin("horn3d")
-        assert medial_grid(s, MedialConfig()) == (s.medial_window, 0.01)
-        assert medial_grid(s, MedialConfig(resolution=0.005)) == (s.medial_window, 0.005)
-        window = ((-0.2, 0.2), (0.0, 0.64), (-0.1, 0.1))
-        assert medial_grid(s, MedialConfig(window=window)) == (window, 0.01)
-
-
 class TestRunResults:
     def test_all_pass(self, all_results):
         for label, res in all_results.items():
@@ -169,6 +158,17 @@ class TestRunResults:
         } <= set(d)
         assert d["pass"] is True
 
+    def test_axis_reaches_origin_on_a_short_ladder(self):
+        # t_max < 4 t_min: the check asks for the smallest medial scale,
+        # which every selected branch holds as an anchor
+        config = RunConfig(t_min=0.1, t_max=0.125)
+        res = run_scenario(scenario_for_germ(builtin("cusp").germ(), config), config)
+        assert res.set_verdict is Verdict.NOT_LNE
+        (check,) = [c for c in res.checks if c.name == "axis_reaches_origin"]
+        assert check.passed is True
+        assert check.detail == "continuation to radius 0.1 on 1 tracked branch(es)"
+        assert res.status != "FAIL"
+
 
 class TestSetVerdictRule:
     def test_curves_on_a_surface_take_the_link_verdict(self):
@@ -182,8 +182,6 @@ class TestSetVerdictRule:
             expected_L_set=None,
             expected_L_medial=None,
             ambient_dim=3,
-            medial_window=((-0.005, 0.005), (0.0, 0.32), (-0.005, 0.005)),
-            medial_resolution=0.005,
             medial_scales=RunConfig().scales(),
         )
         res = run_scenario(scn)

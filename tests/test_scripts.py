@@ -65,10 +65,18 @@ def test_horn_center_curves(monkeypatch, capsys):
 
 def test_digests_repeat(capsys):
     script = _load("digests")
-    outs = []
-    for _ in range(2):
-        assert script.main(["--workloads", "arc_fan", "--seeds", "3"]) == 0
-        outs.append(capsys.readouterr().out)
-    # one line per germ; a second run of the same germ gives the same bytes
-    assert re.fullmatch(r"arc_fan 3 arc_fan [0-9a-f]{64}\n", outs[0])
-    assert outs[1] == outs[0]
+    outs = {}
+    for argv in (["--workloads", "arc_fan", "--seeds", "3"], ["--cli"]) * 2:
+        assert script.main(argv) == 0
+        outs.setdefault(argv[0], []).append(capsys.readouterr().out)
+    # a second run of the same germs and command lines gives the same bytes
+    for first, second in outs.values():
+        assert second == first
+    # one line per germ
+    assert re.fullmatch(r"arc_fan 3 arc_fan [0-9a-f]{64}\n", outs["--workloads"][0])
+    # one line per command line: 4 builtins x (analyze json/csv, medial
+    # json/csv, link csv), then the builtin table
+    lines = outs["--cli"][0].splitlines()
+    assert len(lines) == 21
+    for run, line in zip(script.CLI_RUNS, lines):
+        assert re.fullmatch(rf"cli {' '.join(run)} exit 0 [0-9a-f]{{64}}", line), line
