@@ -7,7 +7,6 @@ pair of distinct integers c1, c2 in [-3, 3]: 5 x 42 = 210 germs, each
 analysed as ``lnegerm analyze`` analyses a germ file.  A germ counts as
 
 * failed when a graded check fails or the analysis raises;
-* ``axis_misses_origin`` when its ``axis_reaches_origin`` check fails;
 * ``medial_empty`` when no medial branch is selected;
 * ``residual_gate`` when a set or medial pair is UNDECIDED by its fit;
 * ``raised`` when the analysis raises (the exception type is counted).
@@ -48,8 +47,6 @@ def classify(result) -> list:
     out = []
     if any(c.passed is False for c in result.checks):
         out.append("failed")
-    if any(c.name == "axis_reaches_origin" and c.passed is False for c in result.checks):
-        out.append("axis_misses_origin")
     if result.medial_verdict is Verdict.UNDECIDED and not result.medial_reports:
         out.append("medial_empty")
     if any(

@@ -39,7 +39,6 @@ from .medial import (
     SampledCurve,
     extract_medial_axis_grid,
     medial_branch_germs,
-    reaches_origin,
     refine_equidistant,
 )
 from .metrics import (

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .links import link_criterion_verdict
 from .medial import medial_branch_germs
 from .report import (
     axis_csv,
+    axis_rows,
     canonical_json,
     link_csv,
     pair_csv,
@@ -146,13 +148,10 @@ def _write_plot(directory: str, name: str, content: str) -> None:
     (path / name).write_text(content)
 
 
-def _scenario_svg(result, config: RunConfig) -> str:
-    germ = result.scenario.germ()
+def _medial_svg(germ, axis, config: RunConfig) -> str:
+    """A plane germ's cloud sample with its medial points, titled by label."""
     cloud = sample_cloud(germ, config.t_max, config.density)
-    coords = result.axis.coords()
-    return svg_overlay_2d(
-        cloud.points, coords if len(coords) else (), title=result.scenario.label
-    )
+    return svg_overlay_2d(cloud.points, axis.coords(), title=germ.label)
 
 
 def cmd_analyze(args) -> int:
@@ -168,7 +167,7 @@ def cmd_analyze(args) -> int:
         sys.stdout.write(pair_csv(result.set_reports + result.medial_reports))
     if config.plot_dir and scn.ambient_dim == 2:
         _write_plot(
-            config.plot_dir, f"{scn.label}.svg", _scenario_svg(result, config)
+            config.plot_dir, f"{scn.label}.svg", _medial_svg(scn.germ(), result.axis, config)
         )
     verdicts = (result.set_verdict, result.medial_verdict, result.link.verdict)
     return EXIT_UNDECIDED if Verdict.UNDECIDED in verdicts else EXIT_OK
@@ -187,7 +186,7 @@ def cmd_scenarios(args) -> int:
                 _write_plot(
                     config.plot_dir,
                     f"{r.scenario.label}.svg",
-                    _scenario_svg(r, config),
+                    _medial_svg(r.scenario.germ(), r.axis, config),
                 )
     if any(r.status == "FAIL" for r in results):
         return EXIT_ERROR
@@ -199,6 +198,12 @@ def cmd_scenarios(args) -> int:
 def cmd_medial(args) -> int:
     config = config_from_args(args)
     scn = _load_scenario(args, config)
+    if args.builtin and (args.t_min, args.t_max, args.levels) != (None, None, None):
+        hi, lo = (math.log2(t) for t in (max(scn.medial_scales), min(scn.medial_scales)))
+        raise InputError(
+            f"builtin {scn.label!r} has the fixed medial ladder 2^{hi:g}..2^{lo:g}; "
+            "with --builtin, --t-min/--t-max/--levels set only the set and link ladders"
+        )
     germ = scn.germ()
     if config.plot_dir and germ.ambient_dim == 3:
         raise InputError("SVG plots are 2D-only; drop --plot for 3D germs")
@@ -208,36 +213,18 @@ def cmd_medial(args) -> int:
     if config.output_format == "csv":
         sys.stdout.write(axis_csv(axis))
     else:
-        rows = []
-        for p, cluster in axis.points:
-            rows.append(
-                {
-                    "point": [float(v) for v in p],
-                    "distance": cluster.distance,
-                    "cluster_count": cluster.cluster_count,
-                    "max_pair_angle": cluster.max_pair_angle,
-                }
-            )
         sys.stdout.write(
             canonical_json(
                 {
                     "label": germ.label,
                     "resolution": axis.resolution,
-                    "points": rows,
+                    "points": axis_rows(axis),
                     "config": config.to_dict(),
                 }
             )
         )
     if config.plot_dir:
-        cloud = sample_cloud(germ, config.t_max, config.density)
-        coords = axis.coords()
-        _write_plot(
-            config.plot_dir,
-            f"{germ.label}_medial.svg",
-            svg_overlay_2d(
-                cloud.points, coords if len(coords) else (), title=germ.label
-            ),
-        )
+        _write_plot(config.plot_dir, f"{germ.label}_medial.svg", _medial_svg(germ, axis, config))
     return EXIT_OK
 
 

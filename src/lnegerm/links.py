@@ -61,10 +61,8 @@ class LinkSample:
     """
 
     scale: float
-    norm: object
     points: np.ndarray
     labels: tuple
-    params: tuple
     graph: object  # scipy CSR matrix, None for a section without edges
     component_of: np.ndarray
     component_count: int
@@ -120,7 +118,7 @@ def link_section(set_: GermSet, t: float, norm=EUCLID, density: int = 32) -> Lin
     """
     if t <= 0:
         raise InputError("link scale must be positive")
-    pts_list, labels, params, edges = [], [], [], []
+    pts_list, labels, edges = [], [], []
     for piece in set_.branches:
         try:
             s = piece.param_at_radius(t, norm)
@@ -128,31 +126,27 @@ def link_section(set_: GermSet, t: float, norm=EUCLID, density: int = 32) -> Lin
             continue
         pts_list.append(np.asarray(piece.eval(s), dtype=float))
         labels.append({piece.label})
-        params.append({piece.label: s})
     curve_pts = list(pts_list)
     for piece in set_.surfaces:
         spts, sparams, sedges = piece.section(t, norm=norm, density=density)
         base = len(pts_list)
         edges.extend((base + i, base + j) for i, j in sedges)
         edges.extend(_on_piece_edges(piece, curve_pts, spts, sparams, sedges, t, base))
-        for p, prm in zip(spts, sparams):
+        for p in spts:
             pts_list.append(np.asarray(p, dtype=float))
             labels.append({piece.label})
-            params.append({piece.label: prm})
     if not pts_list:
         return LinkSample(
             scale=t,
-            norm=norm,
             points=np.zeros((0, set_.ambient_dim)),
             labels=(),
-            params=(),
             graph=None,
             component_of=np.zeros(0, dtype=int),
             component_count=0,
             empty=True,
         )
-    pts, mlabels, mparams, remap = merge_coincident(
-        np.array(pts_list), labels, params, tol=COINCIDENT_TOL * t
+    pts, mlabels, _, remap = merge_coincident(
+        np.array(pts_list), labels, [{}] * len(labels), tol=COINCIDENT_TOL * t
     )
     values = np.asarray(norm(pts), dtype=float)
     if np.any(np.abs(values - t) > BAND * t):
@@ -164,10 +158,8 @@ def link_section(set_: GermSet, t: float, norm=EUCLID, density: int = 32) -> Lin
     ncomp, comp = components(len(pts), pairs)
     return LinkSample(
         scale=t,
-        norm=norm,
         points=pts,
         labels=mlabels,
-        params=mparams,
         graph=edge_matrix(pts, pairs) if len(pairs) else None,
         component_of=comp,
         component_count=ncomp,

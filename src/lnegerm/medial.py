@@ -9,8 +9,9 @@ the angle of q, against the branches' own parametrizations.  A 3D germ
 symmetric under z -> -z is solved in place on its z = 0 slice: the same
 solve runs on the pieces' z = 0 traces, and a bisector point inside a
 surface's slice (``covers``) is rejected.  Each branch is a
-``SampledCurve`` whose ``point_at_radius`` is the same exact solve.  Both
-``run_scenario`` and ``lnegerm medial`` take their medial points from it.
+``SampledCurve``: its solved points on the medial ladder, and the same
+solve for any other radius.  Both ``run_scenario`` and ``lnegerm medial``
+take their medial points from it.
 
 The grid medial axis is an independent reference that only tests call: it
 samples the germ and searches the space around it, so it would show a
@@ -34,11 +35,10 @@ radius, so raw sample distances cannot separate competing pieces.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -593,53 +593,31 @@ def extract_medial_axis_grid(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SampledCurve:
-    """Distance-parametrized curve known through exact anchor points.
+    """A medial branch as its solved ladder: the exact bisector point at
+    each ``ladder`` radius (decreasing), and the same ``solve`` for any
+    other radius.
 
-    ``point_at_radius`` returns the anchor at the requested radius, or else
-    the point ``refiner`` solves for it, cached as a new anchor.  ``ladder``
-    holds the radii the curve was first anchored at.
+    ``point_at_radius`` returns the ladder point at a ladder radius (callers
+    pass the same floats) and solves any other radius afresh; ``solve(r)``
+    returns ``_bisector_point``'s (point, NearestPointCluster).  ``flags``
+    holds ``(kind, radius)`` tuples.
     """
 
     label: str
     ambient_dim: int
-    refiner: object  # callable(radius) -> point | None
-    flags: list = field(default_factory=list)
-    ladder: tuple = ()
-    _radii: list = field(default_factory=list)
-    _points: dict = field(default_factory=dict)
-
-    def _anchor_near(self, r: float, rtol: float):
-        """Radius of an anchor within rtol * r of r, or None."""
-        i = bisect.bisect_left(self._radii, r)
-        for j in (i - 1, i):
-            if 0 <= j < len(self._radii) and abs(self._radii[j] - r) <= rtol * r:
-                return self._radii[j]
-        return None
-
-    def add_anchor(self, point) -> None:
-        p = np.asarray(point, dtype=float)
-        r = float(np.linalg.norm(p))
-        if r == 0.0 or self._anchor_near(r, 1e-12) is not None:
-            return
-        bisect.insort(self._radii, r)
-        self._points[r] = p
+    ladder: tuple
+    points: tuple
+    solve: object  # callable(radius) -> (point, NearestPointCluster)
+    flags: tuple = ()
 
     @property
     def max_radius(self) -> float:
-        if not self._radii:
-            raise InputError(f"curve {self.label!r} has no anchors")
-        return self._radii[-1]
-
-    @property
-    def min_anchor_radius(self) -> float:
-        if not self._radii:
-            raise InputError(f"curve {self.label!r} has no anchors")
-        return self._radii[0]
+        return self.ladder[0]
 
     def tangent(self) -> HalfLine:
-        p = self._points[self.min_anchor_radius]
+        p = self.points[-1]
         return HalfLine(p / np.linalg.norm(p))
 
     def point_at_radius(self, r: float) -> np.ndarray:
@@ -652,38 +630,22 @@ class SampledCurve:
             raise DomainError(
                 f"curve {self.label!r}: radius {r} beyond the tracked range"
             )
-        hit = self._anchor_near(r, 1e-9)
-        if hit is not None:
-            return self._points[hit].copy()
-        q = self.refiner(r)
-        if q is None:
-            raise ResolutionError(f"curve {self.label!r}: refinement failed at radius {r}")
-        p = np.asarray(q, dtype=float)
-        self.add_anchor(p)
-        return p.copy()
+        if r in self.ladder:
+            return self.points[self.ladder.index(r)].copy()
+        try:
+            return self.solve(r)[0]
+        except (DomainError, TraceError) as exc:
+            raise ResolutionError(f"curve {self.label!r}: {exc}") from exc
 
     def arc_length(self, r: float) -> float:
         """Length of the chord path from 0 through the points at the
-        ``ladder`` radii below r to the radius-r point.
-
-        Only ladder points are used, so the result does not depend on the
-        anchors earlier queries added; at a ladder radius it needs no new
-        solve.
-        """
+        ``ladder`` radii below r to the radius-r point; at a ladder radius
+        it needs no solve."""
         r = float(r)
         below = sorted(t for t in self.ladder if t < r * (1 - 1e-9))
         path = [np.zeros(self.ambient_dim)] + [self.point_at_radius(t) for t in below]
         path.append(self.point_at_radius(r))
         return float(np.linalg.norm(np.diff(path, axis=0), axis=1).sum())
-
-
-def reaches_origin(curve: SampledCurve, radius: float) -> bool:
-    """Whether the branch can be continued down to the given radius."""
-    try:
-        curve.point_at_radius(float(radius))
-        return True
-    except (ResolutionError, DomainError):
-        return False
 
 
 def _angle(p) -> float:
@@ -788,11 +750,11 @@ def medial_branch_germs(set_: GermSet, scales, theta_min: float = 0.2):
     its one failure.
 
     Each pair whose solve holds at the largest scale becomes a
-    ``SampledCurve`` anchored at the solves on ``scales`` and refined by the
-    same solve, so ``point_at_radius`` stays exact; the first failing
-    smaller scale flags it ``("continuation_failed", t)``.  The sample holds
-    every anchor with its two feet, the failed solves, and the smallest
-    scale as its resolution.
+    ``SampledCurve`` of its solves down ``scales`` to the first failing
+    scale t, which flags it ``("continuation_failed", t)``; its ``solve``
+    gives exact points at any other radius.  The sample holds every solved
+    point with its two feet, the failed solves, and the smallest scale as
+    its resolution.
     """
     scales = sorted((float(t) for t in scales), reverse=True)
     if not scales:
@@ -822,26 +784,17 @@ def medial_branch_germs(set_: GermSet, scales, theta_min: float = 0.2):
         def solve(r, b1=b1, b2=b2, others=others):
             return _bisector_point(b1, b2, r, others, theta_min, set_.surfaces, param)
 
-        def refiner(r, solve=solve):
-            try:
-                return solve(r)[0]
-            except (DomainError, TraceError):
-                return None
-
-        curve = SampledCurve(f"medial_{len(curves)}", dim, refiner)
-        anchors = []
+        anchors, flags = [], ()
         for t in scales:
             try:
                 anchors.append(solve(t))
             except (DomainError, TraceError) as exc:
                 failures.append((t, str(exc)))
                 if anchors:
-                    curve.flags.append(("continuation_failed", t))
+                    flags = (("continuation_failed", t),)
                 break
         if anchors:
-            for q, _ in anchors:
-                curve.add_anchor(q)
-            curve.ladder = tuple(scales[: len(anchors)])
+            ladder, pts = tuple(scales[: len(anchors)]), tuple(q for q, _ in anchors)
+            curves.append(SampledCurve(f"medial_{len(curves)}", dim, ladder, pts, solve, flags))
             points += anchors
-            curves.append(curve)
     return MedialAxisSample(tuple(points), scales[-1], tuple(failures)), tuple(curves)

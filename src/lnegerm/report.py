@@ -69,18 +69,25 @@ def rows_to_csv(rows, fieldnames) -> str:
     return buf.getvalue()
 
 
+def axis_rows(axis) -> list:
+    """One row per medial point: its coordinates and nearest-point cluster."""
+    return [
+        {
+            "point": [float(v) for v in p],
+            "distance": cluster.distance,
+            "cluster_count": cluster.cluster_count,
+            "max_pair_angle": cluster.max_pair_angle,
+        }
+        for p, cluster in axis.points
+    ]
+
+
 def axis_csv(axis) -> str:
     """Medial axis export: x, y[, z], distance, cluster_count, max_pair_angle."""
     coords = axis.coords()
     dim = coords.shape[1] if len(coords) else 2
     names = ["x", "y", "z"][:dim] + ["distance", "cluster_count", "max_pair_angle"]
-    rows = []
-    for p, cluster in axis.points:
-        row = {n: float(v) for n, v in zip(("x", "y", "z"), p)}
-        row["distance"] = cluster.distance
-        row["cluster_count"] = cluster.cluster_count
-        row["max_pair_angle"] = cluster.max_pair_angle
-        rows.append(row)
+    rows = [dict(zip(("x", "y", "z"), row.pop("point")), **row) for row in axis_rows(axis)]
     return rows_to_csv(rows, names)
 
 

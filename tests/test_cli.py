@@ -184,6 +184,21 @@ class TestMedial:
         assert code == 0
         assert out.splitlines() == ["x,y,distance,cluster_count,max_pair_angle"]
 
+    @pytest.mark.parametrize(
+        "flag",
+        [("--t-min", "0.01"), ("--t-max", "0.1"), ("--levels", "9")],
+        ids=["t_min", "t_max", "levels"],
+    )
+    def test_builtin_rejects_ladder_flags(self, capsys, abs_germ_file, flag):
+        # a builtin's medial ladder is fixed; a germ file takes the flags
+        code, out, err = run_cli(capsys, "medial", "--builtin", "abs_graph", *flag)
+        assert code == 1
+        assert out == ""
+        assert "fixed medial ladder 2^-4..2^-10" in err
+        code, out, _ = run_cli(capsys, "medial", "--germ", abs_germ_file, *flag, "--format", "csv")
+        assert code == 0
+        assert len(out.splitlines()) > 1
+
     def test_3d_plot_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "medial", "--builtin", "horn3d", "--plot", str(tmp_path / "o")

@@ -1,6 +1,7 @@
 """Nearest points, grid extraction, and medial branches from exact bisectors.
 
-The medial grid runs only here: it is the independent reference that the
+The medial grid runs only here: with a brute-force scan of circles around
+plane germs (``_scan_crossings``), it is the independent reference that the
 exact bisector branches are held to.
 """
 
@@ -13,12 +14,13 @@ import pytest
 from lnegerm import (
     FootFinder,
     InputError,
+    ResolutionError,
+    RunConfig,
     builtin,
     extract_medial_axis_grid,
     germ_set,
     medial_branch_germs,
     puiseux_branch,
-    reaches_origin,
 )
 from lnegerm.optimize import golden_min
 from lnegerm.surfaces import HornPiece, WallPiece
@@ -54,13 +56,22 @@ class TestNearestPointSet:
         assert abs(d1 - d2) <= 1e-3 * min(d1, d2)
 
 
+def _sampled_line(radii):
+    """A ``SampledCurve`` along the x-axis through its points at ``radii``,
+    whose solve fails at every other radius."""
+    from lnegerm import TraceError
+    from lnegerm.medial import SampledCurve
+
+    def solve(r):
+        raise TraceError(f"no root at radius {r}")
+
+    points = tuple(np.array([r, 0.0]) for r in radii)
+    return SampledCurve("sampled", 2, tuple(radii), points, solve)
+
+
 class TestFootFinder:
     def test_sampled_curve_branch_rejected(self):
-        from lnegerm.medial import SampledCurve
-
-        curve = SampledCurve("sampled", 2, refiner=lambda r: None)
-        for r in (0.1, 0.2, 0.4):
-            curve.add_anchor((r, 0.0))
+        curve = _sampled_line((0.4, 0.2, 0.1))
         line = puiseux_branch([(1, (0.0, 1.0))], 1.0, "line")
         with pytest.raises(InputError):
             FootFinder(germ_set(branches=(curve, line)), 0.3, 16)
@@ -493,38 +504,101 @@ def _line(direction, label, t_max=1.0):
     return puiseux_branch([(1, direction)], t_max, label)
 
 
+#: plane germs at the edges of the bisector rule, with their number of
+#: medial branches
+EDGE_GERMS = {
+    # the two halves of y = x^2: the feet of their sector's bisector both
+    # collapse to 0
+    "parabola_halves": (
+        (
+            puiseux_branch([(1, (1, 0)), (2, (0, 1))], 1.0, "right"),
+            puiseux_branch([(1, (-1, 0)), (2, (0, 1))], 1.0, "left"),
+        ),
+        0,
+    ),
+    # opposite half-lines bound no sector below pi
+    "opposite_lines": ((_line((1, 0), "east"), _line((-1, 0), "west")), 0),
+    # a single branch bounds no sector at all
+    "single_branch": ((puiseux_branch([(1, (1, 0)), (2, (0, 1))], 1.0, "only"),), 0),
+    # four axis half-lines: one diagonal per quadrant
+    "axis_lines": (
+        tuple(
+            _line(d, lab)
+            for d, lab in (((1, 0), "e"), ((0, 1), "n"), ((-1, 0), "w"), ((0, -1), "s"))
+        ),
+        4,
+    ),
+}
+
+
+def _scan_germ(label):
+    """(branches, medial scales, number of medial branches) of an edge germ
+    at the default ladder, or of three_tangent with its two branches."""
+    if label in EDGE_GERMS:
+        branches, n_branches = EDGE_GERMS[label]
+        return branches, RunConfig().scales(), n_branches
+    s = builtin("three_tangent")
+    return s.germ().branches, s.medial_scales, 2
+
+
+#: angles per circle and samples per branch of the brute-force medial scan
+SCAN_ANGLES = 4096
+SCAN_SAMPLES = 512
+
+
+def _scan_crossings(branches, scales, theta_min=0.2):
+    """(found, missed): the number of medial crossings a brute-force scan
+    finds on the circles |q| = r, r in ``scales``, and the (radius, point)
+    of each that no medial branch of ``medial_branch_germs`` passes near.
+
+    Each branch is sampled at SCAN_SAMPLES parameters in (0, 2r]: a foot of
+    a point of the circle lies within r of it, so at radius at most 2r, and
+    no parameter of these germs exceeds its point's radius.  Where the
+    nearest samples of two neighbouring scan angles lie on different
+    branches, at least ``theta_min`` apart as seen from the point q midway
+    on the circle, the scan crosses the medial axis, and some branch's
+    radius-r point must lie within the scan step r dphi plus the sampling
+    error h^2 / (4 d) of q (h the sample spacing, d the nearest sample
+    distance).
+    """
+    from scipy.spatial import cKDTree
+
+    _, curves = medial_branch_germs(germ_set(branches=branches), scales, theta_min)
+    step = 2.0 * math.pi / SCAN_ANGLES
+    phi = np.arange(SCAN_ANGLES) * step
+    scan = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    # the circle point midway between each scan angle and the one before
+    between = np.stack([np.cos(phi - 0.5 * step), np.sin(phi - 0.5 * step)], axis=1)
+    found, missed = 0, []
+    for r in scales:
+        params = np.linspace(0.0, 2.0 * r, SCAN_SAMPLES + 1)[1:]
+        pts = np.concatenate([b.eval(params) for b in branches])
+        branch_of = np.repeat(np.arange(len(branches)), SCAN_SAMPLES)
+        dist, near = cKDTree(pts).query(r * scan)
+        h = 2.0 * r / SCAN_SAMPLES
+        on_curves = [c.point_at_radius(r) for c in curves]
+        for k in np.flatnonzero(branch_of[near] != branch_of[np.roll(near, 1)]):
+            q = r * between[k]
+            u, v = pts[near[k]] - q, pts[near[k - 1]] - q
+            cos = float(u @ v) / float(np.linalg.norm(u) * np.linalg.norm(v))
+            if math.acos(min(1.0, max(-1.0, cos))) < theta_min:
+                continue
+            found += 1
+            tol = r * step + h * h / (4.0 * dist[k])
+            if min((np.linalg.norm(p - q) for p in on_curves), default=math.inf) > tol:
+                missed.append((r, q))
+    return found, missed
+
+
 class TestPlaneMedialBranches:
     """Exact bisector branches of plane germs."""
 
     @pytest.mark.parametrize(
         "branches, n_branches",
-        [
-            # the two halves of y = x^2: the feet of their sector's bisector
-            # both collapse to 0
-            (
-                (
-                    puiseux_branch([(1, (1, 0)), (2, (0, 1))], 1.0, "right"),
-                    puiseux_branch([(1, (-1, 0)), (2, (0, 1))], 1.0, "left"),
-                ),
-                0,
-            ),
-            # opposite half-lines bound no sector below pi
-            ((_line((1, 0), "east"), _line((-1, 0), "west")), 0),
-            # a single branch bounds no sector at all
-            ((puiseux_branch([(1, (1, 0)), (2, (0, 1))], 1.0, "only"),), 0),
-            # four axis half-lines: one diagonal per quadrant
-            (
-                tuple(
-                    _line(d, lab)
-                    for d, lab in (((1, 0), "e"), ((0, 1), "n"), ((-1, 0), "w"), ((0, -1), "s"))
-                ),
-                4,
-            ),
-        ],
-        ids=["parabola_halves", "opposite_lines", "single_branch", "axis_lines"],
+        [pytest.param(*EDGE_GERMS[k], id=k) for k in EDGE_GERMS],
     )
     def test_branches_match_grid(self, branches, n_branches):
-        from lnegerm import RunConfig, Verdict, run_scenario
+        from lnegerm import Verdict, run_scenario
         from lnegerm.scenarios import scenario_for_germ
 
         config = RunConfig()
@@ -559,6 +633,24 @@ class TestPlaneMedialBranches:
                 assert np.min(np.linalg.norm(coords - q, axis=1)) <= 2.0 * h, q
                 near.add(frozenset(f.label for f in cluster.representatives))
         assert len(near) == n_branches
+
+    @pytest.mark.parametrize("label", list(EDGE_GERMS) + ["three_tangent"])
+    def test_bisectors_complete(self, label):
+        # every medial crossing of a brute-force scan of the circles lies on
+        # a bisector branch, and the scan finds some wherever branches exist
+        branches, scales, n_branches = _scan_germ(label)
+        found, missed = _scan_crossings(branches, scales)
+        assert missed == []
+        assert (found > 0) == (n_branches > 0)
+
+    @pytest.mark.parametrize("label", ["axis_lines", "three_tangent"])
+    def test_completeness_sees_a_dropped_pair(self, monkeypatch, label):
+        from lnegerm import medial
+
+        sectors = medial._sectors_below_pi
+        monkeypatch.setattr(medial, "_sectors_below_pi", lambda *a: sectors(*a)[1:])
+        branches, scales, _ = _scan_germ(label)
+        assert _scan_crossings(branches, scales)[1]
 
     def test_three_tangent_constants(self, three_result):
         # y = (3/2) x^2 and y = (5/2) x^2 to within 1e-3 at the smallest scale
@@ -605,9 +697,11 @@ class TestPlaneMedialBranches:
         germ = builtin("abs_graph").germ()
         axis, curves = medial_branch_germs(germ, [2.0 ** -k for k in range(4, 11)])
         assert len(curves) == 1
-        assert curves[0].flags == [("continuation_failed", 2.0**-8)]
+        assert curves[0].flags == (("continuation_failed", 2.0**-8),)
+        assert curves[0].ladder == tuple(2.0 ** -k for k in range(4, 8))
         assert len(axis.points) == 4
-        assert not reaches_origin(curves[0], 2.0**-9)
+        with pytest.raises(ResolutionError):
+            curves[0].point_at_radius(2.0**-9)
 
     def test_unconverged_solve_is_a_trace_failure(self, monkeypatch):
         from lnegerm import medial, optimize
@@ -655,11 +749,7 @@ class TestPlaneMedialBranches:
         assert axis.failures == ((0.1, "not symmetric under z -> -z"),)
 
     def test_rejects_sampled_curves(self):
-        from lnegerm.medial import SampledCurve
-
-        curve = SampledCurve("sampled", 2, refiner=lambda r: None)
-        curve.add_anchor((0.1, 0.0))
-        germ = germ_set(branches=(curve, _line((0, 1), "line")))
+        germ = germ_set(branches=(_sampled_line((0.1,)), _line((0, 1), "line")))
         with pytest.raises(InputError):
             medial_branch_germs(germ, [0.1, 0.05])
 
@@ -680,11 +770,12 @@ class TestBranchTracking:
     def test_continuation_reaches_small_radii(self, three_result):
         for c in three_result.medial_curves:
             if not c.flags:
-                assert reaches_origin(c, 2.0 ** -10)
+                p = c.point_at_radius(2.0**-10)
+                assert np.linalg.norm(p) == pytest.approx(2.0**-10, rel=1e-12)
 
     @pytest.mark.parametrize("label", ["three_tangent", "horn3d"])
     def test_arc_length_against_dense_path(self, label):
-        # the ladder chord path against a path through the refiner's points
+        # the ladder chord path against a path through the solved points
         # at 16 radii per octave, from four octaves below the ladder
         s = builtin(label)
         _, curves = medial_branch_germs(s.germ(), s.medial_scales)
@@ -698,7 +789,7 @@ class TestBranchTracking:
             for t, length in zip(s.medial_scales, lengths):
                 (k,) = np.flatnonzero(radii == t)
                 assert length == pytest.approx(dense[k], rel=1e-3)
-            # the dense queries added anchors; the ladder path ignores them
+            # the dense queries solved afresh; the ladder path is unchanged
             assert [c.arc_length(t) for t in s.medial_scales] == lengths
 
 

@@ -169,6 +169,23 @@ class TestRunResults:
         assert check.detail == "continuation to radius 0.1 on 1 tracked branch(es)"
         assert res.status != "FAIL"
 
+    def test_axis_reaches_origin_undecided_without_branches(self, monkeypatch):
+        # no bisector solve holds, so no branch is selected and the medial
+        # verdict is UNDECIDED: the check is undecided too, not failed
+        from lnegerm import TraceError, medial
+
+        def no_root(b1, b2, r, *rest):
+            raise TraceError(f"no root at radius {r}")
+
+        monkeypatch.setattr(medial, "_bisector_point", no_root)
+        res = run_scenario(builtin("cusp"))
+        assert res.set_verdict is Verdict.NOT_LNE
+        assert res.medial_verdict is Verdict.UNDECIDED
+        (check,) = [c for c in res.checks if c.name == "axis_reaches_origin"]
+        assert check.passed is None
+        assert check.detail == "continuation to radius 0.0009766 on 0 tracked branch(es)"
+        assert res.status == "INCONCLUSIVE"
+
 
 class TestSetVerdictRule:
     def test_curves_on_a_surface_take_the_link_verdict(self):
