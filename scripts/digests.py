@@ -35,14 +35,18 @@ from lnegerm.scenarios import BUILTIN_LABELS, run_scenario  # noqa: E402
 #: (workload, seeds) of the default set
 DEFAULT = (("plane_sweep", range(8)), ("arc_fan", range(8)), ("horn3d", range(1)))
 #: command lines of ``--cli``: analyze and medial in both formats and link as
-#: CSV on every builtin, then the builtin table
+#: CSV on every builtin, then the builtin table, then a medial export on a
+#: ladder set by flags
 CLI_FORMATS = (("analyze", ("json", "csv")), ("medial", ("json", "csv")), ("link", ("csv",)))
 CLI_RUNS = tuple(
     (command, "--builtin", label, "--format", fmt)
     for label in BUILTIN_LABELS
     for command, fmts in CLI_FORMATS
     for fmt in fmts
-) + (("scenarios", "--format", "csv"),)
+) + (
+    ("scenarios", "--format", "csv"),
+    ("medial", "--builtin", "cusp", "--t-min", "0.00390625", "--levels", "5", "--format", "csv"),
+)
 
 
 def digest(case) -> str:

@@ -14,7 +14,7 @@ center pair's outer and inner orders with ``pair_reports``.
 import argparse
 import sys
 
-from lnegerm import builtin, germ_set, medial_branch_germs, pair_reports
+from lnegerm import RunConfig, builtin, germ_set, medial_branch_germs, pair_reports
 from lnegerm.surfaces import HornPiece, WallPiece
 
 
@@ -32,8 +32,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.parse_args()
 
-    scn = builtin("horn3d")
-    radii = [2.0**-k for k in range(4, 11)]
+    radii = RunConfig().scales()
     for a_inner in (1.5, 2.0, 3.0):
         limit = 0.5 * (1.0 + 1.0 / a_inner**2)
         _, curves = medial_branch_germs(horn_germ(a_inner), radii)
@@ -45,9 +44,8 @@ def main() -> int:
             ratios = [p[0] / p[1] ** 2 for p in (c.point_at_radius(r) for c in curves)]
             print(f"  {r:.6f}  " + "  ".join(f"{v:+.7f}" for v in ratios))
 
-    germ = scn.germ()
-    _, curves = medial_branch_germs(germ, scn.medial_scales)
-    (rep,) = pair_reports([curves], scn.medial_scales)
+    _, curves = medial_branch_germs(builtin("horn3d").germ(), radii)
+    (rep,) = pair_reports([curves], radii)
     print(f"horn3d center pair: outer order {rep.tord.slope:.5f} "
           f"(residual {rep.tord.residual:.4f}), inner order "
           f"{rep.tord_inn.slope:.6f} -> {rep.verdict.value}, "

@@ -8,7 +8,8 @@ verdict stays UNDECIDED (or a scenario is INCONCLUSIVE), 1 on errors,
 usage errors included.
 
 ``medial`` exports the anchors of the exact medial branches that
-``analyze`` grades: ``medial_branch_germs`` on the scenario's medial scales.
+``analyze`` grades: ``medial_branch_germs`` on the configured scale ladder,
+the one ladder of every command.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -98,6 +98,42 @@ _FLAG_FIELDS = {
 _MEDIAL_FLAG_FIELDS = {"theta_min": "theta_min"}
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+#: what each field of a config file must hold, as (description, test)
+_FILE_FIELDS = {
+    "t_min": ("a number", _is_number),
+    "t_max": ("a number", _is_number),
+    "levels": ("an integer", _is_int),
+    "density": ("an integer", _is_int),
+    "order_tolerance": ("a number", _is_number),
+    "norm_kind": ("a string", lambda v: isinstance(v, str)),
+    "weights": (
+        "null or a list of numbers",
+        lambda v: v is None or isinstance(v, list) and all(map(_is_number, v)),
+    ),
+    "output_format": ("a string", lambda v: isinstance(v, str)),
+    "plot_dir": ("null or a string", lambda v: v is None or isinstance(v, str)),
+    "seed": ("an integer", _is_int),
+    "theta_min": ("a number", _is_number),
+}
+
+
+def _check_file_fields(path: str, values: dict, prefix: str = "") -> None:
+    """Raise ``InputError`` for a known field holding a value of the wrong
+    JSON type; unknown fields are reported by ``config_from_args``."""
+    for key, v in values.items():
+        if key in _FILE_FIELDS and not _FILE_FIELDS[key][1](v):
+            what = _FILE_FIELDS[key][0]
+            raise InputError(f"config file {path}: field {prefix + key!r} must be {what}")
+
+
 def config_from_args(args) -> RunConfig:
     values: dict = {}
     medial: dict = {}
@@ -108,8 +144,12 @@ def config_from_args(args) -> RunConfig:
             except json.JSONDecodeError as exc:
                 raise InputError(f"config file {args.config}: {exc}") from exc
         if not isinstance(data, dict):
-            raise InputError("config file must hold a JSON object")
-        medial = dict(data.pop("medial", {}) or {})
+            raise InputError(f"config file {args.config} must hold a JSON object")
+        medial = data.pop("medial", None) or {}
+        if not isinstance(medial, dict):
+            raise InputError(f"config file {args.config}: field 'medial' must be a JSON object")
+        _check_file_fields(args.config, data)
+        _check_file_fields(args.config, medial, "medial.")
         values = data
     for flag, field in _FLAG_FIELDS.items():
         v = getattr(args, flag)
@@ -136,7 +176,7 @@ def config_from_args(args) -> RunConfig:
 
 def _load_scenario(args, config: RunConfig):
     """Scenario for the requested source: the builtin, or an ad-hoc
-    scenario whose medial scales are the configured ladder."""
+    scenario wrapping the germ file."""
     if args.builtin:
         return builtin(args.builtin)
     return scenario_for_germ(load_germ_file(args.germ), config)
@@ -196,18 +236,13 @@ def cmd_scenarios(args) -> int:
 
 
 def cmd_medial(args) -> int:
+    """Write the anchors of the germ's medial branches on ``config.scales()``,
+    the ladder ``analyze`` solves them on."""
     config = config_from_args(args)
-    scn = _load_scenario(args, config)
-    if args.builtin and (args.t_min, args.t_max, args.levels) != (None, None, None):
-        hi, lo = (math.log2(t) for t in (max(scn.medial_scales), min(scn.medial_scales)))
-        raise InputError(
-            f"builtin {scn.label!r} has the fixed medial ladder 2^{hi:g}..2^{lo:g}; "
-            "with --builtin, --t-min/--t-max/--levels set only the set and link ladders"
-        )
-    germ = scn.germ()
+    germ = _load_scenario(args, config).germ()
     if config.plot_dir and germ.ambient_dim == 3:
         raise InputError("SVG plots are 2D-only; drop --plot for 3D germs")
-    axis, _ = medial_branch_germs(germ, scn.medial_scales, config.medial.theta_min)
+    axis, _ = medial_branch_germs(germ, config.scales(), config.medial.theta_min)
     if not axis.points and axis.failures:
         raise TraceError(f"{germ.label}: no medial point: {axis.failures[0][1]}")
     if config.output_format == "csv":

@@ -10,6 +10,7 @@ configuration; ``seed`` is recorded in reports so that randomized *callers*
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +43,16 @@ class MedialConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    t_min: float = 2.0**-9
-    t_max: float = 2.0**-3
+    """One analysis's settings.
+
+    ``t_min``, ``t_max`` and ``levels`` set the one scale ladder,
+    ``scales()``, on which every stage works: the link criterion, the set
+    pairs, the medial bisector solves and the medial pairs.  The default
+    ladder is 2^-4..2^-10 in seven levels.
+    """
+
+    t_min: float = 2.0**-10
+    t_max: float = 2.0**-4
     levels: int = 7
     density: int = 32
     order_tolerance: float = 0.1
@@ -74,8 +83,16 @@ class RunConfig:
             raise InputError(f"unknown output format {self.output_format!r}")
 
     def scales(self) -> tuple:
-        """Decreasing geometric grid of ``levels`` scales in [t_min, t_max]."""
-        return tuple(float(t) for t in np.geomspace(self.t_max, self.t_min, self.levels))
+        """Decreasing geometric grid of ``levels`` scales from t_max to t_min.
+
+        The exponents are spaced in base 2 and both endpoints are pinned, so
+        a ladder between powers of two whose exponents divide evenly holds
+        exact powers of two (``np.geomspace`` misses some by an ulp).
+        """
+        hi, lo = math.log2(self.t_max), math.log2(self.t_min)
+        k = self.levels - 1
+        inner = (2.0 ** (hi + (lo - hi) * i / k) for i in range(1, k))
+        return (float(self.t_max), *inner, float(self.t_min))
 
     def norm(self, dim: int):
         return make_norm(self.norm_kind, self.weights, dim)

@@ -519,8 +519,11 @@ def germset_from_json(data: dict) -> GermSet:
         label = str(data["label"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"germ file: missing or malformed field ({exc})") from exc
+    branch_data, surface_data = data.get("branches", []), data.get("surfaces", [])
+    if not (isinstance(branch_data, list) and isinstance(surface_data, list)):
+        raise InputError("germ file: fields 'branches' and 'surfaces' must be lists")
     branches = []
-    for i, b in enumerate(data.get("branches", [])):
+    for i, b in enumerate(branch_data):
         try:
             terms = []
             for t in b["terms"]:
@@ -529,17 +532,19 @@ def germset_from_json(data: dict) -> GermSet:
                     not isinstance(exp, list)
                     or len(exp) != 2
                     or not all(isinstance(e, int) for e in exp)
+                    or exp[1] == 0
                 ):
                     raise InputError(
-                        f"germ file: branch {i}: exponents must be exact [num, den] integer pairs"
+                        f"germ file: branch {i}: exponents must be exact [num, den] "
+                        "integer pairs with den != 0"
                     )
                 terms.append(((exp[0], exp[1]), t["coeff"]))
             branches.append(
                 puiseux_branch(terms, b["t_max"], b["label"], ambient_dim=dim)
             )
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"germ file: branch {i}: {exc}") from exc
-    surfaces = [surface_from_json(s, dim) for s in data.get("surfaces", [])]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"germ file: branch {i}: malformed field ({exc})") from exc
+    surfaces = [surface_from_json(s, dim) for s in surface_data]
     return germ_set(branches, surfaces, label=label, ambient_dim=dim)
 
 

@@ -767,12 +767,16 @@ def medial_branch_germs(set_: GermSet, scales, theta_min: float = 0.2):
     if trace is None:
         cause = "not symmetric under z -> -z" if dim == 3 else f"no bisectors in dimension {dim}"
         return MedialAxisSample((), scales[-1], ((scales[0], cause),)), ()
-    # each (branch, radius) parameter is solved once for all the sectors
-    # and bisectors of this call; the table lives with this call's curves,
-    # never on a branch, which later analyses may share
+    # each (branch, ladder radius) parameter is solved once for all the
+    # sectors and bisectors of this call, and an off-ladder radius afresh,
+    # so the table never outgrows the ladder; it lives with this call's
+    # curves, never on a branch, which later analyses may share
+    on_ladder = frozenset(scales)
     solved: dict = {}
 
     def param(b, r):
+        if r not in on_ladder:
+            return b.param_at_radius(r)
         if (b, r) not in solved:
             solved[b, r] = b.param_at_radius(r)
         return solved[b, r]

@@ -10,9 +10,10 @@ The registry holds the four canonical cases of the LNE/medial interplay:
   implies set non-LNE) does not survive into three dimensions.
 
 ``run_scenario`` executes the full pipeline (link criterion, arc criterion,
-medial branches from exact bisectors + medial-branch tangency) and grades
-the outcome against the expected verdicts.  Any UNDECIDED sub-verdict marks
-the result INCONCLUSIVE rather than FAIL.
+medial branches from exact bisectors + medial-branch tangency) on the one
+scale ladder ``config.scales()`` and grades the outcome against the expected
+verdicts.  Any UNDECIDED sub-verdict marks the result INCONCLUSIVE rather
+than FAIL.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ L_TOLERANCE = 0.1
 class Scenario:
     """One registry entry: a germ constructor plus its expected outcome.
 
-    ``expected_L_set`` / ``expected_L_medial`` may be None (unknown).
-    Plane scenarios must have internally consistent expectations: a
-    non-LNE medial axis forces a non-LNE set.
+    A scenario holds no scales: ``run_scenario`` analyses it on the
+    configured ladder.  ``expected_L_set`` / ``expected_L_medial`` may be
+    None (unknown).  Plane scenarios must have internally consistent
+    expectations: a non-LNE medial axis forces a non-LNE set.
     """
 
     label: str
@@ -56,7 +58,6 @@ class Scenario:
     expected_L_set: float | None
     expected_L_medial: float | None
     ambient_dim: int
-    medial_scales: tuple
     notes: str = ""
 
     def __post_init__(self):
@@ -76,7 +77,6 @@ class Scenario:
 
 
 _SQ2 = math.sqrt(2.0)
-_MEDIAL_SCALES = tuple(2.0 ** -k for k in range(4, 11))
 
 
 def _make_cusp() -> GermSet:
@@ -124,7 +124,6 @@ _REGISTRY = {
         expected_L_set=1.5,
         expected_L_medial=1.0,
         ambient_dim=2,
-        medial_scales=_MEDIAL_SCALES,
         notes="branches (t, +-t^{3/2}); outer order 3/2 vs inner 1; "
         "medial axis is the positive x-axis",
     ),
@@ -136,7 +135,6 @@ _REGISTRY = {
         expected_L_set=1.0,
         expected_L_medial=1.0,
         ambient_dim=2,
-        medial_scales=_MEDIAL_SCALES,
         notes="unit-speed branches along (+-1, 1)/sqrt 2; medial axis is the "
         "positive y-axis",
     ),
@@ -148,7 +146,6 @@ _REGISTRY = {
         expected_L_set=2.0,
         expected_L_medial=2.0,
         ambient_dim=2,
-        medial_scales=_MEDIAL_SCALES,
         notes="parabolas (t, k t^2), k = 1, 2, 3; medial branches near "
         "y = (3/2) x^2 and y = (5/2) x^2, mutually tangent of order 2",
     ),
@@ -160,7 +157,6 @@ _REGISTRY = {
         expected_L_set=1.0,
         expected_L_medial=2.0,
         ambient_dim=3,
-        medial_scales=_MEDIAL_SCALES,
         notes="two horns with generator abscissae y^2 and y^2/4 (cross-"
         "sections are circles over the generator midpoint, diameter the "
         "generator gap) joined by the wall |x| <= y^2/4 in the z = 0 "
@@ -282,6 +278,9 @@ def _grade(name: str, expected, actual, detail: str = "") -> Check:
 
 
 def run_scenario(s: Scenario, config: RunConfig | None = None) -> ScenarioResult:
+    """Analyse and grade one scenario.  The link criterion, the set pairs,
+    the medial bisector solves and the medial pairs all run on the one
+    ladder ``config.scales()``."""
     if config is None:
         config = RunConfig()
     germ = s.germ()
@@ -304,7 +303,7 @@ def run_scenario(s: Scenario, config: RunConfig | None = None) -> ScenarioResult
         set_verdict, l_set = combine_verdicts(set_reports)
 
     axis, curves = medial_branch_germs(
-        germ, s.medial_scales, theta_min=config.medial.theta_min
+        germ, scales, theta_min=config.medial.theta_min
     )
     # a flagged curve does not reach the smallest scale
     selected = tuple(c for c in curves if not c.flags)
@@ -320,7 +319,7 @@ def run_scenario(s: Scenario, config: RunConfig | None = None) -> ScenarioResult
             label=f"{s.label}_medial",
             ambient_dim=germ.ambient_dim,
         )
-        medial_reports = _pairwise_reports(medial_set, s.medial_scales, config)
+        medial_reports = _pairwise_reports(medial_set, scales, config)
         medial_verdict, l_medial = combine_verdicts(medial_reports)
 
     checks = []
@@ -360,7 +359,7 @@ def run_scenario(s: Scenario, config: RunConfig | None = None) -> ScenarioResult
             )
         if set_verdict is Verdict.NOT_LNE:
             # the medial closure must contain the origin: a selected branch
-            # holds a point at the smallest medial scale by construction;
+            # holds a point at the smallest scale by construction;
             # with none selected the medial verdict is already UNDECIDED
             r0 = axis.resolution
             checks.append(
@@ -402,7 +401,9 @@ def run_all(config: RunConfig | None = None) -> list:
 def scenario_for_germ(germ: GermSet, config: RunConfig) -> Scenario:
     """Ad-hoc scenario (no expectations) wrapping a user-supplied germ.
 
-    Its medial scales are the configured scales.
+    ``config`` is not read: a scenario holds no scales, and ``run_scenario``
+    takes its ladder from the config it is given.  The argument stays for
+    callers that pass it.
     """
     return Scenario(
         label=germ.label,
@@ -412,5 +413,4 @@ def scenario_for_germ(germ: GermSet, config: RunConfig) -> Scenario:
         expected_L_set=None,
         expected_L_medial=None,
         ambient_dim=germ.ambient_dim,
-        medial_scales=config.scales(),
     )

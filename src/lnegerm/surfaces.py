@@ -422,8 +422,11 @@ def surface_from_json(data: dict, ambient_dim: int):
         params = data.get("params", {})
     except (KeyError, TypeError) as exc:
         raise InputError(f"germ file: malformed surface entry ({exc})") from exc
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise RegistryError(f"unknown builtin sampler {kind!r}")
     if ambient_dim != 3:
         raise InputError("builtin surface samplers are 3D only")
-    return _KINDS[kind](label=label, **params)
+    try:
+        return _KINDS[kind](label=label, **params)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"germ file: surface {label!r}: malformed params ({exc})") from exc

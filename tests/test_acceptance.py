@@ -203,15 +203,13 @@ def _random_parabola_pairs(n, rng):
             expected_L_set=None,
             expected_L_medial=None,
             ambient_dim=2,
-            medial_scales=tuple(2.0 ** -k for k in range(4, 11)),
         )
 
 
 @pytest.fixture(scope="session")
 def random_pair_results():
-    cfg = RunConfig(t_max=2.0 ** -4, t_min=2.0 ** -10)
     rng = np.random.default_rng(2024)
-    return [run_scenario(s, cfg) for s in _random_parabola_pairs(10, rng)]
+    return [run_scenario(s) for s in _random_parabola_pairs(10, rng)]
 
 
 def test_criterion_06_plane_theorem(results_2d, random_pair_results):

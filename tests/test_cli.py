@@ -1,10 +1,11 @@
 """CLI contract: flags, exit codes, formats, determinism."""
 
 import json
+import math
 
 import pytest
 
-from lnegerm import BUILTIN_LABELS, builtin, germset_to_json
+from lnegerm import BUILTIN_LABELS, RunConfig, builtin, germset_to_json
 from lnegerm.cli import main
 from lnegerm.report import canonical_json
 
@@ -117,8 +118,8 @@ class TestMedial:
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "x,y,distance,cluster_count,max_pair_angle"
-        # one anchor of the one bisector per medial scale
-        assert len(lines) == 1 + len(builtin("abs_graph").medial_scales)
+        # one anchor of the one bisector per scale
+        assert len(lines) == 1 + len(RunConfig().scales())
 
     @pytest.mark.parametrize("label", BUILTIN_LABELS)
     def test_rows_are_the_analysed_anchors(self, capsys, all_results, label):
@@ -136,7 +137,7 @@ class TestMedial:
             }
             for p, cluster in axis.points
         ]
-        assert len(report["points"]) >= len(builtin(label).medial_scales)
+        assert len(report["points"]) >= len(RunConfig().scales())
 
     def test_asymmetric_3d_germ_is_an_error(self, capsys, tmp_path):
         # (t, t^2, 0) and (t, 0, t^2): no bisector path, and no grid either
@@ -184,20 +185,28 @@ class TestMedial:
         assert code == 0
         assert out.splitlines() == ["x,y,distance,cluster_count,max_pair_angle"]
 
-    @pytest.mark.parametrize(
-        "flag",
-        [("--t-min", "0.01"), ("--t-max", "0.1"), ("--levels", "9")],
-        ids=["t_min", "t_max", "levels"],
-    )
-    def test_builtin_rejects_ladder_flags(self, capsys, abs_germ_file, flag):
-        # a builtin's medial ladder is fixed; a germ file takes the flags
-        code, out, err = run_cli(capsys, "medial", "--builtin", "abs_graph", *flag)
-        assert code == 1
-        assert out == ""
-        assert "fixed medial ladder 2^-4..2^-10" in err
-        code, out, _ = run_cli(capsys, "medial", "--germ", abs_germ_file, *flag, "--format", "csv")
+    def test_builtin_takes_ladder_flags(self, capsys):
+        # cusp has one medial branch: one row per level of 2^-4..2^-8
+        code, out, _ = run_cli(
+            capsys, "medial", "--builtin", "cusp", "--t-min", "0.00390625",
+            "--levels", "5", "--format", "csv",
+        )
         assert code == 0
-        assert len(out.splitlines()) > 1
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [math.hypot(float(x), float(y)) for x, y, *_ in rows] == pytest.approx(
+            [2.0**-k for k in range(4, 9)], rel=1e-12
+        )
+
+    def test_builtin_takes_config_file_ladder(self, capsys, tmp_path):
+        # a config file's ladder is the flags' ladder
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t_min": 0.00390625, "levels": 5}))
+        argv = ("medial", "--builtin", "cusp", "--format", "csv")
+        code, from_file, _ = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 0
+        assert len(from_file.splitlines()) == 1 + 5
+        _, from_flags, _ = run_cli(capsys, *argv, "--t-min", "0.00390625", "--levels", "5")
+        assert from_file == from_flags
 
     def test_3d_plot_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -291,3 +300,44 @@ class TestConfigPrecedence:
         )
         assert code == 1
         assert "nope" in err
+
+
+def _germ_file_case(mutate, label="abs_graph"):
+    data = germset_to_json(builtin(label).germ())
+    mutate(data)
+    return "germ", data
+
+
+_MALFORMED = {
+    "config_medial_number": ("config", {"medial": 5}),
+    "config_medial_list": ("config", {"medial": [1]}),
+    "config_levels_string": ("config", {"levels": "7"}),
+    "config_t_min_string": ("config", {"t_min": "x"}),
+    "config_weights_number": ("config", {"weights": 3}),
+    "config_theta_min_string": ("config", {"medial": {"theta_min": "a"}}),
+    "branch_t_max_string": _germ_file_case(lambda d: d["branches"][0].update(t_max="x")),
+    "branch_coeff_string": _germ_file_case(
+        lambda d: d["branches"][0]["terms"][0].update(coeff=["a", 0])
+    ),
+    "branch_exp_zero_den": _germ_file_case(
+        lambda d: d["branches"][0]["terms"][0].update(exp=[1, 0])
+    ),
+    "horn_unknown_param": _germ_file_case(
+        lambda d: d["surfaces"][0]["params"].update(bogus=1), label="horn3d"
+    ),
+    "branches_number": _germ_file_case(lambda d: d.update(branches=5)),
+    "surface_kind_list": _germ_file_case(
+        lambda d: d["surfaces"][0].update(kind=["horn"]), label="horn3d"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, data", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_input_file_is_an_error(capsys, tmp_path, kind, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    source = ("--builtin", "cusp", "--config") if kind == "config" else ("--germ",)
+    code, out, err = run_cli(capsys, "analyze", *source, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("lnegerm: error:")

@@ -14,6 +14,7 @@ import pytest
 from lnegerm import (
     FootFinder,
     InputError,
+    PuiseuxBranch,
     ResolutionError,
     RunConfig,
     builtin,
@@ -93,7 +94,7 @@ def _grid_setup(germ, window, h):
 HORN_WINDOW = ((-0.14, 0.14), (0.0, 0.64), (-0.05, 0.05))
 HORN_STEP = 0.01
 #: grid window and step of each plane builtin: each window holds the
-#: builtin's medial branches out to its largest medial scale, 1/16
+#: builtin's medial branches out to the default ladder's largest scale, 1/16
 PLANE_GRIDS = {
     "cusp": (((-0.02, 0.3), (-0.12, 0.12)), 1.0 / 256.0),
     "abs_graph": (((-0.12, 0.12), (-0.02, 0.3)), 1.0 / 256.0),
@@ -532,13 +533,12 @@ EDGE_GERMS = {
 
 
 def _scan_germ(label):
-    """(branches, medial scales, number of medial branches) of an edge germ
-    at the default ladder, or of three_tangent with its two branches."""
+    """(branches, scales, number of medial branches) of an edge germ, or of
+    three_tangent with its two branches, at the default ladder."""
     if label in EDGE_GERMS:
         branches, n_branches = EDGE_GERMS[label]
         return branches, RunConfig().scales(), n_branches
-    s = builtin("three_tangent")
-    return s.germ().branches, s.medial_scales, 2
+    return builtin("three_tangent").germ().branches, RunConfig().scales(), 2
 
 
 #: angles per circle and samples per branch of the brute-force medial scan
@@ -620,7 +620,7 @@ class TestPlaneMedialBranches:
         # every exact curve has an anchor within 2h of a grid point
         grid = extract_medial_axis_grid(scn.germ(), *ADHOC_GRID)
         h = grid.resolution
-        top = max(scn.medial_scales)
+        top = max(config.scales())
         for p, cluster in grid.points:
             r = float(np.linalg.norm(p))
             if cluster.distance > 8.0 * h and r <= top:
@@ -777,20 +777,47 @@ class TestBranchTracking:
     def test_arc_length_against_dense_path(self, label):
         # the ladder chord path against a path through the solved points
         # at 16 radii per octave, from four octaves below the ladder
-        s = builtin(label)
-        _, curves = medial_branch_germs(s.germ(), s.medial_scales)
+        scales = RunConfig().scales()
+        _, curves = medial_branch_germs(builtin(label).germ(), scales)
         assert len(curves) == 2
-        lo, hi = min(s.medial_scales) / 16, max(s.medial_scales)
+        lo, hi = min(scales) / 16, max(scales)
         radii = lo * 2.0 ** (np.arange(round(16 * math.log2(hi / lo)) + 1) / 16)
         for c in curves:
-            lengths = [c.arc_length(t) for t in s.medial_scales]
+            lengths = [c.arc_length(t) for t in scales]
             path = np.array([np.zeros(c.ambient_dim)] + [c.point_at_radius(r) for r in radii])
             dense = np.cumsum(np.linalg.norm(np.diff(path, axis=0), axis=1))
-            for t, length in zip(s.medial_scales, lengths):
+            for t, length in zip(scales, lengths):
                 (k,) = np.flatnonzero(radii == t)
                 assert length == pytest.approx(dense[k], rel=1e-3)
             # the dense queries solved afresh; the ladder path is unchanged
-            assert [c.arc_length(t) for t in s.medial_scales] == lengths
+            assert [c.arc_length(t) for t in scales] == lengths
+
+    def test_off_ladder_query_solves_afresh(self, monkeypatch):
+        # the parameter table of one call holds ladder radii only: each
+        # (branch, ladder radius) is solved once, a ladder query solves
+        # nothing, and a repeated off-ladder query solves again
+        calls = []
+        original = PuiseuxBranch.param_at_radius
+
+        def counted(self, r, *args, **kwargs):
+            calls.append((self.label, r))
+            return original(self, r, *args, **kwargs)
+
+        monkeypatch.setattr(PuiseuxBranch, "param_at_radius", counted)
+        scales = RunConfig().scales()
+        _, curves = medial_branch_germs(builtin("three_tangent").germ(), scales)
+        assert len(calls) == len(set(calls)) == 3 * len(scales)
+        c = curves[0]
+        calls.clear()
+        c.point_at_radius(scales[2])
+        assert calls == []
+        r = 0.75 * scales[2]
+        first = c.point_at_radius(r)
+        solved = list(calls)
+        assert {t for _, t in solved} == {r}
+        calls.clear()
+        assert np.array_equal(c.point_at_radius(r), first)
+        assert calls == solved
 
 
 def _horn_family(a_inner: float):
@@ -918,7 +945,7 @@ class TestHornTrace:
         scn = builtin("horn3d")
         germ = scn.germ()
         grid = extract_medial_axis_grid(germ, HORN_WINDOW, HORN_STEP)
-        _, curves = medial_branch_germs(germ, (0.64,) + scn.medial_scales)
+        _, curves = medial_branch_germs(germ, (0.64,) + RunConfig().scales())
         assert len(curves) == 2
         on_curve = {c.label: 0 for c in curves}
         for p, cluster in grid.points:

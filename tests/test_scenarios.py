@@ -159,7 +159,7 @@ class TestRunResults:
         assert d["pass"] is True
 
     def test_axis_reaches_origin_on_a_short_ladder(self):
-        # t_max < 4 t_min: the check asks for the smallest medial scale,
+        # t_max < 4 t_min: the check asks for the smallest scale,
         # which every selected branch holds as an anchor
         config = RunConfig(t_min=0.1, t_max=0.125)
         res = run_scenario(scenario_for_germ(builtin("cusp").germ(), config), config)
@@ -187,6 +187,24 @@ class TestRunResults:
         assert res.status == "INCONCLUSIVE"
 
 
+class TestOneLadder:
+    def test_default_ladder_is_exact(self):
+        # float == is bitwise here: every entry is an exact power of two
+        want = tuple(2.0**-k for k in range(4, 11))
+        assert RunConfig().scales() == want
+        assert RunConfig(t_max=2**-4, t_min=2**-10).scales() == want
+
+    def test_every_stage_takes_the_configured_ladder(self):
+        config = RunConfig(t_min=2.0**-8, levels=5)
+        scales = config.scales()
+        res = run_scenario(builtin("three_tangent"), config)
+        assert res.link.report.scales == scales
+        assert res.axis.resolution == scales[-1]
+        assert [c.ladder for c in res.medial_curves] == [scales, scales]
+        for r in res.set_reports + res.medial_reports:
+            assert r.tord.scales_used == scales
+
+
 class TestSetVerdictRule:
     def test_curves_on_a_surface_take_the_link_verdict(self):
         # the arc criterion's radius graph does not join l2 to the wall and
@@ -199,7 +217,6 @@ class TestSetVerdictRule:
             expected_L_set=None,
             expected_L_medial=None,
             ambient_dim=3,
-            medial_scales=RunConfig().scales(),
         )
         res = run_scenario(scn)
         assert res.set_verdict is Verdict.LNE

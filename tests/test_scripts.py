@@ -75,8 +75,8 @@ def test_digests_repeat(capsys):
     # one line per germ
     assert re.fullmatch(r"arc_fan 3 arc_fan [0-9a-f]{64}\n", outs["--workloads"][0])
     # one line per command line: 4 builtins x (analyze json/csv, medial
-    # json/csv, link csv), then the builtin table
+    # json/csv, link csv), then the builtin table and the flag-set ladder
     lines = outs["--cli"][0].splitlines()
-    assert len(lines) == 21
+    assert len(lines) == 22
     for run, line in zip(script.CLI_RUNS, lines):
         assert re.fullmatch(rf"cli {' '.join(run)} exit 0 [0-9a-f]{{64}}", line), line
