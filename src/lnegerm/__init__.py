@@ -24,6 +24,7 @@ from .germs import (
     GermSet,
     HalfLine,
     PuiseuxBranch,
+    RadiusTable,
     germ_set,
     germset_from_json,
     germset_to_json,

@@ -4,8 +4,9 @@ Curve germs are finite Puiseux sums with exact rational exponents and float
 coefficient vectors.  Surface germs are procedural samplers (see
 ``surfaces``).  This module owns evaluation, distance reparametrization,
 arc lengths, tangent half-lines, the exact separation-order oracle (dense
-power series on an integer lattice), sampling into point clouds, and the
-germ JSON file format.
+power series on an integer lattice), sampling into point clouds, the
+per-analysis table of radius parameters (``RadiusTable``), and the germ
+JSON file format.
 
 A branch evaluates an array of parameters with numpy and one float
 parameter with a scalar path (``PuiseuxBranch._point``) that gives the same
@@ -174,14 +175,21 @@ class PuiseuxBranch:
         exp0, c0 = self.terms[0]
         lead = float(norm(np.asarray(c0, dtype=float)))
         hi = min(self.t_max, (r / lead) ** (1.0 / float(exp0)))
-        while self.norm_at(hi, norm) < r:
+        at_hi = self.norm_at(hi, norm)
+        while at_hi < r:
             if hi >= self.t_max:
                 raise DomainError(
                     f"branch {self.label!r}: radius {r} not reached within t_max"
                 )
             hi = min(hi * 1.5, self.t_max)
+            at_hi = self.norm_at(hi, norm)
         return brentq(
-            lambda s: self.norm_at(s, norm) - r, 0.0, hi, xtol=1e-14 * hi, rtol=8.9e-16
+            lambda s: self.norm_at(s, norm) - r,
+            0.0,
+            hi,
+            xtol=1e-14 * hi,
+            rtol=8.9e-16,
+            fb=at_hi - r,
         )
 
     def point_at_radius(self, r: float, norm=EUCLID) -> np.ndarray:
@@ -189,6 +197,32 @@ class PuiseuxBranch:
 
     def max_exponent(self) -> Fraction:
         return self.terms[-1][0]
+
+
+class RadiusTable:
+    """Radius-r parameters of Puiseux branches on one scale ladder: each
+    (branch, ladder radius, norm) is solved once (``param_at_radius``).
+
+    One analysis builds one table and hands it to every stage that needs
+    the parameters: the link sections, which solve under the configured
+    norm, and the set pairs and the medial bisectors, which solve under
+    Euclid.  The norm is part of the key, by value.  A radius off the ladder
+    is solved afresh on every query, so the table never outgrows the ladder.
+    It lives only as long as the analysis that built it, never on a branch:
+    later analyses may share the branches.
+    """
+
+    def __init__(self, scales):
+        self.ladder = frozenset(float(t) for t in scales)
+        self._solved: dict = {}
+
+    def param(self, branch: PuiseuxBranch, r: float, norm=EUCLID) -> float:
+        if r not in self.ladder:
+            return branch.param_at_radius(r, norm)
+        key = (branch, r, norm)
+        if key not in self._solved:
+            self._solved[key] = branch.param_at_radius(r, norm)
+        return self._solved[key]
 
 
 def puiseux_branch(terms, t_max: float, label: str, ambient_dim: int | None = None) -> PuiseuxBranch:
@@ -515,16 +549,23 @@ def germset_from_json(data: dict) -> GermSet:
     from .surfaces import surface_from_json  # local import; surfaces builds on germs
 
     try:
-        dim = int(data["ambient_dim"])
-        label = str(data["label"])
-    except (KeyError, TypeError, ValueError) as exc:
+        dim, label = data["ambient_dim"], data["label"]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"germ file: missing or malformed field ({exc})") from exc
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise InputError(f"germ file: 'ambient_dim' must be an integer, got {dim!r}")
+    if not isinstance(label, str):
+        raise InputError(f"germ file: 'label' must be a string, got {label!r}")
     branch_data, surface_data = data.get("branches", []), data.get("surfaces", [])
     if not (isinstance(branch_data, list) and isinstance(surface_data, list)):
         raise InputError("germ file: fields 'branches' and 'surfaces' must be lists")
     branches = []
     for i, b in enumerate(branch_data):
         try:
+            if not isinstance(b["label"], str):
+                raise InputError(
+                    f"germ file: branch {i}: 'label' must be a string, got {b['label']!r}"
+                )
             terms = []
             for t in b["terms"]:
                 exp = t["exp"]

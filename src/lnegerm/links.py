@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .germs import GermSet, merge_coincident
+from .germs import GermSet, RadiusTable, merge_coincident
 # build_graph is no longer called here, but perfbench/tracer.py wraps
 # links.build_graph by name, so the name stays importable from this module.
 from .metrics import build_graph, components, edge_matrix  # noqa: F401
@@ -99,12 +99,17 @@ def _on_piece_edges(piece, curve_pts, spts, sparams, sedges, t, base) -> list:
     return out
 
 
-def link_section(set_: GermSet, t: float, norm=EUCLID, density: int = 32) -> LinkSample:
+def link_section(
+    set_: GermSet, t: float, norm=EUCLID, density: int = 32, table: RadiusTable | None = None
+) -> LinkSample:
     """Points of {x in X : ||x||_norm = t} with their component graph.
 
     Curve pieces are solved exactly on the monotone initial range of the
     norm along the piece; pieces too short to reach the sphere contribute
-    nothing.  All emitted points satisfy the band constraint
+    nothing.  Each curve piece's parameter comes from ``table``, the
+    analysis's one ``RadiusTable``, so a (branch, radius, norm) that another
+    stage has solved is not solved again; a caller without one gets a fresh
+    table.  All emitted points satisfy the band constraint
     | ||x||_norm - t | <= BAND * t by construction.
 
     The graph follows sample adjacency, not a radius: consecutive theta
@@ -115,13 +120,17 @@ def link_section(set_: GermSet, t: float, norm=EUCLID, density: int = 32) -> Lin
     3t^2/4 at scale t), which no fixed multiple of t/density does.  A
     curve point lying on a surface piece joins that piece's section graph
     (``_on_piece_edges``); one that coincides with a sample merges with it.
+    A section without edges (every curve germ's) skips the edge sort and
+    dedupe.
     """
     if t <= 0:
         raise InputError("link scale must be positive")
+    if table is None:
+        table = RadiusTable((t,))
     pts_list, labels, edges = [], [], []
     for piece in set_.branches:
         try:
-            s = piece.param_at_radius(t, norm)
+            s = table.param(piece, t, norm)
         except DomainError:
             continue
         pts_list.append(np.asarray(piece.eval(s), dtype=float))
@@ -153,8 +162,10 @@ def link_section(set_: GermSet, t: float, norm=EUCLID, density: int = 32) -> Lin
         raise InputError(
             f"link section at t={t}: point outside the sphere band"
         )
-    pairs = np.sort(remap[np.array(edges, dtype=int).reshape(-1, 2)], axis=1)
-    pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+    pairs = np.zeros((0, 2), dtype=int)
+    if edges:
+        pairs = np.sort(remap[np.array(edges, dtype=int)], axis=1)
+        pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
     ncomp, comp = components(len(pts), pairs)
     return LinkSample(
         scale=t,
@@ -250,17 +261,22 @@ class LLNEReport:
         }
 
 
-def llne_test(set_: GermSet, scales, norm=EUCLID, density: int = 32) -> LLNEReport:
+def llne_test(
+    set_: GermSet, scales, norm=EUCLID, density: int = 32, table: RadiusTable | None = None
+) -> LLNEReport:
     """Fit the trend of C(t) over a geometric scale grid.
 
     A flat fit (|slope| <= 0.1) means the ratios stay bounded; a slope
     steeper than -0.2 means C grows as t -> 0; anything in between, or a
-    scale grid broken by empty sections, is undecided.
+    scale grid broken by empty sections, is undecided.  ``table`` is as in
+    ``link_section``; without one the sections share a fresh table.
     """
     scales = [float(t) for t in scales]
     if len(scales) < MIN_SCALES:
         raise InputError(f"need at least {MIN_SCALES} scales, got {len(scales)}")
-    samples = [link_section(set_, t, norm, density) for t in scales]
+    if table is None:
+        table = RadiusTable(scales)
+    samples = [link_section(set_, t, norm, density, table) for t in scales]
     if all(s.empty for s in samples):
         raise InputError("all link sections are empty")
     empty = tuple(t for t, s in zip(scales, samples) if s.empty)
@@ -309,7 +325,7 @@ class LinkCriterionResult:
 
 
 def link_criterion_verdict(
-    set_: GermSet, scales, density: int = 32, norm=EUCLID
+    set_: GermSet, scales, density: int = 32, norm=EUCLID, table: RadiusTable | None = None
 ) -> LinkCriterionResult:
     """LNE iff every link component stays LNE with a uniform constant and
     distinct components separate at least linearly in the scale.
@@ -317,8 +333,9 @@ def link_criterion_verdict(
     Failures: a diverging ratio trend, or a component separation whose
     fitted order in t exceeds linear (d_0(X_t)/t -> 0).  An unstable
     component count across the scale range leaves the criterion undecided.
+    ``table`` is as in ``llne_test``.
     """
-    report = llne_test(set_, scales, norm, density)
+    report = llne_test(set_, scales, norm, density, table)
     notes: list = []
     if report.empty_scales:
         notes.append(

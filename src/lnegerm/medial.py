@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError, ResolutionError, TraceError
-from .germs import GermSet, HalfLine, PuiseuxBranch, sample_cloud
+from .germs import GermSet, HalfLine, PuiseuxBranch, RadiusTable, sample_cloud
 from .metrics import cluster_labels
 from .optimize import brentq, golden_min
 
@@ -71,11 +71,16 @@ def _project_branch(branch: PuiseuxBranch, x, seed: float, window: float):
 
     Newton iteration on psi(s) = <gamma(s) - x, gamma'(s)>, clamped to the
     parameter window; falls back to golden-section on the distance when the
-    iteration stalls or hits a concave stretch.
+    iteration stalls or hits a concave stretch.  It stops once a step moves
+    s by at most 1e-14 of the larger of s, the seed and 1e-9.  At a foot on
+    s = 0 the rounding noise of psi keeps moving s by up to about 7e-18,
+    which a floor scaled by s alone never absorbs: such a call would spin
+    its 30 steps and then search the window for the root it already holds.
     """
     terms = branch.float_terms
     xt = tuple(float(v) for v in np.asarray(x, dtype=float))
     dim = branch.ambient_dim
+    seed = float(seed)
     lo = max(0.0, seed - window)
     hi = min(branch.t_max, seed + window)
 
@@ -88,7 +93,7 @@ def _project_branch(branch: PuiseuxBranch, x, seed: float, window: float):
             acc += (g - xt[k]) ** 2
         return math.sqrt(acc)
 
-    s = min(max(float(seed), lo), hi)
+    s = min(max(seed, lo), hi)
     converged = False
     for _ in range(30):
         if s == 0.0 and terms[0][0] < 1.0:
@@ -111,7 +116,7 @@ def _project_branch(branch: PuiseuxBranch, x, seed: float, window: float):
         if dpsi <= 0.0:
             break
         s_new = min(max(s - psi / dpsi, lo), hi)
-        if abs(s_new - s) <= 1e-14 * max(abs(s_new), 1e-9):
+        if abs(s_new - s) <= 1e-14 * max(abs(s_new), seed, 1e-9):
             s = s_new
             converged = True
             break
@@ -668,19 +673,29 @@ def _sectors_below_pi(branches, r: float, param) -> list:
     return pairs
 
 
-def _bisector_point(b1, b2, r: float, others, theta_min: float, surfaces, param):
+def _bisector_point(
+    b1, b2, r: float, others, theta_min: float, surfaces, param, projected=None
+):
     """(q, NearestPointCluster): the point q = r (cos phi, sin phi, 0, ...)
     in the sector swept counterclockwise from b1 to b2, equidistant from
     both branches.  ``param(b, r)`` is b's radius-r parameter.
 
     The unknown is the angle of q from b1's radius-r point.  The distance gap
     to the local feet near each branch's radius-r parameter is negative at
-    b1's point and positive at b2's, so ``brentq`` brackets it.  Raises
-    ``TraceError`` when the gap does not change sign or the root leaves a
-    residual above ``_BISECTOR_RESIDUAL``, when the feet are less than
-    ``theta_min`` apart as seen from q (the two halves of a smooth curve,
-    whose feet both collapse to 0), when a branch of ``others`` is nearer,
-    and when a piece of ``surfaces`` covers q (q lies on the set);
+    b1's point and positive at b2's, so ``brentq`` brackets it.
+
+    Each (branch, query point) is projected once: ``brentq`` takes the
+    bracket check's two gaps as its end values, and the feet at the root
+    are those of the root's own evaluation.  ``projected`` holds the
+    projections by (branch, r, q); the solves of adjacent sectors at one
+    radius share it, since both project the branch they share at its own
+    radius-r point.  Without it the call keeps its own.
+
+    Raises ``TraceError`` when the gap does not change sign or the root
+    leaves a residual above ``_BISECTOR_RESIDUAL``, when the feet are less
+    than ``theta_min`` apart as seen from q (the two halves of a smooth
+    curve, whose feet both collapse to 0), when a branch of ``others`` is
+    nearer, and when a piece of ``surfaces`` covers q (q lies on the set);
     ``DomainError`` when a branch does not reach radius r.
     """
     s1, s2 = param(b1, r), param(b2, r)
@@ -688,18 +703,27 @@ def _bisector_point(b1, b2, r: float, others, theta_min: float, surfaces, param)
     span = (_angle(b2.eval(s2)) - a1) % (2.0 * math.pi)
     pad = [0.0] * (b1.ambient_dim - 2)
 
+    projected = {} if projected is None else projected
+
+    def foot(b, q, s):
+        key = (b, r, q.tobytes())
+        if key not in projected:
+            projected[key] = _project_branch(b, q, s, s + r)
+        return projected[key]
+
     def feet(phi):
         q = r * np.array([math.cos(a1 + phi), math.sin(a1 + phi)] + pad)
-        return q, _project_branch(b1, q, s1, s1 + r), _project_branch(b2, q, s2, s2 + r)
+        return q, foot(b1, q, s1), foot(b2, q, s2)
 
     def gap(phi):
         _, f1, f2 = feet(phi)
         return f1[0] - f2[0]
 
-    if not (gap(0.0) < 0.0 < gap(span)):
+    g_lo, g_hi = gap(0.0), gap(span)
+    if not (g_lo < 0.0 < g_hi):
         raise TraceError(f"no equidistance bracket at radius {r}")
     try:
-        phi = brentq(gap, 0.0, span, xtol=1e-15)
+        phi = brentq(gap, 0.0, span, xtol=1e-15, fa=g_lo, fb=g_hi)
     except ResolutionError as exc:
         raise TraceError(f"equidistance solve did not converge at radius {r}") from exc
     q, (d1, fp1, fm1), (d2, fp2, fm2) = feet(phi)
@@ -710,8 +734,7 @@ def _bisector_point(b1, b2, r: float, others, theta_min: float, surfaces, param)
         raise TraceError(f"feet {ang:.3g} rad apart at radius {r}")
     dist = 0.5 * (d1 + d2)
     for b in others:
-        sb = param(b, r)
-        if _project_branch(b, q, sb, sb + r)[0] < dist - _BISECTOR_RESIDUAL:
+        if foot(b, q, param(b, r))[0] < dist - _BISECTOR_RESIDUAL:
             raise TraceError(f"branch {b.label!r} is nearer at radius {r}")
     for piece in surfaces:
         if piece.covers(q):
@@ -737,7 +760,9 @@ def _z_trace(set_: GermSet):
     return list(merged.values())
 
 
-def medial_branch_germs(set_: GermSet, scales, theta_min: float = 0.2):
+def medial_branch_germs(
+    set_: GermSet, scales, theta_min: float = 0.2, table: RadiusTable | None = None
+):
     """(MedialAxisSample, curves): the medial branches of a germ near 0, from
     exact per-radius bisector solves.
 
@@ -755,6 +780,11 @@ def medial_branch_germs(set_: GermSet, scales, theta_min: float = 0.2):
     gives exact points at any other radius.  The sample holds every solved
     point with its two feet, the failed solves, and the smallest scale as
     its resolution.
+
+    Every branch parameter comes from ``table``, the analysis's one
+    ``RadiusTable`` (a fresh one on ``scales`` without it): each (branch,
+    ladder radius) is solved once for all the sectors and bisectors of the
+    analysis, and an off-ladder radius afresh.
     """
     scales = sorted((float(t) for t in scales), reverse=True)
     if not scales:
@@ -767,31 +797,21 @@ def medial_branch_germs(set_: GermSet, scales, theta_min: float = 0.2):
     if trace is None:
         cause = "not symmetric under z -> -z" if dim == 3 else f"no bisectors in dimension {dim}"
         return MedialAxisSample((), scales[-1], ((scales[0], cause),)), ()
-    # each (branch, ladder radius) parameter is solved once for all the
-    # sectors and bisectors of this call, and an off-ladder radius afresh,
-    # so the table never outgrows the ladder; it lives with this call's
-    # curves, never on a branch, which later analyses may share
-    on_ladder = frozenset(scales)
-    solved: dict = {}
-
-    def param(b, r):
-        if r not in on_ladder:
-            return b.param_at_radius(r)
-        if (b, r) not in solved:
-            solved[b, r] = b.param_at_radius(r)
-        return solved[b, r]
-
+    param = (RadiusTable(scales) if table is None else table).param
+    projected: dict = {}  # the ladder solves' projections, shared across sectors
     points, failures, curves = [], [], []
     for b1, b2 in _sectors_below_pi(trace, scales[-1], param):
         others = tuple(b for b in trace if b is not b1 and b is not b2)
 
-        def solve(r, b1=b1, b2=b2, others=others):
-            return _bisector_point(b1, b2, r, others, theta_min, set_.surfaces, param)
+        def solve(r, b1=b1, b2=b2, others=others, projected=None):
+            return _bisector_point(
+                b1, b2, r, others, theta_min, set_.surfaces, param, projected
+            )
 
         anchors, flags = [], ()
         for t in scales:
             try:
-                anchors.append(solve(t))
+                anchors.append(solve(t, projected=projected))
             except (DomainError, TraceError) as exc:
                 failures.append((t, str(exc)))
                 if anchors:

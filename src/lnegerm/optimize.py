@@ -29,13 +29,20 @@ MAXITER = 100
 
 
 def brentq(f, a: float, b: float, xtol: float = XTOL, rtol: float = RTOL,
-           maxiter: int = MAXITER) -> float:
+           maxiter: int = MAXITER, fa: float | None = None,
+           fb: float | None = None) -> float:
     """A root of f in the bracket [a, b] by Brent's method.
 
     f(a) and f(b) must have opposite signs; the root is located to within
     xtol + rtol |x|.  Raises ``InputError`` on bad tolerances or when f(a)
     and f(b) have the same sign, ``DomainError`` when f returns NaN, and
     ``ResolutionError`` when ``maxiter`` iterations do not converge.
+
+    A caller that has already evaluated f at a bracket end, to check the
+    bracket, passes the value as ``fa`` or ``fb`` and f is not called there
+    again: each root solve evaluates every point once.  The values are
+    checked as computed ones are, and the iteration is the same, so the
+    result has the same bits.
 
     At the top of the loop the root lies between xcur and xblk, xcur is the
     latest estimate, xpre the previous one, and |f(xcur)| <= |f(xblk)|.
@@ -45,15 +52,15 @@ def brentq(f, a: float, b: float, xtol: float = XTOL, rtol: float = RTOL,
     if not rtol >= RTOL:
         raise InputError(f"rtol too small ({rtol:g} < {RTOL:g})")
 
-    def value(x):
-        fx = float(f(x))
+    def value(x, fx=None):
+        fx = float(f(x) if fx is None else fx)
         if math.isnan(fx):
             raise DomainError(f"the function value at x={x} is NaN")
         return fx
 
     xpre, xcur = float(a), float(b)
-    fpre = value(xpre)
-    fcur = value(xcur)
+    fpre = value(xpre, fa)
+    fcur = value(xcur, fb)
     if fpre == 0:
         return xpre
     if fcur == 0:

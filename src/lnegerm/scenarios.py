@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .config import RunConfig
 from .errors import RegistryError
-from .germs import GermSet, germ_set, puiseux_branch
+from .germs import GermSet, RadiusTable, germ_set, puiseux_branch
 from .links import LinkCriterionResult, link_criterion_verdict
 from .medial import MedialAxisSample, medial_branch_germs
 from .surfaces import HornPiece, WallPiece
@@ -261,9 +261,11 @@ def combine_verdicts(reports) -> tuple:
     return verdict, l_val
 
 
-def _pairwise_reports(set_: GermSet, scales, config: RunConfig):
+def _pairwise_reports(
+    set_: GermSet, scales, config: RunConfig, table: RadiusTable | None = None
+):
     return pair_reports(
-        itertools.combinations(set_.branches, 2), scales, config.order_tolerance
+        itertools.combinations(set_.branches, 2), scales, config.order_tolerance, table
     )
 
 
@@ -280,15 +282,17 @@ def _grade(name: str, expected, actual, detail: str = "") -> Check:
 def run_scenario(s: Scenario, config: RunConfig | None = None) -> ScenarioResult:
     """Analyse and grade one scenario.  The link criterion, the set pairs,
     the medial bisector solves and the medial pairs all run on the one
-    ladder ``config.scales()``."""
+    ladder ``config.scales()``, and share one ``RadiusTable``: each
+    (branch, ladder radius, norm) parameter is solved once per analysis."""
     if config is None:
         config = RunConfig()
     germ = s.germ()
     scales = config.scales()
     norm = config.norm(germ.ambient_dim)
+    table = RadiusTable(scales)
 
     link = link_criterion_verdict(
-        germ, scales, density=config.density, norm=norm
+        germ, scales, density=config.density, norm=norm, table=table
     )
 
     if germ.surfaces:
@@ -299,11 +303,11 @@ def run_scenario(s: Scenario, config: RunConfig | None = None) -> ScenarioResult
         set_verdict = link.verdict
         l_set = 1.0 if set_verdict is Verdict.LNE else None
     else:
-        set_reports = _pairwise_reports(germ, scales, config)
+        set_reports = _pairwise_reports(germ, scales, config, table)
         set_verdict, l_set = combine_verdicts(set_reports)
 
     axis, curves = medial_branch_germs(
-        germ, scales, theta_min=config.medial.theta_min
+        germ, scales, theta_min=config.medial.theta_min, table=table
     )
     # a flagged curve does not reach the smallest scale
     selected = tuple(c for c in curves if not c.flags)
@@ -319,7 +323,7 @@ def run_scenario(s: Scenario, config: RunConfig | None = None) -> ScenarioResult
             label=f"{s.label}_medial",
             ambient_dim=germ.ambient_dim,
         )
-        medial_reports = _pairwise_reports(medial_set, scales, config)
+        medial_reports = _pairwise_reports(medial_set, scales, config, table)
         medial_verdict, l_medial = combine_verdicts(medial_reports)
 
     checks = []

@@ -238,9 +238,10 @@ class HornPiece:
             def g(y):
                 return norm.of(self._point((y, theta))) - t
 
-            if g(y_hi) < 0:
+            g_hi = g(y_hi)
+            if g_hi < 0:
                 continue
-            y = brentq(g, 0.0, y_hi, rtol=8.9e-16)
+            y = brentq(g, 0.0, y_hi, rtol=8.9e-16, fb=g_hi)
             index_of_ray[k] = len(pts)
             pts.append(self.eval_param((y, theta)))
             params.append((y, theta))
@@ -391,9 +392,10 @@ class WallPiece:
             def g(y):
                 return norm.of(self._point((u, y))) - t
 
-            if g(y_hi) < 0:
+            g_hi = g(y_hi)
+            if g_hi < 0:
                 continue
-            y = brentq(g, 0.0, y_hi, rtol=8.9e-16)
+            y = brentq(g, 0.0, y_hi, rtol=8.9e-16, fb=g_hi)
             if prev == j - 1:
                 edges.append((len(pts) - 1, len(pts)))
             prev = j
@@ -422,6 +424,8 @@ def surface_from_json(data: dict, ambient_dim: int):
         params = data.get("params", {})
     except (KeyError, TypeError) as exc:
         raise InputError(f"germ file: malformed surface entry ({exc})") from exc
+    if not isinstance(label, str):
+        raise InputError(f"germ file: surface 'label' must be a string, got {label!r}")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise RegistryError(f"unknown builtin sampler {kind!r}")
     if ambient_dim != 3:

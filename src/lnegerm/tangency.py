@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
-from .germs import PuiseuxBranch, check_scale_ladder, symbolic_separation_order
+from .germs import PuiseuxBranch, RadiusTable, check_scale_ladder, symbolic_separation_order
 # build_graph and inner_distance are no longer called here, but
 # perfbench/tracer.py wraps tangency.build_graph and tangency.inner_distance
 # by name, so the names stay importable from this module.
@@ -117,16 +117,19 @@ def extrapolate_order(fit: OrderEstimate, values) -> OrderEstimate:
 
 class _Ladder:
     """A curve piece on a scale ladder: its radius-t points and the arc
-    lengths to them, each computed once.  A Puiseux branch solves each
-    radius once (``param_at_radius``) for both."""
+    lengths to them, each computed once.  A Puiseux branch takes each
+    radius's parameter from ``table``, the analysis's one ``RadiusTable``
+    (a fresh one without it), for both: a radius the link sections or the
+    medial bisectors have solved is not solved again."""
 
-    def __init__(self, piece, scales):
+    def __init__(self, piece, scales, table: RadiusTable | None = None):
         self.piece = piece
         self.scales = [float(t) for t in scales]
+        self.table = RadiusTable(self.scales) if table is None else table
 
     @cached_property
     def params(self) -> list:
-        return [self.piece.param_at_radius(t) for t in self.scales]
+        return [self.table.param(self.piece, t) for t in self.scales]
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -205,15 +208,22 @@ class TangencyReport:
         }
 
 
-def pair_reports(pairs, scales, order_tolerance: float = 0.1) -> tuple:
+def pair_reports(
+    pairs, scales, order_tolerance: float = 0.1, table: RadiusTable | None = None
+) -> tuple:
     """Arc-criterion reports for pairs (b1, b2) of curve pieces: LNE iff
     outer and inner orders agree within the tolerance, with the
     outer/inner ratio as the pairwise Lojasiewicz exponent.  Each piece is
-    put on the ladder once, however many pairs it is in."""
+    put on the ladder once, however many pairs it is in, with its
+    parameters from ``table`` (see ``_Ladder``)."""
+    if table is None:
+        table = RadiusTable(scales)
     reports = []
     ladders = {}  # id(piece) -> _Ladder; the pieces live in ``pairs``
     for b1, b2 in pairs:
-        pair = tuple(ladders.setdefault(id(b), _Ladder(b, scales)) for b in (b1, b2))
+        pair = tuple(
+            ladders.setdefault(id(b), _Ladder(b, scales, table)) for b in (b1, b2)
+        )
         tord, exact = outer_tangency_order(b1, b2, scales, pair)
         tord_inn = inner_tangency_order(b1, b2, scales, pair)
         l_pair = tord.slope / tord_inn.slope

@@ -326,6 +326,14 @@ _MALFORMED = {
         lambda d: d["surfaces"][0]["params"].update(bogus=1), label="horn3d"
     ),
     "branches_number": _germ_file_case(lambda d: d.update(branches=5)),
+    "ambient_dim_float": _germ_file_case(lambda d: d.update(ambient_dim=2.5)),
+    "ambient_dim_bool": _germ_file_case(lambda d: d.update(ambient_dim=True)),
+    "label_list": _germ_file_case(lambda d: d.update(label=[1])),
+    "branch_label_list": _germ_file_case(lambda d: d["branches"][0].update(label=[1])),
+    "branch_label_number": _germ_file_case(lambda d: d["branches"][0].update(label=7)),
+    "surface_label_list": _germ_file_case(
+        lambda d: d["surfaces"][0].update(label=[1]), label="horn3d"
+    ),
     "surface_kind_list": _germ_file_case(
         lambda d: d["surfaces"][0].update(kind=["horn"]), label="horn3d"
     ),

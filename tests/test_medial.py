@@ -15,14 +15,17 @@ from lnegerm import (
     FootFinder,
     InputError,
     PuiseuxBranch,
+    RadiusTable,
     ResolutionError,
     RunConfig,
     builtin,
     extract_medial_axis_grid,
     germ_set,
     medial_branch_germs,
+    pair_reports,
     puiseux_branch,
 )
+from lnegerm import medial
 from lnegerm.optimize import golden_min
 from lnegerm.surfaces import HornPiece, WallPiece
 
@@ -483,6 +486,40 @@ class TestBisectorTrace:
             checked += 1
         assert checked >= 3
 
+    @pytest.mark.parametrize("label", ["three_tangent", "abs_graph"])
+    def test_each_point_projected_once(self, monkeypatch, label):
+        # bracket ends, the root's feet and the points adjacent sectors
+        # share are projected once per branch
+        seen = []
+        original = medial._project_branch
+
+        def recorded(branch, x, seed, window):
+            seen.append((branch.label, tuple(np.asarray(x).tolist())))
+            return original(branch, x, seed, window)
+
+        monkeypatch.setattr(medial, "_project_branch", recorded)
+        medial_branch_germs(builtin(label).germ(), RunConfig().scales())
+        assert seen and len(seen) == len(set(seen))
+
+    def test_perpendicular_bracket_ends_need_no_search(self, monkeypatch):
+        # at each bracket end of abs_graph's sector the query is one
+        # branch's radius-r point, whose foot on the perpendicular branch
+        # is its parameter 0; Newton ends there, with no golden search
+        def no_search(*args, **kwargs):
+            raise AssertionError("golden_min called")
+
+        monkeypatch.setattr(medial, "golden_min", no_search)
+        germ = builtin("abs_graph").germ()
+        plus, minus = germ.branch("abs_plus"), germ.branch("abs_minus")
+        for r in RunConfig().scales():
+            for b, other in ((plus, minus), (minus, plus)):
+                p = b.point_at_radius(r)
+                q = r * np.array([math.cos(medial._angle(p)), math.sin(medial._angle(p))])
+                s = other.param_at_radius(r)
+                dist, _, foot = medial._project_branch(other, q, s, s + r)
+                assert foot <= 1e-15 * r
+                assert dist == pytest.approx(r, rel=1e-12)
+
     def test_grid_points_lie_on_bisectors(self, grid_axes):
         # where the axis is farther than 8h from the set the grid resolves
         # it: every accepted point lies within 2h of the exact bisector
@@ -793,9 +830,10 @@ class TestBranchTracking:
             assert [c.arc_length(t) for t in scales] == lengths
 
     def test_off_ladder_query_solves_afresh(self, monkeypatch):
-        # the parameter table of one call holds ladder radii only: each
-        # (branch, ladder radius) is solved once, a ladder query solves
-        # nothing, and a repeated off-ladder query solves again
+        # the shared parameter table holds ladder radii only: each (branch,
+        # ladder radius) is solved once for the bisectors and the set pairs
+        # together, a ladder query solves nothing, and a repeated off-ladder
+        # query solves again
         calls = []
         original = PuiseuxBranch.param_at_radius
 
@@ -805,8 +843,12 @@ class TestBranchTracking:
 
         monkeypatch.setattr(PuiseuxBranch, "param_at_radius", counted)
         scales = RunConfig().scales()
-        _, curves = medial_branch_germs(builtin("three_tangent").germ(), scales)
+        germ = builtin("three_tangent").germ()
+        table = RadiusTable(scales)
+        _, curves = medial_branch_germs(germ, scales, table=table)
         assert len(calls) == len(set(calls)) == 3 * len(scales)
+        pair_reports(itertools.combinations(germ.branches, 2), scales, table=table)
+        assert len(calls) == 3 * len(scales)
         c = curves[0]
         calls.clear()
         c.point_at_radius(scales[2])

@@ -14,7 +14,9 @@ from lnegerm import optimize
 #: (xtol, rtol) of the package's brentq calls: germs.param_at_radius (xtol
 #: scales with the bracket), medial._bisector_point,
 #: medial.refine_equidistant (xtol scales with the foot distance), and the
-#: two surface sections (default xtol)
+#: two surface sections (default xtol).  All but refine_equidistant pass the
+#: bracket-end values they computed to check the bracket (``fa``/``fb``):
+#: _bisector_point both, param_at_radius and the sections ``fb``.
 CALL_SITE_TOLS = (
     lambda hi: dict(xtol=1e-14 * hi, rtol=8.9e-16),
     lambda hi: dict(xtol=1e-15),
@@ -50,18 +52,37 @@ def _problems(n, seed=20240614):
 
 
 def test_brentq_matches_scipy_bit_for_bit():
+    # each problem also runs with the caller supplying f(a), f(b) or both,
+    # as the package's bracket checks do: the same bits, the same errors
     compared = 0
     for f, a, b, tols in _problems(3000):
+        supplied = ({}, dict(fa=f(a)), dict(fb=f(b)), dict(fa=f(a), fb=f(b)))
         try:
             want = sp.brentq(f, a, b, **tols)
         except ValueError:  # f(a), f(b) of one sign: see the error tests
-            with pytest.raises(InputError):
-                optimize.brentq(f, a, b, **tols)
+            for ends in supplied:
+                with pytest.raises(InputError):
+                    optimize.brentq(f, a, b, **tols, **ends)
             continue
-        got = optimize.brentq(f, a, b, **tols)
-        assert got == want and type(got) is float, (a, b, tols)
+        for ends in supplied:
+            got = optimize.brentq(f, a, b, **tols, **ends)
+            assert got == want and type(got) is float, (a, b, tols, ends)
         compared += 1
     assert compared >= 1000
+
+
+def test_brentq_skips_the_supplied_ends():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 0.3
+
+    root = optimize.brentq(f, 0.0, 1.0, fa=-0.3, fb=0.7)
+    assert root == optimize.brentq(lambda x: x - 0.3, 0.0, 1.0)
+    assert 0.0 not in calls and 1.0 not in calls
+    with pytest.raises(DomainError):
+        optimize.brentq(f, 0.0, 1.0, fb=math.nan)
 
 
 def test_brentq_default_tolerances_are_scipys():

@@ -2,13 +2,16 @@
 
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lnegerm import (
+    EUCLID,
     LnegermError,
+    PuiseuxBranch,
     RegistryError,
     RunConfig,
     Verdict,
@@ -203,6 +206,32 @@ class TestOneLadder:
         assert [c.ladder for c in res.medial_curves] == [scales, scales]
         for r in res.set_reports + res.medial_reports:
             assert r.tord.scales_used == scales
+
+
+class TestOneSolvePerAnalysis:
+    @pytest.mark.parametrize(
+        "label, config, solves",
+        [
+            ("three_tangent", RunConfig(), {"euclid": 21}),
+            ("cusp", RunConfig(), {"euclid": 14}),
+            # the link sections solve under maxv, the other stages under Euclid
+            ("abs_graph", RunConfig(norm_kind="maxv"), {"maxv": 14, "euclid": 14}),
+        ],
+    )
+    def test_each_parameter_solved_once(self, monkeypatch, label, config, solves):
+        # the link sections, the set pairs and the medial bisectors share
+        # one table: each (branch, ladder radius, norm) is solved once
+        calls = []
+        original = PuiseuxBranch.param_at_radius
+
+        def counted(self, r, norm=EUCLID):
+            calls.append((self.label, r, norm))
+            return original(self, r, norm)
+
+        monkeypatch.setattr(PuiseuxBranch, "param_at_radius", counted)
+        run_scenario(builtin(label), config)
+        assert len(calls) == len(set(calls))
+        assert Counter(norm.name for _, _, norm in calls) == solves
 
 
 class TestSetVerdictRule:
