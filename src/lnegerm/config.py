@@ -64,6 +64,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("t_min", "t_max", "order_tolerance"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.t_min < self.t_max:
             raise InputError("need 0 < t_min < t_max")
         if self.levels < MIN_LEVELS:
@@ -76,8 +79,8 @@ class RunConfig:
             raise InputError(f"unknown norm kind {self.norm_kind!r}")
         if self.weights is not None:
             w = tuple(float(v) for v in self.weights)
-            if any(v <= 0 for v in w):
-                raise InputError("max-norm weights must be positive")
+            if not all(math.isfinite(v) and v > 0 for v in w):
+                raise InputError("max-norm weights must be positive and finite")
             object.__setattr__(self, "weights", w)
         if self.output_format not in ("json", "csv"):
             raise InputError(f"unknown output format {self.output_format!r}")

@@ -78,10 +78,12 @@ class PuiseuxBranch:
             c = np.asarray(coeff, dtype=float)
             if c.shape != (self.ambient_dim,):
                 raise InputError(f"branch {self.label!r}: coefficient dimension mismatch")
+            if not np.all(np.isfinite(c)):
+                raise InputError(f"branch {self.label!r}: coefficients must be finite")
             if not np.any(c):
                 raise InputError(f"branch {self.label!r}: zero coefficient vector")
-        if self.t_max <= 0:
-            raise InputError(f"branch {self.label!r}: t_max must be positive")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise InputError(f"branch {self.label!r}: t_max must be positive and finite")
 
     # -- evaluation ----------------------------------------------------
 
@@ -134,6 +136,24 @@ class PuiseuxBranch:
         """``terms`` as ((float exponent, float coefficient tuple), ...),
         for scalar Python loops."""
         return tuple((float(e), tuple(float(v) for v in c)) for e, c in self.terms)
+
+    @cached_property
+    def plane_terms(self) -> tuple:
+        """``float_terms`` in the first coordinate plane, with the per-term
+        constants of ``medial._project_branch``'s Newton step:
+        (e, e - 1, e - 2, e (e - 1), cx, cy, e cx, e cy) per term.
+
+        Raises ``InputError`` for a branch off that plane: every projection
+        lies in it (plane germs, and 3D germs on their z = 0 trace).
+        """
+        if self.ambient_dim < 2 or any(any(c[2:]) for _, c in self.float_terms):
+            raise InputError(
+                f"branch {self.label!r}: projections need a branch in the first coordinate plane"
+            )
+        return tuple(
+            (e, e - 1.0, e - 2.0, e * (e - 1.0), c[0], c[1], e * c[0], e * c[1])
+            for e, c in self.float_terms
+        )
 
     @cached_property
     def u_powers(self) -> tuple:
@@ -297,12 +317,43 @@ def invert_norm_series(q: np.ndarray, m: int, n: int) -> np.ndarray:
     return psi
 
 
-def _aligned_components(b: PuiseuxBranch, cap: Fraction):
+def separation_cap(branches) -> Fraction:
+    """The truncation cap 3 max_exp + 6 of ``symbolic_separation_order``
+    over pairs among ``branches``."""
+    return 3 * max(b.max_exponent() for b in branches) + 6
+
+
+class NormInversions:
+    """The norm inversion (``invert_norm_series``) of each Puiseux branch,
+    computed once to the length that ``cap`` asks of it.
+
+    ``pair_reports`` builds one per call, with the largest cap of its series
+    pairs, and ``symbolic_separation_order`` slices each pair's first
+    ceil(cap m) terms off it.  The slice is bitwise the inversion computed
+    at that length: Miller's recurrence fills each row and each column by
+    itself.  Only the inversion is shared; each pair runs its own Horner
+    step at its own length.  Branches key the store by identity, and the
+    store lives only as long as its ``pair_reports`` call.
+    """
+
+    def __init__(self, cap: Fraction):
+        self.cap = cap
+        self._psi: dict = {}
+
+    def psi(self, b: PuiseuxBranch, q: np.ndarray, m: int, n: int) -> np.ndarray:
+        psi = self._psi.get(b)
+        if psi is None or len(psi) < n:
+            psi = self._psi[b] = invert_norm_series(q, m, max(n, math.ceil(self.cap * m)))
+        return psi[:n]
+
+
+def _aligned_components(b: PuiseuxBranch, cap: Fraction, inversions: NormInversions):
     """(m, A): b at distance t as power series in t^{1/m}; A[:, k] is the
     coefficient vector of t^{k/m}, for k/m < cap.
 
     With s = u^N (N the lcm of the exponent denominators) the branch is a
-    polynomial u^m g(u), g(0) != 0; u = psi(t^{1/m}) inverts the norm.
+    polynomial u^m g(u), g(0) != 0; u = psi(t^{1/m}) inverts the norm,
+    taken from ``inversions``.
     """
     _, powers = b.u_powers
     m = powers[0]
@@ -312,7 +363,7 @@ def _aligned_components(b: PuiseuxBranch, cap: Fraction):
     g = poly[m:]
     q = sum(np.convolve(g[:, j], g[:, j]) for j in range(b.ambient_dim))
     n = math.ceil(cap * m)
-    psi = invert_norm_series(q, m, n)
+    psi = inversions.psi(b, q, m, n)
     out = np.zeros((b.ambient_dim, n))
     for c in poly[::-1]:  # Horner: out = out * psi + c
         out = np.array([np.convolve(row, psi)[:n] for row in out])
@@ -320,21 +371,30 @@ def _aligned_components(b: PuiseuxBranch, cap: Fraction):
     return m, out
 
 
-def symbolic_separation_order(b1: PuiseuxBranch, b2: PuiseuxBranch) -> SeparationOrder:
+def symbolic_separation_order(
+    b1: PuiseuxBranch, b2: PuiseuxBranch, inversions: NormInversions | None = None
+) -> SeparationOrder:
     """Exact rational separation order of two branches, or INFINITE.
 
     Both branches are aligned to the distance parametrization as power
-    series on the common lattice t^{1/M}, up to the cap 3 max_exp + 6; the
-    order is the first lattice exponent at which they differ by more than
-    ``COEFF_TOL`` times the largest coefficient met so far.  The floor must
-    follow the lattice: the aligned coefficients can grow geometrically
-    (like c^{2k} in t for (t, c t^{3/2})), so a floor set by the largest
-    coefficient of the whole truncation would hide the true order.
+    series on the common lattice t^{1/M}, up to the pair's own cap
+    3 max_exp + 6 (``separation_cap``); the order is the first lattice
+    exponent at which they differ by more than ``COEFF_TOL`` times the
+    largest coefficient met so far.  The floor must follow the lattice: the
+    aligned coefficients can grow geometrically (like c^{2k} in t for
+    (t, c t^{3/2})), so a floor set by the largest coefficient of the whole
+    truncation would hide the true order.
+
+    ``inversions`` shares each branch's norm inversion across the pairs of
+    one ``pair_reports`` call (one inversion per branch, at the largest
+    cap); the order is bitwise the same with or without it.
     """
     if b1.ambient_dim != b2.ambient_dim:
         raise InputError("branches must share an ambient dimension")
-    cap = 3 * max(b1.max_exponent(), b2.max_exponent()) + 6
-    (m1, a1), (m2, a2) = (_aligned_components(b, cap) for b in (b1, b2))
+    cap = separation_cap((b1, b2))
+    if inversions is None:
+        inversions = NormInversions(cap)
+    (m1, a1), (m2, a2) = (_aligned_components(b, cap, inversions) for b in (b1, b2))
     lcm = math.lcm(m1, m2)
     lattice = np.zeros((2, b1.ambient_dim, math.ceil(cap * lcm)))
     lattice[0][:, :: lcm // m1] = a1

@@ -76,43 +76,56 @@ def _project_branch(branch: PuiseuxBranch, x, seed: float, window: float):
     s = 0 the rounding noise of psi keeps moving s by up to about 7e-18,
     which a floor scaled by s alone never absorbs: such a call would spin
     its 30 steps and then search the window for the root it already holds.
+
+    Every projection lies in the first coordinate plane (plane germs, and
+    3D germs solved on their z = 0 trace), so the kernel works on two
+    coordinates, with the per-term constants of ``branch.plane_terms``; a
+    branch or a query off that plane raises ``InputError``.  Each power is
+    libm's (Python ``**``) and the sums run in a fixed order, so the bits do
+    not depend on the ambient dimension.  The returned point and distance
+    come from ``branch.eval`` and ``d.dot(d)`` in the ambient space.
     """
-    terms = branch.float_terms
-    xt = tuple(float(v) for v in np.asarray(x, dtype=float))
-    dim = branch.ambient_dim
+    terms = branch.plane_terms
+    xa = np.asarray(x, dtype=float)
+    xt = xa.tolist()
+    if len(xt) != branch.ambient_dim or any(xt[2:]):
+        raise InputError(
+            f"branch {branch.label!r}: projected point must lie in the first coordinate plane"
+        )
+    x0, x1 = xt[0], xt[1]
     seed = float(seed)
     lo = max(0.0, seed - window)
     hi = min(branch.t_max, seed + window)
 
     def dist_at(s):
-        acc = 0.0
-        for k in range(dim):
-            g = 0.0
-            for e, c in terms:
-                g += c[k] * s**e
-            acc += (g - xt[k]) ** 2
-        return math.sqrt(acc)
+        gx = gy = 0.0
+        for e, _, _, _, cx, cy, _, _ in terms:
+            pe = s**e
+            gx += cx * pe
+            gy += cy * pe
+        return math.sqrt((gx - x0) ** 2 + (gy - x1) ** 2)
 
     s = min(max(seed, lo), hi)
     converged = False
     for _ in range(30):
         if s == 0.0 and terms[0][0] < 1.0:
             break  # gamma' is unbounded at 0
-        g = [0.0] * dim
-        g1 = [0.0] * dim
-        for e, c in terms:
+        gx = gy = g1x = g1y = 0.0
+        for e, e1, _, _, cx, cy, ecx, ecy in terms:
             pe = s**e
-            pe1 = s ** (e - 1.0)
-            for k in range(dim):
-                g[k] += c[k] * pe
-                g1[k] += e * c[k] * pe1
-        psi = sum((g[k] - xt[k]) * g1[k] for k in range(dim))
-        dpsi = sum(v * v for v in g1)
+            pe1 = s**e1
+            gx += cx * pe
+            gy += cy * pe
+            g1x += ecx * pe1
+            g1y += ecy * pe1
+        rx, ry = gx - x0, gy - x1
+        psi = rx * g1x + ry * g1y
+        dpsi = g1x * g1x + g1y * g1y
         if s > 0.0:
-            for e, c in terms:
-                pe2 = e * (e - 1.0) * s ** (e - 2.0)
-                for k in range(dim):
-                    dpsi += (g[k] - xt[k]) * c[k] * pe2
+            for _, _, e2, ee1, cx, cy, _, _ in terms:
+                pe2 = ee1 * s**e2
+                dpsi += rx * cx * pe2
+                dpsi += ry * cy * pe2
         if dpsi <= 0.0:
             break
         s_new = min(max(s - psi / dpsi, lo), hi)
@@ -124,7 +137,7 @@ def _project_branch(branch: PuiseuxBranch, x, seed: float, window: float):
     if not converged:
         s, _ = golden_min(dist_at, lo, hi)
     p = branch.eval(float(s))
-    d = p - np.asarray(x, dtype=float)
+    d = p - xa
     # np.linalg.norm of a vector is exactly sqrt(d.dot(d)), at several times the cost
     return math.sqrt(d.dot(d)), p, float(s)
 

@@ -38,15 +38,15 @@ class EuclideanNorm:
 
 @dataclass(frozen=True)
 class WeightedMaxNorm:
-    """max_i v_i |x_i| with strictly positive weights."""
+    """max_i v_i |x_i| with strictly positive, finite weights."""
 
     weights: tuple
     name: str = "maxv"
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or np.any(w <= 0):
-            raise InputError("max-norm weights must be a vector of positive reals")
+        if w.ndim != 1 or not np.all(np.isfinite(w) & (w > 0)):
+            raise InputError("max-norm weights must be a vector of positive finite reals")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

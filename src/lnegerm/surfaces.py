@@ -34,6 +34,16 @@ def _canonical_heights(scale: float, density: int) -> np.ndarray:
     return np.linspace(0.0, scale, m + 1)
 
 
+def _check_finite(piece, names) -> None:
+    """Raise ``InputError`` unless each named parameter of a surface piece
+    is a finite number."""
+    for name in names:
+        if not math.isfinite(getattr(piece, name)):
+            raise InputError(
+                f"surface {piece.label!r}: {name} must be finite, got {getattr(piece, name)}"
+            )
+
+
 @dataclass(frozen=True, eq=False)
 class HornPiece:
     """Horn over the generators x = sign*(y/a_outer)^2 and sign*(y/a_inner)^2.
@@ -51,8 +61,9 @@ class HornPiece:
     ambient_dim: int = 3
 
     def __post_init__(self):
-        if self.a_inner <= self.a_outer:
-            raise InputError("horn needs a_inner > a_outer (inner generator steeper)")
+        _check_finite(self, ("sign", "a_outer", "a_inner", "y_max"))
+        if not 0 < self.a_outer < self.a_inner:
+            raise InputError("horn needs 0 < a_outer < a_inner (inner generator steeper)")
 
     def _cx_r(self, y):
         x_out = (y / self.a_outer) ** 2
@@ -279,6 +290,7 @@ class WallPiece:
     ambient_dim: int = 3
 
     def __post_init__(self):
+        _check_finite(self, ("half_width_coef", "y_max"))
         if not self.half_width_coef >= 0:
             raise InputError("wall needs half_width_coef >= 0")
 

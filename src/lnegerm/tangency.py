@@ -20,7 +20,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
-from .germs import PuiseuxBranch, RadiusTable, check_scale_ladder, symbolic_separation_order
+from .germs import (
+    NormInversions,
+    PuiseuxBranch,
+    RadiusTable,
+    check_scale_ladder,
+    separation_cap,
+    symbolic_separation_order,
+)
 # build_graph and inner_distance are no longer called here, but
 # perfbench/tracer.py wraps tangency.build_graph and tangency.inner_distance
 # by name, so the names stay importable from this module.
@@ -144,7 +151,7 @@ class _Ladder:
         return [self.piece.arc_length(t) for t in self.scales]
 
 
-def outer_tangency_order(b1, b2, scales, ladders=None):
+def outer_tangency_order(b1, b2, scales, ladders=None, inversions=None):
     """(fit, exact) outer order of tangency between two curve pieces.
 
     The exact rational value is attached when both pieces are Puiseux
@@ -152,7 +159,8 @@ def outer_tangency_order(b1, b2, scales, ladders=None):
     Between two Puiseux branches the distances are exact up to rounding, so
     the fitted slope is extrapolated to the limit (``extrapolate_order``);
     sampled pieces keep the plain fit.  ``ladders`` are the pieces'
-    ``_Ladder`` on ``scales`` when the caller keeps them.
+    ``_Ladder`` on ``scales`` and ``inversions`` their ``NormInversions``,
+    when the caller keeps them.
     """
     scales = [float(t) for t in scales]
     l1, l2 = ladders or (_Ladder(b1, scales), _Ladder(b2, scales))
@@ -161,7 +169,7 @@ def outer_tangency_order(b1, b2, scales, ladders=None):
     infinite = False
     series_pair = isinstance(b1, PuiseuxBranch) and isinstance(b2, PuiseuxBranch)
     if series_pair:
-        sep = symbolic_separation_order(b1, b2)
+        sep = symbolic_separation_order(b1, b2, inversions)
         infinite = sep.infinite
         exact = sep.order
     if np.any(d <= 0) or (infinite and np.max(d) < 1e-12):
@@ -213,18 +221,27 @@ def pair_reports(
 ) -> tuple:
     """Arc-criterion reports for pairs (b1, b2) of curve pieces: LNE iff
     outer and inner orders agree within the tolerance, with the
-    outer/inner ratio as the pairwise Lojasiewicz exponent.  Each piece is
-    put on the ladder once, however many pairs it is in, with its
-    parameters from ``table`` (see ``_Ladder``)."""
+    outer/inner ratio as the pairwise Lojasiewicz exponent.
+
+    Each piece's work is done once, however many pairs it is in: it is put
+    on the ladder once, with its parameters from ``table`` (see
+    ``_Ladder``), and a Puiseux branch's norm series is inverted once, to
+    the largest cap of the series pairs (``NormInversions``); each pair then
+    runs the separation oracle at its own cap, with the same bits as alone.
+    Both stores are keyed by the piece itself (pieces hash by identity).
+    """
+    pairs = list(pairs)
     if table is None:
         table = RadiusTable(scales)
+    series = {
+        b for pair in pairs if all(isinstance(b, PuiseuxBranch) for b in pair) for b in pair
+    }
+    inversions = NormInversions(separation_cap(series)) if series else None
     reports = []
-    ladders = {}  # id(piece) -> _Ladder; the pieces live in ``pairs``
+    ladders: dict = {}
     for b1, b2 in pairs:
-        pair = tuple(
-            ladders.setdefault(id(b), _Ladder(b, scales, table)) for b in (b1, b2)
-        )
-        tord, exact = outer_tangency_order(b1, b2, scales, pair)
+        pair = tuple(ladders.setdefault(b, _Ladder(b, scales, table)) for b in (b1, b2))
+        tord, exact = outer_tangency_order(b1, b2, scales, pair, inversions)
         tord_inn = inner_tangency_order(b1, b2, scales, pair)
         l_pair = tord.slope / tord_inn.slope
         if not (tord.confident and tord_inn.confident):

@@ -44,6 +44,21 @@ class TestAnalyze:
         assert code == 1
         assert "5" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--order-tol", "nan"),
+            ("--t-max", "inf"),
+            ("--norm", "maxv", "--weights", "nan,1"),
+        ],
+        ids=["order_tol_nan", "t_max_inf", "weights_nan"],
+    )
+    def test_non_finite_flag_is_an_error(self, capsys, flags):
+        code, out, err = run_cli(capsys, "analyze", "--builtin", "abs_graph", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("lnegerm: error:") and "finite" in err
+
     def test_germ_file(self, capsys, abs_germ_file):
         code, out, _ = run_cli(capsys, "analyze", "--germ", abs_germ_file)
         assert code == 0
@@ -337,11 +352,38 @@ _MALFORMED = {
     "surface_kind_list": _germ_file_case(
         lambda d: d["surfaces"][0].update(kind=["horn"]), label="horn3d"
     ),
+    "horn_a_outer_zero": _germ_file_case(
+        lambda d: d["surfaces"][0]["params"].update(a_outer=0.0), label="horn3d"
+    ),
 }
 
 
-@pytest.mark.parametrize("kind, data", _MALFORMED.values(), ids=_MALFORMED.keys())
-def test_malformed_input_file_is_an_error(capsys, tmp_path, kind, data):
+#: non-finite numbers pass every <= check, so each is checked where it enters;
+#: without that check these end in an unrelated error, or in none
+_NON_FINITE = {
+    "config_order_tolerance_nan": ("config", {"order_tolerance": math.nan}),
+    "config_t_max_inf": ("config", {"t_max": math.inf}),
+    "config_weights_nan": ("config", {"norm_kind": "maxv", "weights": [math.nan, 1.0]}),
+    "branch_coeff_nan": _germ_file_case(
+        lambda d: d["branches"][0]["terms"][0].update(coeff=[math.nan, 1.0])
+    ),
+    "branch_t_max_inf": _germ_file_case(lambda d: d["branches"][0].update(t_max=math.inf)),
+    "horn_a_outer_nan": _germ_file_case(
+        lambda d: d["surfaces"][0]["params"].update(a_outer=math.nan), label="horn3d"
+    ),
+    "horn_y_max_inf": _germ_file_case(
+        lambda d: d["surfaces"][0]["params"].update(y_max=math.inf), label="horn3d"
+    ),
+    "wall_half_width_inf": _germ_file_case(
+        lambda d: d["surfaces"][2]["params"].update(half_width_coef=math.inf),
+        label="horn3d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", [*_MALFORMED, *_NON_FINITE])
+def test_malformed_input_file_is_an_error(capsys, tmp_path, name):
+    kind, data = {**_MALFORMED, **_NON_FINITE}[name]
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
     source = ("--builtin", "cusp", "--config") if kind == "config" else ("--germ",)
@@ -349,3 +391,5 @@ def test_malformed_input_file_is_an_error(capsys, tmp_path, kind, data):
     assert code == 1
     assert out == ""
     assert err.startswith("lnegerm: error:")
+    if name in _NON_FINITE:
+        assert "finite" in err

@@ -1,6 +1,7 @@
 """Curve germs: construction, evaluation, reparametrization, series oracle,
 and the germ JSON format."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from lnegerm import (
     sample_cloud,
     symbolic_separation_order,
 )
+from lnegerm import germs
 from lnegerm.germs import merge_coincident
 
 
@@ -45,6 +47,20 @@ class TestBranchConstruction:
     def test_rejects_nonpositive_t_max(self):
         with pytest.raises(InputError):
             puiseux_branch([(1, (1, 0))], 0.0, "b")
+
+    @pytest.mark.parametrize(
+        "coeff, t_max",
+        [((math.nan, 1.0), 1.0), ((1.0, -math.inf), 1.0), ((1.0, 0.0), math.inf), ((1.0, 0.0), math.nan)],
+        ids=["coeff_nan", "coeff_inf", "t_max_inf", "t_max_nan"],
+    )
+    def test_rejects_non_finite(self, coeff, t_max):
+        with pytest.raises(InputError, match="finite"):
+            puiseux_branch([(1, coeff)], t_max, "b")
+
+    @pytest.mark.parametrize("weights", [(math.nan, 1.0), (1.0, math.inf)], ids=["nan", "inf"])
+    def test_max_norm_rejects_non_finite_weights(self, weights):
+        with pytest.raises(InputError, match="finite"):
+            WeightedMaxNorm(weights)
 
     def test_eval_at_zero_is_origin(self):
         b = puiseux_branch([((1, 2), (1, 0)), (2, (0, 3))], 1.0, "b")
@@ -184,6 +200,66 @@ class TestLatticeOracle:
         b1 = puiseux_branch([(1, (1, 0)), ((7, 3), (0, 1))], 1.0, "b1")
         b2 = puiseux_branch([(1, (1, 0)), ((5, 2), (0, 1))], 1.0, "b2")
         assert symbolic_separation_order(b1, b2).order == Fraction(7, 3)
+
+
+def _seeded_fans(seed, count=40):
+    """Seeded groups of 2-4 branches (t d, c t^e ...) in the plane and in
+    3D: a few shared tangent directions, tails with exponent denominators
+    1-3, so pairs separate at orders from 1 to past the tails."""
+    rng = np.random.default_rng(seed)
+    groups = []
+    for k in range(count):
+        dim = 2 + k % 2
+        group = []
+        for j in range(int(rng.integers(2, 5))):
+            d = np.zeros(dim)
+            d[:2] = (1.0, float(rng.integers(0, 2)))
+            terms = [(1, d)]
+            for den in rng.integers(1, 4, size=int(rng.integers(1, 3))):
+                e = Fraction(int(rng.integers(den + 1, 4 * den + 1)), int(den))
+                if all(e != t for t, _ in terms):
+                    terms.append((e, rng.uniform(-3.0, 3.0, dim)))
+            group.append(puiseux_branch(terms, 1.0, f"f{k}_{j}"))
+        groups.append(group)
+    return groups
+
+
+class TestSharedInversions:
+    """``pair_reports`` inverts each branch's norm once, at the largest cap
+    of its pairs, and every pair slices its own length off it."""
+
+    def test_truncated_inversion_is_bitwise(self, monkeypatch):
+        # the rule the sharing rests on, on the very series the oracle inverts
+        inverted = []
+        original = germs.invert_norm_series
+
+        def recorded(q, m, n):
+            inverted.append((q, m, n))
+            return original(q, m, n)
+
+        monkeypatch.setattr(germs, "invert_norm_series", recorded)
+        for group in _seeded_fans(1):
+            symbolic_separation_order(*group[:2])
+        assert len(inverted) == 80
+        for q, m, n in inverted:
+            for longer in (n + 1, n + m, 2 * n):
+                assert original(q, m, longer)[:n].tobytes() == original(q, m, n).tobytes()
+
+    def test_shared_and_per_pair_orders_agree(self):
+        orders = set()
+        for group in _seeded_fans(2):
+            inversions = germs.NormInversions(germs.separation_cap(group))
+            for b1, b2 in itertools.combinations(group, 2):
+                shared = symbolic_separation_order(b1, b2, inversions)
+                assert shared == symbolic_separation_order(b1, b2)
+                orders.add(shared.order)
+                cap = germs.separation_cap((b1, b2))
+                for b in (b1, b2):
+                    alone = germs._aligned_components(b, cap, germs.NormInversions(cap))
+                    sliced = germs._aligned_components(b, cap, inversions)
+                    assert alone[0] == sliced[0]
+                    assert alone[1].tobytes() == sliced[1].tobytes()
+        assert len(orders) >= 5
 
 
 class TestSampling:

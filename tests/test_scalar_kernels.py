@@ -3,6 +3,8 @@
 A float parameter takes ``PuiseuxBranch._point`` and ``norm.of``; arrays
 take ``eval`` and the norm's ``__call__``.  Each pair must give the same
 bits, so every comparison here is on the float's hex or the array's bytes.
+The plane foot kernel ``medial._project_branch`` is held the same way to
+the any-dimension Newton loop it replaced, kept here as a reference.
 """
 
 import math
@@ -15,6 +17,7 @@ import pytest
 from lnegerm import (
     EUCLID,
     DomainError,
+    InputError,
     RunConfig,
     WeightedMaxNorm,
     builtin,
@@ -22,8 +25,10 @@ from lnegerm import (
     run_scenario,
     surfaces,
 )
+from lnegerm import medial
 from lnegerm.germs import PuiseuxBranch
 from lnegerm.norms import EuclideanNorm
+from lnegerm.optimize import golden_min
 from lnegerm.report import canonical_json
 from lnegerm.surfaces import HornPiece, WallPiece
 
@@ -218,3 +223,141 @@ def test_builtin_bytes_without_scalar_paths(monkeypatch, label):
     slow = canonical_json(run_scenario(builtin(label), config).to_dict())
     assert calls["point"] > 0 and calls["of"] > 0
     assert slow == fast
+
+
+# ---------------------------------------------------------------------------
+# Foot projection: the plane Newton kernel against the any-dimension loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_project_branch(branch, x, seed, window):
+    """``medial._project_branch`` as it was before the plane kernel: the
+    Newton loop over every coordinate of the ambient space."""
+    terms = branch.float_terms
+    xt = tuple(float(v) for v in np.asarray(x, dtype=float))
+    dim = branch.ambient_dim
+    seed = float(seed)
+    lo = max(0.0, seed - window)
+    hi = min(branch.t_max, seed + window)
+
+    def dist_at(s):
+        acc = 0.0
+        for k in range(dim):
+            g = 0.0
+            for e, c in terms:
+                g += c[k] * s**e
+            acc += (g - xt[k]) ** 2
+        return math.sqrt(acc)
+
+    s = min(max(seed, lo), hi)
+    converged = False
+    for _ in range(30):
+        if s == 0.0 and terms[0][0] < 1.0:
+            break
+        g = [0.0] * dim
+        g1 = [0.0] * dim
+        for e, c in terms:
+            pe = s**e
+            pe1 = s ** (e - 1.0)
+            for k in range(dim):
+                g[k] += c[k] * pe
+                g1[k] += e * c[k] * pe1
+        psi = sum((g[k] - xt[k]) * g1[k] for k in range(dim))
+        dpsi = sum(v * v for v in g1)
+        if s > 0.0:
+            for e, c in terms:
+                pe2 = e * (e - 1.0) * s ** (e - 2.0)
+                for k in range(dim):
+                    dpsi += (g[k] - xt[k]) * c[k] * pe2
+        if dpsi <= 0.0:
+            break
+        s_new = min(max(s - psi / dpsi, lo), hi)
+        if abs(s_new - s) <= 1e-14 * max(abs(s_new), seed, 1e-9):
+            s = s_new
+            converged = True
+            break
+        s = s_new
+    if not converged:
+        s, _ = golden_min(dist_at, lo, hi)
+    p = branch.eval(float(s))
+    d = p - np.asarray(x, dtype=float)
+    return math.sqrt(d.dot(d)), p, float(s)
+
+
+def _plane_branches(seed):
+    """Seeded plane branches, the same branches' z = 0 traces in 3D, and
+    the generators of the horn3d surfaces (the traces the medial solve
+    projects onto)."""
+    out = []
+    for b in _branches(seed):
+        plane = [(e, c[:2]) for e, c in b.terms]
+        out.append(puiseux_branch(plane, b.t_max, b.label))
+        out.append(puiseux_branch([(e, (*c, 0.0)) for e, c in plane], b.t_max, b.label + "z"))
+    out += [g for piece in builtin("horn3d").germ().surfaces for g in piece.trace()]
+    return out
+
+
+def _queries(b, rng):
+    """(query, seed, window) near and far from the branch."""
+    out = []
+    for _ in range(6):
+        s0 = rng.uniform(0.0, b.t_max)
+        p = b.eval(np.asarray(s0))
+        r = float(np.linalg.norm(p)) or 1e-3
+        direction = rng.standard_normal(2)
+        for offset in (1e-4 * r, 0.3 * r, 2.0 * r):
+            q = p.copy()
+            q[:2] += offset * direction / np.linalg.norm(direction)
+            seed = min(b.t_max, s0 * (1.0 + rng.uniform(-0.2, 0.2)))
+            out.append((q, seed, rng.uniform(0.05, 1.0) * b.t_max))
+    return out
+
+
+def _same_projection(b, q, seed, window):
+    ref = _reference_project_branch(b, q, seed, window)
+    got = medial._project_branch(b, q, seed, window)
+    assert (got[0].hex(), got[1].tobytes(), got[2].hex()) == (
+        ref[0].hex(),
+        ref[1].tobytes(),
+        ref[2].hex(),
+    ), (b.label, q.tolist(), seed, window)
+
+
+def test_project_branch_matches_any_dimension_loop(monkeypatch):
+    searches = []
+    monkeypatch.setattr(
+        medial, "golden_min", lambda *a, **k: searches.append(1) or golden_min(*a, **k)
+    )
+    rng = np.random.default_rng(5)
+    branches = _plane_branches(0)
+    assert {b.ambient_dim for b in branches} == {2, 3}
+    cases = 0
+    for b in branches:
+        for q, seed, window in _queries(b, rng):
+            _same_projection(b, q, seed, window)
+            cases += 1
+    # both ways out of the kernel are covered: Newton and the golden search
+    assert 0 < len(searches) < cases
+
+
+def test_project_branch_feet_at_zero():
+    # abs_graph: the query on one branch has its foot at s = 0 on the
+    # perpendicular branch; a leading exponent below 1 stops Newton at s = 0
+    germ = builtin("abs_graph").germ()
+    plus, minus = germ.branch("abs_plus"), germ.branch("abs_minus")
+    for r in RunConfig().scales():
+        q = plus.point_at_radius(r)
+        s = minus.param_at_radius(r)
+        _same_projection(minus, q, s, s + r)
+    half = puiseux_branch([((1, 2), (1.0, 0.0)), (1, (0.0, 1.0))], 1.0, "half")
+    for q in ([-0.01, 0.0], [0.0, 0.2], [0.04, -0.1]):
+        _same_projection(half, np.array(q), 0.0, 0.5)
+
+
+def test_project_branch_rejects_points_off_the_plane():
+    off = puiseux_branch([(1, (1.0, 0.0, 0.5))], 1.0, "off")
+    with pytest.raises(InputError, match="coordinate plane"):
+        medial._project_branch(off, np.zeros(3), 0.1, 0.1)
+    flat = puiseux_branch([(1, (1.0, 0.0, 0.0))], 1.0, "flat")
+    with pytest.raises(InputError, match="coordinate plane"):
+        medial._project_branch(flat, np.array([0.1, 0.0, 1e-3]), 0.1, 0.1)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from lnegerm import (
     EUCLID,
+    InputError,
     LnegermError,
     PuiseuxBranch,
     RegistryError,
@@ -21,6 +22,7 @@ from lnegerm import (
     run_scenario,
     symbolic_separation_order,
 )
+from lnegerm import germs
 from lnegerm.scenarios import (
     BUILTIN_LABELS,
     Scenario,
@@ -190,6 +192,23 @@ class TestRunResults:
         assert res.status == "INCONCLUSIVE"
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("t_min", math.nan),
+        ("t_max", math.inf),
+        ("order_tolerance", math.nan),
+        ("order_tolerance", math.inf),
+        ("weights", (math.nan, 1.0)),
+        ("weights", (1.0, math.inf)),
+    ],
+)
+def test_config_rejects_non_finite(field, value):
+    # NaN and inf pass every <= check; each must be named where it enters
+    with pytest.raises(InputError, match="finite"):
+        RunConfig(**{field: value})
+
+
 class TestOneLadder:
     def test_default_ladder_is_exact(self):
         # float == is bitwise here: every entry is an exact power of two
@@ -232,6 +251,18 @@ class TestOneSolvePerAnalysis:
         run_scenario(builtin(label), config)
         assert len(calls) == len(set(calls))
         assert Counter(norm.name for _, _, norm in calls) == solves
+
+    @pytest.mark.parametrize("label, inversions", [("three_tangent", 3), ("cusp", 2)])
+    def test_each_branch_inverted_once(self, monkeypatch, label, inversions):
+        # the set pairs share one norm inversion per branch, however many
+        # pairs the branch is in
+        calls = []
+        original = germs.invert_norm_series
+        monkeypatch.setattr(
+            germs, "invert_norm_series", lambda *a: calls.append(a) or original(*a)
+        )
+        run_scenario(builtin(label))
+        assert len(calls) == inversions
 
 
 class TestSetVerdictRule:

@@ -286,10 +286,32 @@ def test_wall_feet_are_window_minima():
         assert _is_window_minimum(strip, lo, hi, y, dist), (x, prm, window)
 
 
+@pytest.mark.parametrize("a_outer, a_inner", [(0.0, 2.0), (-3.0, 2.0), (2.0, 2.0)])
+def test_horn_rejects_generators_out_of_order(a_outer, a_inner):
+    # the outer generator x = (y/a_outer)^2 needs 0 < a_outer < a_inner
+    with pytest.raises(InputError, match="0 < a_outer < a_inner"):
+        HornPiece(label="horn", a_outer=a_outer, a_inner=a_inner)
+
+
 def test_wall_rejects_negative_half_width():
     # the strip |x| <= c y^2 needs c >= 0; the kernel's clamp assumes it
     with pytest.raises(InputError):
         WallPiece(label="wall", half_width_coef=-0.25)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: HornPiece(label="horn", a_outer=math.nan),
+        lambda: HornPiece(label="horn", y_max=math.inf),
+        lambda: WallPiece(label="wall", half_width_coef=math.inf),
+        lambda: WallPiece(label="wall", y_max=math.nan),
+    ],
+    ids=["horn_a_outer_nan", "horn_y_max_inf", "wall_half_width_inf", "wall_y_max_nan"],
+)
+def test_surface_rejects_non_finite_parameters(make):
+    with pytest.raises(InputError, match="finite"):
+        make()
 
 
 # ---------------------------------------------------------------------------
