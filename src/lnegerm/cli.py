@@ -98,42 +98,6 @@ _FLAG_FIELDS = {
 _MEDIAL_FLAG_FIELDS = {"theta_min": "theta_min"}
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-#: what each field of a config file must hold, as (description, test)
-_FILE_FIELDS = {
-    "t_min": ("a number", _is_number),
-    "t_max": ("a number", _is_number),
-    "levels": ("an integer", _is_int),
-    "density": ("an integer", _is_int),
-    "order_tolerance": ("a number", _is_number),
-    "norm_kind": ("a string", lambda v: isinstance(v, str)),
-    "weights": (
-        "null or a list of numbers",
-        lambda v: v is None or isinstance(v, list) and all(map(_is_number, v)),
-    ),
-    "output_format": ("a string", lambda v: isinstance(v, str)),
-    "plot_dir": ("null or a string", lambda v: v is None or isinstance(v, str)),
-    "seed": ("an integer", _is_int),
-    "theta_min": ("a number", _is_number),
-}
-
-
-def _check_file_fields(path: str, values: dict, prefix: str = "") -> None:
-    """Raise ``InputError`` for a known field holding a value of the wrong
-    JSON type; unknown fields are reported by ``config_from_args``."""
-    for key, v in values.items():
-        if key in _FILE_FIELDS and not _FILE_FIELDS[key][1](v):
-            what = _FILE_FIELDS[key][0]
-            raise InputError(f"config file {path}: field {prefix + key!r} must be {what}")
-
-
 def config_from_args(args) -> RunConfig:
     values: dict = {}
     medial: dict = {}
@@ -148,8 +112,6 @@ def config_from_args(args) -> RunConfig:
         medial = data.pop("medial", None) or {}
         if not isinstance(medial, dict):
             raise InputError(f"config file {args.config}: field 'medial' must be a JSON object")
-        _check_file_fields(args.config, data)
-        _check_file_fields(args.config, medial, "medial.")
         values = data
     for flag, field in _FLAG_FIELDS.items():
         v = getattr(args, flag)

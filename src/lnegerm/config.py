@@ -11,6 +11,7 @@ configuration; ``seed`` is recorded in reports so that randomized *callers*
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,23 @@ from .errors import InputError
 from .norms import make_norm
 
 MIN_LEVELS = 5
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _check_types(config, kinds: dict) -> None:
+    """Raise ``InputError`` naming the first field whose value fails its
+    test; ``kinds`` maps each field to (what it must be, test)."""
+    for name, (what, ok) in kinds.items():
+        v = getattr(config, name)
+        if not ok(v):
+            raise InputError(f"{name} must be {what}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -37,6 +55,14 @@ class MedialConfig:
     theta_min: float = 0.2
 
     def __post_init__(self):
+        _check_types(
+            self,
+            {
+                "window": ("None or a tuple", lambda v: v is None or isinstance(v, tuple)),
+                "resolution": ("None or a number", lambda v: v is None or _is_number(v)),
+                "theta_min": ("a number", _is_number),
+            },
+        )
         if not 0 < self.theta_min < np.pi:
             raise InputError("angular threshold must lie in (0, pi)")
 
@@ -64,6 +90,25 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_types(
+            self,
+            {
+                "t_min": ("a number", _is_number),
+                "t_max": ("a number", _is_number),
+                "levels": ("an integer", _is_int),
+                "density": ("an integer", _is_int),
+                "order_tolerance": ("a number", _is_number),
+                "medial": ("a MedialConfig", lambda v: isinstance(v, MedialConfig)),
+                "norm_kind": ("a string", lambda v: isinstance(v, str)),
+                "weights": (
+                    "None or a list of numbers",
+                    lambda v: v is None or isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+                ),
+                "output_format": ("a string", lambda v: isinstance(v, str)),
+                "plot_dir": ("None or a string", lambda v: v is None or isinstance(v, str)),
+                "seed": ("an integer", _is_int),
+            },
+        )
         for name in ("t_min", "t_max", "order_tolerance"):
             if not math.isfinite(getattr(self, name)):
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")

@@ -265,22 +265,17 @@ class FootFinder:
         in_order = {labels: tuple(sorted(labels)) for labels in set(self.cloud.labels)}
         self._sorted_labels = [in_order[labels] for labels in self.cloud.labels]
 
-    def polish(
-        self, label: str, seed_param, x, pinned: bool = False, shared: dict | None = None
-    ):
+    def polish(self, label: str, seed_param, x, pinned: bool = False):
         """(dist, point, param) of the local foot on one piece near a seed:
         surfaces project themselves, Puiseux branches go to ``_project_branch``.
 
         ``pinned`` keeps surface projections on the seeded side of the piece
         even where that side's foot degenerates (continuous extension for
-        equidistance root solves).  ``shared`` is the per-query dict of the
-        surface kernels (see ``HornPiece.project``); branches ignore it.
+        equidistance root solves).
         """
         piece = self._pieces[label]
         if hasattr(piece, "project"):
-            return piece.project(
-                x, seed_param, window=8.0 * self.spacing, pinned=pinned, shared=shared
-            )
+            return piece.project(x, seed_param, window=8.0 * self.spacing, pinned=pinned)
         speed = float(np.linalg.norm(piece.eval_deriv(max(float(seed_param), 1e-12))))
         window = min(8.0 * self.spacing / max(speed, 1e-9), piece.t_max)
         return _project_branch(piece, x, float(seed_param), window)
@@ -322,11 +317,10 @@ class FootFinder:
         )
         feet = []
         best = math.inf
-        shared: dict = {}  # surface work reused across this query's seeds
         for d, lab, i in tasks:
             if d - 0.5 * self.spacing > best + slack:
                 break
-            dist, point, prm = self.polish(lab, self.cloud.params[i][lab], x, shared=shared)
+            dist, point, prm = self.polish(lab, self.cloud.params[i][lab], x)
             best = min(best, dist)
             feet.append(Foot(point=point, dist=dist, label=lab, param=prm))
         feet.sort(key=lambda f: f.dist)

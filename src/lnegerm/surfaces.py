@@ -7,6 +7,10 @@ canonical height grid so that coinciding boundary samples merge across
 pieces when a cloud is assembled.  Each piece also gives its exact z = 0
 slice (``trace`` and ``covers``), on which the medial branches of a germ
 symmetric under z -> -z are solved.
+
+A piece's params hold its height y in slot ``_HEIGHT``.  One height sampler
+(``_sample``) and one sphere-section solver (``_sphere_section``) serve both
+pieces; each piece lists only its rings of params and its rays.
 """
 
 from __future__ import annotations
@@ -29,19 +33,68 @@ def _generator(label: str, x_coef: float, y_max: float):
     return puiseux_branch(terms, y_max, label)
 
 
-def _canonical_heights(scale: float, density: int) -> np.ndarray:
-    m = int(math.ceil(1.25 * density))
-    return np.linspace(0.0, scale, m + 1)
-
-
-def _check_finite(piece, names) -> None:
+def _check_params(piece, names) -> None:
     """Raise ``InputError`` unless each named parameter of a surface piece
-    is a finite number."""
+    is a finite number and the piece has positive height."""
     for name in names:
         if not math.isfinite(getattr(piece, name)):
             raise InputError(
                 f"surface {piece.label!r}: {name} must be finite, got {getattr(piece, name)}"
             )
+    if not piece.y_max > 0:
+        raise InputError(f"surface {piece.label!r}: y_max must be positive, got {piece.y_max}")
+
+
+def _sample(piece, scale: float, density: int, ring):
+    """(points, params) of a piece in the ball of radius ``scale``: the
+    origin once, then the params ``ring(y, spacing)`` at each height y > 0
+    of the canonical grid.  Every piece samples the same heights, so seam
+    samples of neighbouring pieces coincide."""
+    pts, params = [], []
+    spacing = scale / density
+    m = int(math.ceil(1.25 * density))
+    for y in np.linspace(0.0, min(scale, piece.y_max), m + 1):
+        if y == 0.0:
+            pts.append(np.zeros(3))
+            params.append((0.0, 0.0))
+            continue
+        for prm in ring(y, spacing):
+            p = piece.eval_param(prm)
+            if np.linalg.norm(p) <= scale * (1 + 1e-12):
+                pts.append(p)
+                params.append(prm)
+    return pts, params
+
+
+def _sphere_section(piece, rays, t: float, norm, closed: bool):
+    """Points on {x in piece : ||x||_norm = t}, at most one per ray.
+
+    A ray is a param pair whose height slot is free.  On each ray the height
+    solves ||x|| = t below the cap min(y_max, 1.5 t); a ray still inside the
+    sphere at the cap is skipped.  Returns (points, params, edges); ``edges``
+    joins neighbouring rays' points, the last ray and the first if ``closed``.
+    """
+    point, slot = piece._point, piece._HEIGHT
+    y_hi = min(piece.y_max, t * 1.5)
+    pts, params, index_of_ray = [], [], {}
+    for k, ray in enumerate(rays):
+        prm = list(ray)
+
+        def g(y):
+            prm[slot] = y
+            return norm.of(point(prm)) - t
+
+        g_hi = g(y_hi)
+        if g_hi < 0:
+            continue
+        prm[slot] = brentq(g, 0.0, y_hi, rtol=8.9e-16, fb=g_hi)
+        index_of_ray[k] = len(pts)
+        pts.append(piece.eval_param(prm))
+        params.append(tuple(prm))
+    n = len(rays)
+    nxt = {k: (k + 1) % n if closed else k + 1 for k in index_of_ray}
+    edges = [(i, index_of_ray[nxt[k]]) for k, i in index_of_ray.items() if nxt[k] in index_of_ray]
+    return pts, params, edges
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,9 +112,12 @@ class HornPiece:
     a_inner: float = 2.0
     y_max: float = 1.0
     ambient_dim: int = 3
+    _HEIGHT = 0
 
     def __post_init__(self):
-        _check_finite(self, ("sign", "a_outer", "a_inner", "y_max"))
+        _check_params(self, ("sign", "a_outer", "a_inner", "y_max"))
+        if self.sign not in (1.0, -1.0):
+            raise InputError(f"horn {self.label!r}: sign must be 1 or -1, got {self.sign}")
         if not 0 < self.a_outer < self.a_inner:
             raise InputError("horn needs 0 < a_outer < a_inner (inner generator steeper)")
 
@@ -81,32 +137,16 @@ class HornPiece:
         cx, r = self._cx_r(y)
         return [self.sign * (cx + r * math.cos(theta)), y, r * math.sin(theta)]
 
-    def sample(self, scale: float, density: int):
-        pts, params = [], []
-        spacing = scale / density
-        for y in _canonical_heights(min(scale, self.y_max), density):
-            cx, r = self._cx_r(y)
-            if y == 0.0:
-                pts.append(np.zeros(3))
-                params.append((0.0, 0.0))
-                continue
-            n_theta = max(16, 2 * int(math.ceil(math.pi * r / spacing)))
-            for k in range(n_theta):
-                theta = 2 * math.pi * k / n_theta
-                p = self.eval_param((y, theta))
-                if np.linalg.norm(p) <= scale * (1 + 1e-12):
-                    pts.append(p)
-                    params.append((y, theta))
-        return pts, params
+    def _ring(self, y, spacing: float) -> list:
+        """The circle at height y, at most ``spacing`` apart, and 16 at least."""
+        _, r = self._cx_r(y)
+        n_theta = max(16, 2 * int(math.ceil(math.pi * r / spacing)))
+        return [(y, 2 * math.pi * k / n_theta) for k in range(n_theta)]
 
-    def project(
-        self,
-        x,
-        seed_param,
-        window: float | None = None,
-        pinned: bool = False,
-        shared: dict | None = None,
-    ):
+    def sample(self, scale: float, density: int):
+        return _sample(self, scale, density, self._ring)
+
+    def project(self, x, seed_param, window: float | None = None, pinned: bool = False):
         """Locally nearest horn point to x, seeded at (y, theta).
 
         For fixed height the nearest circle point is closed-form, so the
@@ -123,23 +163,6 @@ class HornPiece:
         equidistance root solves need); otherwise the unconstrained local
         foot is reported, which coincides with another seed group's foot
         and dedupes away.
-
-        ``shared`` is a dict the unpinned calls for one query ``x`` may pass
-        to reuse each other's work; results are bitwise those without it.
-        Its entries are keyed on (label, seed height, window), which fix
-        the golden search interval, and reused as follows:
-
-        * If no evaluation of the clamped search met the arc clamp, the
-          call did not depend on the seed angle, and its result is stored
-          with the angle atan2 of every evaluation.  A later seed whose arc
-          holds every stored angle evaluates the same values along the
-          same path, so it would end at the same foot: it takes the stored
-          one.  Any other seed meets the clamp and runs its own search.
-        * The fallback search for the unconstrained foot does not read the
-          seed angle, so its height is stored and shared; the angle is
-          recomputed per seed.
-
-        Pinned calls neither read nor write ``shared``.
         """
         x = np.asarray(x, dtype=float)
         # Python floats throughout: scalar ops on np.float64 cost several
@@ -149,11 +172,8 @@ class HornPiece:
         theta0 = float(seed_param[1])
         a_out, a_in = self.a_outer, self.a_inner
         quarter, full = 0.25 * math.pi, 2 * math.pi
-        seen = []  # the unclamped angle of every dist_at evaluation
-        clamped = False
 
         def dist_at(y):
-            nonlocal clamped
             # ``** 2`` is libm pow, as in ``_cx_r``; x*x would round differently
             x_out = (y / a_out) ** 2
             x_in = (y / a_in) ** 2
@@ -161,11 +181,9 @@ class HornPiece:
             r = 0.5 * (x_out - x_in)
             ex = wx - cx
             th = math.atan2(wz, ex)
-            seen.append(th)
             delta = math.remainder(th - theta0, full)
             if abs(delta) > quarter:
                 th = theta0 + math.copysign(quarter, delta)
-                clamped = True
             dx = ex - r * math.cos(th)
             dz = wz - r * math.sin(th)
             return math.sqrt(dx * dx + dz * dz + (wy - y) ** 2)
@@ -182,36 +200,20 @@ class HornPiece:
             window = 0.35 * max(y0, abs(wy)) + 1e-9
         lo = max(0.0, y0 - window)
         hi = min(self.y_max, y0 + window)
-        # slot: [(free result, its evaluation angles), fallback height]
-        slot = None
-        if shared is not None and not pinned:
-            slot = shared.setdefault((self.label, y0, window), [None, None])
-            if slot[0] is not None:
-                (dist, p, prm), angles = slot[0]
-                if all(abs(math.remainder(th - theta0, full)) <= quarter for th in angles):
-                    return dist, p.copy(), prm
         y, _ = golden_min(dist_at, lo, hi)
         cx, _ = self._cx_r(y)
         phi = math.atan2(wz, wx - cx)
         delta = math.remainder(phi - theta0, full)
         theta = theta0 + math.copysign(quarter, delta) if abs(delta) > quarter else phi
         if not pinned and abs(math.remainder(phi - theta, full)) > 1e-9:
-            if slot is None or slot[1] is None:
-                y, _ = golden_min(dist_free, lo, hi)
-                if slot is not None:
-                    slot[1] = y
-            else:
-                y = slot[1]
+            y, _ = golden_min(dist_free, lo, hi)
             cx, _ = self._cx_r(y)
             w = math.hypot(wx - cx, wz)
             theta = math.atan2(wz, wx - cx) if w > 1e-300 else theta0
         prm = (y, theta % full)
         p = self.eval_param(prm)
         d = p - x
-        dist = math.sqrt(d.dot(d))  # exactly np.linalg.norm of a vector
-        if slot is not None and not clamped:
-            slot[0] = (dist, p.copy(), prm), seen
-        return dist, p, prm
+        return math.sqrt(d.dot(d)), p, prm  # exactly np.linalg.norm of a vector
 
     def trace(self) -> list:
         """The horn's z = 0 slice: its generators x = sign (y/a)^2, as
@@ -233,35 +235,13 @@ class HornPiece:
         return False
 
     def section(self, t: float, norm=EUCLID, density: int = 32):
-        """Points on {x in piece : ||x||_norm = t}, one per theta ray.
-
-        Returns (points, params, edges); ``edges`` joins the points of
-        neighbouring rays, so the section is a closed cycle exactly when no
-        ray misses the sphere below the height cap.
-        """
+        """Points on {x in piece : ||x||_norm = t}, one per theta ray
+        (``_sphere_section``): a closed cycle exactly when no ray misses
+        the sphere below the height cap."""
         _, r_t = self._cx_r(min(t, self.y_max))
         n_theta = max(32, 2 * int(math.ceil(math.pi * r_t * density / max(t, 1e-300))))
-        pts, params, index_of_ray = [], [], {}
-        y_hi = min(self.y_max, t * 1.5)
-        for k in range(n_theta):
-            theta = 2 * math.pi * k / n_theta
-
-            def g(y):
-                return norm.of(self._point((y, theta))) - t
-
-            g_hi = g(y_hi)
-            if g_hi < 0:
-                continue
-            y = brentq(g, 0.0, y_hi, rtol=8.9e-16, fb=g_hi)
-            index_of_ray[k] = len(pts)
-            pts.append(self.eval_param((y, theta)))
-            params.append((y, theta))
-        edges = [
-            (i, index_of_ray[(k + 1) % n_theta])
-            for k, i in index_of_ray.items()
-            if (k + 1) % n_theta in index_of_ray
-        ]
-        return pts, params, edges
+        rays = [(0.0, 2 * math.pi * k / n_theta) for k in range(n_theta)]
+        return _sphere_section(self, rays, t, norm, closed=True)
 
     def to_json(self) -> dict:
         return {
@@ -288,9 +268,10 @@ class WallPiece:
     half_width_coef: float = 0.25
     y_max: float = 1.0
     ambient_dim: int = 3
+    _HEIGHT = 1
 
     def __post_init__(self):
-        _check_finite(self, ("half_width_coef", "y_max"))
+        _check_params(self, ("half_width_coef", "y_max"))
         if not self.half_width_coef >= 0:
             raise InputError("wall needs half_width_coef >= 0")
 
@@ -306,39 +287,20 @@ class WallPiece:
             raise DomainError(f"wall {self.label!r}: u outside [-1, 1]")
         return [u * self.half_width_coef * y * y, y, 0.0]
 
-    def sample(self, scale: float, density: int):
-        pts, params = [], []
-        spacing = scale / density
-        for y in _canonical_heights(min(scale, self.y_max), density):
-            if y == 0.0:
-                pts.append(np.zeros(3))
-                params.append((0.0, 0.0))
-                continue
-            half = self.half_width_coef * y * y
-            n_u = max(2, int(math.ceil(2 * half / spacing)))
-            for u in np.linspace(-1.0, 1.0, n_u + 1):
-                p = self.eval_param((u, y))
-                if np.linalg.norm(p) <= scale * (1 + 1e-12):
-                    pts.append(p)
-                    params.append((u, y))
-        return pts, params
+    def _ring(self, y, spacing: float) -> list:
+        """The strip's width at height y, at most ``spacing`` apart, 3 at least."""
+        half = self.half_width_coef * y * y
+        n_u = max(2, int(math.ceil(2 * half / spacing)))
+        return [(u, y) for u in np.linspace(-1.0, 1.0, n_u + 1)]
 
-    def project(
-        self,
-        x,
-        seed_param,
-        window: float | None = None,
-        pinned: bool = False,
-        shared: dict | None = None,
-    ):
+    def sample(self, scale: float, density: int):
+        return _sample(self, scale, density, self._ring)
+
+    def project(self, x, seed_param, window: float | None = None, pinned: bool = False):
         """Locally nearest strip point; closed-form clamp in x, 1D over y.
 
         The foot depends on (x, seed height, window) alone: neither the seed
-        abscissa u nor ``pinned`` is read.  So ``shared``, a dict the
-        unpinned calls for one query ``x`` may pass, keeps the first result
-        per (label, seed height, window) and hands later seeds at that
-        height a copy, bitwise what their own search would return.  Pinned
-        calls neither read nor write it.
+        abscissa u nor ``pinned`` is read.
         """
         x = np.asarray(x, dtype=float)
         x0, x1, x2 = x.tolist()
@@ -354,10 +316,6 @@ class WallPiece:
         y0 = float(seed_param[1])
         if window is None:
             window = 0.35 * max(y0, abs(x1)) + 1e-9
-        key = (self.label, y0, window)
-        if shared is not None and not pinned and key in shared:
-            dist, p, prm = shared[key]
-            return dist, p.copy(), prm
         lo = max(0.0, y0 - window)
         hi = min(self.y_max, y0 + window)
         y, _ = golden_min(dist_at, lo, hi)
@@ -365,10 +323,7 @@ class WallPiece:
         u = min(max(x0 / half, -1.0), 1.0) if half > 0 else 0.0
         p = self.eval_param((u, y))
         d = p - x
-        dist = math.sqrt(d.dot(d))
-        if shared is not None and not pinned:
-            shared[key] = (dist, p.copy(), (u, y))
-        return dist, p, (u, y)
+        return math.sqrt(d.dot(d)), p, (u, y)
 
     def trace(self) -> list:
         """The strip's edges x = +-c y^2, as Puiseux branches with z
@@ -391,29 +346,11 @@ class WallPiece:
         return 0.0 <= y <= self.y_max and abs(x) <= self.half_width_coef * y * y
 
     def section(self, t: float, norm=EUCLID, density: int = 32):
-        """Points on {x in piece : ||x||_norm = t}, one per u sample.
-
-        Returns (points, params, edges); ``edges`` joins the points of
-        consecutive u samples that both reach the sphere.
-        """
-        pts, params, edges = [], [], []
-        y_hi = min(self.y_max, t * 1.5)
-        prev = None
-        for j, u in enumerate(np.linspace(-1.0, 1.0, max(8, density // 2) + 1).tolist()):
-
-            def g(y):
-                return norm.of(self._point((u, y))) - t
-
-            g_hi = g(y_hi)
-            if g_hi < 0:
-                continue
-            y = brentq(g, 0.0, y_hi, rtol=8.9e-16, fb=g_hi)
-            if prev == j - 1:
-                edges.append((len(pts) - 1, len(pts)))
-            prev = j
-            pts.append(self.eval_param((u, y)))
-            params.append((u, y))
-        return pts, params, edges
+        """Points on {x in piece : ||x||_norm = t}, one per u ray
+        (``_sphere_section``): an open path, cut where a ray misses the
+        sphere below the height cap."""
+        us = np.linspace(-1.0, 1.0, max(8, density // 2) + 1).tolist()
+        return _sphere_section(self, [(u, 0.0) for u in us], t, norm, closed=False)
 
     def to_json(self) -> dict:
         return {

@@ -355,6 +355,27 @@ _MALFORMED = {
     "horn_a_outer_zero": _germ_file_case(
         lambda d: d["surfaces"][0]["params"].update(a_outer=0.0), label="horn3d"
     ),
+    "horn_sign_two": _germ_file_case(
+        lambda d: d["surfaces"][0]["params"].update(sign=2.0), label="horn3d"
+    ),
+    "horn_sign_zero": _germ_file_case(
+        lambda d: d["surfaces"][0]["params"].update(sign=0.0), label="horn3d"
+    ),
+    "wall_y_max_zero": _germ_file_case(
+        lambda d: d["surfaces"][2]["params"].update(y_max=0.0), label="horn3d"
+    ),
+    "horn_y_max_negative": _germ_file_case(
+        lambda d: d["surfaces"][0]["params"].update(y_max=-1.0), label="horn3d"
+    ),
+}
+
+#: the parameter each of these errors names: unchecked, a sign off ±1 analyses
+#: to a verdict, and a height y_max <= 0 fails later, in an unrelated check
+_NAMES_PARAMETER = {
+    "horn_sign_two": "sign",
+    "horn_sign_zero": "sign",
+    "wall_y_max_zero": "y_max",
+    "horn_y_max_negative": "y_max",
 }
 
 
@@ -393,3 +414,5 @@ def test_malformed_input_file_is_an_error(capsys, tmp_path, name):
     assert err.startswith("lnegerm: error:")
     if name in _NON_FINITE:
         assert "finite" in err
+    if name in _NAMES_PARAMETER:
+        assert f"{_NAMES_PARAMETER[name]} must be" in err

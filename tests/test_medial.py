@@ -26,7 +26,6 @@ from lnegerm import (
     puiseux_branch,
 )
 from lnegerm import medial
-from lnegerm.optimize import golden_min
 from lnegerm.surfaces import HornPiece, WallPiece
 
 
@@ -114,65 +113,6 @@ def grid_axes():
         label: extract_medial_axis_grid(builtin(label).germ(), window, h)
         for label, (window, h) in PLANE_GRIDS.items()
     }
-
-
-def _foot_bits(feet):
-    return [
-        (f.label, f.dist.hex(), f.point.tobytes(), tuple(float(v).hex() for v in f.param))
-        for f in feet
-    ]
-
-
-class TestSharedFeet:
-    """Sharing surface work across the seeds of one ``feet`` query changes
-    no bit of its feet."""
-
-    def queries(self):
-        # near either horn tube's axis, where the seeds form a ring round
-        # the tube, and inside and beside the wall strip
-        out = []
-        for y in (0.12, 0.3, 0.45, 0.6):
-            x_out, x_in = y * y, (y / 2.0) ** 2
-            cx, r = 0.5 * (x_out + x_in), 0.5 * (x_out - x_in)
-            for sign in (1.0, -1.0):
-                out.append((sign * (cx + 0.1 * r), y + 0.02, 0.0))
-                out.append((sign * cx, y + 0.01, 0.05 * r))
-            half = 0.25 * y * y
-            out += [(0.3 * half, y, 0.02), (0.0, y + 0.003, -0.01), (1.5 * half, y, 0.004)]
-        return out
-
-    def test_feet_match_unshared(self, monkeypatch):
-        from lnegerm import FootFinder, surfaces
-
-        finder, _ = _grid_setup(builtin("horn3d").germ(), HORN_WINDOW, HORN_STEP)
-        calls = []
-
-        def counting(f, lo, hi, iters=48):
-            calls.append(f.__name__)
-            return golden_min(f, lo, hi, iters)
-
-        monkeypatch.setattr(surfaces, "golden_min", counting)
-        shared = [finder.feet(np.array(q)) for q in self.queries()]
-        n_shared = len(calls)
-        polish = FootFinder.polish
-        seeds = []
-
-        def unshared(self, label, seed_param, x, pinned=False, shared=None):
-            seeds.append(label)
-            return polish(self, label, seed_param, x, pinned=pinned)
-
-        monkeypatch.setattr(FootFinder, "polish", unshared)
-        plain = []
-        for q in self.queries():
-            seeds.clear()
-            plain.append((finder.feet(np.array(q)), len(seeds)))
-        assert n_shared < len(calls) - n_shared
-        for q, a, (b, _) in zip(self.queries(), shared, plain):
-            assert _foot_bits(a) == _foot_bits(b), q
-            for f, g in itertools.combinations(a, 2):
-                assert not np.shares_memory(f.point, g.point)
-        # the ring queries do see rings: over a hundred seeds round a tube
-        assert max(n for _, n in plain) >= 100
 
 
 class TestGridPrefilter:

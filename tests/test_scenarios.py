@@ -12,6 +12,7 @@ from lnegerm import (
     EUCLID,
     InputError,
     LnegermError,
+    MedialConfig,
     PuiseuxBranch,
     RegistryError,
     RunConfig,
@@ -207,6 +208,34 @@ def test_config_rejects_non_finite(field, value):
     # NaN and inf pass every <= check; each must be named where it enters
     with pytest.raises(InputError, match="finite"):
         RunConfig(**{field: value})
+
+
+#: (config class, field, value of the wrong type); unchecked, each ends in a
+#: raw TypeError or ValueError, at once or later in the analysis, or in none
+_WRONG_TYPES = {
+    "levels_float": (RunConfig, "levels", 7.5),
+    "levels_bool": (RunConfig, "levels", True),
+    "density_float": (RunConfig, "density", 20.5),
+    "seed_bool": (RunConfig, "seed", True),
+    "t_min_string": (RunConfig, "t_min", "x"),
+    "order_tolerance_none": (RunConfig, "order_tolerance", None),
+    "weights_number": (RunConfig, "weights", 3),
+    "weights_string_entry": (RunConfig, "weights", [1, "a"]),
+    "medial_number": (RunConfig, "medial", 5),
+    "norm_kind_number": (RunConfig, "norm_kind", 3),
+    "output_format_number": (RunConfig, "output_format", 1),
+    "plot_dir_number": (RunConfig, "plot_dir", 3),
+    "theta_min_string": (MedialConfig, "theta_min", "a"),
+    "resolution_string": (MedialConfig, "resolution", "a"),
+    "window_list": (MedialConfig, "window", [[0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("case", list(_WRONG_TYPES))
+def test_config_rejects_wrong_types(case):
+    make, field, value = _WRONG_TYPES[case]
+    with pytest.raises(InputError, match=f"^{field} must be (a|an|None) "):
+        make(**{field: value})
 
 
 class TestOneLadder:

@@ -1,14 +1,17 @@
-"""Surface foot kernels: bitwise equal to the plain scalar reference, and
-each foot a minimum over its height window."""
+"""Surface kernels: feet, sphere sections and height samples bitwise equal
+to plain per-piece references, and each foot a minimum over its height
+window."""
 
+import dataclasses
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from lnegerm import InputError, optimize, surfaces
-from lnegerm.optimize import golden_min
+from lnegerm import InputError, builtin, optimize, surfaces
+from lnegerm.norms import EUCLID, make_norm
+from lnegerm.optimize import brentq, golden_min
 from lnegerm.surfaces import HornPiece, WallPiece
 
 # ---------------------------------------------------------------------------
@@ -315,129 +318,143 @@ def test_surface_rejects_non_finite_parameters(make):
 
 
 # ---------------------------------------------------------------------------
-# Per-query sharing: one dict across the seeds of a query changes no bit.
+# Sphere sections and height samples: the shared solver and sampler against
+# one plain loop per piece, written out in full.
 # ---------------------------------------------------------------------------
 
 
-def _counting_golden_min(counts):
-    """golden_min that counts its calls by the name of the minimized
-    function (``dist_at`` or ``dist_free``)."""
+def _ref_horn_section(self, t, norm, density):
+    _, r_t = self._cx_r(min(t, self.y_max))
+    n_theta = max(32, 2 * int(math.ceil(math.pi * r_t * density / max(t, 1e-300))))
+    pts, params, index_of_ray = [], [], {}
+    y_hi = min(self.y_max, t * 1.5)
+    for k in range(n_theta):
+        theta = 2 * math.pi * k / n_theta
 
-    def minimize(f, lo, hi, iters=48):
-        counts[f.__name__] = counts.get(f.__name__, 0) + 1
-        return optimize.golden_min(f, lo, hi, iters)
+        def g(y):
+            return norm.of(self._point((y, theta))) - t
 
-    return minimize
-
-
-def _entries(shared):
-    """The dict's entries, with each horn slot's items, as objects."""
-    return {k: tuple(v) for k, v in shared.items()}
-
-
-def _assert_untouched(shared, before):
-    after = _entries(shared)
-    assert after.keys() == before.keys()
-    for k, items in before.items():
-        assert all(a is b for a, b in zip(after[k], items))
-
-
-def _check_group(kind, piece, x, seeds, window, monkeypatch):
-    """Project every seed of a group with and without one shared dict;
-    pinned seeds go through the dict too and must leave it as it was.
-    Returns the golden_min call counts (shared, unshared)."""
-    counts_none, counts_shared = {}, {}
-    monkeypatch.setattr(surfaces, "golden_min", _counting_golden_min(counts_none))
-    plain = [kind.project(piece, x, prm, window=window, pinned=pinned) for prm, pinned in seeds]
-    monkeypatch.setattr(surfaces, "golden_min", _counting_golden_min(counts_shared))
-    shared, got = {}, []
-    for prm, pinned in seeds:
-        before = _entries(shared)
-        got.append(kind.project(piece, x, prm, window=window, pinned=pinned, shared=shared))
-        if pinned:
-            _assert_untouched(shared, before)
-    for (prm, pinned), a, b in zip(seeds, got, plain):
-        assert _bits(a) == _bits(b), (x, prm, window, pinned)
-    monkeypatch.setattr(surfaces, "golden_min", optimize.golden_min)
-    # each result owns its point: writing to one changes no other
-    for a in got:
-        a[1][:] = np.nan
-    again = [
-        kind.project(piece, x, prm, window=window, pinned=pinned, shared=shared)
-        for prm, pinned in seeds
-    ]
-    assert all(_bits(a) == _bits(b) for a, b in zip(again, plain))
-    return counts_shared, counts_none
-
-
-def _arc_offsets(rng):
-    """Seed angles relative to the query's direction: near it, spread round
-    the circle, and on either side of the quarter-arc boundary."""
-    near = rng.uniform(-0.3, 0.3, 4)
-    spread = np.linspace(0.0, 2 * math.pi, 12, endpoint=False) + rng.uniform(0, 0.5)
+        g_hi = g(y_hi)
+        if g_hi < 0:
+            continue
+        y = brentq(g, 0.0, y_hi, rtol=8.9e-16, fb=g_hi)
+        index_of_ray[k] = len(pts)
+        pts.append(self.eval_param((y, theta)))
+        params.append((y, theta))
     edges = [
-        s * (0.25 * math.pi + e) for s in (1.0, -1.0) for e in (-1e-3, -1e-12, 1e-12, 1e-3)
+        (i, index_of_ray[(k + 1) % n_theta])
+        for k, i in index_of_ray.items()
+        if (k + 1) % n_theta in index_of_ray
     ]
-    return [float(v) for v in np.concatenate([near, spread])] + edges
+    return pts, params, edges
 
 
-def test_horn_shared_matches_unshared_bitwise(monkeypatch):
-    rng = np.random.default_rng(7)
-    pieces = [
-        HornPiece(label="pos", sign=1.0, a_outer=1.0, a_inner=2.0, y_max=1.0),
-        HornPiece(label="neg", sign=-1.0, a_outer=1.0, a_inner=2.0, y_max=1.0),
-    ]
-    totals = {"dist_at": [0, 0], "dist_free": [0, 0]}
-    lo_cut = hi_cut = flat = 0
-    for n in range(48):
-        horn = pieces[n % 2]
-        y = _height(rng)
-        cx, r = horn._cx_r(y)
-        theta = float(rng.uniform(0.0, 2 * math.pi))
-        # near the tube axis (a ring of feet), inside, or outside the tube
-        rho = float(rng.choice([0.02, 0.3, 1.4])) * r + float(rng.uniform(0.0, 0.005))
-        x = np.array([horn.sign * (cx + rho * math.cos(theta)), y, rho * math.sin(theta)])
-        x[1] += float(rng.uniform(-0.01, 0.01))
-        if n % 4 == 3:
-            x[2] = 0.0
-        y0 = min(max(y + float(rng.uniform(-0.01, 0.01)), 0.0), 1.0)
-        window = [None, 0.08, 0.16][int(rng.integers(3))]
-        seeds = [
-            ((y0, (theta + off) % (2 * math.pi)), k % 5 == 4)
-            for k, off in enumerate(_arc_offsets(rng))
-        ]
-        shared, plain = _check_group(HornPiece, horn, x, seeds, window, monkeypatch)
-        for name, calls in totals.items():
-            calls[0] += shared.get(name, 0)
-            calls[1] += plain.get(name, 0)
-        lo, hi = _window(window, y0, x[1], horn.y_max)
-        lo_cut += lo == 0.0
-        hi_cut += hi == horn.y_max
-        flat += x[2] == 0.0
-    assert min(lo_cut, hi_cut, flat) >= 4
-    # both reuse paths ran: whole free feet and fallback heights
-    assert totals["dist_at"][0] < totals["dist_at"][1]
-    assert 0 < totals["dist_free"][0] < totals["dist_free"][1]
+def _ref_wall_section(self, t, norm, density):
+    pts, params, edges = [], [], []
+    y_hi = min(self.y_max, t * 1.5)
+    prev = None
+    for j, u in enumerate(np.linspace(-1.0, 1.0, max(8, density // 2) + 1).tolist()):
+
+        def g(y):
+            return norm.of(self._point((u, y))) - t
+
+        g_hi = g(y_hi)
+        if g_hi < 0:
+            continue
+        y = brentq(g, 0.0, y_hi, rtol=8.9e-16, fb=g_hi)
+        if prev == j - 1:
+            edges.append((len(pts) - 1, len(pts)))
+        prev = j
+        pts.append(self.eval_param((u, y)))
+        params.append((u, y))
+    return pts, params, edges
 
 
-def test_wall_shared_matches_unshared_bitwise(monkeypatch):
-    rng = np.random.default_rng(8)
-    wall = WallPiece(label="wall", half_width_coef=0.25, y_max=1.0)
-    lo_cut = hi_cut = 0
-    for _ in range(40):
-        y = _height(rng)
-        half = 0.25 * y * y
-        xs = float(rng.choice([rng.uniform(-1, 1), rng.uniform(1, 3)])) * half
-        x = np.array([xs, y + float(rng.uniform(-0.01, 0.01)), float(rng.uniform(-0.05, 0.05))])
-        window = [None, 0.08, 0.16][int(rng.integers(3))]
-        heights = [min(max(y + float(rng.uniform(-0.01, 0.01)), 0.0), 1.0) for _ in range(3)]
-        seeds = [
-            ((float(rng.uniform(-1, 1)), heights[k % 3]), k % 4 == 3) for k in range(12)
-        ]
-        shared, _ = _check_group(WallPiece, wall, x, seeds, window, monkeypatch)
-        # one search per seed height; pinned seeds search for themselves
-        assert shared["dist_at"] == len(set(heights)) + 3
-        lo, hi = _window(window, heights[0], x[1], wall.y_max)
-        lo_cut += lo == 0.0
-        hi_cut += hi == wall.y_max
-    assert min(lo_cut, hi_cut) >= 4
+def _ref_horn_sample(self, scale, density):
+    pts, params = [], []
+    spacing = scale / density
+    for y in np.linspace(0.0, min(scale, self.y_max), int(math.ceil(1.25 * density)) + 1):
+        cx, r = self._cx_r(y)
+        if y == 0.0:
+            pts.append(np.zeros(3))
+            params.append((0.0, 0.0))
+            continue
+        n_theta = max(16, 2 * int(math.ceil(math.pi * r / spacing)))
+        for k in range(n_theta):
+            theta = 2 * math.pi * k / n_theta
+            p = self.eval_param((y, theta))
+            if np.linalg.norm(p) <= scale * (1 + 1e-12):
+                pts.append(p)
+                params.append((y, theta))
+    return pts, params
+
+
+def _ref_wall_sample(self, scale, density):
+    pts, params = [], []
+    spacing = scale / density
+    for y in np.linspace(0.0, min(scale, self.y_max), int(math.ceil(1.25 * density)) + 1):
+        if y == 0.0:
+            pts.append(np.zeros(3))
+            params.append((0.0, 0.0))
+            continue
+        half = self.half_width_coef * y * y
+        n_u = max(2, int(math.ceil(2 * half / spacing)))
+        for u in np.linspace(-1.0, 1.0, n_u + 1):
+            p = self.eval_param((u, y))
+            if np.linalg.norm(p) <= scale * (1 + 1e-12):
+                pts.append(p)
+                params.append((u, y))
+    return pts, params
+
+
+def _param_bits(params):
+    return [tuple((type(v), float(v).hex()) for v in prm) for prm in params]
+
+
+def _points_bits(pts):
+    return [np.asarray(p).dtype.str + np.asarray(p).tobytes().hex() for p in pts]
+
+
+_NORMS = {"euclid": EUCLID, "maxv": make_norm("maxv", (40.0, 1.0, 20.0), 3)}
+
+
+@pytest.mark.parametrize("norm", list(_NORMS))
+def test_section_matches_per_piece_loops_bitwise(norm):
+    norm = _NORMS[norm]
+    rng = np.random.default_rng(3)
+    pieces = builtin("horn3d").germ().surfaces
+    ts = [2.0**-3, 2.0**-20, *(2.0 ** -rng.uniform(3, 20, 6))]
+    skipped = 0
+    for t in ts:
+        t = float(t)
+        for density in (8, 32, 64):
+            for piece in pieces:
+                ref = _ref_horn_section if isinstance(piece, HornPiece) else _ref_wall_section
+                # cropped at the median solved height (below the cap 1.5 t),
+                # so the rays whose roots lie above it miss the sphere
+                _, params, _ = ref(piece, t, norm, density)
+                y_mid = float(np.median([prm[piece._HEIGHT] for prm in params]))
+                for case in (piece, dataclasses.replace(piece, y_max=y_mid)):
+                    got = case.section(t, norm=norm, density=density)
+                    want = ref(case, t, norm, density)
+                    assert _points_bits(got[0]) == _points_bits(want[0]), (case, t, density)
+                    assert _param_bits(got[1]) == _param_bits(want[1]), (case, t, density)
+                    assert got[2] == want[2], (case, t, density)
+                    skipped += len(params) - len(got[1])
+    assert skipped > 0
+
+
+def test_sample_matches_per_piece_loops_bitwise():
+    rng = np.random.default_rng(4)
+    pieces = builtin("horn3d").germ().surfaces
+    for scale in [2.0**-2, 2.0**-10, *(2.0 ** -rng.uniform(2, 12, 2))]:
+        scale = float(scale)
+        for density in (8, 32, 64):
+            for piece in pieces:
+                ref = _ref_horn_sample if isinstance(piece, HornPiece) else _ref_wall_sample
+                # a piece lower than the ball samples only up to its own top
+                for case in (piece, dataclasses.replace(piece, y_max=0.6 * scale)):
+                    got = case.sample(scale, density)
+                    want = ref(case, scale, density)
+                    assert _points_bits(got[0]) == _points_bits(want[0]), (case, scale)
+                    assert _param_bits(got[1]) == _param_bits(want[1]), (case, scale)
