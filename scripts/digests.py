@@ -35,8 +35,8 @@ from lnegerm.scenarios import BUILTIN_LABELS, run_scenario  # noqa: E402
 #: (workload, seeds) of the default set
 DEFAULT = (("plane_sweep", range(8)), ("arc_fan", range(8)), ("horn3d", range(1)))
 #: command lines of ``--cli``: analyze and medial in both formats and link as
-#: CSV on every builtin, then the builtin table, then a medial export on a
-#: ladder set by flags
+#: CSV on every builtin, then the builtin table, a medial export on a ladder
+#: set by flags, and horn3d's surface sections under a weighted max norm
 CLI_FORMATS = (("analyze", ("json", "csv")), ("medial", ("json", "csv")), ("link", ("csv",)))
 CLI_RUNS = tuple(
     (command, "--builtin", label, "--format", fmt)
@@ -46,6 +46,8 @@ CLI_RUNS = tuple(
 ) + (
     ("scenarios", "--format", "csv"),
     ("medial", "--builtin", "cusp", "--t-min", "0.00390625", "--levels", "5", "--format", "csv"),
+    ("link", "--builtin", "horn3d", "--norm", "maxv", "--weights", "40,1,20", "--format", "csv"),
+    ("analyze", "--builtin", "horn3d", "--norm", "maxv", "--format", "json"),
 )
 
 

@@ -5,8 +5,8 @@ coefficient vectors.  Surface germs are procedural samplers (see
 ``surfaces``).  This module owns evaluation, distance reparametrization,
 arc lengths, tangent half-lines, the exact separation-order oracle (dense
 power series on an integer lattice), sampling into point clouds, the
-per-analysis table of radius parameters (``RadiusTable``), and the germ
-JSON file format.
+per-analysis table of radius parameters and surface sections
+(``RadiusTable``), and the germ JSON file format.
 
 A branch evaluates an array of parameters with numpy and one float
 parameter with a scalar path (``PuiseuxBranch._point``) that gives the same
@@ -220,21 +220,28 @@ class PuiseuxBranch:
 
 
 class RadiusTable:
-    """Radius-r parameters of Puiseux branches on one scale ladder: each
-    (branch, ladder radius, norm) is solved once (``param_at_radius``).
+    """Radius-r parameters of Puiseux branches, and sphere sections of
+    surface pieces, on one scale ladder, each solved once per analysis.
+
+    ``param`` solves each (branch, ladder radius, norm) once
+    (``param_at_radius``).  ``section`` is its surface twin: the first ask
+    for a (piece, norm, density) on a ladder radius solves that piece's
+    sections on the whole ladder in one pass (``piece.sections``) and keeps
+    one per radius.
 
     One analysis builds one table and hands it to every stage that needs
-    the parameters: the link sections, which solve under the configured
-    norm, and the set pairs and the medial bisectors, which solve under
-    Euclid.  The norm is part of the key, by value.  A radius off the ladder
-    is solved afresh on every query, so the table never outgrows the ladder.
-    It lives only as long as the analysis that built it, never on a branch:
-    later analyses may share the branches.
+    them: the link sections, which solve under the configured norm, and
+    the set pairs and the medial bisectors, which solve under Euclid.  The
+    norm is part of the key, by value.  A radius off the ladder is solved
+    afresh on every query, so the table never outgrows the ladder.  It
+    lives only as long as the analysis that built it, never on a branch or
+    a piece: later analyses may share them.
     """
 
     def __init__(self, scales):
         self.ladder = frozenset(float(t) for t in scales)
         self._solved: dict = {}
+        self._sections: dict = {}
 
     def param(self, branch: PuiseuxBranch, r: float, norm=EUCLID) -> float:
         if r not in self.ladder:
@@ -243,6 +250,16 @@ class RadiusTable:
         if key not in self._solved:
             self._solved[key] = branch.param_at_radius(r, norm)
         return self._solved[key]
+
+    def section(self, piece, t: float, norm=EUCLID, density: int = 32):
+        """(points, params, edges) of the surface piece's section at radius t."""
+        if t not in self.ladder:
+            return piece.sections((t,), norm, density)[0]
+        key = (piece, norm, density)
+        if key not in self._sections:
+            ladder = sorted(self.ladder, reverse=True)
+            self._sections[key] = dict(zip(ladder, piece.sections(ladder, norm, density)))
+        return self._sections[key][t]
 
 
 def puiseux_branch(terms, t_max: float, label: str, ambient_dim: int | None = None) -> PuiseuxBranch:

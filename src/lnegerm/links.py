@@ -2,7 +2,7 @@
 
 A link section X_t is the intersection of the germ with the norm-sphere of
 radius t: curve pieces contribute exact root-solved points, surface pieces
-their per-ray section samplers.  Per-scale sections carry a graph that
+one root-solved point per ray.  Per-scale sections carry a graph that
 joins neighbouring samples of each surface piece in sampling order, with
 pieces meeting only at shared seam points, and places each curve point
 lying on a surface piece between the section samples on either side of
@@ -82,7 +82,7 @@ def _on_piece_edges(piece, curve_pts, spts, sparams, sedges, t, base) -> list:
     without edges).
     """
     out: list = []
-    if not spts:
+    if not (spts and curve_pts):
         return out
     spts = np.asarray(spts, dtype=float)
     e = np.array(sedges, dtype=int).reshape(-1, 2)
@@ -106,10 +106,12 @@ def link_section(
 
     Curve pieces are solved exactly on the monotone initial range of the
     norm along the piece; pieces too short to reach the sphere contribute
-    nothing.  Each curve piece's parameter comes from ``table``, the
-    analysis's one ``RadiusTable``, so a (branch, radius, norm) that another
-    stage has solved is not solved again; a caller without one gets a fresh
-    table.  All emitted points satisfy the band constraint
+    nothing.  Each curve piece's parameter and each surface piece's
+    section come from ``table``, the analysis's one ``RadiusTable``, so a
+    (branch, radius, norm) that another stage has solved is not solved
+    again, and a surface piece's sections on every ladder radius are solved
+    together on the first ask; a caller without one gets a fresh table.
+    All emitted points satisfy the band constraint
     | ||x||_norm - t | <= BAND * t by construction.
 
     The graph follows sample adjacency, not a radius: consecutive theta
@@ -137,7 +139,7 @@ def link_section(
         labels.append({piece.label})
     curve_pts = list(pts_list)
     for piece in set_.surfaces:
-        spts, sparams, sedges = piece.section(t, norm=norm, density=density)
+        spts, sparams, sedges = table.section(piece, t, norm, density)
         base = len(pts_list)
         edges.extend((base + i, base + j) for i, j in sedges)
         edges.extend(_on_piece_edges(piece, curve_pts, spts, sparams, sedges, t, base))

@@ -9,7 +9,10 @@ runs left to right, as numpy's reduction over a short last axis does), so
 either path gives the same bits.  Its points come from the scalar paths of
 the pieces (``PuiseuxBranch._point``), which keep their own bits by one
 ``np.power`` ufunc call per term and never Python's ``**``: numpy's SIMD
-``pow`` and libm's round differently on some inputs.
+``pow`` and libm's round differently on some inputs.  ``of_columns(cols)``
+is ``of`` on many points at once, given as one array per coordinate: it
+makes ``of``'s float operations in ``of``'s order, elementwise, so each
+value has ``of``'s bits.
 """
 
 from __future__ import annotations
@@ -35,6 +38,12 @@ class EuclideanNorm:
             acc += v * v
         return math.sqrt(acc)
 
+    def of_columns(self, cols) -> np.ndarray:
+        acc = 0.0
+        for v in cols:
+            acc = acc + v * v
+        return np.sqrt(acc)
+
 
 @dataclass(frozen=True)
 class WeightedMaxNorm:
@@ -55,6 +64,15 @@ class WeightedMaxNorm:
 
     def of(self, xs) -> float:
         return max(w * abs(v) for w, v in zip(self.weights, xs))
+
+    def of_columns(self, cols) -> np.ndarray:
+        # Python's max keeps the first of equal values: a later column
+        # replaces the running maximum only where it is larger
+        best = None
+        for w, v in zip(self.weights, cols):
+            wv = w * np.abs(v)
+            best = wv if best is None else np.where(wv > best, wv, best)
+        return best
 
 
 EUCLID = EuclideanNorm()

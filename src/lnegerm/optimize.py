@@ -5,6 +5,8 @@
 function, bracket and tolerances it makes the same evaluations and returns
 the same bits, and a call costs less than scipy's Python wrapper.  Keeping
 it here means analysing a germ never imports ``scipy.optimize``.
+``brentq_lanes`` runs the same iteration on many brackets at once, one
+numpy lane per bracket, with every lane's bits those of ``brentq``.
 
 Foot-point polishing evaluates cheap closed-form distance functions many
 thousands of times per extraction run, through a dependency-free
@@ -16,6 +18,8 @@ it calls at the top of the self time in a profile of the horn3d grid.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import DomainError, InputError, ResolutionError
 
@@ -105,6 +109,106 @@ def brentq(f, a: float, b: float, xtol: float = XTOL, rtol: float = RTOL,
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
     raise ResolutionError(f"brentq did not converge in {maxiter} iterations (x={xcur})")
+
+
+def _lane_values(f, x, lanes, given=None) -> np.ndarray:
+    """f at the points x of ``lanes`` (or the values ``given``), checked
+    for NaN as ``brentq`` checks each value."""
+    fx = np.asarray(f(x, lanes) if given is None else given, dtype=float)
+    nan = np.isnan(fx)
+    if nan.any():
+        raise DomainError(f"the function value at x={x[np.argmax(nan)]} is NaN")
+    return fx
+
+
+def brentq_lanes(f, a, b, xtol: float = XTOL, rtol: float = RTOL,
+                 maxiter: int = MAXITER, fa=None, fb=None) -> np.ndarray:
+    """Roots of many brackets [a[i], b[i]] at once by Brent's method.
+
+    ``f(x, lanes)`` returns the values at the points x (a float array) of
+    the brackets numbered ``lanes`` (an int array into a and b).  Each lane
+    makes the comparisons and float operations that ``brentq`` makes on its
+    bracket, in the same order, as masks over the arrays, so its root has
+    ``brentq``'s bits; a lane that has converged is dropped from every
+    later evaluation.  ``fa`` and ``fb`` are arrays of bracket-end values,
+    as in ``brentq``.  The errors are ``brentq``'s, raised when any lane
+    meets them: ``InputError`` for bad tolerances or a bracket without a
+    sign change, ``DomainError`` for a NaN value, ``ResolutionError`` when
+    a lane has not converged after ``maxiter`` iterations, and
+    ``ZeroDivisionError`` where ``brentq``'s extrapolation divides by 0.
+    """
+    if not xtol > 0:
+        raise InputError(f"xtol too small ({xtol:g} <= 0)")
+    if not rtol >= RTOL:
+        raise InputError(f"rtol too small ({rtol:g} < {RTOL:g})")
+    xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
+    roots = np.empty(len(xcur))
+    lanes = np.arange(len(xcur))
+    if not len(lanes):
+        return roots
+    fpre = _lane_values(f, xpre, lanes, fa)
+    fcur = _lane_values(f, xcur, lanes, fb)
+    at_a = fpre == 0
+    at_b = ~at_a & (fcur == 0)
+    roots[at_a], roots[at_b] = xpre[at_a], xcur[at_b]
+    live = ~(at_a | at_b)
+    if np.any((fpre < 0)[live] == (fcur < 0)[live]):
+        raise InputError("f(a) and f(b) must have different signs")
+    lanes, xpre, xcur, fpre, fcur = (v[live] for v in (lanes, xpre, xcur, fpre, fcur))
+    if not len(lanes):
+        return roots
+    xblk, fblk, spre, scur = (np.zeros(len(lanes)) for _ in range(4))
+    for _ in range(maxiter):
+        flip = (fpre != 0) & (fcur != 0) & ((fpre < 0) != (fcur < 0))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (
+            np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+        )
+        fpre, fcur, fblk = (
+            np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+        )
+
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        if done.any():
+            roots[lanes[done]] = xcur[done]
+            go = ~done
+            lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                v[go] for v in (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
+            )
+            if not len(lanes):
+                return roots
+
+        tried = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+        interp = xpre == xblk
+        # every lane computes both steps; a lane reads only its own, and the
+        # other's divisions may meet 0, hence the errstate
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            stry_interp = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            divisor = dblk * dpre * (fblk - fpre)
+            stry_extrap = -fcur * (fblk * dblk - fpre * dpre) / divisor
+        extrap = tried & ~interp
+        if np.any(extrap & ((xpre == xcur) | (xblk == xcur) | (divisor == 0))):
+            raise ZeroDivisionError("float division by zero")
+        stry = np.where(interp, stry_interp, stry_extrap)
+        # min(abs(spre), 3 * abs(sbis) - delta), Python's min: the first
+        # argument unless the second is smaller
+        cap = 3 * np.abs(sbis) - delta
+        cap = np.where(cap < np.abs(spre), cap, np.abs(spre))
+        short = tried & (2 * np.abs(stry) < cap)
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+
+        xpre, fpre = xcur, fcur
+        xcur = np.where(
+            np.abs(scur) > delta, xcur + scur, xcur + np.where(sbis > 0, delta, -delta)
+        )
+        fcur = _lane_values(f, xcur, lanes)
+    raise ResolutionError(f"brentq did not converge in {maxiter} iterations (x={xcur[0]})")
 
 
 def golden_min(f, lo: float, hi: float, iters: int = 48):

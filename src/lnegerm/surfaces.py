@@ -9,8 +9,9 @@ slice (``trace`` and ``covers``), on which the medial branches of a germ
 symmetric under z -> -z are solved.
 
 A piece's params hold its height y in slot ``_HEIGHT``.  One height sampler
-(``_sample``) and one sphere-section solver (``_sphere_section``) serve both
-pieces; each piece lists only its rings of params and its rays.
+(``_sample``) and one sphere-section solver (``_sphere_sections``) serve
+both pieces; each piece lists only its rings of params, its rays, and the
+column kernel that maps the heights of many rays to their points.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _check_types, _is_int, _is_number
 from .errors import DomainError, InputError, RegistryError
 from .germs import puiseux_branch
 from .norms import EUCLID
-from .optimize import brentq, golden_min
+from .optimize import brentq_lanes, golden_min
 
 
 def _generator(label: str, x_coef: float, y_max: float):
@@ -34,8 +36,19 @@ def _generator(label: str, x_coef: float, y_max: float):
 
 
 def _check_params(piece, names) -> None:
-    """Raise ``InputError`` unless each named parameter of a surface piece
-    is a finite number and the piece has positive height."""
+    """Raise ``InputError`` naming the piece and its first wrongly typed
+    field (a ``str`` label, numbers for the named parameters, never a
+    bool), unless each named parameter is finite and the piece has positive
+    height."""
+    kinds = {
+        "label": ("a string", lambda v: isinstance(v, str)),
+        **{name: ("a number", _is_number) for name in names},
+        "ambient_dim": ("an integer", _is_int),
+    }
+    try:
+        _check_types(piece, kinds)
+    except InputError as exc:
+        raise InputError(f"surface {piece.label!r}: {exc}") from None
     for name in names:
         if not math.isfinite(getattr(piece, name)):
             raise InputError(
@@ -66,35 +79,61 @@ def _sample(piece, scale: float, density: int, ring):
     return pts, params
 
 
-def _sphere_section(piece, rays, t: float, norm, closed: bool):
-    """Points on {x in piece : ||x||_norm = t}, at most one per ray.
+def _check_heights(piece, y) -> None:
+    """Raise ``DomainError`` unless every height in the array y lies in
+    [0, y_max], the range ``_point`` accepts."""
+    if np.any((y < 0) | (y > piece.y_max * (1 + 1e-12))):
+        raise DomainError(f"surface {piece.label!r}: height outside [0, {piece.y_max}]")
 
-    A ray is a param pair whose height slot is free.  On each ray the height
-    solves ||x|| = t below the cap min(y_max, 1.5 t); a ray still inside the
-    sphere at the cap is skipped.  Returns (points, params, edges); ``edges``
-    joins neighbouring rays' points, the last ray and the first if ``closed``.
+
+def _sphere_sections(piece, ts, norm, density: int) -> list:
+    """Points on {x in piece : ||x||_norm = t} for each radius t of ``ts``,
+    at most one per ray, solved in one Brent pass (``brentq_lanes``) over
+    the (radius, ray) lanes of every radius.
+
+    A ray is the fixed coordinate of a param pair whose height slot is free
+    (``piece._rays(t, density)``).  On each ray the height solves
+    ||x|| = t below the cap min(y_max, 1.5 t); a ray still inside the
+    sphere at the cap is skipped.  Each lane's values come from the piece's
+    column kernel (``piece._columns``) and ``norm.of_columns``, bitwise
+    ``norm.of(piece._point(prm))``, so every root has the bits of a scalar
+    ``brentq`` on its ray.  Returns one (points, params, edges) per radius;
+    ``edges`` joins neighbouring rays' points, the last ray and the first
+    if the piece's rays close (``piece._CLOSED``).
     """
-    point, slot = piece._point, piece._HEIGHT
-    y_hi = min(piece.y_max, t * 1.5)
-    pts, params, index_of_ray = [], [], {}
-    for k, ray in enumerate(rays):
-        prm = list(ray)
+    slot = piece._HEIGHT
+    rays_at = [piece._rays(t, density) for t in ts]
+    counts = [len(rays) for rays in rays_at]
+    fixed = [c for rays in rays_at for c in rays]
+    radius = np.repeat(np.asarray(ts, dtype=float), counts)
+    y_hi = np.repeat([min(piece.y_max, t * 1.5) for t in ts], counts)
+    columns = piece._columns(fixed)
 
-        def g(y):
-            prm[slot] = y
-            return norm.of(point(prm)) - t
+    def g(y, lanes):
+        return norm.of_columns(columns(y, lanes)) - radius[lanes]
 
-        g_hi = g(y_hi)
-        if g_hi < 0:
-            continue
-        prm[slot] = brentq(g, 0.0, y_hi, rtol=8.9e-16, fb=g_hi)
-        index_of_ray[k] = len(pts)
-        pts.append(piece.eval_param(prm))
-        params.append(tuple(prm))
-    n = len(rays)
-    nxt = {k: (k + 1) % n if closed else k + 1 for k in index_of_ray}
-    edges = [(i, index_of_ray[nxt[k]]) for k, i in index_of_ray.items() if nxt[k] in index_of_ray]
-    return pts, params, edges
+    g_hi = g(y_hi, np.arange(len(fixed)))
+    hit = np.flatnonzero(~(g_hi < 0))
+    roots = brentq_lanes(
+        lambda y, k: g(y, hit[k]), np.zeros(len(hit)), y_hi[hit], rtol=8.9e-16, fb=g_hi[hit]
+    )
+    rows = list(np.column_stack(columns(roots, hit)))
+    heights = roots.tolist()
+    starts = np.cumsum([0, *counts])
+    ends = np.searchsorted(hit, starts).tolist()
+    out = []
+    for n, start, lo, hi in zip(counts, starts.tolist(), ends, ends[1:]):
+        rays = (hit[lo:hi] - start).tolist()
+        cs = [fixed[start + k] for k in rays]
+        ys = heights[lo:hi]
+        params = list(zip(ys, cs) if slot == 0 else zip(cs, ys))
+        index_of_ray = dict(zip(rays, range(len(rays))))
+        nxt = {k: (k + 1) % n if piece._CLOSED else k + 1 for k in rays}
+        edges = [
+            (i, index_of_ray[nxt[k]]) for k, i in index_of_ray.items() if nxt[k] in index_of_ray
+        ]
+        out.append((rows[lo:hi], params, edges))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +152,7 @@ class HornPiece:
     y_max: float = 1.0
     ambient_dim: int = 3
     _HEIGHT = 0
+    _CLOSED = True
 
     def __post_init__(self):
         _check_params(self, ("sign", "a_outer", "a_inner", "y_max"))
@@ -130,12 +170,30 @@ class HornPiece:
         return np.array(self._point(prm))
 
     def _point(self, prm) -> list:
-        """The point at (y, theta) as a list of floats, for scalar solves."""
+        """The point at (y, theta) as a list of floats (``eval_param``'s)."""
         y, theta = prm
         if y < 0 or y > self.y_max * (1 + 1e-12):
             raise DomainError(f"horn {self.label!r}: height outside [0, {self.y_max}]")
         cx, r = self._cx_r(y)
         return [self.sign * (cx + r * math.cos(theta)), y, r * math.sin(theta)]
+
+    def _columns(self, thetas):
+        """The column kernel of the rays at angles ``thetas``: (y, lanes)
+        to the x, y, z arrays of the points at heights y on rays ``lanes``,
+        each bitwise ``_point``'s.  cos and sin are taken once per ray, with
+        ``math``; the squares are libm ``**``, one per element, since
+        numpy's square is x*x and rounds differently on some inputs."""
+        cos = np.array([math.cos(th) for th in thetas])
+        sin = np.array([math.sin(th) for th in thetas])
+
+        def columns(y, lanes):
+            _check_heights(self, y)
+            x_out = np.array([v**2 for v in (y / self.a_outer).tolist()])
+            x_in = np.array([v**2 for v in (y / self.a_inner).tolist()])
+            cx, r = 0.5 * (x_out + x_in), 0.5 * (x_out - x_in)
+            return self.sign * (cx + r * cos[lanes]), y, r * sin[lanes]
+
+        return columns
 
     def _ring(self, y, spacing: float) -> list:
         """The circle at height y, at most ``spacing`` apart, and 16 at least."""
@@ -234,14 +292,18 @@ class HornPiece:
         never, the slice is just the two generators (``trace``)."""
         return False
 
-    def section(self, t: float, norm=EUCLID, density: int = 32):
-        """Points on {x in piece : ||x||_norm = t}, one per theta ray
-        (``_sphere_section``): a closed cycle exactly when no ray misses
-        the sphere below the height cap."""
+    def _rays(self, t: float, density: int) -> list:
+        """The theta rays of the section at radius t, at most
+        t / density apart on the circle of height t, and 32 at least."""
         _, r_t = self._cx_r(min(t, self.y_max))
         n_theta = max(32, 2 * int(math.ceil(math.pi * r_t * density / max(t, 1e-300))))
-        rays = [(0.0, 2 * math.pi * k / n_theta) for k in range(n_theta)]
-        return _sphere_section(self, rays, t, norm, closed=True)
+        return [2 * math.pi * k / n_theta for k in range(n_theta)]
+
+    def sections(self, ts, norm=EUCLID, density: int = 32) -> list:
+        """(points, params, edges) of {x in piece : ||x||_norm = t} for each
+        t of ``ts``, one point per theta ray (``_sphere_sections``): a closed
+        cycle exactly when no ray misses the sphere below the height cap."""
+        return _sphere_sections(self, ts, norm, density)
 
     def to_json(self) -> dict:
         return {
@@ -269,6 +331,7 @@ class WallPiece:
     y_max: float = 1.0
     ambient_dim: int = 3
     _HEIGHT = 1
+    _CLOSED = False
 
     def __post_init__(self):
         _check_params(self, ("half_width_coef", "y_max"))
@@ -279,13 +342,27 @@ class WallPiece:
         return np.array(self._point(prm))
 
     def _point(self, prm) -> list:
-        """The point at (u, y) as a list of floats, for scalar solves."""
+        """The point at (u, y) as a list of floats (``eval_param``'s)."""
         u, y = prm
         if y < 0 or y > self.y_max * (1 + 1e-12):
             raise DomainError(f"wall {self.label!r}: height outside [0, {self.y_max}]")
         if abs(u) > 1 + 1e-12:
             raise DomainError(f"wall {self.label!r}: u outside [-1, 1]")
         return [u * self.half_width_coef * y * y, y, 0.0]
+
+    def _columns(self, us):
+        """The column kernel of the rays at abscissae ``us``: (y, lanes) to
+        the x, y, z arrays of the points at heights y on rays ``lanes``,
+        each bitwise ``_point``'s."""
+        us = np.asarray(us, dtype=float)
+        if np.any(np.abs(us) > 1 + 1e-12):
+            raise DomainError(f"wall {self.label!r}: u outside [-1, 1]")
+
+        def columns(y, lanes):
+            _check_heights(self, y)
+            return us[lanes] * self.half_width_coef * y * y, y, np.zeros(len(y))
+
+        return columns
 
     def _ring(self, y, spacing: float) -> list:
         """The strip's width at height y, at most ``spacing`` apart, 3 at least."""
@@ -345,12 +422,16 @@ class WallPiece:
         x, y = float(q[0]), float(q[1])
         return 0.0 <= y <= self.y_max and abs(x) <= self.half_width_coef * y * y
 
-    def section(self, t: float, norm=EUCLID, density: int = 32):
-        """Points on {x in piece : ||x||_norm = t}, one per u ray
-        (``_sphere_section``): an open path, cut where a ray misses the
-        sphere below the height cap."""
-        us = np.linspace(-1.0, 1.0, max(8, density // 2) + 1).tolist()
-        return _sphere_section(self, [(u, 0.0) for u in us], t, norm, closed=False)
+    def _rays(self, t: float, density: int) -> list:
+        """The u rays of every section: density / 2 + 1 across the strip,
+        9 at least."""
+        return np.linspace(-1.0, 1.0, max(8, density // 2) + 1).tolist()
+
+    def sections(self, ts, norm=EUCLID, density: int = 32) -> list:
+        """(points, params, edges) of {x in piece : ||x||_norm = t} for each
+        t of ``ts``, one point per u ray (``_sphere_sections``): an open
+        path, cut where a ray misses the sphere below the height cap."""
+        return _sphere_sections(self, ts, norm, density)
 
     def to_json(self) -> dict:
         return {
@@ -373,8 +454,6 @@ def surface_from_json(data: dict, ambient_dim: int):
         params = data.get("params", {})
     except (KeyError, TypeError) as exc:
         raise InputError(f"germ file: malformed surface entry ({exc})") from exc
-    if not isinstance(label, str):
-        raise InputError(f"germ file: surface 'label' must be a string, got {label!r}")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise RegistryError(f"unknown builtin sampler {kind!r}")
     if ambient_dim != 3:

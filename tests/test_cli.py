@@ -361,6 +361,9 @@ _MALFORMED = {
     "horn_sign_zero": _germ_file_case(
         lambda d: d["surfaces"][0]["params"].update(sign=0.0), label="horn3d"
     ),
+    "horn_sign_true": _germ_file_case(
+        lambda d: d["surfaces"][0]["params"].update(sign=True), label="horn3d"
+    ),
     "wall_y_max_zero": _germ_file_case(
         lambda d: d["surfaces"][2]["params"].update(y_max=0.0), label="horn3d"
     ),
@@ -369,11 +372,13 @@ _MALFORMED = {
     ),
 }
 
-#: the parameter each of these errors names: unchecked, a sign off ±1 analyses
-#: to a verdict, and a height y_max <= 0 fails later, in an unrelated check
+#: the parameter each of these errors names: unchecked, a sign off ±1 (or the
+#: bool True, which equals 1) analyses to a verdict, and a height y_max <= 0
+#: fails later, in an unrelated check
 _NAMES_PARAMETER = {
     "horn_sign_two": "sign",
     "horn_sign_zero": "sign",
+    "horn_sign_true": "sign",
     "wall_y_max_zero": "y_max",
     "horn_y_max_negative": "y_max",
 }

@@ -1,10 +1,12 @@
 """Scalar root finding and minimization: ``optimize.brentq`` against
-scipy's ``brentq`` bit for bit, its typed errors, and ``golden_min``
-against its stopping rule evaluated on every step."""
+scipy's ``brentq`` bit for bit, its typed errors, ``brentq_lanes`` against
+``brentq`` lane by lane, and ``golden_min`` against its stopping rule
+evaluated on every step."""
 
 import math
 import random
 
+import numpy as np
 import pytest
 from scipy import optimize as sp
 
@@ -14,8 +16,9 @@ from lnegerm import optimize
 #: (xtol, rtol) of the package's brentq calls: germs.param_at_radius (xtol
 #: scales with the bracket), medial._bisector_point,
 #: medial.refine_equidistant (xtol scales with the foot distance), and the
-#: two surface sections (default xtol).  All but refine_equidistant pass the
-#: bracket-end values they computed to check the bracket (``fa``/``fb``):
+#: surface sections' brentq_lanes (default xtol).  All but
+#: refine_equidistant pass the bracket-end values they computed to check the
+#: bracket (``fa``/``fb``):
 #: _bisector_point both, param_at_radius and the sections ``fb``.
 CALL_SITE_TOLS = (
     lambda hi: dict(xtol=1e-14 * hi, rtol=8.9e-16),
@@ -122,6 +125,80 @@ def test_brentq_no_convergence_is_resolution_error():
 def test_brentq_root_at_an_end():
     assert optimize.brentq(lambda x: x - 2.0, 2.0, 5.0) == 2.0
     assert optimize.brentq(lambda x: x - 5.0, 2.0, 5.0) == 5.0
+
+
+def _recorded_lanes(fs):
+    """(f, calls): f evaluates lane i with the scalar function fs[i] and
+    appends each of its points to calls[i]."""
+    calls = [[] for _ in fs]
+
+    def f(x, lanes):
+        out = []
+        for i, v in zip(lanes.tolist(), x.tolist()):
+            calls[i].append(v)
+            out.append(fs[i](v))
+        return np.array(out)
+
+    return f, calls
+
+
+#: lanes that end before the loop: one done at the first bracket end, one
+#: with f(b) = 0
+_END_LANES = [(lambda x: x - 2.0, 2.0, 5.0), (lambda x: x - 5.0, 2.0, 5.0)]
+
+
+@pytest.mark.parametrize("tols", [{}, dict(rtol=8.9e-16), dict(xtol=1e-15)])
+def test_brentq_lanes_match_brentq_lane_by_lane(tols):
+    # each lane evaluates the points brentq evaluates, in its order and no
+    # more, and ends on its bits, with and without the supplied f(b)
+    problems = []
+    for f, a, b, _ in _problems(400, seed=len(tols)):
+        try:
+            optimize.brentq(f, a, b, **tols)
+        except (InputError, ResolutionError):
+            continue
+        problems.append((f, a, b))
+    problems[100:100] = _END_LANES
+    fs = [f for f, _, _ in problems]
+    a = np.array([a for _, a, _ in problems])
+    b = np.array([b for _, _, b in problems])
+    wants, want_calls = [], []
+    for fi, ai, bi in problems:
+        g, calls = _recording(fi)
+        wants.append(optimize.brentq(g, ai, bi, **tols))
+        want_calls.append(calls)
+    for ends in ({}, dict(fb=np.array([fi(bi) for fi, _, bi in problems]))):
+        f, calls = _recorded_lanes(fs)
+        got = optimize.brentq_lanes(f, a, b, **tols, **ends)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in wants]
+        skipped = [c[:1] + c[2:] if ends else c for c in want_calls]  # f(b) is the second
+        assert calls == skipped
+    assert len(problems) > 300
+
+
+def test_brentq_lanes_without_lanes():
+    def f(x, lanes):
+        raise AssertionError("no lane to evaluate")
+
+    got = optimize.brentq_lanes(f, [], [], fb=[])
+    assert got.shape == (0,)
+
+
+def test_brentq_lanes_errors():
+    fs = [lambda x: x - 0.3, lambda x: math.nan if x > 0.5 else x - 0.75]
+    with pytest.raises(DomainError):
+        optimize.brentq_lanes(_recorded_lanes(fs)[0], [0.0, 0.0], [1.0, 1.0])
+    fs = [lambda x: x - 0.3, lambda x: x * x + 1.0]
+    with pytest.raises(InputError):
+        optimize.brentq_lanes(_recorded_lanes(fs)[0], [0.0, -1.0], [1.0, 1.0])
+    # one lane converges at once, the other overruns maxiter = 5 as brentq does
+    fs = [lambda x: x - 0.5, lambda x: math.atan(x - 1.0 / 3.0)]
+    with pytest.raises(ResolutionError):
+        optimize.brentq(fs[1], -1e6, 1e6, maxiter=5)
+    with pytest.raises(ResolutionError):
+        optimize.brentq_lanes(_recorded_lanes(fs)[0], [0.0, -1e6], [1.0, 1e6], maxiter=5)
+    with pytest.raises(InputError):
+        optimize.brentq_lanes(_recorded_lanes(fs)[0], [0.0], [1.0], rtol=1e-16)
 
 
 def _golden_min_every_step(f, lo, hi, iters=48):

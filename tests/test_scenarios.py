@@ -23,7 +23,7 @@ from lnegerm import (
     run_scenario,
     symbolic_separation_order,
 )
-from lnegerm import germs
+from lnegerm import germs, surfaces
 from lnegerm.scenarios import (
     BUILTIN_LABELS,
     Scenario,
@@ -280,6 +280,23 @@ class TestOneSolvePerAnalysis:
         run_scenario(builtin(label), config)
         assert len(calls) == len(set(calls))
         assert Counter(norm.name for _, _, norm in calls) == solves
+
+    @pytest.mark.parametrize("config", [RunConfig(), RunConfig(norm_kind="maxv")])
+    def test_each_surface_piece_solved_once(self, monkeypatch, config):
+        # the 7 link sections of each of horn3d's 3 pieces come from one
+        # lane solve per piece, on the whole ladder
+        calls = []
+        original = surfaces._sphere_sections
+
+        def counted(piece, ts, norm, density):
+            calls.append((piece.label, tuple(ts), norm))
+            return original(piece, ts, norm, density)
+
+        monkeypatch.setattr(surfaces, "_sphere_sections", counted)
+        run_scenario(builtin("horn3d"), config)
+        assert sorted(label for label, _, _ in calls) == ["horn_neg", "horn_pos", "wall"]
+        assert {ts for _, ts, _ in calls} == {tuple(sorted(config.scales(), reverse=True))}
+        assert {norm for _, _, norm in calls} == {config.norm(3)}
 
     @pytest.mark.parametrize("label, inversions", [("three_tangent", 3), ("cusp", 2)])
     def test_each_branch_inverted_once(self, monkeypatch, label, inversions):

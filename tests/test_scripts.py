@@ -75,8 +75,13 @@ def test_digests_repeat(capsys):
     # one line per germ
     assert re.fullmatch(r"arc_fan 3 arc_fan [0-9a-f]{64}\n", outs["--workloads"][0])
     # one line per command line: 4 builtins x (analyze json/csv, medial
-    # json/csv, link csv), then the builtin table and the flag-set ladder
+    # json/csv, link csv), then the builtin table, the flag-set ladder and
+    # horn3d's link and analysis under maxv
     lines = outs["--cli"][0].splitlines()
-    assert len(lines) == 22
+    assert len(lines) == 24
+    # every run exits 0 but horn3d's link under maxv(40, 1, 20), whose
+    # verdict is undecided (exit 2)
+    undecided = ("link", "--builtin", "horn3d", "--norm", "maxv", "--weights", "40,1,20")
     for run, line in zip(script.CLI_RUNS, lines):
-        assert re.fullmatch(rf"cli {' '.join(run)} exit 0 [0-9a-f]{{64}}", line), line
+        code = 2 if run[:-2] == undecided else 0
+        assert re.fullmatch(rf"cli {' '.join(run)} exit {code} [0-9a-f]{{64}}", line), line

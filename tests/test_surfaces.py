@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from lnegerm import InputError, builtin, optimize, surfaces
+from lnegerm import InputError, RadiusTable, RunConfig, builtin, optimize, surfaces
 from lnegerm.norms import EUCLID, make_norm
 from lnegerm.optimize import brentq, golden_min
 from lnegerm.surfaces import HornPiece, WallPiece
@@ -317,6 +317,35 @@ def test_surface_rejects_non_finite_parameters(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: HornPiece(label="horn", a_outer="1"), "a_outer"),
+        (lambda: HornPiece(label="horn", sign=True), "sign"),
+        (lambda: HornPiece(label="horn", y_max=None), "y_max"),
+        (lambda: HornPiece(label=7), "label"),
+        (lambda: WallPiece(label="wall", half_width_coef="0.25"), "half_width_coef"),
+        (lambda: WallPiece(label="wall", y_max=False), "y_max"),
+        (lambda: WallPiece(label=["wall"]), "label"),
+        (lambda: WallPiece(label="wall", ambient_dim=3.0), "ambient_dim"),
+    ],
+    ids=[
+        "horn_a_outer_str",
+        "horn_sign_true",
+        "horn_y_max_none",
+        "horn_label_int",
+        "wall_half_width_str",
+        "wall_y_max_false",
+        "wall_label_list",
+        "wall_ambient_dim_float",
+    ],
+)
+def test_surface_rejects_wrongly_typed_parameters(make, field):
+    # the one type check of the configs: bool is not a number, a label is a str
+    with pytest.raises(InputError, match=f"^surface .*: {field} must be "):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # Sphere sections and height samples: the shared solver and sampler against
 # one plain loop per piece, written out in full.
@@ -418,30 +447,58 @@ def _points_bits(pts):
 _NORMS = {"euclid": EUCLID, "maxv": make_norm("maxv", (40.0, 1.0, 20.0), 3)}
 
 
+def _reach(piece, norm, density):
+    """The largest norm of the piece's top points on its section rays."""
+    slot = piece._HEIGHT
+    prms = [(piece.y_max, c) if slot == 0 else (c, piece.y_max) for c in piece._rays(1.0, density)]
+    return max(norm.of(piece._point(prm)) for prm in prms)
+
+
+def _assert_same_section(got, want, where):
+    assert _points_bits(got[0]) == _points_bits(want[0]), where
+    assert _param_bits(got[1]) == _param_bits(want[1]), where
+    assert got[2] == want[2], where
+
+
 @pytest.mark.parametrize("norm", list(_NORMS))
 def test_section_matches_per_piece_loops_bitwise(norm):
+    # each ladder's sections come from one solve per piece through the
+    # analysis's RadiusTable; an off-ladder radius is solved alone
     norm = _NORMS[norm]
     rng = np.random.default_rng(3)
     pieces = builtin("horn3d").germ().surfaces
-    ts = [2.0**-3, 2.0**-20, *(2.0 ** -rng.uniform(3, 20, 6))]
-    skipped = 0
-    for t in ts:
-        t = float(t)
+    ladders = [RunConfig().scales(), [2.0**-3, 2.0**-20]]
+    for _ in range(3):
+        t_max, q = 2.0 ** -rng.uniform(2, 6), rng.uniform(0.3, 0.8)
+        ladders.append([float(t_max * q**k) for k in range(rng.integers(5, 10))])
+    skipped = empty = 0
+    for ladder in ladders:
+        t_mid = float(np.median(ladder))
+        t_off = math.sqrt(ladder[0] * ladder[1])
         for density in (8, 32, 64):
             for piece in pieces:
                 ref = _ref_horn_section if isinstance(piece, HornPiece) else _ref_wall_section
-                # cropped at the median solved height (below the cap 1.5 t),
-                # so the rays whose roots lie above it miss the sphere
-                _, params, _ = ref(piece, t, norm, density)
+                # cropped at the median solved height at the ladder's median
+                # radius (below the cap 1.5 t), so the rays whose roots lie
+                # above it miss the sphere there and at larger radii
+                _, params, _ = ref(piece, t_mid, norm, density)
                 y_mid = float(np.median([prm[piece._HEIGHT] for prm in params]))
-                for case in (piece, dataclasses.replace(piece, y_max=y_mid)):
-                    got = case.section(t, norm=norm, density=density)
-                    want = ref(case, t, norm, density)
-                    assert _points_bits(got[0]) == _points_bits(want[0]), (case, t, density)
-                    assert _param_bits(got[1]) == _param_bits(want[1]), (case, t, density)
-                    assert got[2] == want[2], (case, t, density)
-                    skipped += len(params) - len(got[1])
-    assert skipped > 0
+                cropped = dataclasses.replace(piece, y_max=y_mid)
+                reach = _reach(cropped, norm, density)
+                above = [8 * reach, 4 * reach, 2 * reach]
+                cases = [(piece, ladder), (cropped, ladder), (cropped, above)]
+                for case, ts in cases:
+                    table = RadiusTable(ts)
+                    for t in rng.permutation(ts).tolist():
+                        got = table.section(case, t, norm, density)
+                        want = ref(case, t, norm, density)
+                        _assert_same_section(got, want, (case, t, density))
+                        skipped += len(case._rays(t, density)) - len(got[1])
+                        empty += not got[0]
+                    got = table.section(case, t_off, norm, density)
+                    _assert_same_section(got, ref(case, t_off, norm, density), (case, t_off))
+                    assert set(table._sections[case, norm, density]) == set(ts)
+    assert skipped > 0 and empty >= 3 * len(ladders) * len(pieces) * 3
 
 
 def test_sample_matches_per_piece_loops_bitwise():
