@@ -13,6 +13,13 @@ to keep the output compares its lines with its parent's.
 per command line of ``CLI_RUNS``: the sha256 of what ``lnegerm`` writes to
 stdout, run in this process.
 
+``--links`` prints instead one line ``links <germ> <norm> <density>
+sha256`` per germ, norm and density of the link criterion's surface
+sections: the sha256 of the ``llne_test`` report on the default ladder.
+The germs are horn3d, whose link is connected, and horn3d with its wall
+|x| <= c y^2 for each c of ``LINK_WALLS``: narrower than the horns'
+inner generators for c < 1/4 (three components), crossing them above.
+
 Run from the root of a checkout as ``PYTHONPATH=src python
 scripts/digests.py``; ``--workloads`` and ``--seeds`` restrict the set.
 """
@@ -28,9 +35,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from workloads import build_cases  # noqa: E402
 
-from lnegerm import cli  # noqa: E402
+from lnegerm import RunConfig, builtin, cli, germ_set, llne_test, make_norm  # noqa: E402
 from lnegerm.report import canonical_json  # noqa: E402
 from lnegerm.scenarios import BUILTIN_LABELS, run_scenario  # noqa: E402
+from lnegerm.surfaces import WallPiece  # noqa: E402
 
 #: (workload, seeds) of the default set
 DEFAULT = (("plane_sweep", range(8)), ("arc_fan", range(8)), ("horn3d", range(1)))
@@ -49,6 +57,36 @@ CLI_RUNS = tuple(
     ("link", "--builtin", "horn3d", "--norm", "maxv", "--weights", "40,1,20", "--format", "csv"),
     ("analyze", "--builtin", "horn3d", "--norm", "maxv", "--format", "json"),
 )
+
+#: wall coefficients c of ``--links``' horn-plus-wall germs
+LINK_WALLS = (0.1, 0.2, 0.26, 0.3, 0.4, 0.5, 1.0)
+#: (name, kind, weights) of ``--links``' norms
+LINK_NORMS = (
+    ("euclid", "euclid", None),
+    ("maxv", "maxv", None),
+    ("maxv:40,1,20", "maxv", (40, 1, 20)),
+)
+LINK_DENSITIES = (8, 32, 64)
+
+
+def link_germs() -> list:
+    """horn3d, then horn3d with its wall replaced by |x| <= c y^2 per c."""
+    horn3d = builtin("horn3d").germ()
+    return [horn3d] + [
+        germ_set(
+            surfaces=(*horn3d.surfaces[:2], WallPiece(label="wall", half_width_coef=c)),
+            label=f"horn_wall_{c}",
+        )
+        for c in LINK_WALLS
+    ]
+
+
+def link_digest(germ, norm, density) -> str:
+    try:
+        report = llne_test(germ, RunConfig().scales(), norm, density)
+    except Exception as exc:  # a germ that raises is part of its record
+        return f"raised {type(exc).__name__}"
+    return hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest()
 
 
 def digest(case) -> str:
@@ -71,11 +109,20 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="+", choices=[w for w, _ in DEFAULT])
     ap.add_argument("--seeds", nargs="+", type=int)
     ap.add_argument("--cli", action="store_true", help="digest lnegerm's stdout on CLI_RUNS")
+    ap.add_argument("--links", action="store_true", help="digest llne_test on the horn germs")
     args = ap.parse_args(argv)
 
     if args.cli:
         for run in CLI_RUNS:
             print(f"cli {' '.join(run)} {cli_digest(run)}", flush=True)
+        return 0
+    if args.links:
+        for germ in link_germs():
+            for name, kind, weights in LINK_NORMS:
+                norm = make_norm(kind, weights, germ.ambient_dim)
+                for density in LINK_DENSITIES:
+                    sha = link_digest(germ, norm, density)
+                    print(f"links {germ.label} {name} {density} {sha}", flush=True)
         return 0
     for workload, seeds in DEFAULT:
         if args.workloads and workload not in args.workloads:

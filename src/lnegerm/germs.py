@@ -340,37 +340,13 @@ def separation_cap(branches) -> Fraction:
     return 3 * max(b.max_exponent() for b in branches) + 6
 
 
-class NormInversions:
-    """The norm inversion (``invert_norm_series``) of each Puiseux branch,
-    computed once to the length that ``cap`` asks of it.
-
-    ``pair_reports`` builds one per call, with the largest cap of its series
-    pairs, and ``symbolic_separation_order`` slices each pair's first
-    ceil(cap m) terms off it.  The slice is bitwise the inversion computed
-    at that length: Miller's recurrence fills each row and each column by
-    itself.  Only the inversion is shared; each pair runs its own Horner
-    step at its own length.  Branches key the store by identity, and the
-    store lives only as long as its ``pair_reports`` call.
-    """
-
-    def __init__(self, cap: Fraction):
-        self.cap = cap
-        self._psi: dict = {}
-
-    def psi(self, b: PuiseuxBranch, q: np.ndarray, m: int, n: int) -> np.ndarray:
-        psi = self._psi.get(b)
-        if psi is None or len(psi) < n:
-            psi = self._psi[b] = invert_norm_series(q, m, max(n, math.ceil(self.cap * m)))
-        return psi[:n]
-
-
-def _aligned_components(b: PuiseuxBranch, cap: Fraction, inversions: NormInversions):
+def _aligned_components(b: PuiseuxBranch, cap: Fraction):
     """(m, A): b at distance t as power series in t^{1/m}; A[:, k] is the
     coefficient vector of t^{k/m}, for k/m < cap.
 
     With s = u^N (N the lcm of the exponent denominators) the branch is a
-    polynomial u^m g(u), g(0) != 0; u = psi(t^{1/m}) inverts the norm,
-    taken from ``inversions``.
+    polynomial u^m g(u), g(0) != 0; u = psi(t^{1/m}) inverts the norm
+    (``invert_norm_series``).
     """
     _, powers = b.u_powers
     m = powers[0]
@@ -380,7 +356,7 @@ def _aligned_components(b: PuiseuxBranch, cap: Fraction, inversions: NormInversi
     g = poly[m:]
     q = sum(np.convolve(g[:, j], g[:, j]) for j in range(b.ambient_dim))
     n = math.ceil(cap * m)
-    psi = inversions.psi(b, q, m, n)
+    psi = invert_norm_series(q, m, n)
     out = np.zeros((b.ambient_dim, n))
     for c in poly[::-1]:  # Horner: out = out * psi + c
         out = np.array([np.convolve(row, psi)[:n] for row in out])
@@ -388,8 +364,35 @@ def _aligned_components(b: PuiseuxBranch, cap: Fraction, inversions: NormInversi
     return m, out
 
 
+class AlignedSeries:
+    """Each Puiseux branch's distance-aligned series (``_aligned_components``),
+    computed once, to the length that ``cap`` asks of it.
+
+    ``pair_reports`` builds one per call, with the largest cap of its series
+    pairs, and ``symbolic_separation_order`` slices each pair's first
+    ceil(cap m) columns off it.  The slice is bitwise the series aligned at
+    that length: Miller's recurrence fills each coefficient of the norm
+    inversion by itself, and each Horner step's truncated product fills
+    coefficient k from coefficients 0..k of its factors alone.  Branches
+    key the store by identity, and the store lives only as long as its
+    ``pair_reports`` call.
+    """
+
+    def __init__(self, cap: Fraction):
+        self.cap = cap
+        self._series: dict = {}
+
+    def of(self, b: PuiseuxBranch, cap: Fraction) -> tuple:
+        """(m, A) of ``_aligned_components(b, cap)``, sliced off the store."""
+        hit = self._series.get(b)
+        if hit is None or hit[1].shape[1] < math.ceil(cap * hit[0]):
+            hit = self._series[b] = _aligned_components(b, max(cap, self.cap))
+        m, a = hit
+        return m, a[:, : math.ceil(cap * m)]
+
+
 def symbolic_separation_order(
-    b1: PuiseuxBranch, b2: PuiseuxBranch, inversions: NormInversions | None = None
+    b1: PuiseuxBranch, b2: PuiseuxBranch, aligned: AlignedSeries | None = None
 ) -> SeparationOrder:
     """Exact rational separation order of two branches, or INFINITE.
 
@@ -402,16 +405,17 @@ def symbolic_separation_order(
     (t, c t^{3/2})), so a floor set by the largest coefficient of the whole
     truncation would hide the true order.
 
-    ``inversions`` shares each branch's norm inversion across the pairs of
-    one ``pair_reports`` call (one inversion per branch, at the largest
-    cap); the order is bitwise the same with or without it.
+    ``aligned`` shares each branch's aligned series across the pairs of one
+    ``pair_reports`` call (one norm inversion and one Horner pass per
+    branch, at the largest cap); the order is bitwise the same with or
+    without it.
     """
     if b1.ambient_dim != b2.ambient_dim:
         raise InputError("branches must share an ambient dimension")
     cap = separation_cap((b1, b2))
-    if inversions is None:
-        inversions = NormInversions(cap)
-    (m1, a1), (m2, a2) = (_aligned_components(b, cap, inversions) for b in (b1, b2))
+    if aligned is None:
+        aligned = AlignedSeries(cap)
+    (m1, a1), (m2, a2) = (aligned.of(b, cap) for b in (b1, b2))
     lcm = math.lcm(m1, m2)
     lattice = np.zeros((2, b1.ambient_dim, math.ceil(cap * lcm)))
     lattice[0][:, :: lcm // m1] = a1

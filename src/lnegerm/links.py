@@ -4,12 +4,14 @@ A link section X_t is the intersection of the germ with the norm-sphere of
 radius t: curve pieces contribute exact root-solved points, surface pieces
 one root-solved point per ray.  Per-scale sections carry a graph that
 joins neighbouring samples of each surface piece in sampling order, with
-pieces meeting only at shared seam points, and places each curve point
-lying on a surface piece between the section samples on either side of
-it; its components stand in for the connected components of the
-punctured germ at that scale.  The criterion combines a uniform bound on
-the link inner/outer distance ratio C(t) per component with a linear
-lower bound on the separation between distinct components.
+pieces meeting only at points closer than COINCIDENT_TOL * t, merged into
+one, and places each curve point lying on a surface piece between the
+section samples on either side of it; its components stand in for the
+connected components of the punctured germ at that scale.  Each section
+measures its pairwise distances once, in one matrix that serves the merge,
+the link ratio and the component gap.  The criterion combines a uniform
+bound on the link inner/outer distance ratio C(t) per component with a
+linear lower bound on the separation between distinct components.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .germs import GermSet, RadiusTable, merge_coincident
+from .germs import GermSet, RadiusTable
 # build_graph is no longer called here, but perfbench/tracer.py wraps
 # links.build_graph by name, so the name stays importable from this module.
 from .metrics import build_graph, components, edge_matrix  # noqa: F401
+from .metrics import linkage_labels, pairwise_sq_distances
 from .norms import EUCLID
 from .tangency import MIN_SCALES, OrderEstimate, Verdict, estimate_order
 # pair_verdict is no longer called here, but perfbench/tracer.py wraps
@@ -56,6 +59,9 @@ class LinkSample:
     in sampling order; curve points, one per branch, have edges only where
     they lie on a surface piece.  A section without edges (every curve
     germ's) has ``graph`` None.
+    ``distances[i, j]`` is the Euclidean distance between points i and j,
+    the square root of the section's one matrix of squared distances
+    (``pairwise_sq_distances``), symmetric bitwise.
     ``component_of`` assigns each point a component id; an empty section is
     a valid value (the set misses that scale), flagged rather than raised.
     """
@@ -67,9 +73,7 @@ class LinkSample:
     component_of: np.ndarray
     component_count: int
     empty: bool
-
-    def component_indices(self, c: int) -> np.ndarray:
-        return np.flatnonzero(self.component_of == c)
+    distances: np.ndarray
 
 
 def _on_piece_edges(piece, curve_pts, spts, sparams, sedges, t, base) -> list:
@@ -116,17 +120,23 @@ def link_section(
 
     The graph follows sample adjacency, not a radius: consecutive theta
     rays on a horn (a closed cycle when no ray is skipped) and consecutive
-    u samples on a wall.  Pieces connect only through the seam points that
-    ``merge_coincident`` shares between them.  A radius would have to stay
+    u samples on a wall.  Pieces connect only through points closer than
+    COINCIDENT_TOL * t, which merge into one point carrying both pieces'
+    labels (single linkage, each group kept at its lowest index, as
+    ``germs.merge_coincident`` keeps it).  A radius would have to stay
     below the section's own feature size (a horn circle of diameter
     3t^2/4 at scale t), which no fixed multiple of t/density does.  A
     curve point lying on a surface piece joins that piece's section graph
     (``_on_piece_edges``); one that coincides with a sample merges with it.
-    A section without edges (every curve germ's) skips the edge sort and
-    dedupe.
+
+    The section's pairwise squared distances are computed once, from the
+    assembled points (``pairwise_sq_distances``): the merge reads them, and
+    the kept points' distances go with the sample for ``_link_ratio`` and
+    ``_component_separation``.  A section without edges (every curve
+    germ's) skips the edge sort and dedupe.
     """
-    if t <= 0:
-        raise InputError("link scale must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise InputError(f"link scale must be positive and finite, got {t}")
     if table is None:
         table = RadiusTable((t,))
     pts_list, labels, edges = [], [], []
@@ -136,16 +146,15 @@ def link_section(
         except DomainError:
             continue
         pts_list.append(np.asarray(piece.eval(s), dtype=float))
-        labels.append({piece.label})
+        labels.append(piece.label)
     curve_pts = list(pts_list)
     for piece in set_.surfaces:
         spts, sparams, sedges = table.section(piece, t, norm, density)
         base = len(pts_list)
         edges.extend((base + i, base + j) for i, j in sedges)
         edges.extend(_on_piece_edges(piece, curve_pts, spts, sparams, sedges, t, base))
-        for p in spts:
-            pts_list.append(np.asarray(p, dtype=float))
-            labels.append({piece.label})
+        pts_list.extend(np.asarray(p, dtype=float) for p in spts)
+        labels.extend([piece.label] * len(spts))
     if not pts_list:
         return LinkSample(
             scale=t,
@@ -155,10 +164,16 @@ def link_section(
             component_of=np.zeros(0, dtype=int),
             component_count=0,
             empty=True,
+            distances=np.zeros((0, 0)),
         )
-    pts, mlabels, _, remap = merge_coincident(
-        np.array(pts_list), labels, [{}] * len(labels), tol=COINCIDENT_TOL * t
-    )
+    raw = np.array(pts_list)
+    sq = pairwise_sq_distances(raw)
+    remap = linkage_labels(sq, COINCIDENT_TOL * t)
+    keep = np.unique(remap, return_index=True)[1]
+    merged = [set() for _ in keep]
+    for g, label in zip(remap.tolist(), labels):
+        merged[g].add(label)
+    pts = raw[keep]
     values = np.asarray(norm(pts), dtype=float)
     if np.any(np.abs(values - t) > BAND * t):
         raise InputError(
@@ -166,23 +181,32 @@ def link_section(
         )
     pairs = np.zeros((0, 2), dtype=int)
     if edges:
+        m = len(pts)
         pairs = np.sort(remap[np.array(edges, dtype=int)], axis=1)
-        pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        key = np.unique(pairs[:, 0] * m + pairs[:, 1])
+        pairs = np.column_stack([key // m, key % m])
     ncomp, comp = components(len(pts), pairs)
     return LinkSample(
         scale=t,
         points=pts,
-        labels=mlabels,
+        labels=tuple(frozenset(l) for l in merged),
         graph=edge_matrix(pts, pairs) if len(pairs) else None,
         component_of=comp,
         component_count=ncomp,
         empty=False,
+        distances=np.sqrt(sq[np.ix_(keep, keep)]),
     )
 
 
 def _link_ratio(sample: LinkSample) -> float:
     """C(t): max over same-component pairs of inner/Euclidean distance.
 
+    One Dijkstra from every point over the section graph gives the inner
+    distances.  The graph is symmetric, so it is searched as directed and
+    no transpose is built; the distances keep their bits, since a
+    label-setting search that adds d(u) + w edge by edge has one float
+    fixpoint.  The outer distances are the sample's ``distances``.
     Sections without edges have singleton components only, so no pairs,
     and are bounded trivially with C = 1.
     """
@@ -190,39 +214,25 @@ def _link_ratio(sample: LinkSample) -> float:
         return 1.0
     from scipy.sparse.csgraph import dijkstra
 
-    best = 1.0
-    pts = sample.points
-    for c in range(sample.component_count):
-        idx = sample.component_indices(c)
-        if len(idx) < 2:
-            continue
-        inner = dijkstra(sample.graph, directed=False, indices=idx)
-        inner = inner[:, idx]
-        outer = np.linalg.norm(pts[idx][:, None, :] - pts[idx][None, :, :], axis=2)
-        mask = outer > 0
-        if np.any(mask):
-            best = max(best, float(np.max(inner[mask] / outer[mask])))
-    return best
+    inner = dijkstra(sample.graph, directed=True)
+    comp = sample.component_of
+    outer = sample.distances
+    mask = (comp[:, None] == comp[None, :]) & (outer > 0)
+    if not np.any(mask):
+        return 1.0
+    return max(1.0, float(np.max(inner[mask] / outer[mask])))
 
 
 def _component_separation(sample: LinkSample) -> float:
-    """d_0(X_t): min Euclidean distance between distinct components.
+    """d_0(X_t): min Euclidean distance between distinct components, read
+    off the sample's ``distances``.
 
     +inf for a connected (or empty/singleton) section.
     """
     if sample.component_count <= 1:
         return math.inf
-    pts = sample.points
     comp = sample.component_of
-    best = math.inf
-    for c in range(sample.component_count):
-        a = pts[comp == c]
-        b = pts[comp > c]
-        if len(a) == 0 or len(b) == 0:
-            continue
-        d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-        best = min(best, float(np.min(d)))
-    return best
+    return float(np.min(sample.distances[comp[:, None] != comp[None, :]]))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ points shared by several pieces (stored once, with the union of labels) are
 the only junctions between pieces.  This keeps graph geodesics inside the
 sampled set even where distinct pieces pass arbitrarily close to each other.
 
-Components and single-linkage clusters need only numpy (``components``,
+Components, pairwise distances and single-linkage clusters need only
+numpy (``components``, ``pairwise_sq_distances``, ``linkage_labels``,
 ``cluster_labels``).  The radius graph, its CSR matrix and its shortest
 paths import scipy inside the functions that build or walk them.
 """
@@ -148,6 +149,30 @@ def components(n: int, pairs) -> tuple:
     return int(is_root.sum()), (np.cumsum(is_root) - 1)[root]
 
 
+def pairwise_sq_distances(points: np.ndarray) -> np.ndarray:
+    """(n, n) squared Euclidean distances between the rows of ``points``.
+
+    Built column by column as (dx*dx + dy*dy) + dz*dz, left to right: the
+    order of numpy's sum over a short last axis, so each entry is bitwise
+    ``np.sum(diff * diff, axis=-1)`` and its square root bitwise
+    ``np.linalg.norm(diff, axis=-1)``.  The matrix is symmetric bitwise,
+    since (a - b)**2 == (b - a)**2.
+    """
+    points = np.asarray(points, dtype=float)
+    sq = np.zeros((len(points), len(points)))
+    for col in points.T:
+        d = col[:, None] - col[None, :]
+        sq += d * d
+    return sq
+
+
+def linkage_labels(sq: np.ndarray, tol: float) -> np.ndarray:
+    """``cluster_labels`` read off a matrix of squared distances
+    (``pairwise_sq_distances``): every pair is a candidate."""
+    i, j = np.nonzero(sq <= tol * tol)
+    return components(len(sq), np.column_stack([i, j]))[1]
+
+
 #: up to this many points ``cluster_labels`` checks every pair
 ALL_PAIRS_MAX = 64
 
@@ -158,19 +183,16 @@ def cluster_labels(points: np.ndarray, tol: float) -> np.ndarray:
     ``labels[i]`` is the group of point i.  Groups are numbered in the order
     of their lowest index, so that index is each group's representative.
     A candidate pair joins when its squared distance is at most tol**2.
-    Up to ``ALL_PAIRS_MAX`` points every pair is a candidate; above that,
-    the pairs from ``_cube_pairs``.
+    Up to ``ALL_PAIRS_MAX`` points every pair is a candidate
+    (``linkage_labels``); above that, the pairs from ``_cube_pairs``.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
     if n <= ALL_PAIRS_MAX:
-        diff = points[:, None, :] - points[None, :, :]
-        i, j = np.nonzero(np.sum(diff * diff, axis=2) <= tol * tol)
-    else:
-        i, j = _cube_pairs(points, tol)
-        near = np.sum((points[i] - points[j]) ** 2, axis=1) <= tol * tol
-        i, j = i[near], j[near]
-    return components(n, np.column_stack([i, j]))[1]
+        return linkage_labels(pairwise_sq_distances(points), tol)
+    i, j = _cube_pairs(points, tol)
+    near = np.sum((points[i] - points[j]) ** 2, axis=1) <= tol * tol
+    return components(n, np.column_stack([i[near], j[near]]))[1]
 
 
 def _cube_pairs(points: np.ndarray, tol: float) -> tuple:

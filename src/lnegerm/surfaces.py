@@ -81,7 +81,7 @@ def _sample(piece, scale: float, density: int, ring):
 
 def _check_heights(piece, y) -> None:
     """Raise ``DomainError`` unless every height in the array y lies in
-    [0, y_max], the range ``_point`` accepts."""
+    [0, y_max], the range ``eval_param`` accepts."""
     if np.any((y < 0) | (y > piece.y_max * (1 + 1e-12))):
         raise DomainError(f"surface {piece.label!r}: height outside [0, {piece.y_max}]")
 
@@ -96,10 +96,10 @@ def _sphere_sections(piece, ts, norm, density: int) -> list:
     ||x|| = t below the cap min(y_max, 1.5 t); a ray still inside the
     sphere at the cap is skipped.  Each lane's values come from the piece's
     column kernel (``piece._columns``) and ``norm.of_columns``, bitwise
-    ``norm.of(piece._point(prm))``, so every root has the bits of a scalar
-    ``brentq`` on its ray.  Returns one (points, params, edges) per radius;
-    ``edges`` joins neighbouring rays' points, the last ray and the first
-    if the piece's rays close (``piece._CLOSED``).
+    ``norm.of(piece.eval_param(prm))``, so every root has the bits of a
+    scalar ``brentq`` on its ray.  Returns one (points, params, edges) per
+    radius; ``edges`` joins neighbouring rays' points, the last ray and the
+    first if the piece's rays close (``piece._CLOSED``).
     """
     slot = piece._HEIGHT
     rays_at = [piece._rays(t, density) for t in ts]
@@ -167,21 +167,18 @@ class HornPiece:
         return 0.5 * (x_out + x_in), 0.5 * (x_out - x_in)
 
     def eval_param(self, prm) -> np.ndarray:
-        return np.array(self._point(prm))
-
-    def _point(self, prm) -> list:
-        """The point at (y, theta) as a list of floats (``eval_param``'s)."""
+        """The point at (y, theta)."""
         y, theta = prm
         if y < 0 or y > self.y_max * (1 + 1e-12):
             raise DomainError(f"horn {self.label!r}: height outside [0, {self.y_max}]")
         cx, r = self._cx_r(y)
-        return [self.sign * (cx + r * math.cos(theta)), y, r * math.sin(theta)]
+        return np.array([self.sign * (cx + r * math.cos(theta)), y, r * math.sin(theta)])
 
     def _columns(self, thetas):
         """The column kernel of the rays at angles ``thetas``: (y, lanes)
         to the x, y, z arrays of the points at heights y on rays ``lanes``,
-        each bitwise ``_point``'s.  cos and sin are taken once per ray, with
-        ``math``; the squares are libm ``**``, one per element, since
+        each bitwise ``eval_param``'s.  cos and sin are taken once per ray,
+        with ``math``; the squares are libm ``**``, one per element, since
         numpy's square is x*x and rounds differently on some inputs."""
         cos = np.array([math.cos(th) for th in thetas])
         sin = np.array([math.sin(th) for th in thetas])
@@ -339,21 +336,18 @@ class WallPiece:
             raise InputError("wall needs half_width_coef >= 0")
 
     def eval_param(self, prm) -> np.ndarray:
-        return np.array(self._point(prm))
-
-    def _point(self, prm) -> list:
-        """The point at (u, y) as a list of floats (``eval_param``'s)."""
+        """The point at (u, y)."""
         u, y = prm
         if y < 0 or y > self.y_max * (1 + 1e-12):
             raise DomainError(f"wall {self.label!r}: height outside [0, {self.y_max}]")
         if abs(u) > 1 + 1e-12:
             raise DomainError(f"wall {self.label!r}: u outside [-1, 1]")
-        return [u * self.half_width_coef * y * y, y, 0.0]
+        return np.array([u * self.half_width_coef * y * y, y, 0.0])
 
     def _columns(self, us):
         """The column kernel of the rays at abscissae ``us``: (y, lanes) to
         the x, y, z arrays of the points at heights y on rays ``lanes``,
-        each bitwise ``_point``'s."""
+        each bitwise ``eval_param``'s."""
         us = np.asarray(us, dtype=float)
         if np.any(np.abs(us) > 1 + 1e-12):
             raise DomainError(f"wall {self.label!r}: u outside [-1, 1]")

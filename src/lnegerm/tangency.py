@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .germs import (
-    NormInversions,
+    AlignedSeries,
     PuiseuxBranch,
     RadiusTable,
     check_scale_ladder,
@@ -151,7 +151,7 @@ class _Ladder:
         return [self.piece.arc_length(t) for t in self.scales]
 
 
-def outer_tangency_order(b1, b2, scales, ladders=None, inversions=None):
+def outer_tangency_order(b1, b2, scales, ladders=None, aligned=None):
     """(fit, exact) outer order of tangency between two curve pieces.
 
     The exact rational value is attached when both pieces are Puiseux
@@ -159,7 +159,7 @@ def outer_tangency_order(b1, b2, scales, ladders=None, inversions=None):
     Between two Puiseux branches the distances are exact up to rounding, so
     the fitted slope is extrapolated to the limit (``extrapolate_order``);
     sampled pieces keep the plain fit.  ``ladders`` are the pieces'
-    ``_Ladder`` on ``scales`` and ``inversions`` their ``NormInversions``,
+    ``_Ladder`` on ``scales`` and ``aligned`` their ``AlignedSeries``,
     when the caller keeps them.
     """
     scales = [float(t) for t in scales]
@@ -169,7 +169,7 @@ def outer_tangency_order(b1, b2, scales, ladders=None, inversions=None):
     infinite = False
     series_pair = isinstance(b1, PuiseuxBranch) and isinstance(b2, PuiseuxBranch)
     if series_pair:
-        sep = symbolic_separation_order(b1, b2, inversions)
+        sep = symbolic_separation_order(b1, b2, aligned)
         infinite = sep.infinite
         exact = sep.order
     if np.any(d <= 0) or (infinite and np.max(d) < 1e-12):
@@ -225,9 +225,10 @@ def pair_reports(
 
     Each piece's work is done once, however many pairs it is in: it is put
     on the ladder once, with its parameters from ``table`` (see
-    ``_Ladder``), and a Puiseux branch's norm series is inverted once, to
-    the largest cap of the series pairs (``NormInversions``); each pair then
-    runs the separation oracle at its own cap, with the same bits as alone.
+    ``_Ladder``), and a Puiseux branch is aligned to the distance once
+    (one norm inversion and one Horner pass), to the largest cap of the
+    series pairs (``AlignedSeries``); each pair then slices its own cap off
+    it and runs the separation oracle with the same bits as alone.
     Both stores are keyed by the piece itself (pieces hash by identity).
     """
     pairs = list(pairs)
@@ -236,12 +237,12 @@ def pair_reports(
     series = {
         b for pair in pairs if all(isinstance(b, PuiseuxBranch) for b in pair) for b in pair
     }
-    inversions = NormInversions(separation_cap(series)) if series else None
+    aligned = AlignedSeries(separation_cap(series)) if series else None
     reports = []
     ladders: dict = {}
     for b1, b2 in pairs:
         pair = tuple(ladders.setdefault(b, _Ladder(b, scales, table)) for b in (b1, b2))
-        tord, exact = outer_tangency_order(b1, b2, scales, pair, inversions)
+        tord, exact = outer_tangency_order(b1, b2, scales, pair, aligned)
         tord_inn = inner_tangency_order(b1, b2, scales, pair)
         l_pair = tord.slope / tord_inn.slope
         if not (tord.confident and tord_inn.confident):

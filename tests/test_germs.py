@@ -24,6 +24,7 @@ from lnegerm import (
 )
 from lnegerm import germs
 from lnegerm.germs import merge_coincident
+from lnegerm.tangency import pair_reports
 
 
 def line(direction, label="line", t_max=1.0):
@@ -246,20 +247,36 @@ class TestSharedInversions:
                 assert original(q, m, longer)[:n].tobytes() == original(q, m, n).tobytes()
 
     def test_shared_and_per_pair_orders_agree(self):
+        # each branch is aligned once, at the group's largest cap; every
+        # pair's slice has the bits of the branch aligned at the pair's cap
         orders = set()
-        for group in _seeded_fans(2):
-            inversions = germs.NormInversions(germs.separation_cap(group))
+        for group in _seeded_fans(0) + _seeded_fans(1) + _seeded_fans(2):
+            aligned = germs.AlignedSeries(germs.separation_cap(group))
             for b1, b2 in itertools.combinations(group, 2):
-                shared = symbolic_separation_order(b1, b2, inversions)
+                shared = symbolic_separation_order(b1, b2, aligned)
                 assert shared == symbolic_separation_order(b1, b2)
                 orders.add(shared.order)
                 cap = germs.separation_cap((b1, b2))
                 for b in (b1, b2):
-                    alone = germs._aligned_components(b, cap, germs.NormInversions(cap))
-                    sliced = germs._aligned_components(b, cap, inversions)
+                    alone = germs._aligned_components(b, cap)
+                    sliced = aligned.of(b, cap)
                     assert alone[0] == sliced[0]
                     assert alone[1].tobytes() == sliced[1].tobytes()
         assert len(orders) >= 5
+
+    def test_each_branch_aligned_once_per_pair_reports(self, monkeypatch):
+        calls = []
+        original = germs._aligned_components
+
+        def recorded(b, cap):
+            calls.append(b)
+            return original(b, cap)
+
+        monkeypatch.setattr(germs, "_aligned_components", recorded)
+        for group in _seeded_fans(3, count=8):
+            calls.clear()
+            pair_reports(itertools.combinations(group, 2), [2.0**-k for k in range(4, 11)])
+            assert sorted(map(id, calls)) == sorted(map(id, group))
 
 
 class TestSampling:

@@ -1,12 +1,16 @@
 """Link sections and the link-based LNE criterion."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lnegerm import (
     EUCLID,
+    DomainError,
     InputError,
     RunConfig,
     Verdict,
@@ -18,10 +22,25 @@ from lnegerm import (
     llne_test,
     puiseux_branch,
 )
-from lnegerm.links import _link_ratio
+from lnegerm.germs import RadiusTable, merge_coincident
+from lnegerm.links import (
+    BAND,
+    COINCIDENT_TOL,
+    _component_separation,
+    _link_ratio,
+    _on_piece_edges,
+)
+from lnegerm.metrics import components, edge_matrix
 from lnegerm.surfaces import HornPiece, WallPiece
 
 SCALES = tuple(2.0 ** -k for k in range(3, 10))
+
+
+def horn_with_wall(c):
+    """horn3d with its wall |x| <= c y^2 in place of |x| <= y^2/4."""
+    horns = builtin("horn3d").germ().surfaces[:2]
+    wall = WallPiece(label="wall", half_width_coef=c)
+    return germ_set(surfaces=(*horns, wall), label=f"horn_wall_{c}")
 
 
 def wall_with_lines(term):
@@ -68,6 +87,13 @@ class TestLinkSection:
         with pytest.raises(InputError):
             link_section(germ, 0.0)
 
+    @pytest.mark.parametrize("label", ["cusp", "horn3d"])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -0.5])
+    def test_nonfinite_scale_rejected(self, label, t):
+        # NaN fails every comparison, so a t <= 0 guard alone lets it in
+        with pytest.raises(InputError, match="positive and finite"):
+            link_section(builtin(label).germ(), t)
+
     def test_horn_section_one_component(self):
         germ = builtin("horn3d").germ()
         s = link_section(germ, 0.125)
@@ -105,6 +131,12 @@ class TestLLNE:
         germ = builtin("cusp").germ()
         with pytest.raises(InputError):
             llne_test(germ, SCALES[:3])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_scale_rejected(self, bad):
+        germ = builtin("cusp").germ()
+        with pytest.raises(InputError, match="positive and finite"):
+            llne_test(germ, [0.5, 0.25, 0.125, 0.0625, bad])
 
     def test_all_empty_rejected(self):
         short = puiseux_branch([(1, (1, 0))], 1e-4, "short")
@@ -164,3 +196,157 @@ class TestCurvesOnSurfaces:
         res = link_criterion_verdict(wall_with_lines(term), SCALES)
         assert res.verdict is verdict, res.notes
         assert res.report.component_counts == (count,) * len(SCALES)
+
+
+class TestNarrowWall:
+    """A wall narrower than the horns' inner generators, |x| <= c y^2 with
+    c < 1/a_inner^2 = 1/4, leaves three link components: each horn circle
+    and the wall segment between them.  Under Euclid the gap is the x-gap
+    (1/4 - c) y^2 at y = t up to O(t^4), so d0(X_t)/t has order 1."""
+
+    @pytest.mark.parametrize("c", [0.1, 0.2])
+    @pytest.mark.parametrize(
+        "norm", [EUCLID, WeightedMaxNorm((1.0, 1.0, 1.0))], ids=["euclid", "max"]
+    )
+    def test_three_components_separate_at_order_two(self, c, norm):
+        scales = RunConfig().scales()
+        res = link_criterion_verdict(horn_with_wall(c), scales, norm=norm)
+        assert res.report.component_counts == (3,) * len(scales)
+        assert res.verdict is Verdict.NOT_LNE, res.notes
+        assert res.separation_fit.slope == pytest.approx(1.0, abs=0.05)
+        assert any("component separation decays" in n for n in res.notes)
+        if norm is EUCLID:
+            for t, d0 in zip(res.report.scales, res.report.separations):
+                assert d0 / ((0.25 - c) * t * t) == pytest.approx(1.0, abs=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# The section path against a copy of the one it replaced: coincident points
+# merged by merge_coincident, outer distances and the component gap from
+# per-component norms, inner distances from an undirected Dijkstra.
+# ---------------------------------------------------------------------------
+
+
+def _old_link_section(set_, t, norm, density, table):
+    pts_list, labels, edges = [], [], []
+    for piece in set_.branches:
+        try:
+            s = table.param(piece, t, norm)
+        except DomainError:
+            continue
+        pts_list.append(np.asarray(piece.eval(s), dtype=float))
+        labels.append({piece.label})
+    curve_pts = list(pts_list)
+    for piece in set_.surfaces:
+        spts, sparams, sedges = table.section(piece, t, norm, density)
+        base = len(pts_list)
+        edges.extend((base + i, base + j) for i, j in sedges)
+        edges.extend(_on_piece_edges(piece, curve_pts, spts, sparams, sedges, t, base))
+        for p in spts:
+            pts_list.append(np.asarray(p, dtype=float))
+            labels.append({piece.label})
+    if not pts_list:
+        return None
+    pts, mlabels, _, remap = merge_coincident(
+        np.array(pts_list), labels, [{}] * len(labels), tol=COINCIDENT_TOL * t
+    )
+    values = np.asarray(norm(pts), dtype=float)
+    assert not np.any(np.abs(values - t) > BAND * t)
+    pairs = np.zeros((0, 2), dtype=int)
+    if edges:
+        pairs = np.sort(remap[np.array(edges, dtype=int)], axis=1)
+        pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+    ncomp, comp = components(len(pts), pairs)
+    graph = edge_matrix(pts, pairs) if len(pairs) else None
+    return pts, mlabels, graph, comp, ncomp
+
+
+def _old_link_ratio(pts, graph, comp, ncomp):
+    if graph is None:
+        return 1.0
+    from scipy.sparse.csgraph import dijkstra
+
+    best = 1.0
+    for c in range(ncomp):
+        idx = np.flatnonzero(comp == c)
+        if len(idx) < 2:
+            continue
+        inner = dijkstra(graph, directed=False, indices=idx)[:, idx]
+        outer = np.linalg.norm(pts[idx][:, None, :] - pts[idx][None, :, :], axis=2)
+        mask = outer > 0
+        if np.any(mask):
+            best = max(best, float(np.max(inner[mask] / outer[mask])))
+    return best
+
+
+def _old_component_separation(pts, comp, ncomp):
+    if ncomp <= 1:
+        return math.inf
+    best = math.inf
+    for c in range(ncomp):
+        a, b = pts[comp == c], pts[comp > c]
+        if len(a) and len(b):
+            best = min(best, float(np.min(np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2))))
+    return best
+
+
+def _workload_germs(workload, seeds):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules.get(spec.name)
+    if module is None:
+        module = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up by name
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+    return [
+        case.scenario.make_germ() for seed in seeds for case in module.build_cases(workload, seed)
+    ]
+
+
+_SURFACE_GERMS = [builtin("horn3d").germ()] + [
+    horn_with_wall(c) for c in (0.1, 0.26, 0.3, 0.4, 0.5, 1.0)
+]
+_CURVE_GERMS = (
+    [builtin(label).germ() for label in ("cusp", "abs_graph", "three_tangent")]
+    + [wall_with_lines(term) for term in ((0.125, 0.0, 0.0), (0.075, 0.0, 0.0), (0.0, 0.0, 0.125))]
+    + _workload_germs("plane_sweep", (0, 1))
+    + _workload_germs("arc_fan", range(4))
+)
+
+
+def _section_norms(dim):
+    if dim == 2:
+        return [EUCLID, WeightedMaxNorm((1.0, 1.0)), WeightedMaxNorm((40.0, 1.0))]
+    return [EUCLID, WeightedMaxNorm((1.0, 1.0, 1.0)), WeightedMaxNorm((40.0, 1.0, 20.0))]
+
+
+@pytest.mark.parametrize(
+    "germ", _SURFACE_GERMS + _CURVE_GERMS, ids=lambda g: g.label
+)
+def test_section_path_bitwise_as_before(germ):
+    scales = RunConfig().scales()
+    densities = (8, 32, 64) if germ.surfaces else (32,)
+    for norm in _section_norms(germ.ambient_dim):
+        for density in densities:
+            table = RadiusTable(scales)
+            for t in scales:
+                got = link_section(germ, t, norm, density, table)
+                old = _old_link_section(germ, t, norm, density, table)
+                where = (germ.label, norm, density, t)
+                if old is None:
+                    assert got.empty, where
+                    continue
+                pts, labels, graph, comp, ncomp = old
+                assert got.points.tobytes() == pts.tobytes(), where
+                assert got.labels == labels, where
+                assert got.component_of.tolist() == comp.tolist(), where
+                assert got.component_count == ncomp, where
+                assert (got.graph is None) == (graph is None), where
+                if graph is not None:
+                    for part in ("data", "indices", "indptr"):
+                        assert getattr(got.graph, part).tobytes() == getattr(graph, part).tobytes()
+                want = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+                assert got.distances.tobytes() == want.tobytes(), where
+                assert _link_ratio(got).hex() == _old_link_ratio(pts, graph, comp, ncomp).hex()
+                assert _component_separation(got) == _old_component_separation(pts, comp, ncomp)

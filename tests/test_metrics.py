@@ -110,6 +110,31 @@ def test_cluster_labels_random_clouds(dim):
         assert cluster_labels(pts, tol).tolist() == _single_linkage(pts, tol).tolist()
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pairwise_sq_distances_bitwise(dim):
+    # the matrix has the bits of numpy's sum of squares over the last axis,
+    # its square root those of np.linalg.norm, and it is symmetric bitwise
+    # (the other association, dx*dx + (dy*dy + dz*dz), differs on about a
+    # fifth of the entries of such a cloud)
+    rng = np.random.default_rng(10 + dim)
+    pts = rng.standard_normal((120, dim)) * rng.uniform(1e-6, 1.0, (120, 1))
+    diff = pts[:, None, :] - pts[None, :, :]
+    sq = metrics.pairwise_sq_distances(pts)
+    assert sq.tobytes() == np.sum(diff * diff, axis=2).tobytes()
+    assert np.sqrt(sq).tobytes() == np.linalg.norm(diff, axis=2).tobytes()
+    assert sq.tobytes() == sq.T.copy().tobytes()
+    assert metrics.pairwise_sq_distances(np.zeros((0, dim))).shape == (0, 0)
+
+
+def test_linkage_labels_match_cluster_labels():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        pts = np.round(rng.random((metrics.ALL_PAIRS_MAX * 2, 3)), 1)
+        tol = float(rng.uniform(0.01, 0.2))
+        got = metrics.linkage_labels(metrics.pairwise_sq_distances(pts), tol)
+        assert got.tolist() == cluster_labels(pts, tol).tolist()
+
+
 @pytest.mark.parametrize(
     "cloud",
     [

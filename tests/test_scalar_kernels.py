@@ -178,7 +178,7 @@ def test_surface_domain_errors_on_both_paths(piece, ref_point, fixed):
         with pytest.raises(DomainError):
             piece.eval_param(prm)
         with pytest.raises(DomainError):
-            piece._point(prm)
+            piece._columns([0.3])(np.array([y]), np.array([0]))
         with pytest.raises(DomainError):
             ref_point(piece, prm)
 

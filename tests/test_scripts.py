@@ -66,7 +66,7 @@ def test_horn_center_curves(monkeypatch, capsys):
 def test_digests_repeat(capsys):
     script = _load("digests")
     outs = {}
-    for argv in (["--workloads", "arc_fan", "--seeds", "3"], ["--cli"]) * 2:
+    for argv in (["--workloads", "arc_fan", "--seeds", "3"], ["--cli"], ["--links"]) * 2:
         assert script.main(argv) == 0
         outs.setdefault(argv[0], []).append(capsys.readouterr().out)
     # a second run of the same germs and command lines gives the same bytes
@@ -85,3 +85,10 @@ def test_digests_repeat(capsys):
     for run, line in zip(script.CLI_RUNS, lines):
         code = 2 if run[:-2] == undecided else 0
         assert re.fullmatch(rf"cli {' '.join(run)} exit {code} [0-9a-f]{{64}}", line), line
+    # one line per germ, norm and density: horn3d and 7 horn-plus-wall
+    # germs x 3 norms x 3 densities, none raising
+    lines = outs["--links"][0].splitlines()
+    assert len(lines) == 72
+    for line in lines:
+        pattern = r"links (horn3d|horn_wall_\S+) (euclid|maxv\S*) (8|32|64) [0-9a-f]{64}"
+        assert re.fullmatch(pattern, line), line

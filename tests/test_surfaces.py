@@ -361,7 +361,7 @@ def _ref_horn_section(self, t, norm, density):
         theta = 2 * math.pi * k / n_theta
 
         def g(y):
-            return norm.of(self._point((y, theta))) - t
+            return norm.of(self.eval_param((y, theta))) - t
 
         g_hi = g(y_hi)
         if g_hi < 0:
@@ -385,7 +385,7 @@ def _ref_wall_section(self, t, norm, density):
     for j, u in enumerate(np.linspace(-1.0, 1.0, max(8, density // 2) + 1).tolist()):
 
         def g(y):
-            return norm.of(self._point((u, y))) - t
+            return norm.of(self.eval_param((u, y))) - t
 
         g_hi = g(y_hi)
         if g_hi < 0:
@@ -451,7 +451,7 @@ def _reach(piece, norm, density):
     """The largest norm of the piece's top points on its section rays."""
     slot = piece._HEIGHT
     prms = [(piece.y_max, c) if slot == 0 else (c, piece.y_max) for c in piece._rays(1.0, density)]
-    return max(norm.of(piece._point(prm)) for prm in prms)
+    return max(norm.of(piece.eval_param(prm)) for prm in prms)
 
 
 def _assert_same_section(got, want, where):
