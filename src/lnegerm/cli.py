@@ -1,11 +1,16 @@
 """Command-line front end: analyze | scenarios | medial | link.
 
 Configuration precedence is flags > config file (--config, JSON) >
-defaults.  JSON output is canonical and byte-deterministic for a fixed
-configuration and seed; CSV is a flat projection; SVG plots are 2D-only
-and never affect exit codes.  Exit codes: 0 on completion, 2 when a
-verdict stays UNDECIDED (or a scenario is INCONCLUSIVE), 1 on errors,
-usage errors included.
+defaults.  A config file takes the keys of the ``config`` object a run
+echoes (``RunConfig.to_dict``, plus ``plot_dir``), and each flag's dest is
+its key, so an echoed config read back repeats the run.  JSON output is
+canonical and byte-deterministic for a fixed configuration and seed; CSV
+is a flat projection.  SVG plots draw a plane germ's branch samples and
+its medial points: ``analyze`` and ``scenarios`` plot their plane germs and
+skip the others without affecting the exit code, while ``medial --plot``
+on a 3D germ is an error.  Exit codes: 0 on completion, 2 when a verdict
+stays UNDECIDED (or a scenario is INCONCLUSIVE), 1 on errors, usage errors
+included.
 
 ``medial`` exports the anchors of the exact medial branches that
 ``analyze`` grades: ``medial_branch_germs`` on the configured scale ladder,
@@ -22,7 +27,7 @@ from pathlib import Path
 
 from .config import MedialConfig, RunConfig
 from .errors import InputError, LnegermError, TraceError
-from .germs import load_germ_file, sample_cloud
+from .germs import _sample_curve_piece, load_germ_file
 from .links import link_criterion_verdict
 from .medial import medial_branch_germs
 from .report import (
@@ -55,12 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--t-max", type=float, default=None)
     common.add_argument("--levels", type=int, default=None)
     common.add_argument("--density", type=int, default=None)
-    common.add_argument("--order-tol", type=float, default=None)
+    common.add_argument("--order-tol", dest="order_tolerance", type=float, default=None)
     common.add_argument("--theta-min", type=float, default=None)
     common.add_argument("--norm", choices=("euclid", "maxv"), default=None)
     common.add_argument("--weights", default=None, help="comma-separated positives")
     common.add_argument("--format", choices=("json", "csv"), default=None)
-    common.add_argument("--plot", metavar="DIR", default=None)
+    common.add_argument("--plot", dest="plot_dir", metavar="DIR", default=None)
     common.add_argument("--seed", type=int, default=None)
 
     source = argparse.ArgumentParser(add_help=False)
@@ -84,18 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_FIELDS = {
-    "t_min": "t_min",
-    "t_max": "t_max",
-    "levels": "levels",
-    "density": "density",
-    "order_tol": "order_tolerance",
-    "norm": "norm_kind",
-    "format": "output_format",
-    "plot": "plot_dir",
-    "seed": "seed",
-}
-_MEDIAL_FLAG_FIELDS = {"theta_min": "theta_min"}
+#: config keys that differ from their ``RunConfig`` field; every other key
+#: is its field's name.  Each flag's dest is its key.
+_FIELD_OF = {"norm": "norm_kind", "format": "output_format"}
+_KEY_OF = {field: key for key, field in _FIELD_OF.items()}
 
 
 def config_from_args(args) -> RunConfig:
@@ -113,27 +110,26 @@ def config_from_args(args) -> RunConfig:
         if not isinstance(medial, dict):
             raise InputError(f"config file {args.config}: field 'medial' must be a JSON object")
         values = data
-    for flag, field in _FLAG_FIELDS.items():
-        v = getattr(args, flag)
+    keys = {_KEY_OF.get(f.name, f.name) for f in dataclasses.fields(RunConfig)} - {"medial"}
+    for key in keys - {"weights"}:
+        v = getattr(args, key)
         if v is not None:
-            values[field] = v
-    for flag, field in _MEDIAL_FLAG_FIELDS.items():
-        v = getattr(args, flag)
-        if v is not None:
-            medial[field] = v
+            values[key] = v
+    if args.theta_min is not None:
+        medial["theta_min"] = args.theta_min
     if args.weights is not None:
         try:
             values["weights"] = tuple(float(w) for w in args.weights.split(","))
         except ValueError as exc:
             raise InputError(f"malformed --weights: {exc}") from exc
-    known = {f.name for f in dataclasses.fields(RunConfig)} - {"medial"}
-    unknown = set(values) - known
+    unknown = set(values) - keys
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}")
-    unknown = set(medial) - set(_MEDIAL_FLAG_FIELDS.values())
+    unknown = set(medial) - {"theta_min"}
     if unknown:
         raise InputError(f"unknown medial config keys: {sorted(unknown)}")
-    return RunConfig(medial=MedialConfig(**medial), **values)
+    fields = {_FIELD_OF.get(key, key): v for key, v in values.items()}
+    return RunConfig(medial=MedialConfig(**medial), **fields)
 
 
 def _load_scenario(args, config: RunConfig):
@@ -151,9 +147,11 @@ def _write_plot(directory: str, name: str, content: str) -> None:
 
 
 def _medial_svg(germ, axis, config: RunConfig) -> str:
-    """A plane germ's cloud sample with its medial points, titled by label."""
-    cloud = sample_cloud(germ, config.t_max, config.density)
-    return svg_overlay_2d(cloud.points, axis.coords(), title=germ.label)
+    """A plane germ's branch samples with its medial points, titled by label."""
+    samples = [
+        p for b in germ.branches for p in _sample_curve_piece(b, config.t_max, config.density)[1]
+    ]
+    return svg_overlay_2d(samples, axis.coords(), title=germ.label)
 
 
 def cmd_analyze(args) -> int:

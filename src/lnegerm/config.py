@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .norms import make_norm
-
-MIN_LEVELS = 5
+from .tangency import MIN_SCALES
 
 
 def _is_number(v) -> bool:
@@ -114,8 +113,8 @@ class RunConfig:
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.t_min < self.t_max:
             raise InputError("need 0 < t_min < t_max")
-        if self.levels < MIN_LEVELS:
-            raise InputError(f"need at least {MIN_LEVELS} scale levels")
+        if self.levels < MIN_SCALES:
+            raise InputError(f"need at least {MIN_SCALES} scale levels")
         if self.density < 8:
             raise InputError("density must be at least 8")
         if self.order_tolerance <= 0:
@@ -126,6 +125,8 @@ class RunConfig:
             w = tuple(float(v) for v in self.weights)
             if not all(math.isfinite(v) and v > 0 for v in w):
                 raise InputError("max-norm weights must be positive and finite")
+            if self.norm_kind != "maxv":
+                raise InputError(f"weights apply only to the maxv norm, not {self.norm_kind!r}")
             object.__setattr__(self, "weights", w)
         if self.output_format not in ("json", "csv"):
             raise InputError(f"unknown output format {self.output_format!r}")

@@ -4,9 +4,12 @@ Curve germs are finite Puiseux sums with exact rational exponents and float
 coefficient vectors.  Surface germs are procedural samplers (see
 ``surfaces``).  This module owns evaluation, distance reparametrization,
 arc lengths, tangent half-lines, the exact separation-order oracle (dense
-power series on an integer lattice), sampling into point clouds, the
-per-analysis table of radius parameters and surface sections
-(``RadiusTable``), and the germ JSON file format.
+power series on an integer lattice), the per-analysis table of radius
+parameters and surface sections (``RadiusTable``), the germ JSON file
+format, and sampling into point clouds: the reference clouds of the radius
+graph and ``FootFinder``, whose coincident points across pieces
+``sample_cloud`` merges with ``metrics.cluster_labels`` (a
+``scipy.spatial`` k-d tree).
 
 A branch evaluates an array of parameters with numpy and one float
 parameter with a scalar path (``PuiseuxBranch._point``) that gives the same

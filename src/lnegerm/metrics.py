@@ -5,16 +5,16 @@ points shared by several pieces (stored once, with the union of labels) are
 the only junctions between pieces.  This keeps graph geodesics inside the
 sampled set even where distinct pieces pass arbitrarily close to each other.
 
-Components, pairwise distances and single-linkage clusters need only
-numpy (``components``, ``pairwise_sq_distances``, ``linkage_labels``,
-``cluster_labels``).  The radius graph, its CSR matrix and its shortest
-paths import scipy inside the functions that build or walk them.
+Components, pairwise distances and single-linkage labels off a distance
+matrix need only numpy (``components``, ``pairwise_sq_distances``,
+``linkage_labels``).  The point-cloud merge (``cluster_labels``), the
+radius graph, its CSR matrix and its shortest paths import scipy inside
+the functions that build or walk them.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -173,73 +173,24 @@ def linkage_labels(sq: np.ndarray, tol: float) -> np.ndarray:
     return components(len(sq), np.column_stack([i, j]))[1]
 
 
-#: up to this many points ``cluster_labels`` checks every pair
-ALL_PAIRS_MAX = 64
-
-
 def cluster_labels(points: np.ndarray, tol: float) -> np.ndarray:
     """Single-linkage groups of points closer than ``tol``.
 
     ``labels[i]`` is the group of point i.  Groups are numbered in the order
     of their lowest index, so that index is each group's representative.
-    A candidate pair joins when its squared distance is at most tol**2.
-    Up to ``ALL_PAIRS_MAX`` points every pair is a candidate
-    (``linkage_labels``); above that, the pairs from ``_cube_pairs``.
+    The candidates are the k-d tree's pairs within 2 tol, a margin for the
+    tree's own rounding; a candidate joins when its squared distance is at
+    most tol**2, so exact copies join at tol = 0 too.
     """
+    from scipy.spatial import cKDTree
+
     points = np.asarray(points, dtype=float)
     n = len(points)
-    if n <= ALL_PAIRS_MAX:
-        return linkage_labels(pairwise_sq_distances(points), tol)
-    i, j = _cube_pairs(points, tol)
-    near = np.sum((points[i] - points[j]) ** 2, axis=1) <= tol * tol
-    return components(n, np.column_stack([i[near], j[near]]))[1]
-
-
-def _cube_pairs(points: np.ndarray, tol: float) -> tuple:
-    """(i, j): candidate pairs of points within ``tol``, i != j.
-
-    Each point is paired with the first copy of itself; the distinct
-    points are bucketed into cubes of side 2 tol, so two points within tol
-    lie in the same or adjacent cubes whatever the rounding of their cube
-    coordinates, and are paired with the points of their own cube and of
-    the lexicographically positive half of its neighbours.  The count grows
-    with the points plus the near pairs: a line of points, or many copies
-    of one point, does not inflate it.
-    """
-    order = np.lexsort(points.T[::-1])  # equal rows keep index order
-    rows = points[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    first = order[new]  # lowest index of each distinct point
-    pairs_i, pairs_j = [first[np.cumsum(new) - 1][~new]], [order[~new]]
-    if len(first) > 1 and tol > 0:
-        cells = np.floor(rows[new] / (2.0 * tol))
-        m, dim = cells.shape
-        # row 0 the cube itself, then its lexicographically positive
-        # neighbours, so each pair of cubes is visited once
-        shifts = np.array(
-            [o for o in itertools.product((-1, 0, 1), repeat=dim) if o >= (0,) * dim]
-        )
-        # mixed-radix key of each shifted cube from the ranks of its
-        # coordinates among those occupied on each axis; -1 where one is not
-        key = np.zeros((len(shifts), m), dtype=np.int64)
-        hit = np.ones((len(shifts), m), dtype=bool)
-        for col, shift in zip(cells.T, shifts.T):
-            vals, rank = np.unique(col, return_inverse=True)
-            rank = rank.reshape(1, -1) + shift[:, None]
-            hit &= vals[np.clip(rank, 0, len(vals) - 1)] == col + shift[:, None]
-            key = key * len(vals) + rank
-        key[~hit] = -1
-        by_cube = np.argsort(key[0], kind="stable")
-        sorted_keys = key[0][by_cube]
-        start = np.searchsorted(sorted_keys, key, side="left")
-        end = np.searchsorted(sorted_keys, key, side="right")
-        start[0, by_cube] = np.arange(m) + 1  # in its own cube, the later points only
-        count = np.maximum(end - start, 0).ravel()
-        at = np.repeat(np.cumsum(count) - count - start.ravel(), count)
-        pairs_i.append(first[np.repeat(np.tile(np.arange(m), len(shifts)), count)])
-        pairs_j.append(first[by_cube[np.arange(count.sum()) - at]])
-    return np.concatenate(pairs_i), np.concatenate(pairs_j)
+    if n < 2:
+        return np.zeros(n, dtype=np.intp)
+    pairs = cKDTree(points).query_pairs(2 * tol, output_type="ndarray")
+    near = np.sum((points[pairs[:, 0]] - points[pairs[:, 1]]) ** 2, axis=1) <= tol * tol
+    return components(n, pairs[near])[1]
 
 
 def inner_distance(graph: NeighborhoodGraph, i: int, j: int) -> float:

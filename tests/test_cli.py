@@ -101,6 +101,21 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("lnegerm: error: max-norm weights:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("link", "--builtin", "horn3d", "--weights", "40,1,20"),
+            ("analyze", "--builtin", "cusp", "--norm", "euclid", "--weights", "1,2"),
+        ],
+        ids=["link_default_norm", "analyze_euclid"],
+    )
+    def test_weights_need_the_max_norm(self, capsys, argv):
+        # no other norm reads them, so a report must not echo them as applied
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("lnegerm: error: weights")
+
 
 class TestUsage:
     @pytest.mark.parametrize(
@@ -307,6 +322,21 @@ class TestConfigPrecedence:
         assert code == 0
         assert json.loads(out)["config"]["medial"] == {"theta_min": 0.3}
 
+    @pytest.mark.parametrize("label", BUILTIN_LABELS)
+    @pytest.mark.parametrize("command", ["analyze", "medial", "link"])
+    def test_echoed_config_reads_back(self, capsys, tmp_path, command, label):
+        # the config a run echoes, passed alone through --config, is the run
+        weights = "2,1,3" if label == "horn3d" else "2,1"
+        flags = (
+            "--levels", "6", "--density", "24", "--order-tol", "0.15", "--theta-min", "0.25",
+            "--norm", "maxv", "--weights", weights, "--seed", "5",
+        )
+        first = run_cli(capsys, command, "--builtin", label, *flags)
+        assert first[0] != 1, first[2]
+        cfg = tmp_path / "echo.json"
+        cfg.write_text(json.dumps(json.loads(first[1])["config"]))
+        assert run_cli(capsys, command, "--builtin", label, "--config", str(cfg)) == first
+
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nope": 1}))
@@ -389,7 +419,7 @@ _NAMES_PARAMETER = {
 _NON_FINITE = {
     "config_order_tolerance_nan": ("config", {"order_tolerance": math.nan}),
     "config_t_max_inf": ("config", {"t_max": math.inf}),
-    "config_weights_nan": ("config", {"norm_kind": "maxv", "weights": [math.nan, 1.0]}),
+    "config_weights_nan": ("config", {"norm": "maxv", "weights": [math.nan, 1.0]}),
     "branch_coeff_nan": _germ_file_case(
         lambda d: d["branches"][0]["terms"][0].update(coeff=[math.nan, 1.0])
     ),

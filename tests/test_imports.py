@@ -1,11 +1,12 @@
 """Which scipy modules an analysis loads.
 
-``import lnegerm``, the analysis of a germ of curve pieces and
-``lnegerm medial`` on any builtin load no scipy module: the package's own
-``optimize.brentq`` and ``metrics.components`` serve them.  scipy is
-imported inside the functions that need it, and a surface germ's link
-sections load only ``scipy.sparse`` (shortest paths).  Each check runs in a fresh interpreter
-so that ``sys.modules`` starts clean.
+``import lnegerm``, the analysis of a germ of curve pieces,
+``lnegerm medial`` on any builtin and the SVG plots of ``medial`` and
+``analyze`` load no scipy module: the package's own ``optimize.brentq`` and
+``metrics.components`` serve them.  scipy is imported inside the functions
+that need it, and a surface germ's link sections load only ``scipy.sparse``
+(shortest paths).  Each check runs in a fresh interpreter so that
+``sys.modules`` starts clean.
 """
 
 import json
@@ -17,7 +18,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = r"""
-import contextlib, io, json, sys
+import contextlib, io, json, pathlib, sys, tempfile
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.startswith("scipy"))
@@ -52,6 +53,13 @@ with contextlib.redirect_stdout(io.StringIO()):
 loaded["medial"] = scipy_modules()
 loaded["medial_code"] = code
 
+for command in ("medial", "analyze"):
+    with tempfile.TemporaryDirectory() as plots, contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, "--builtin", "cusp", "--plot", plots])
+        loaded[f"{command}_plot_svgs"] = sorted(p.name for p in pathlib.Path(plots).iterdir())
+    loaded[f"{command}_plot"] = scipy_modules()
+    loaded[f"{command}_plot_code"] = code
+
 run_scenario(builtin("horn3d"))
 loaded["horn3d"] = scipy_modules()
 print(json.dumps(loaded))
@@ -76,6 +84,10 @@ def test_curve_germs_load_no_scipy():
     assert loaded["cli"] == []
     assert loaded["medial_code"] == 0
     assert loaded["medial"] == []
+    for command, svg in (("medial", "cusp_medial.svg"), ("analyze", "cusp.svg")):
+        assert loaded[f"{command}_plot_code"] == 0
+        assert loaded[f"{command}_plot_svgs"] == [svg]
+        assert loaded[f"{command}_plot"] == []
     horn = loaded["horn3d"]
     assert "scipy.sparse" in horn
     assert not [m for m in horn if m.startswith(("scipy.optimize", "scipy.spatial"))]

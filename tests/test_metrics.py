@@ -15,6 +15,7 @@ from lnegerm import (
     Pancake,
     PancakeComplex,
     build_graph,
+    builtin,
     germ_set,
     induced_distance,
     inner_distance,
@@ -104,7 +105,7 @@ def _single_linkage(points, tol):
 def test_cluster_labels_random_clouds(dim):
     rng = np.random.default_rng(dim)
     for _ in range(40):
-        n = int(rng.integers(metrics.ALL_PAIRS_MAX + 1, 400))
+        n = int(rng.integers(65, 400))
         pts = np.round(rng.random((n, dim)), 1 + int(rng.integers(0, 3)))
         tol = float(rng.uniform(0.001, 0.2))
         assert cluster_labels(pts, tol).tolist() == _single_linkage(pts, tol).tolist()
@@ -129,7 +130,7 @@ def test_pairwise_sq_distances_bitwise(dim):
 def test_linkage_labels_match_cluster_labels():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        pts = np.round(rng.random((metrics.ALL_PAIRS_MAX * 2, 3)), 1)
+        pts = np.round(rng.random((128, 3)), 1)
         tol = float(rng.uniform(0.01, 0.2))
         got = metrics.linkage_labels(metrics.pairwise_sq_distances(pts), tol)
         assert got.tolist() == cluster_labels(pts, tol).tolist()
@@ -155,8 +156,20 @@ def test_cluster_labels_degenerate_clouds(cloud):
     labels = cluster_labels(pts, tol)
     assert labels.tolist() == _single_linkage(pts, tol).tolist()
     assert labels.max() + 1 == (1 if (pts == pts[0]).all() else 100)
-    # the cube candidates stay linear in the points
-    assert len(metrics._cube_pairs(pts, tol)[0]) <= 20 * len(pts)
+
+
+def test_cluster_labels_horn3d_seams():
+    # horn3d's pieces sampled apart at scale 0.5, density 32: where horn and
+    # wall seams meet, copies of one point differ by rounding, and the merge
+    # of ``sample_cloud`` (tol 1e-9 scale) joins them
+    germ = builtin("horn3d").germ()
+    pts = np.vstack([np.asarray(s.sample(0.5, 32)[0], dtype=float) for s in germ.surfaces])
+    assert len(pts) == 1603
+    tol = 1e-9 * 0.5
+    labels = cluster_labels(pts, tol)
+    assert labels.tolist() == _single_linkage(pts, tol).tolist()
+    rep = np.unique(labels, return_index=True)[1][labels]
+    assert (pts != pts[rep]).any(axis=1).sum() > 0
 
 
 # ---------------------------------------------------------------------------

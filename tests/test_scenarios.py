@@ -210,6 +210,14 @@ def test_config_rejects_non_finite(field, value):
         RunConfig(**{field: value})
 
 
+def test_config_weights_need_the_max_norm():
+    # only the weighted max norm reads weights; under any other they would be
+    # echoed in the report as if applied
+    with pytest.raises(InputError, match="weights"):
+        RunConfig(weights=(2.0, 1.0))
+    assert RunConfig(norm_kind="maxv", weights=(2, 1)).weights == (2.0, 1.0)
+
+
 #: (config class, field, value of the wrong type); unchecked, each ends in a
 #: raw TypeError or ValueError, at once or later in the analysis, or in none
 _WRONG_TYPES = {
