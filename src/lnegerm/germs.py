@@ -3,7 +3,8 @@
 Curve germs are finite Puiseux sums with exact rational exponents and float
 coefficient vectors.  Surface germs are procedural samplers (see
 ``surfaces``).  This module owns evaluation, distance reparametrization,
-arc lengths, tangent half-lines, the exact separation-order oracle (dense
+arc lengths (all of a branch's ladder parameters in one quadrature pass,
+``PuiseuxBranch.arc_lengths_at``), tangent half-lines, the exact separation-order oracle (dense
 power series on an integer lattice), the per-analysis table of radius
 parameters and surface sections (``RadiusTable``), the germ JSON file
 format, and sampling into point clouds: the reference clouds of the radius
@@ -174,20 +175,29 @@ class PuiseuxBranch:
         return self.arc_length_at(self.param_at_radius(r))
 
     def arc_length_at(self, s: float) -> float:
-        """Length of the branch from 0 to gamma(s).
+        """Length of the branch from 0 to gamma(s) (``arc_lengths_at``)."""
+        return self.arc_lengths_at([s])[0]
+
+    def arc_lengths_at(self, params) -> list:
+        """Length of the branch from 0 to gamma(s), for each s of ``params``.
 
         In u = s^{1/N} (see ``u_powers``) the speed N u^{N-1} |gamma'(u^N)|
         is the norm of a polynomial vector, smooth on [0, u_r]; a fixed
-        Gauss-Legendre rule integrates it to rounding.
+        Gauss-Legendre rule integrates it to rounding.  All parameters take
+        one quadrature pass: one (len(params), 32) array of nodes, whose
+        norms and weighted sums are taken row by row.  The stacked
+        ``matmul`` of each row's weights and norms is one ``ddot`` per row,
+        as each parameter's own dot product is.
         """
         n, powers = self.u_powers
-        u_r = s ** (1.0 / n)
-        u = 0.5 * u_r * (_ARC_NODES + 1.0)
+        half = np.array([0.5 * s ** (1.0 / n) for s in params])[:, None]
+        u = half * (_ARC_NODES + 1.0)
         velocity = sum(
-            p * np.power(u, p - 1)[:, None] * np.asarray(c, dtype=float)
+            p * np.power(u, p - 1)[..., None] * np.asarray(c, dtype=float)
             for p, (_, c) in zip(powers, self.terms)
         )
-        return float(0.5 * u_r * _ARC_WEIGHTS @ np.linalg.norm(velocity, axis=1))
+        norms = np.linalg.norm(velocity, axis=-1)
+        return np.matmul((half * _ARC_WEIGHTS)[:, None, :], norms[:, :, None]).ravel().tolist()
 
     def param_at_radius(self, r: float, norm=EUCLID) -> float:
         """Solve ||gamma(s)||_norm = r on the monotone initial range."""
@@ -585,9 +595,11 @@ def merge_coincident(pts: np.ndarray, labels, params, tol: float):
 
 
 def check_scale_ladder(scales) -> None:
-    """Raise ``InputError`` unless the scales decrease strictly along a
-    geometric sequence."""
+    """Raise ``InputError`` unless the scales are positive and finite and
+    decrease strictly along a geometric sequence."""
     t = np.asarray(scales, dtype=float)
+    if not np.all(np.isfinite(t) & (t > 0)):
+        raise InputError("scales must be positive and finite")
     if len(t) < 2:
         return
     ratios = t[1:] / t[:-1]

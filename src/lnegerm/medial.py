@@ -11,7 +11,9 @@ solve runs on the pieces' z = 0 traces, and a bisector point inside a
 surface's slice (``covers``) is rejected.  Each branch is a
 ``SampledCurve``: its solved points on the medial ladder, and the same
 solve for any other radius.  Both ``run_scenario`` and ``lnegerm medial``
-take their medial points from it.
+take their medial points from it.  The root solve's gap works on floats:
+each query is its two coordinates, projected once per branch by one Newton
+kernel (``_project_branch``), and becomes an array only at the root.
 
 The grid medial axis is an independent reference that only tests call: it
 samples the germ and searches the space around it, so it would show a
@@ -66,8 +68,21 @@ _GRID_BLOCK = 2048
 # ---------------------------------------------------------------------------
 
 
-def _project_branch(branch: PuiseuxBranch, x, seed: float, window: float):
-    """Locally nearest branch point to x near parameter ``seed``.
+def _plane_query(branch: PuiseuxBranch, x) -> tuple:
+    """(x0, x1): the coordinates of a query point for ``_project_branch``.
+    Raises ``InputError`` unless x has the branch's dimension and lies in
+    the first coordinate plane."""
+    xt = np.asarray(x, dtype=float).tolist()
+    if len(xt) != branch.ambient_dim or any(xt[2:]):
+        raise InputError(
+            f"branch {branch.label!r}: projected point must lie in the first coordinate plane"
+        )
+    return xt[0], xt[1]
+
+
+def _project_branch(branch: PuiseuxBranch, x0: float, x1: float, seed: float, window: float):
+    """Locally nearest branch point to x = (x0, x1, 0, ...) near parameter
+    ``seed``.
 
     Newton iteration on psi(s) = <gamma(s) - x, gamma'(s)>, clamped to the
     parameter window; falls back to golden-section on the distance when the
@@ -78,21 +93,17 @@ def _project_branch(branch: PuiseuxBranch, x, seed: float, window: float):
     its 30 steps and then search the window for the root it already holds.
 
     Every projection lies in the first coordinate plane (plane germs, and
-    3D germs solved on their z = 0 trace), so the kernel works on two
-    coordinates, with the per-term constants of ``branch.plane_terms``; a
-    branch or a query off that plane raises ``InputError``.  Each power is
-    libm's (Python ``**``) and the sums run in a fixed order, so the bits do
-    not depend on the ambient dimension.  The returned point and distance
-    come from ``branch.eval`` and ``d.dot(d)`` in the ambient space.
+    3D germs solved on their z = 0 trace), so the kernel takes the query's
+    two coordinates as floats and works with the per-term constants of
+    ``branch.plane_terms``; a branch off that plane raises ``InputError``,
+    and an array query is checked by ``_plane_query``.  Each power is libm's
+    (Python ``**``) and the sums run in a fixed order, so the bits do not
+    depend on the ambient dimension.  The returned point is
+    ``branch._point``'s (numpy's ``pow``, as ``branch.eval``) and the
+    distance ``sqrt(d.dot(d))`` of the ambient difference array d, which
+    BLAS rounds differently from a sum of float squares.
     """
     terms = branch.plane_terms
-    xa = np.asarray(x, dtype=float)
-    xt = xa.tolist()
-    if len(xt) != branch.ambient_dim or any(xt[2:]):
-        raise InputError(
-            f"branch {branch.label!r}: projected point must lie in the first coordinate plane"
-        )
-    x0, x1 = xt[0], xt[1]
     seed = float(seed)
     lo = max(0.0, seed - window)
     hi = min(branch.t_max, seed + window)
@@ -136,10 +147,11 @@ def _project_branch(branch: PuiseuxBranch, x, seed: float, window: float):
         s = s_new
     if not converged:
         s, _ = golden_min(dist_at, lo, hi)
-    p = branch.eval(float(s))
-    d = p - xa
+    s = float(s)
+    p = branch._point(s)
+    d = np.array([p[0] - x0, p[1] - x1, *p[2:]])
     # np.linalg.norm of a vector is exactly sqrt(d.dot(d)), at several times the cost
-    return math.sqrt(d.dot(d)), p, float(s)
+    return math.sqrt(d.dot(d)), np.array(p), s
 
 
 def _direction_groups(vecs: np.ndarray, dists: np.ndarray):
@@ -278,7 +290,7 @@ class FootFinder:
             return piece.project(x, seed_param, window=8.0 * self.spacing, pinned=pinned)
         speed = float(np.linalg.norm(piece.eval_deriv(max(float(seed_param), 1e-12))))
         window = min(8.0 * self.spacing / max(speed, 1e-9), piece.t_max)
-        return _project_branch(piece, x, float(seed_param), window)
+        return _project_branch(piece, *_plane_query(piece, x), float(seed_param), window)
 
     def feet(self, x, slack: float | None = None):
         """All polished feet near the query, sorted by distance.
@@ -694,9 +706,11 @@ def _bisector_point(
     Each (branch, query point) is projected once: ``brentq`` takes the
     bracket check's two gaps as its end values, and the feet at the root
     are those of the root's own evaluation.  ``projected`` holds the
-    projections by (branch, r, q); the solves of adjacent sectors at one
-    radius share it, since both project the branch they share at its own
-    radius-r point.  Without it the call keeps its own.
+    projections by (branch, r, q0, q1), q's two coordinates as floats; the
+    solves of adjacent sectors at one radius share it, since both project
+    the branch they share at its own radius-r point.  Without it the call
+    keeps its own.  The gap works on floats, and q becomes an array only
+    at the root.
 
     Raises ``TraceError`` when the gap does not change sign or the root
     leaves a residual above ``_BISECTOR_RESIDUAL``, when the feet are less
@@ -712,19 +726,18 @@ def _bisector_point(
 
     projected = {} if projected is None else projected
 
-    def foot(b, q, s):
-        key = (b, r, q.tobytes())
+    def foot(b, q0, q1, s):
+        key = (b, r, q0, q1)
         if key not in projected:
-            projected[key] = _project_branch(b, q, s, s + r)
+            projected[key] = _project_branch(b, q0, q1, s, s + r)
         return projected[key]
 
-    def feet(phi):
-        q = r * np.array([math.cos(a1 + phi), math.sin(a1 + phi)] + pad)
-        return q, foot(b1, q, s1), foot(b2, q, s2)
+    def query(phi):
+        return r * math.cos(a1 + phi), r * math.sin(a1 + phi)
 
     def gap(phi):
-        _, f1, f2 = feet(phi)
-        return f1[0] - f2[0]
+        q0, q1 = query(phi)
+        return foot(b1, q0, q1, s1)[0] - foot(b2, q0, q1, s2)[0]
 
     g_lo, g_hi = gap(0.0), gap(span)
     if not (g_lo < 0.0 < g_hi):
@@ -733,7 +746,9 @@ def _bisector_point(
         phi = brentq(gap, 0.0, span, xtol=1e-15, fa=g_lo, fb=g_hi)
     except ResolutionError as exc:
         raise TraceError(f"equidistance solve did not converge at radius {r}") from exc
-    q, (d1, fp1, fm1), (d2, fp2, fm2) = feet(phi)
+    q0, q1 = query(phi)
+    (d1, fp1, fm1), (d2, fp2, fm2) = foot(b1, q0, q1, s1), foot(b2, q0, q1, s2)
+    q = np.array([q0, q1] + pad)
     if abs(d1 - d2) > _BISECTOR_RESIDUAL:
         raise TraceError(f"equidistance residual {abs(d1 - d2):.3e} at radius {r}")
     ang = _max_pair_angle(q, [fp1, fp2])
@@ -741,7 +756,7 @@ def _bisector_point(
         raise TraceError(f"feet {ang:.3g} rad apart at radius {r}")
     dist = 0.5 * (d1 + d2)
     for b in others:
-        if foot(b, q, param(b, r))[0] < dist - _BISECTOR_RESIDUAL:
+        if foot(b, q0, q1, param(b, r))[0] < dist - _BISECTOR_RESIDUAL:
             raise TraceError(f"branch {b.label!r} is nearer at radius {r}")
     for piece in surfaces:
         if piece.covers(q):

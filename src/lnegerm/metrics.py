@@ -103,7 +103,12 @@ def build_graph(cloud: PointCloud, radius: float) -> NeighborhoodGraph:
 
 def edge_matrix(pts: np.ndarray, pairs: np.ndarray):
     """Symmetric scipy CSR adjacency over distinct index pairs, weight =
-    edge length."""
+    edge length.
+
+    Built directly from both orientations of the pairs sorted by (row,
+    column), with 32-bit indices: the arrays scipy's COO-to-CSR conversion
+    gives, without building the COO matrix.
+    """
     from scipy import sparse
 
     n = len(pts)
@@ -112,12 +117,15 @@ def edge_matrix(pts: np.ndarray, pairs: np.ndarray):
     w = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
     if np.any(w <= 0):
         raise InputError("coincident points must be merged before graphing")
-    return sparse.coo_matrix(
-        (np.concatenate([w, w]),
-         (np.concatenate([pairs[:, 0], pairs[:, 1]]),
-          np.concatenate([pairs[:, 1], pairs[:, 0]]))),
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sparse.csr_matrix(
+        (np.concatenate([w, w])[order], cols[order].astype(np.int32), indptr),
         shape=(n, n),
-    ).tocsr()
+    )
 
 
 def components(n: int, pairs) -> tuple:

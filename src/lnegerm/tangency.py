@@ -7,6 +7,12 @@ to 0, and inner orders come from those.  Orders are slopes of log-log fits
 over a geometric scale grid, cross-checked against the exact series oracle
 where one exists.  The pairwise Lojasiewicz exponent is the ratio
 outer/inner order, so that a germ is LNE exactly when its exponent is 1.
+
+Every fit takes one path, ``estimate_orders``: the columns of one ladder
+in one least-squares solve, each with the bits of its own ``np.polyfit``.
+``pair_reports`` fits the outer series of all its pairs in one call and
+their inner sums in another; ``estimate_order``, ``outer_tangency_order``
+and ``inner_tangency_order`` are its one-column and one-pair calls.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InputError
 from .germs import (
@@ -74,22 +81,65 @@ class OrderEstimate:
         }
 
 
-def estimate_order(samples) -> OrderEstimate:
-    """Least-squares log-log fit of positive values over geometric scales."""
-    samples = [(float(t), float(f)) for t, f in samples]
-    scales = [t for t, _ in samples]
+def _fit_lines(lt: np.ndarray, lf: np.ndarray) -> tuple:
+    """(slopes, intercepts) of the least-squares lines through (lt, row),
+    one per row of ``lf``: bitwise ``np.polyfit(lt, row, 1)`` for each row,
+    in one LAPACK loop.
+
+    These are polyfit's steps on the one Vandermonde matrix of the ladder
+    (its columns scaled to unit norm, rcond len(lt) eps), then the stacked
+    least-squares ufunc behind ``np.linalg.lstsq``, given one right-hand
+    side per row, as polyfit's 1-D call gives it.  ``np.linalg.lstsq``
+    itself takes one 2-D right-hand side, which LAPACK solves as a block;
+    from 8 scales on BLAS rounds the block differently from one column.
+    """
+    lhs = np.vander(lt, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        coef = _umath_linalg.lstsq(
+            lhs, lf[:, :, None], len(lt) * np.finfo(float).eps, signature="ddd->ddid"
+        )[0]
+    coef = coef[..., 0] / scale
+    return coef[:, 0], coef[:, 1]
+
+
+def estimate_orders(scales, columns) -> tuple:
+    """Least-squares log-log fits of columns of positive values over one
+    geometric scale ladder: one ``OrderEstimate`` per column.
+
+    The ladder is checked and its logs taken once, and every column is
+    fitted in one solve (``_fit_lines``), with the bits of its own
+    ``np.polyfit``.  Each residual reduces its column's values as one
+    contiguous row, the sum the 1-D mean takes.  A scale or value that is
+    not finite is an ``InputError``, as is a nonpositive value.
+    """
+    scales = [float(t) for t in scales]
     if len(scales) < MIN_SCALES:
         raise InputError(f"need at least {MIN_SCALES} scales, got {len(scales)}")
     check_scale_ladder(scales)
-    values = np.array([f for _, f in samples])
+    values = np.array(columns, dtype=float)
+    if values.ndim != 2 or values.shape[1] != len(scales):
+        raise InputError("each column needs one value per scale")
     if np.any(values <= 0):
         raise InputError("order undefined: nonpositive sample value")
+    if not np.all(np.isfinite(values)):
+        raise InputError("order undefined: non-finite sample value")
     lt = np.log(np.asarray(scales))
     lf = np.log(values)
-    slope, intercept = np.polyfit(lt, lf, 1)
-    resid = float(np.sqrt(np.mean((lf - (slope * lt + intercept)) ** 2)))
-    confident = resid <= RESIDUAL_GATE and len(scales) >= MIN_SCALES
-    return OrderEstimate(float(slope), float(intercept), resid, tuple(scales), confident)
+    slope, intercept = _fit_lines(lt, lf)
+    resid = np.sqrt(np.mean((lf - (slope[:, None] * lt + intercept[:, None])) ** 2, axis=1))
+    return tuple(
+        OrderEstimate(a, b, r, tuple(scales), r <= RESIDUAL_GATE)
+        for a, b, r in zip(slope.tolist(), intercept.tolist(), resid.tolist())
+    )
+
+
+def estimate_order(samples) -> OrderEstimate:
+    """Least-squares log-log fit of positive (scale, value) samples over
+    geometric scales: ``estimate_orders`` on one column."""
+    samples = [(float(t), float(f)) for t, f in samples]
+    return estimate_orders([t for t, _ in samples], [[f for _, f in samples]])[0]
 
 
 def extrapolate_order(fit: OrderEstimate, values) -> OrderEstimate:
@@ -147,23 +197,16 @@ class _Ladder:
     @cached_property
     def lengths(self) -> list:
         if isinstance(self.piece, PuiseuxBranch):
-            return [self.piece.arc_length_at(s) for s in self.params]
+            return self.piece.arc_lengths_at(self.params)
         return [self.piece.arc_length(t) for t in self.scales]
 
 
-def outer_tangency_order(b1, b2, scales, ladders=None, aligned=None):
-    """(fit, exact) outer order of tangency between two curve pieces.
-
-    The exact rational value is attached when both pieces are Puiseux
-    branches and the series oracle decides; ``exact`` is None otherwise.
-    Between two Puiseux branches the distances are exact up to rounding, so
-    the fitted slope is extrapolated to the limit (``extrapolate_order``);
-    sampled pieces keep the plain fit.  ``ladders`` are the pieces'
-    ``_Ladder`` on ``scales`` and ``aligned`` their ``AlignedSeries``,
-    when the caller keeps them.
-    """
-    scales = [float(t) for t in scales]
-    l1, l2 = ladders or (_Ladder(b1, scales), _Ladder(b2, scales))
+def _separation(b1, b2, ladders, aligned=None) -> tuple:
+    """(d, exact, series_pair): the outer distances of two curve pieces on
+    their ``_Ladder``s, the series oracle's order (or None), and whether
+    both are Puiseux branches.  Raises ``InputError`` when the pieces are
+    numerically indistinguishable."""
+    l1, l2 = ladders
     d = np.linalg.norm(l1.points - l2.points, axis=1)
     exact = None
     infinite = False
@@ -176,20 +219,50 @@ def outer_tangency_order(b1, b2, scales, ladders=None, aligned=None):
         raise InputError(
             f"pieces {b1.label!r} and {b2.label!r} are numerically indistinguishable"
         )
-    fit = estimate_order(list(zip(scales, d)))
-    if series_pair:
-        fit = extrapolate_order(fit, d)
-    return fit, exact
+    return d, exact, series_pair
+
+
+def _outer_fits(scales, separations) -> list:
+    """The outer-order fits of ``_separation`` results, all in one
+    ``estimate_orders`` solve; a Puiseux pair's fit is extrapolated."""
+    fits = estimate_orders(scales, [d for d, _, _ in separations])
+    return [
+        extrapolate_order(fit, d) if series_pair else fit
+        for fit, (d, _, series_pair) in zip(fits, separations)
+    ]
+
+
+def _summed_lengths(ladders) -> list:
+    """l1(t) + l2(t) on the ladder: the inner distance of two curve pieces
+    meeting only at 0."""
+    l1, l2 = ladders
+    return [a1 + a2 for a1, a2 in zip(l1.lengths, l2.lengths)]
+
+
+def outer_tangency_order(b1, b2, scales, ladders=None, aligned=None):
+    """(fit, exact) outer order of tangency between two curve pieces.
+
+    The exact rational value is attached when both pieces are Puiseux
+    branches and the series oracle decides; ``exact`` is None otherwise.
+    Between two Puiseux branches the distances are exact up to rounding, so
+    the fitted slope is extrapolated to the limit (``extrapolate_order``);
+    sampled pieces keep the plain fit.  ``ladders`` are the pieces'
+    ``_Ladder`` on ``scales`` and ``aligned`` their ``AlignedSeries``,
+    when the caller keeps them.  ``pair_reports`` takes the same path for
+    all of its pairs at once.
+    """
+    scales = [float(t) for t in scales]
+    ladders = ladders or (_Ladder(b1, scales), _Ladder(b2, scales))
+    separation = _separation(b1, b2, ladders, aligned)
+    return _outer_fits(scales, [separation])[0], separation[1]
 
 
 def inner_tangency_order(b1, b2, scales, ladders=None) -> OrderEstimate:
     """Inner order of tangency between two curve pieces meeting only at 0:
     the fit of l1(t) + l2(t), the arc lengths from 0 to their radius-t
     points (``arc_length``).  ``ladders`` as in ``outer_tangency_order``."""
-    l1, l2 = ladders or (_Ladder(b1, scales), _Ladder(b2, scales))
-    return estimate_order(
-        [(t, a1 + a2) for t, a1, a2 in zip(scales, l1.lengths, l2.lengths)]
-    )
+    ladders = ladders or (_Ladder(b1, scales), _Ladder(b2, scales))
+    return estimate_orders(scales, [_summed_lengths(ladders)])[0]
 
 
 @dataclass(frozen=True)
@@ -230,20 +303,29 @@ def pair_reports(
     series pairs (``AlignedSeries``); each pair then slices its own cap off
     it and runs the separation oracle with the same bits as alone.
     Both stores are keyed by the piece itself (pieces hash by identity).
+    Every pair's distances, oracle and checks run first, in pair order;
+    then the outer series of all pairs are fitted in one
+    ``estimate_orders`` solve and their inner sums in another.
     """
     pairs = list(pairs)
+    if not pairs:
+        return ()
     if table is None:
         table = RadiusTable(scales)
     series = {
         b for pair in pairs if all(isinstance(b, PuiseuxBranch) for b in pair) for b in pair
     }
     aligned = AlignedSeries(separation_cap(series)) if series else None
-    reports = []
     ladders: dict = {}
+    separations, lengths = [], []
     for b1, b2 in pairs:
         pair = tuple(ladders.setdefault(b, _Ladder(b, scales, table)) for b in (b1, b2))
-        tord, exact = outer_tangency_order(b1, b2, scales, pair, aligned)
-        tord_inn = inner_tangency_order(b1, b2, scales, pair)
+        separations.append(_separation(b1, b2, pair, aligned))
+        lengths.append(_summed_lengths(pair))
+    tords = _outer_fits(scales, separations)
+    tord_inns = estimate_orders(scales, lengths)
+    reports = []
+    for (b1, b2), tord, (_, exact, _), tord_inn in zip(pairs, tords, separations, tord_inns):
         l_pair = tord.slope / tord_inn.slope
         if not (tord.confident and tord_inn.confident):
             verdict = Verdict.UNDECIDED

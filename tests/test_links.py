@@ -20,8 +20,10 @@ from lnegerm import (
     link_criterion_verdict,
     link_section,
     llne_test,
+    make_norm,
     puiseux_branch,
 )
+from lnegerm import links
 from lnegerm.germs import RadiusTable, merge_coincident
 from lnegerm.links import (
     BAND,
@@ -257,8 +259,20 @@ def _old_link_section(set_, t, norm, density, table):
         pairs = np.sort(remap[np.array(edges, dtype=int)], axis=1)
         pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
     ncomp, comp = components(len(pts), pairs)
-    graph = edge_matrix(pts, pairs) if len(pairs) else None
+    graph = _coo_edge_matrix(pts, pairs) if len(pairs) else None
     return pts, mlabels, graph, comp, ncomp
+
+
+def _coo_edge_matrix(pts, pairs):
+    """The section graph as ``edge_matrix`` built it before: a COO matrix of
+    both orientations of the pairs, converted to CSR by scipy."""
+    from scipy import sparse
+
+    w = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    n = len(pts)
+    return sparse.coo_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _old_link_ratio(pts, graph, comp, ncomp):
@@ -350,3 +364,36 @@ def test_section_path_bitwise_as_before(germ):
                 assert got.distances.tobytes() == want.tobytes(), where
                 assert _link_ratio(got).hex() == _old_link_ratio(pts, graph, comp, ncomp).hex()
                 assert _component_separation(got) == _old_component_separation(pts, comp, ncomp)
+
+
+def test_edge_matrix_is_scipys_coo_conversion(monkeypatch):
+    # every section graph of scripts/digests.py --links has the data,
+    # indices and indptr arrays, dtypes included, of scipy's COO-to-CSR
+    spec = importlib.util.spec_from_file_location(
+        "digests", Path(__file__).resolve().parents[1] / "scripts" / "digests.py"
+    )
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    built = []
+
+    def recorded(pts, pairs):
+        graph = edge_matrix(pts, pairs)
+        built.append((pts, pairs, graph))
+        return graph
+
+    monkeypatch.setattr(links, "edge_matrix", recorded)
+    scales = RunConfig().scales()
+    for germ in digests.link_germs():
+        for _, kind, weights in digests.LINK_NORMS:
+            norm = make_norm(kind, weights, germ.ambient_dim)
+            for density in digests.LINK_DENSITIES:
+                table = RadiusTable(scales)
+                for t in scales:
+                    link_section(germ, t, norm, density, table)
+    assert len(built) == 8 * 3 * 3 * len(scales)
+    for pts, pairs, graph in built:
+        want = _coo_edge_matrix(pts, pairs)
+        assert graph.shape == want.shape
+        for part in ("data", "indices", "indptr"):
+            got, ref = getattr(graph, part), getattr(want, part)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()

@@ -433,9 +433,9 @@ class TestBisectorTrace:
         seen = []
         original = medial._project_branch
 
-        def recorded(branch, x, seed, window):
-            seen.append((branch.label, tuple(np.asarray(x).tolist())))
-            return original(branch, x, seed, window)
+        def recorded(branch, x0, x1, seed, window):
+            seen.append((branch.label, (x0, x1)))
+            return original(branch, x0, x1, seed, window)
 
         monkeypatch.setattr(medial, "_project_branch", recorded)
         medial_branch_germs(builtin(label).germ(), RunConfig().scales())
@@ -456,7 +456,7 @@ class TestBisectorTrace:
                 p = b.point_at_radius(r)
                 q = r * np.array([math.cos(medial._angle(p)), math.sin(medial._angle(p))])
                 s = other.param_at_radius(r)
-                dist, _, foot = medial._project_branch(other, q, s, s + r)
+                dist, _, foot = medial._project_branch(other, *q, s, s + r)
                 assert foot <= 1e-15 * r
                 assert dist == pytest.approx(r, rel=1e-12)
 

@@ -301,7 +301,7 @@ def _queries(b, rng):
 
 def _same_projection(b, q, seed, window):
     ref = _reference_project_branch(b, q, seed, window)
-    got = medial._project_branch(b, q, seed, window)
+    got = medial._project_branch(b, *medial._plane_query(b, q), seed, window)
     assert (got[0].hex(), got[1].tobytes(), got[2].hex()) == (
         ref[0].hex(),
         ref[1].tobytes(),
@@ -343,7 +343,7 @@ def test_project_branch_feet_at_zero():
 def test_project_branch_rejects_points_off_the_plane():
     off = puiseux_branch([(1, (1.0, 0.0, 0.5))], 1.0, "off")
     with pytest.raises(InputError, match="coordinate plane"):
-        medial._project_branch(off, np.zeros(3), 0.1, 0.1)
+        medial._project_branch(off, 0.0, 0.0, 0.1, 0.1)
     flat = puiseux_branch([(1, (1.0, 0.0, 0.0))], 1.0, "flat")
     with pytest.raises(InputError, match="coordinate plane"):
-        medial._project_branch(flat, np.array([0.1, 0.0, 1e-3]), 0.1, 0.1)
+        medial._plane_query(flat, np.array([0.1, 0.0, 1e-3]))

@@ -50,6 +50,28 @@ class TestEstimateOrder:
         with pytest.raises(InputError):
             estimate_order([(t, 0.0) for t in SCALES])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.25])
+    def test_rejects_nonfinite_scales(self, bad, capfd):
+        # a NaN scale used to pass the ladder check and end in LAPACK's
+        # "illegal value" lines and numpy's LinAlgError
+        scales = list(SCALES)
+        scales[3] = bad
+        with pytest.raises(InputError, match="positive and finite"):
+            estimate_order([(t, 1.0) for t in scales])
+        assert "illegal value" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_values(self, bad, capfd):
+        # a NaN or infinite sample used to fit to slope nan with no error
+        samples = [(t, t) for t in SCALES]
+        samples[3] = (SCALES[3], bad)
+        with pytest.raises(InputError, match="non-finite"):
+            estimate_order(samples)
+        columns = [[t for t in SCALES], [f for _, f in samples]]
+        with pytest.raises(InputError, match="non-finite"):
+            tangency.estimate_orders(SCALES, columns)
+        assert "illegal value" not in capfd.readouterr().err
+
     def test_low_confidence_on_noise(self):
         rng = np.random.default_rng(3)
         samples = [(t, t * math.exp(rng.normal(0, 0.3))) for t in SCALES]
@@ -185,6 +207,35 @@ class TestPairVerdict:
         assert loose.verdict is Verdict.LNE
         tight = pair_verdict(*germ.branches, SCALES, order_tolerance=0.1)
         assert tight.verdict is Verdict.NOT_LNE
+
+
+    def test_two_fit_solves_per_call(self, monkeypatch):
+        # all outer series in one least-squares solve, all inner sums in
+        # another, whatever the number of pairs; each report keeps the bits
+        # it has alone
+        from numpy.linalg import _umath_linalg
+
+        solves = []
+        lstsq = _umath_linalg.lstsq
+        monkeypatch.setattr(
+            _umath_linalg, "lstsq", lambda *a, **k: solves.append(1) or lstsq(*a, **k)
+        )
+        bends = ((0.0, 1.0), (0.0, -2.0), (1.0, 1.0), (2.5, 3.0))
+        fan = [
+            puiseux_branch(
+                [(1, (math.cos(a), math.sin(a))), (2, (-k * math.sin(a), k * math.cos(a)))],
+                1.0,
+                f"b{i}",
+            )
+            for i, (a, k) in enumerate(bends)
+        ]
+        pairs = list(itertools.combinations(fan, 2))
+        for count in (1, 2, len(pairs)):
+            solves.clear()
+            reports = tangency.pair_reports(pairs[:count], SCALES)
+            assert len(reports) == count and len(solves) == 2
+            for rep, pair in zip(reports, pairs):
+                assert rep.to_dict() == pair_verdict(*pair, SCALES).to_dict()
 
 
 class TestLojasiewiczGerm:
