@@ -15,7 +15,9 @@ as its median and quartiles over the runs, with the relative change of the
 medians, the pairs the change wins, loses and ties (the direction is the
 metric's ``better`` in ``BENCHMARK.json``), and whether a gain may be
 claimed: at least nine tenths of the pairs won and the medians further
-apart than the parent's quartile spread.  Without ``--parent`` one side is
+apart than the parent's quartile spread.  A metric that reads 0 in every
+change run but not in every parent run is reported as not measured and
+never claimed: the change no longer reaches the layer it traces.  Without ``--parent`` one side is
 measured ``--pairs`` times and its medians are compared with the newest
 ``BENCH_*.json`` of the checkout whose machine block matches, if any.
 
@@ -117,7 +119,10 @@ def summarize(runs: list) -> dict:
 def compare(parent: list, change: list, better: dict) -> dict:
     """Per metric: relative change of the medians, pair wins, losses and
     ties of the change, and whether a gain may be claimed.  ``parent`` and
-    ``change`` are the runs of the pairs, in pair order."""
+    ``change`` are the runs of the pairs, in pair order.  A metric that
+    reads 0 in every change run but not in every parent run is not
+    ``measured``: the change no longer reaches what it counts or times
+    (a traced layer it stopped calling), so no gain is claimed for it."""
     out = {}
     for name, direction in better.items():
         if name not in parent[0]["metrics"]:
@@ -130,6 +135,7 @@ def compare(parent: list, change: list, better: dict) -> dict:
         ps, cs = quartiles(p), quartiles(c)
         spread = ps["q3"] - ps["q1"]
         gain = sign * (ps["median"] - cs["median"])
+        measured = any(c) or not any(p)
         out[name] = {
             "better": direction,
             "relative_change": cs["median"] / ps["median"] - 1.0 if ps["median"] else None,
@@ -138,7 +144,8 @@ def compare(parent: list, change: list, better: dict) -> dict:
             "ties": len(p) - wins - losses,
             "pairs": len(p),
             "parent_iqr": spread,
-            "gain_claimable": wins >= WIN_SHARE * len(p) and gain > spread,
+            "measured": measured,
+            "gain_claimable": measured and wins >= WIN_SHARE * len(p) and gain > spread,
         }
     return out
 
@@ -157,8 +164,10 @@ def export_rev(repo: Path, rev: str, dest: Path) -> Path:
     )
     if proc.returncode != 0:
         raise BenchError(f"git archive {rev} failed: {proc.stderr.decode().strip()}")
+    # extraction filters came with 3.10.12, 3.11.4 and 3.12
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
-        tar.extractall(dest, filter="data")
+        tar.extractall(dest, **safe)
     return dest
 
 
@@ -218,7 +227,9 @@ def _print_rows(key: str, entry: dict) -> None:
             q = entry[side]["summary"][name]
             cells.append(f"{side} {q['median']:.6g} [{q['q1']:.6g}, {q['q3']:.6g}]")
         cmp_ = entry.get("comparison", {}).get(name)
-        if cmp_ is not None:
+        if cmp_ is not None and not cmp_["measured"]:
+            cells.append("not measured")
+        elif cmp_ is not None:
             rel = cmp_["relative_change"]
             cells.append(
                 ("n/a" if rel is None else f"{rel:+.1%}")

@@ -8,8 +8,8 @@ over a geometric scale grid, cross-checked against the exact series oracle
 where one exists.  The pairwise Lojasiewicz exponent is the ratio
 outer/inner order, so that a germ is LNE exactly when its exponent is 1.
 
-Every fit takes one path, ``estimate_orders``: the columns of one ladder
-in one least-squares solve, each with the bits of its own ``np.polyfit``.
+Every fit takes one path, ``estimate_orders``: the columns of one ladder,
+checked and logged once, each fitted by its own ``np.polyfit``.
 ``pair_reports`` fits the outer series of all its pairs in one call and
 their inner sums in another; ``estimate_order``, ``outer_tangency_order``
 and ``inner_tangency_order`` are its one-column and one-pair calls.
@@ -24,7 +24,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import InputError
 from .germs import (
@@ -81,43 +80,27 @@ class OrderEstimate:
         }
 
 
-def _fit_lines(lt: np.ndarray, lf: np.ndarray) -> tuple:
-    """(slopes, intercepts) of the least-squares lines through (lt, row),
-    one per row of ``lf``: bitwise ``np.polyfit(lt, row, 1)`` for each row,
-    in one LAPACK loop.
-
-    These are polyfit's steps on the one Vandermonde matrix of the ladder
-    (its columns scaled to unit norm, rcond len(lt) eps), then the stacked
-    least-squares ufunc behind ``np.linalg.lstsq``, given one right-hand
-    side per row, as polyfit's 1-D call gives it.  ``np.linalg.lstsq``
-    itself takes one 2-D right-hand side, which LAPACK solves as a block;
-    from 8 scales on BLAS rounds the block differently from one column.
-    """
-    lhs = np.vander(lt, 2)
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-        coef = _umath_linalg.lstsq(
-            lhs, lf[:, :, None], len(lt) * np.finfo(float).eps, signature="ddd->ddid"
-        )[0]
-    coef = coef[..., 0] / scale
-    return coef[:, 0], coef[:, 1]
+def _check_ladder(scales) -> list:
+    """The scales as floats; ``InputError`` unless there are at least
+    ``MIN_SCALES`` of them on a geometric ladder (``check_scale_ladder``)."""
+    scales = [float(t) for t in scales]
+    if len(scales) < MIN_SCALES:
+        raise InputError(f"need at least {MIN_SCALES} scales, got {len(scales)}")
+    check_scale_ladder(scales)
+    return scales
 
 
 def estimate_orders(scales, columns) -> tuple:
     """Least-squares log-log fits of columns of positive values over one
     geometric scale ladder: one ``OrderEstimate`` per column.
 
-    The ladder is checked and its logs taken once, and every column is
-    fitted in one solve (``_fit_lines``), with the bits of its own
-    ``np.polyfit``.  Each residual reduces its column's values as one
-    contiguous row, the sum the 1-D mean takes.  A scale or value that is
-    not finite is an ``InputError``, as is a nonpositive value.
+    The ladder is checked and its logs taken once; each column is fitted
+    by its own ``np.polyfit``, and each residual reduces its column's
+    values as one contiguous row, the sum the 1-D mean takes.  A scale or
+    value that is not finite is an ``InputError``, as is a nonpositive
+    value.
     """
-    scales = [float(t) for t in scales]
-    if len(scales) < MIN_SCALES:
-        raise InputError(f"need at least {MIN_SCALES} scales, got {len(scales)}")
-    check_scale_ladder(scales)
+    scales = _check_ladder(scales)
     values = np.array(columns, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(scales):
         raise InputError("each column needs one value per scale")
@@ -127,7 +110,7 @@ def estimate_orders(scales, columns) -> tuple:
         raise InputError("order undefined: non-finite sample value")
     lt = np.log(np.asarray(scales))
     lf = np.log(values)
-    slope, intercept = _fit_lines(lt, lf)
+    slope, intercept = np.array([np.polyfit(lt, row, 1) for row in lf]).T
     resid = np.sqrt(np.mean((lf - (slope[:, None] * lt + intercept[:, None])) ** 2, axis=1))
     return tuple(
         OrderEstimate(a, b, r, tuple(scales), r <= RESIDUAL_GATE)
@@ -224,7 +207,7 @@ def _separation(b1, b2, ladders, aligned=None) -> tuple:
 
 def _outer_fits(scales, separations) -> list:
     """The outer-order fits of ``_separation`` results, all in one
-    ``estimate_orders`` solve; a Puiseux pair's fit is extrapolated."""
+    ``estimate_orders`` call; a Puiseux pair's fit is extrapolated."""
     fits = estimate_orders(scales, [d for d, _, _ in separations])
     return [
         extrapolate_order(fit, d) if series_pair else fit
@@ -303,9 +286,10 @@ def pair_reports(
     series pairs (``AlignedSeries``); each pair then slices its own cap off
     it and runs the separation oracle with the same bits as alone.
     Both stores are keyed by the piece itself (pieces hash by identity).
-    Every pair's distances, oracle and checks run first, in pair order;
-    then the outer series of all pairs are fitted in one
-    ``estimate_orders`` solve and their inner sums in another.
+    Every pair's distances, oracle and checks run first, in pair order,
+    with the ladder checked after the first pair's, where a one-pair call
+    checks it; then the outer series of all pairs are fitted in one
+    ``estimate_orders`` call and their inner sums in another.
     """
     pairs = list(pairs)
     if not pairs:
@@ -321,6 +305,9 @@ def pair_reports(
     for b1, b2 in pairs:
         pair = tuple(ladders.setdefault(b, _Ladder(b, scales, table)) for b in (b1, b2))
         separations.append(_separation(b1, b2, pair, aligned))
+        if len(separations) == 1:
+            # where a one-pair call checks the ladder: after its separation
+            _check_ladder(scales)
         lengths.append(_summed_lengths(pair))
     tords = _outer_fits(scales, separations)
     tord_inns = estimate_orders(scales, lengths)

@@ -134,3 +134,23 @@ def test_previous_file_must_match_the_machine(tmp_path):
     rel = bench.against_previous(newer, data["results"])
     assert rel["arc_fan:0"]["wall_s"] == pytest.approx(0.018 / 0.02 - 1.0)
     assert rel["arc_fan:0"]["peak_rss_mb"] == 0.0
+
+
+def test_metric_the_change_no_longer_reaches_is_not_measured(capsys):
+    # a traced layer the change stops calling reads 0: not a gain
+    parent = [bench.parse_run(_canned(w)) for w in (0.024, 0.023, 0.025, 0.024, 0.0235) * 2]
+    change = [bench.parse_run(_canned(0.0)) for _ in range(10)]
+    wall = bench.compare(parent, change, {"wall_s": "lower"})["wall_s"]
+    assert wall["wins"] == 10
+    assert wall["measured"] is False and wall["gain_claimable"] is False
+    # 0 on both sides is measured: nothing changed
+    both = bench.compare(change, change, {"wall_s": "lower"})["wall_s"]
+    assert both["measured"] is True and both["gain_claimable"] is False
+    entry = {
+        "parent": bench._side_record(parent),
+        "change": bench._side_record(change),
+        "comparison": bench.compare(parent, change, {"wall_s": "lower"}),
+    }
+    bench._print_rows("arc_fan:0", entry)
+    row = [line for line in capsys.readouterr().out.splitlines() if "wall_s" in line]
+    assert row and row[0].endswith("not measured")

@@ -209,16 +209,33 @@ class TestPairVerdict:
         assert tight.verdict is Verdict.NOT_LNE
 
 
-    def test_two_fit_solves_per_call(self, monkeypatch):
-        # all outer series in one least-squares solve, all inner sums in
+    @pytest.mark.parametrize(
+        "scales, ladder_error",
+        [
+            (SCALES[:3], "at least 5 scales"),
+            ((0.1, 0.05, 0.02, 0.01, 0.005, 0.0025), "geometric"),
+        ],
+    )
+    def test_ladder_error_after_first_separation(self, scales, ladder_error):
+        # the first error is the one the pairs meet one by one: the first
+        # pair's separation check, then the ladder, then the later pairs'
+        # separation checks
+        a = puiseux_branch([(1, (1.0, 0.0)), (2, (0.0, 1.0))], 1.0, "a")
+        twin = puiseux_branch([(1, (1.0, 0.0)), (2, (0.0, 1.0))], 1.0, "twin")
+        b = puiseux_branch([(1, (0.0, 1.0)), (2, (1.0, 0.0))], 1.0, "b")
+        with pytest.raises(InputError, match=ladder_error):
+            tangency.pair_reports([(a, b), (a, twin)], scales)
+        with pytest.raises(InputError, match="indistinguishable"):
+            tangency.pair_reports([(a, twin), (a, b)], scales)
+
+    def test_two_fit_calls_per_call(self, monkeypatch):
+        # all outer series in one estimate_orders call, all inner sums in
         # another, whatever the number of pairs; each report keeps the bits
         # it has alone
-        from numpy.linalg import _umath_linalg
-
         solves = []
-        lstsq = _umath_linalg.lstsq
+        fit = tangency.estimate_orders
         monkeypatch.setattr(
-            _umath_linalg, "lstsq", lambda *a, **k: solves.append(1) or lstsq(*a, **k)
+            tangency, "estimate_orders", lambda *a, **k: solves.append(1) or fit(*a, **k)
         )
         bends = ((0.0, 1.0), (0.0, -2.0), (1.0, 1.0), (2.5, 3.0))
         fan = [
