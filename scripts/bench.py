@@ -14,12 +14,13 @@ pairs and the change first in odd ones.  Each metric is reported per side
 as its median and quartiles over the runs, with the relative change of the
 medians, the pairs the change wins, loses and ties (the direction is the
 metric's ``better`` in ``BENCHMARK.json``), and whether a gain may be
-claimed: at least nine tenths of the pairs won and the medians further
-apart than the parent's quartile spread.  A metric that reads 0 in every
-change run but not in every parent run is reported as not measured and
-never claimed: the change no longer reaches the layer it traces.  Without ``--parent`` one side is
-measured ``--pairs`` times and its medians are compared with the newest
-``BENCH_*.json`` of the checkout whose machine block matches, if any.
+claimed: at least ten pairs, nine tenths of them won, and the medians
+further apart than the parent's quartile spread.  A metric that reads 0
+in every change run but not in every parent run is reported as not
+measured and never claimed: the change no longer reaches the layer it
+traces.  Without ``--parent`` one side is measured ``--pairs`` times and
+its medians are compared with the newest ``BENCH_*.json`` of the
+checkout whose machine block matches, if any.
 
 ``--out FILE`` writes all of it as JSON, with every run's ``correct``,
 ``failed`` and metric values and the machine block (the ``detail`` line's
@@ -48,6 +49,8 @@ WORKLOADS = ("plane_sweep", "arc_fan", "horn3d")
 RUN_TIMEOUT_S = 240.0
 #: share of the pairs a change must win before a gain is claimed
 WIN_SHARE = 0.9
+#: fewest pairs a gain is claimed on
+MIN_PAIRS = 10
 
 
 class BenchError(Exception):
@@ -145,7 +148,10 @@ def compare(parent: list, change: list, better: dict) -> dict:
             "pairs": len(p),
             "parent_iqr": spread,
             "measured": measured,
-            "gain_claimable": measured and wins >= WIN_SHARE * len(p) and gain > spread,
+            "gain_claimable": measured
+            and len(p) >= MIN_PAIRS
+            and wins >= WIN_SHARE * len(p)
+            and gain > spread,
         }
     return out
 

@@ -109,6 +109,9 @@ def test_claim_needs_the_gain_beyond_the_parent_spread():
     assert wall["gain_claimable"] is False  # 0.001 against a spread of 0.01
     change = [bench.parse_run(_canned(0.015)) for _ in range(10)]
     assert bench.compare(parent, change, {"wall_s": "lower"})["wall_s"]["gain_claimable"]
+    # fewer than ten pairs claim nothing, however clear
+    short = bench.compare(parent[:9], change[:9], {"wall_s": "lower"})["wall_s"]
+    assert short["wins"] == 9 and short["gain_claimable"] is False
 
 
 def test_pairs_alternate_which_side_runs_first():
