@@ -18,7 +18,11 @@ bits for the per-radius root solves, which call it one float at a time.
 The rule that keeps the bits: one ``np.power`` ufunc call per term, never
 Python's ``**`` and never one vector ``np.power`` over all exponents.
 numpy's SIMD ``pow`` rounds differently from libm's on some inputs, and its
-vector loop differently again from its single-element calls.
+vector loop differently again from its single-element calls.  Like every
+per-point kernel (see ``norms``), the scalar path and the radius solve on
+it make only the numpy calls whose bits they pin and run the rest on
+Python floats; Miller's recurrence in the series oracle builds all its
+weights in one array and keeps numpy only for each step's row sums.
 """
 
 from __future__ import annotations
@@ -107,15 +111,35 @@ class PuiseuxBranch:
         """gamma(s) for one float s, as a list of floats: bitwise ``eval``'s
         point, in a fraction of its time.
 
-        Each term takes one ``np.power(s, e)`` ufunc call, as ``eval`` does,
-        and the terms are summed in ``eval``'s order from 0.0.  Never
-        Python's ``**`` (libm ``pow``) nor one vector ``np.power`` over all
-        exponents: numpy's SIMD ``pow`` rounds differently from both on some
-        inputs, so either would change bits of the output.
+        A per-point kernel: the only numpy call it makes is the one whose
+        bits it pins, one ``np.power(s, e)`` ufunc call per term, as
+        ``eval`` does.  Never Python's ``**`` (libm ``pow``) nor one vector
+        ``np.power`` over all exponents: numpy's SIMD ``pow`` rounds
+        differently from both on some inputs, so either would change bits
+        of the output.  The terms are summed on floats in ``eval``'s order
+        from 0.0 (so the first term is 0.0 + p c, which turns a -0.0
+        product into 0.0 as ``eval``'s zeroed array does), unrolled for
+        plane and space branches.
         """
         if s < 0 or s > self.t_max * (1 + 1e-12):
             raise DomainError(f"branch {self.label!r}: parameter outside [0, {self.t_max}]")
-        out = [0.0] * self.ambient_dim
+        dim = self.ambient_dim
+        if dim == 2:
+            x = y = 0.0
+            for e, (cx, cy) in self.float_terms:
+                p = float(np.power(s, e))
+                x += p * cx
+                y += p * cy
+            return [x, y]
+        if dim == 3:
+            x = y = z = 0.0
+            for e, (cx, cy, cz) in self.float_terms:
+                p = float(np.power(s, e))
+                x += p * cx
+                y += p * cy
+                z += p * cz
+            return [x, y, z]
+        out = [0.0] * dim
         for e, c in self.float_terms:
             p = float(np.power(s, e))
             out = [o + p * ck for o, ck in zip(out, c)]
@@ -200,7 +224,13 @@ class PuiseuxBranch:
         return np.matmul((half * _ARC_WEIGHTS)[:, None, :], norms[:, :, None]).ravel().tolist()
 
     def param_at_radius(self, r: float, norm=EUCLID) -> float:
-        """Solve ||gamma(s)||_norm = r on the monotone initial range."""
+        """Solve ||gamma(s)||_norm = r on the monotone initial range.
+
+        A per-point kernel: each evaluation is ``norm.of(self._point(s))``,
+        which has the bits of the norm's array call on ``eval``'s point
+        (``norm_at``) without its dispatch, and ``brentq`` gets that
+        function directly.
+        """
         if r < 0:
             raise DomainError("radius must be nonnegative")
         if r == 0:
@@ -208,16 +238,17 @@ class PuiseuxBranch:
         exp0, c0 = self.terms[0]
         lead = float(norm(np.asarray(c0, dtype=float)))
         hi = min(self.t_max, (r / lead) ** (1.0 / float(exp0)))
-        at_hi = self.norm_at(hi, norm)
+        point, of = self._point, norm.of
+        at_hi = of(point(hi))
         while at_hi < r:
             if hi >= self.t_max:
                 raise DomainError(
                     f"branch {self.label!r}: radius {r} not reached within t_max"
                 )
             hi = min(hi * 1.5, self.t_max)
-            at_hi = self.norm_at(hi, norm)
+            at_hi = of(point(hi))
         return brentq(
-            lambda s: self.norm_at(s, norm) - r,
+            lambda s: of(point(s)) - r,
             0.0,
             hi,
             xtol=1e-14 * hi,
@@ -323,13 +354,19 @@ def _miller_powers(a: np.ndarray, alphas: np.ndarray, n: int) -> np.ndarray:
     """Row i: the first n coefficients of a(u)**alphas[i], for a[0] > 0.
 
     Miller's recurrence  k a_0 b_k = sum_j ((alpha + 1) j - k) a_j b_{k-j}.
+    Every weight ((alpha + 1) j - k) a_j of every step is built in one array
+    before the loop, with the float operations of each step's own weights;
+    the loop keeps only what the bits need of numpy, each step's row sums.
     """
     b = np.zeros((len(alphas), n))
     b[:, 0] = a[0] ** alphas
+    j = np.arange(1, min(n - 1, len(a) - 1) + 1)
+    k = np.arange(1, n)[:, None, None]
+    weights = ((alphas[:, None] + 1.0) * j - k) * a[j]
+    a0 = float(a[0])
     for k in range(1, n):
-        j = np.arange(1, min(k, len(a) - 1) + 1)
-        weights = (alphas[:, None] + 1.0) * j - k
-        b[:, k] = (weights * a[j] * b[:, k - j]).sum(axis=1) / (k * a[0])
+        top = min(k, len(a) - 1)
+        b[:, k] = (weights[k - 1, :, :top] * b[:, k - j[:top]]).sum(axis=1) / (k * a0)
     return b
 
 

@@ -13,7 +13,10 @@ surface's slice (``covers``) is rejected.  Each branch is a
 solve for any other radius.  Both ``run_scenario`` and ``lnegerm medial``
 take their medial points from it.  The root solve's gap works on floats:
 each query is its two coordinates, projected once per branch by one Newton
-kernel (``_project_branch``), and becomes an array only at the root.
+kernel (``_project_branch``), and the query and its feet become arrays
+only at the root.  The kernel follows the rule of every per-point kernel
+(see ``norms``): only the numpy calls whose bits it pins, clamps and
+tolerances on floats with Python's ``min``/``max`` semantics.
 
 The grid medial axis is an independent reference that only tests call: it
 samples the germ and searches the space around it, so it would show a
@@ -81,8 +84,9 @@ def _plane_query(branch: PuiseuxBranch, x) -> tuple:
 
 
 def _project_branch(branch: PuiseuxBranch, x0: float, x1: float, seed: float, window: float):
-    """Locally nearest branch point to x = (x0, x1, 0, ...) near parameter
-    ``seed``.
+    """(dist, point, s): the locally nearest branch point to
+    x = (x0, x1, 0, ...) near parameter ``seed``, its distance from x, and
+    its parameter; the point is a list of floats.
 
     Newton iteration on psi(s) = <gamma(s) - x, gamma'(s)>, clamped to the
     parameter window; falls back to golden-section on the distance when the
@@ -96,17 +100,30 @@ def _project_branch(branch: PuiseuxBranch, x0: float, x1: float, seed: float, wi
     3D germs solved on their z = 0 trace), so the kernel takes the query's
     two coordinates as floats and works with the per-term constants of
     ``branch.plane_terms``; a branch off that plane raises ``InputError``,
-    and an array query is checked by ``_plane_query``.  Each power is libm's
-    (Python ``**``) and the sums run in a fixed order, so the bits do not
-    depend on the ambient dimension.  The returned point is
-    ``branch._point``'s (numpy's ``pow``, as ``branch.eval``) and the
-    distance ``sqrt(d.dot(d))`` of the ambient difference array d, which
-    BLAS rounds differently from a sum of float squares.
+    and an array query is checked by ``_plane_query``.
+
+    Like every per-point kernel, it makes only the numpy calls whose bits
+    it pins, and runs the rest on Python floats.  Each power of the Newton
+    step is libm's (Python ``**``) and the sums run in a fixed order, so the
+    bits do not depend on the ambient dimension.  The clamps and the
+    convergence test are float comparisons with the semantics of Python's
+    ``min`` and ``max`` (the first argument wins a tie, so NaN and signed
+    zeros come out as they would), at a fraction of a builtin call's cost.
+    The returned point is ``branch._point``'s (numpy's ``pow``, as
+    ``branch.eval``) and the distance ``sqrt(d.dot(d))`` of the ambient
+    difference array d, one BLAS ``ddot``, which rounds differently from a
+    sum of float squares.  The caller builds an array of the point where it
+    keeps one.
     """
     terms = branch.plane_terms
     seed = float(seed)
-    lo = max(0.0, seed - window)
-    hi = min(branch.t_max, seed + window)
+    t_max = branch.t_max
+    lo = seed - window
+    if not 0.0 < lo:  # max(0.0, seed - window)
+        lo = 0.0
+    hi = seed + window
+    if not hi < t_max:  # min(t_max, seed + window)
+        hi = t_max
 
     def dist_at(s):
         gx = gy = 0.0
@@ -116,7 +133,9 @@ def _project_branch(branch: PuiseuxBranch, x0: float, x1: float, seed: float, wi
             gy += cy * pe
         return math.sqrt((gx - x0) ** 2 + (gy - x1) ** 2)
 
-    s = min(max(seed, lo), hi)
+    s = lo if lo > seed else seed  # min(max(seed, lo), hi)
+    if hi < s:
+        s = hi
     converged = False
     for _ in range(30):
         if s == 0.0 and terms[0][0] < 1.0:
@@ -139,8 +158,16 @@ def _project_branch(branch: PuiseuxBranch, x0: float, x1: float, seed: float, wi
                 dpsi += ry * cy * pe2
         if dpsi <= 0.0:
             break
-        s_new = min(max(s - psi / dpsi, lo), hi)
-        if abs(s_new - s) <= 1e-14 * max(abs(s_new), seed, 1e-9):
+        step = s - psi / dpsi
+        s_new = lo if lo > step else step  # min(max(step, lo), hi)
+        if hi < s_new:
+            s_new = hi
+        size = abs(s_new)  # max(abs(s_new), seed, 1e-9)
+        if seed > size:
+            size = seed
+        if 1e-9 > size:
+            size = 1e-9
+        if abs(s_new - s) <= 1e-14 * size:
             s = s_new
             converged = True
             break
@@ -151,7 +178,7 @@ def _project_branch(branch: PuiseuxBranch, x0: float, x1: float, seed: float, wi
     p = branch._point(s)
     d = np.array([p[0] - x0, p[1] - x1, *p[2:]])
     # np.linalg.norm of a vector is exactly sqrt(d.dot(d)), at several times the cost
-    return math.sqrt(d.dot(d)), np.array(p), s
+    return math.sqrt(d.dot(d)), p, s
 
 
 def _direction_groups(vecs: np.ndarray, dists: np.ndarray):
@@ -290,7 +317,8 @@ class FootFinder:
             return piece.project(x, seed_param, window=8.0 * self.spacing, pinned=pinned)
         speed = float(np.linalg.norm(piece.eval_deriv(max(float(seed_param), 1e-12))))
         window = min(8.0 * self.spacing / max(speed, 1e-9), piece.t_max)
-        return _project_branch(piece, *_plane_query(piece, x), float(seed_param), window)
+        dist, point, s = _project_branch(piece, *_plane_query(piece, x), float(seed_param), window)
+        return dist, np.array(point), s
 
     def feet(self, x, slack: float | None = None):
         """All polished feet near the query, sorted by distance.
@@ -358,11 +386,14 @@ class NearestPointCluster:
 
 
 def _max_pair_angle(x, points) -> float:
+    """The largest angle at x between two of ``points``; points at x have
+    no direction and are left out.  Each norm is ``sqrt(v.dot(v))``, which
+    is what ``np.linalg.norm`` of a vector computes, bit for bit."""
     x = np.asarray(x, dtype=float)
     units = []
     for p in points:
         v = np.asarray(p, dtype=float) - x
-        n = np.linalg.norm(v)
+        n = math.sqrt(v.dot(v))
         if n > 1e-300:
             units.append(v / n)
     best = 0.0
@@ -683,7 +714,7 @@ def _sectors_below_pi(branches, r: float, param) -> list:
     if len(branches) < 2:
         return []
     ordered = sorted(
-        ((_angle(b.eval(param(b, r))), k) for k, b in enumerate(branches))
+        ((_angle(b._point(param(b, r))), k) for k, b in enumerate(branches))
     )
     pairs = []
     for (a1, k1), (a2, k2) in zip(ordered, ordered[1:] + ordered[:1]):
@@ -709,8 +740,8 @@ def _bisector_point(
     projections by (branch, r, q0, q1), q's two coordinates as floats; the
     solves of adjacent sectors at one radius share it, since both project
     the branch they share at its own radius-r point.  Without it the call
-    keeps its own.  The gap works on floats, and q becomes an array only
-    at the root.
+    keeps its own.  The gap and the feet work on floats, and q and the two
+    foot points become arrays only at the root.
 
     Raises ``TraceError`` when the gap does not change sign or the root
     leaves a residual above ``_BISECTOR_RESIDUAL``, when the feet are less
@@ -720,8 +751,8 @@ def _bisector_point(
     ``DomainError`` when a branch does not reach radius r.
     """
     s1, s2 = param(b1, r), param(b2, r)
-    a1 = _angle(b1.eval(s1))
-    span = (_angle(b2.eval(s2)) - a1) % (2.0 * math.pi)
+    a1 = _angle(b1._point(s1))
+    span = (_angle(b2._point(s2)) - a1) % (2.0 * math.pi)
     pad = [0.0] * (b1.ambient_dim - 2)
 
     projected = {} if projected is None else projected
@@ -748,7 +779,7 @@ def _bisector_point(
         raise TraceError(f"equidistance solve did not converge at radius {r}") from exc
     q0, q1 = query(phi)
     (d1, fp1, fm1), (d2, fp2, fm2) = foot(b1, q0, q1, s1), foot(b2, q0, q1, s2)
-    q = np.array([q0, q1] + pad)
+    q, fp1, fp2 = np.array([q0, q1] + pad), np.array(fp1), np.array(fp2)
     if abs(d1 - d2) > _BISECTOR_RESIDUAL:
         raise TraceError(f"equidistance residual {abs(d1 - d2):.3e} at radius {r}")
     ang = _max_pair_angle(q, [fp1, fp2])

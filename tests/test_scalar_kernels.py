@@ -8,8 +8,15 @@ many section rays to their points, is held the same way to ``eval_param``,
 and ``norm.of_columns`` to the norm's array call.  The plane foot kernel
 ``medial._project_branch`` is held the same way to the any-dimension Newton
 loop it replaced, kept here as a reference.
+
+The per-point kernels that run on floats and make only the numpy calls
+whose bits they pin (``PuiseuxBranch._point``, ``param_at_radius``,
+``medial._project_branch``, ``medial._max_pair_angle`` and
+``germs._miller_powers``) are each held to the body they replaced, kept
+here as well.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,16 +28,17 @@ from lnegerm import (
     EUCLID,
     DomainError,
     InputError,
+    LnegermError,
     RunConfig,
     WeightedMaxNorm,
     builtin,
     puiseux_branch,
     run_scenario,
 )
-from lnegerm import medial
+from lnegerm import germs, medial
 from lnegerm.germs import PuiseuxBranch
 from lnegerm.norms import EuclideanNorm
-from lnegerm.optimize import golden_min
+from lnegerm.optimize import brentq, golden_min
 from lnegerm.report import canonical_json
 from lnegerm.surfaces import HornPiece, WallPiece
 
@@ -93,6 +101,41 @@ def test_norm_of_matches_array_call():
             assert got.tobytes() == ref.tobytes()
 
 
+def _reference_point(branch, s):
+    """``PuiseuxBranch._point`` as it was before its unrolled sums."""
+    if s < 0 or s > branch.t_max * (1 + 1e-12):
+        raise DomainError(f"branch {branch.label!r}: parameter outside [0, {branch.t_max}]")
+    out = [0.0] * branch.ambient_dim
+    for e, c in branch.float_terms:
+        p = float(np.power(s, e))
+        out = [o + p * ck for o, ck in zip(out, c)]
+    return out
+
+
+def _hexes(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+def test_branch_point_matches_its_old_body():
+    # plane and space branches take the unrolled sums, any other dimension
+    # the general loop; zero coefficients and s = 0 make -0.0 products,
+    # which the first term's 0.0 + p c turns into 0.0 on every path
+    rng = random.Random(6)
+    branches = _branches(0) + [
+        puiseux_branch([(1, (-1.0,)), ((5, 2), (2.0,))], 1.0, "line1"),
+        puiseux_branch([(1, (1.0, -0.0, 0.0, -2.0)), ((4, 3), (0.0, 1.0, -1.0, 0.5))], 1.0, "b4"),
+        puiseux_branch([(1, (-1.0, 0.0)), (2, (0.0, -3.0))], 1.0, "signed"),
+        puiseux_branch([(1, (0.0, -1.0, 0.0)), ((3, 2), (0.0, 0.0, -2.0))], 1.0, "signed3"),
+    ]
+    assert {b.ambient_dim for b in branches} == {1, 2, 3, 4}
+    for b in branches:
+        for s in _params(b, rng) + [-0.0]:
+            got = b._point(s)
+            assert type(got) is list and all(type(v) is float for v in got)
+            assert _hexes(got) == _hexes(_reference_point(b, s)), (b.label, s)
+    assert _hexes(branches[-1]._point(0.0)) == _hexes([0.0, 0.0, 0.0])
+
+
 def test_branch_domain_errors_on_both_paths():
     for b in _branches(0)[:8]:
         for s in (-1e-300, -0.5, math.nextafter(b.t_max * (1 + 1e-12), math.inf), 2 * b.t_max):
@@ -105,6 +148,127 @@ def test_branch_domain_errors_on_both_paths():
         # the tolerance above t_max holds on both paths alike
         edge = b.t_max * (1 + 1e-12)
         assert b.eval(edge).tobytes() == b.eval(np.asarray(edge)).tobytes()
+
+
+def _reference_param_at_radius(branch, r, norm=EUCLID):
+    """``PuiseuxBranch.param_at_radius`` as it was before it handed
+    ``brentq`` ``norm.of`` directly: every evaluation through ``norm_at``."""
+    if r < 0:
+        raise DomainError("radius must be nonnegative")
+    if r == 0:
+        return 0.0
+    exp0, c0 = branch.terms[0]
+    lead = float(norm(np.asarray(c0, dtype=float)))
+    hi = min(branch.t_max, (r / lead) ** (1.0 / float(exp0)))
+    at_hi = branch.norm_at(hi, norm)
+    while at_hi < r:
+        if hi >= branch.t_max:
+            raise DomainError(f"branch {branch.label!r}: radius {r} not reached within t_max")
+        hi = min(hi * 1.5, branch.t_max)
+        at_hi = branch.norm_at(hi, norm)
+    return brentq(
+        lambda s: branch.norm_at(s, norm) - r,
+        0.0,
+        hi,
+        xtol=1e-14 * hi,
+        rtol=8.9e-16,
+        fb=at_hi - r,
+    )
+
+
+def _outcome(fn, *args):
+    """('ok', float hex) or (exception type, message) of one call."""
+    try:
+        return "ok", fn(*args).hex()
+    except LnegermError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_param_at_radius_matches_its_old_body():
+    # the 40 seeded branches under both norms, on the benchmark ladder and
+    # off it; radii up to 1.3 times a branch's reach run into the t_max
+    # check, and a first guess short of the radius widens the bracket
+    rng = random.Random(7)
+    ladder = list(RunConfig().scales())
+    widened = beyond = solved = 0
+    for b in _branches(0):
+        for norm in _norms(b.ambient_dim):
+            reach = b.norm_at(b.t_max, norm)
+            radii = [0.0] + ladder + [reach * rng.uniform(0.0, 1.3) for _ in range(12)]
+            for r in radii:
+                want = _outcome(_reference_param_at_radius, b, r, norm)
+                assert _outcome(b.param_at_radius, r, norm) == want, (b.label, norm, r)
+                solved += want[0] == "ok"
+                beyond += "not reached within t_max" in want[1]
+                if 0.0 < r:
+                    exp0, c0 = b.terms[0]
+                    lead = float(norm(np.asarray(c0, dtype=float)))
+                    hi = min(b.t_max, (r / lead) ** (1.0 / float(exp0)))
+                    widened += hi < b.t_max and b.norm_at(hi, norm) < r
+    assert solved > 500 and beyond > 50 and widened > 50
+
+
+def test_param_at_radius_rejects_negative_radii():
+    b = _branches(0)[0]
+    for fn in (b.param_at_radius, lambda r: _reference_param_at_radius(b, r)):
+        with pytest.raises(DomainError, match="nonnegative"):
+            fn(-1e-300)
+
+
+# ---------------------------------------------------------------------------
+# Miller's recurrence: the prebuilt weights against the per-step weights
+# ---------------------------------------------------------------------------
+
+
+def _reference_miller_powers(a, alphas, n):
+    """``germs._miller_powers`` as it was before it built every weight in
+    one array: each step's weights built in the loop."""
+    b = np.zeros((len(alphas), n))
+    b[:, 0] = a[0] ** alphas
+    for k in range(1, n):
+        j = np.arange(1, min(k, len(a) - 1) + 1)
+        weights = (alphas[:, None] + 1.0) * j - k
+        b[:, k] = (weights * a[j] * b[:, k - j]).sum(axis=1) / (k * a[0])
+    return b
+
+
+def test_miller_powers_match_their_old_body():
+    rng = np.random.default_rng(8)
+    shapes = [(1, 1, 1), (1, 4, 3), (5, 1, 2), (3, 2, 1), (30, 9, 29), (12, 40, 7)]
+    shapes += [
+        (int(rng.integers(1, 25)), int(rng.integers(1, 12)), int(rng.integers(1, 8)))
+        for _ in range(60)
+    ]
+    for n, size, count in shapes:
+        a = rng.standard_normal(size) * np.exp(rng.uniform(-3, 3, size))
+        a[0] = abs(a[0]) + 1e-3
+        alphas = rng.uniform(-4.0, 4.0, count)
+        got = germs._miller_powers(a, alphas, n)
+        want = _reference_miller_powers(a, alphas, n)
+        assert got.shape == want.shape == (count, n)
+        assert got.tobytes() == want.tobytes(), (n, size, count)
+
+
+def test_norm_inversion_feeds_the_recurrence_as_before(monkeypatch):
+    # the series oracle's own calls: every aligned series of the plane
+    # builtins and an arc_fan germ has the bits of the old recurrence
+    def aligned(branches):
+        cap = germs.separation_cap(branches)
+        return [germs._aligned_components(b, cap)[1].tobytes() for b in branches]
+
+    fan = [
+        puiseux_branch([(1, (1.0, a)), (e, (0.0, c))], 1.0, f"fan{k}")
+        for k, (a, e, c) in enumerate(
+            [(-1.0, Fraction(5, 2), 0.7), (0.0, Fraction(3, 2), 0.3), (1.0, Fraction(3), 0.9)]
+        )
+    ]
+    germs_ = [builtin(label).germ().branches for label in ("cusp", "abs_graph", "three_tangent")]
+    for branches in germs_ + [fan]:
+        fast = aligned(branches)
+        monkeypatch.setattr(germs, "_miller_powers", _reference_miller_powers)
+        slow = aligned(branches)
+        monkeypatch.undo()
+        assert fast == slow
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +380,11 @@ def test_builtin_bytes_without_scalar_paths(monkeypatch, label):
 # ---------------------------------------------------------------------------
 
 
-def _reference_project_branch(branch, x, seed, window):
+def _reference_project_branch(branch, x, seed, window, clamps=None):
     """``medial._project_branch`` as it was before the plane kernel: the
-    Newton loop over every coordinate of the ambient space."""
+    Newton loop over every coordinate of the ambient space, with Python's
+    ``min`` and ``max`` for its clamps.  ``clamps`` collects "lo" or "hi"
+    for each Newton step the window clamps."""
     terms = branch.float_terms
     xt = tuple(float(v) for v in np.asarray(x, dtype=float))
     dim = branch.ambient_dim
@@ -257,7 +423,10 @@ def _reference_project_branch(branch, x, seed, window):
                     dpsi += (g[k] - xt[k]) * c[k] * pe2
         if dpsi <= 0.0:
             break
-        s_new = min(max(s - psi / dpsi, lo), hi)
+        step = s - psi / dpsi
+        if clamps is not None and (step < lo or step > hi):
+            clamps.append("lo" if step < lo else "hi")
+        s_new = min(max(step, lo), hi)
         if abs(s_new - s) <= 1e-14 * max(abs(s_new), seed, 1e-9):
             s = s_new
             converged = True
@@ -299,10 +468,13 @@ def _queries(b, rng):
     return out
 
 
-def _same_projection(b, q, seed, window):
-    ref = _reference_project_branch(b, q, seed, window)
+def _same_projection(b, q, seed, window, clamps=None):
+    # the kernel's foot point is a list of floats; as an array it has the
+    # bytes of the reference's eval point
+    ref = _reference_project_branch(b, q, seed, window, clamps)
     got = medial._project_branch(b, *medial._plane_query(b, q), seed, window)
-    assert (got[0].hex(), got[1].tobytes(), got[2].hex()) == (
+    assert type(got[1]) is list
+    assert (got[0].hex(), np.array(got[1]).tobytes(), got[2].hex()) == (
         ref[0].hex(),
         ref[1].tobytes(),
         ref[2].hex(),
@@ -340,6 +512,24 @@ def test_project_branch_feet_at_zero():
         _same_projection(half, np.array(q), 0.0, 0.5)
 
 
+def test_project_branch_clamps_and_zero_seeds():
+    # a narrow window around a seed on the wrong side of the foot clamps
+    # the Newton step at hi (foot above the seed) or at lo (below it); a
+    # seed of 0 puts lo at 0, where a query behind the origin clamps
+    clamps = []
+    branches = _plane_branches(0)
+    for b in branches:
+        t = b.t_max
+        pad = [0.0] * (b.ambient_dim - 2)
+        foot = b.eval(np.asarray(0.6 * t))
+        for seed, window in ((0.5 * t, 0.02 * t), (0.7 * t, 0.02 * t), (0.0, 0.3 * t)):
+            _same_projection(b, foot, seed, window, clamps)
+        start = b.eval(np.asarray(1e-3 * t))
+        for q in (-start[:2], 0.5 * foot[:2], [0.0, 0.0]):
+            _same_projection(b, np.array([*q, *pad]), 0.0, 0.5 * t, clamps)
+    assert clamps.count("lo") > 20 and clamps.count("hi") > 20
+
+
 def test_project_branch_rejects_points_off_the_plane():
     off = puiseux_branch([(1, (1.0, 0.0, 0.5))], 1.0, "off")
     with pytest.raises(InputError, match="coordinate plane"):
@@ -347,3 +537,53 @@ def test_project_branch_rejects_points_off_the_plane():
     flat = puiseux_branch([(1, (1.0, 0.0, 0.0))], 1.0, "flat")
     with pytest.raises(InputError, match="coordinate plane"):
         medial._plane_query(flat, np.array([0.1, 0.0, 1e-3]))
+
+
+# ---------------------------------------------------------------------------
+# Pair angles: float norms against np.linalg.norm
+# ---------------------------------------------------------------------------
+
+
+def _reference_max_pair_angle(x, points):
+    """``medial._max_pair_angle`` as it was before its norms were
+    ``sqrt(v.dot(v))``."""
+    x = np.asarray(x, dtype=float)
+    units = []
+    for p in points:
+        v = np.asarray(p, dtype=float) - x
+        n = np.linalg.norm(v)
+        if n > 1e-300:
+            units.append(v / n)
+    best = 0.0
+    for a, b in itertools.combinations(units, 2):
+        c = min(1.0, max(-1.0, float(np.dot(a, b))))
+        best = max(best, math.acos(c))
+    return best
+
+
+def test_max_pair_angle_matches_its_old_body():
+    # points as lists and arrays, from 0 to 4 of them, at magnitudes from
+    # 1e-12 to 1e2; one point in five sits on x itself (a foot at zero
+    # distance, which has no direction), and some repeat an earlier point
+    rng = np.random.default_rng(9)
+    zero = 0
+    for case in range(3000):
+        dim = 2 + case % 2
+        scale = math.exp(rng.uniform(-28.0, 5.0))
+        x = rng.standard_normal(dim) * scale
+        points = []
+        for _ in range(int(rng.integers(0, 5))):
+            pick = rng.uniform()
+            if pick < 0.2:
+                p = x.copy()
+                zero += 1
+            elif pick < 0.3 and points:
+                p = np.array(points[-1], dtype=float)
+            else:
+                p = x + rng.standard_normal(dim) * scale * math.exp(rng.uniform(-10.0, 2.0))
+            points.append(p.tolist() if rng.uniform() < 0.5 else p)
+        got = medial._max_pair_angle(x, points)
+        want = _reference_max_pair_angle(x, points)
+        assert type(got) is float and got.hex() == want.hex(), (x.tolist(), points)
+    assert zero > 100
+    assert medial._max_pair_angle([0.0, 0.0], [[0.0, 0.0], [1.0, 0.0]]) == 0.0
