@@ -24,7 +24,11 @@ checkout whose machine block matches, if any.
 
 ``--out FILE`` writes all of it as JSON, with every run's ``correct``,
 ``failed`` and metric values and the machine block (the ``detail`` line's
-``machine`` without its seed).
+``machine`` without its seed).  When a run fails (a nonzero exit, a
+timeout or an unreadable result) no further run starts: the file keeps the
+``workload:seed`` entries already finished and a ``failed_run`` record of
+the failed one (side, workload, seed, pair index, exit code and the last
+lines of its standard error), and the script exits 1.
 
 Run from the root of a checkout, for example::
 
@@ -51,10 +55,18 @@ RUN_TIMEOUT_S = 240.0
 WIN_SHARE = 0.9
 #: fewest pairs a gain is claimed on
 MIN_PAIRS = 10
+#: lines of a failed run's standard error kept in its record
+STDERR_LINES = 20
 
 
 class BenchError(Exception):
-    pass
+    """A run or export that failed: ``code`` is its exit code (None when it
+    has none, as after a timeout) and ``stderr`` its standard error."""
+
+    def __init__(self, message: str, code: int | None = None, stderr: str = ""):
+        super().__init__(message)
+        self.code = code
+        self.stderr = stderr
 
 
 def parse_run(stdout: str) -> dict:
@@ -92,13 +104,23 @@ def run_once(root: Path, workload: str, seed: int, seconds: int, trace: int) -> 
             cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
         )
     except subprocess.TimeoutExpired as exc:
-        raise BenchError(f"run.py timed out in {root}: {' '.join(cmd[2:])}") from exc
+        stderr = exc.stderr.decode(errors="replace") if isinstance(exc.stderr, bytes) else ""
+        raise BenchError(f"run.py timed out in {root}: {' '.join(cmd[2:])}", None, stderr) from exc
     if proc.returncode != 0:
         raise BenchError(
             f"run.py exited with code {proc.returncode} in {root}: {' '.join(cmd[2:])}\n"
-            f"{proc.stderr}"
+            f"{proc.stderr}",
+            proc.returncode,
+            proc.stderr,
         )
-    return parse_run(proc.stdout)
+    try:
+        return parse_run(proc.stdout)
+    except (BenchError, ValueError, KeyError) as exc:
+        raise BenchError(
+            f"run.py printed no readable result in {root}: {' '.join(cmd[2:])}: {exc}",
+            proc.returncode,
+            proc.stderr,
+        ) from exc
 
 
 def quartiles(values) -> dict:
@@ -169,7 +191,8 @@ def export_rev(repo: Path, rev: str, dest: Path) -> Path:
         ["git", "-C", str(repo), "archive", "--format=tar", rev], capture_output=True
     )
     if proc.returncode != 0:
-        raise BenchError(f"git archive {rev} failed: {proc.stderr.decode().strip()}")
+        stderr = proc.stderr.decode(errors="replace")
+        raise BenchError(f"git archive {rev} failed: {stderr.strip()}", proc.returncode, stderr)
     # extraction filters came with 3.10.12, 3.11.4 and 3.12
     safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
@@ -274,7 +297,9 @@ def main(argv=None) -> int:
         },
         "results": {},
     }
+    failed_run = None
     with tempfile.TemporaryDirectory(prefix="lnegerm-bench-") as tmp:
+        where = {"side": "parent", "workload": None, "seed": None, "pair": None}
         try:
             roots = {"change": root}
             if args.parent:
@@ -285,6 +310,9 @@ def main(argv=None) -> int:
                     for index in range(args.pairs):
                         for side in pair_order(index):
                             if side in roots:
+                                where = {
+                                    "side": side, "workload": workload, "seed": seed, "pair": index
+                                }
                                 runs[side].append(
                                     run_once(roots[side], workload, seed, args.seconds, args.trace)
                                 )
@@ -301,8 +329,11 @@ def main(argv=None) -> int:
                     _print_rows(key, entry)
         except BenchError as exc:
             print(f"bench failed: {exc}", file=sys.stderr)
-            return 1
-    if not args.parent:
+            failed_run = dict(
+                where, exit_code=exc.code, stderr_tail=exc.stderr.splitlines()[-STDERR_LINES:]
+            )
+            report["failed_run"] = failed_run
+    if failed_run is None and not args.parent:
         found = previous_bench(root, report["machine"], args.out)
         if found is None:
             print("no earlier BENCH file from this machine: no comparison applies")
@@ -315,7 +346,7 @@ def main(argv=None) -> int:
                     print(f"{key:<16} {name:<20} {value:+.1%} against {path.name}")
     if args.out:
         args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    return 0
+    return 0 if failed_run is None else 1
 
 
 if __name__ == "__main__":

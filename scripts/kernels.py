@@ -89,7 +89,8 @@ def main(argv=None) -> int:
     print(f"kernels of one {args.workload} seed-{args.seed} analysis, best of {args.repeats}")
     for name, (owner, attr) in KERNELS.items():
         made = calls[name]
-        us = 1e6 * best_seconds(getattr(owner, attr), made, args.repeats) / len(made) if made else 0.0
+        best = best_seconds(getattr(owner, attr), made, args.repeats)
+        us = 1e6 * best / len(made) if made else 0.0
         print(f"{name:<16} {len(made):>5} calls  {us:8.2f} us/call")
     return 0
 

@@ -157,3 +157,51 @@ def test_metric_the_change_no_longer_reaches_is_not_measured(capsys):
     bench._print_rows("arc_fan:0", entry)
     row = [line for line in capsys.readouterr().out.splitlines() if "wall_s" in line]
     assert row and row[0].endswith("not measured")
+
+
+def test_failed_run_keeps_the_finished_entries(monkeypatch, tmp_path, capsys):
+    # the third run fails: the first workload:seed entry (one pair) is
+    # written, with a record of the failed run, and the script exits 1
+    calls = []
+    stderr = "".join(f"line {k}\n" for k in range(30))
+
+    def run_once(root, workload, seed, seconds, trace):
+        calls.append((workload, seed))
+        if len(calls) == 3:
+            raise bench.BenchError("run.py exited with code 1", 1, stderr)
+        return bench.parse_run(_canned(0.02))
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.setattr(bench, "export_rev", lambda repo, rev, dest: dest)
+    monkeypatch.chdir(SCRIPTS.parent)
+    out = tmp_path / "BENCH.json"
+    argv = ["--workloads", "arc_fan", "--seeds", "0", "7", "--pairs", "1", "--parent", "HEAD"]
+    assert bench.main(argv + ["--out", str(out)]) == 1
+    assert calls == [("arc_fan", 0), ("arc_fan", 0), ("arc_fan", 7)]
+    data = json.loads(out.read_text())
+    assert list(data["results"]) == ["arc_fan:0"]
+    entry = data["results"]["arc_fan:0"]
+    assert len(entry["parent"]["runs"]) == len(entry["change"]["runs"]) == 1
+    assert data["failed_run"] == {
+        "side": "parent",
+        "workload": "arc_fan",
+        "seed": 7,
+        "pair": 0,
+        "exit_code": 1,
+        "stderr_tail": [f"line {k}" for k in range(10, 30)],
+    }
+    assert "bench failed: run.py exited with code 1" in capsys.readouterr().err
+
+
+def test_unreadable_result_is_a_failed_run(monkeypatch):
+    # a run that exits 0 with a cut result line fails as a run, with its
+    # exit code and standard error kept
+    class Proc:
+        returncode = 0
+        stdout = _canned(0.02)[:-40]
+        stderr = "warning\n"
+
+    monkeypatch.setattr(bench.subprocess, "run", lambda *a, **k: Proc())
+    with pytest.raises(bench.BenchError, match="no readable result") as info:
+        bench.run_once(SCRIPTS.parent, "arc_fan", 0, 1, 0)
+    assert (info.value.code, info.value.stderr) == (0, "warning\n")
