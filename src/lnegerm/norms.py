@@ -9,17 +9,16 @@ runs left to right, as numpy's reduction over a short last axis does), so
 either path gives the same bits.  Its points come from the scalar paths of
 the pieces (``PuiseuxBranch._point``), which keep their own bits by one
 ``np.power`` ufunc call per term and never Python's ``**``: numpy's SIMD
-``pow`` and libm's round differently on some inputs.
+``pow`` and libm's round differently on some inputs.  ``of_columns(cols)``
+is ``of`` on many points at once, given as one array per coordinate: it
+makes ``of``'s float operations in ``of``'s order, elementwise, so each
+value has ``of``'s bits.
 
 The rule of every per-point kernel (``of``, ``PuiseuxBranch._point`` and
 ``param_at_radius``, ``medial._project_branch``, ``germs._miller_powers``):
 it makes only the numpy calls whose bits it pins, its clamps and
 tolerances run on Python floats with the semantics of Python's ``min`` and
 ``max``, and arrays are built at the root, where a caller keeps one.
-``of_columns(cols)``
-is ``of`` on many points at once, given as one array per coordinate: it
-makes ``of``'s float operations in ``of``'s order, elementwise, so each
-value has ``of``'s bits.
 """
 
 from __future__ import annotations

@@ -63,6 +63,22 @@ def test_horn_center_curves(monkeypatch, capsys):
     assert "-> NOT_LNE" in out
 
 
+def test_kernels(capsys):
+    script = _load("kernels")
+    before = {name: getattr(owner, attr) for name, (owner, attr) in script.KERNELS.items()}
+    assert script.main(["--repeats", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "kernels of one arc_fan seed-0 analysis, best of 1"
+    # one line per kernel, each called and timed in the analysis
+    rows = [re.fullmatch(r"(\S+) +(\d+) calls +(\S+) us/call", line) for line in lines[1:]]
+    assert all(rows) and [m[1] for m in rows] == list(script.KERNELS)
+    for m in rows:
+        assert int(m[2]) > 0 and float(m[3]) > 0.0
+    # the recording wrappers are gone again
+    for name, (owner, attr) in script.KERNELS.items():
+        assert getattr(owner, attr) is before[name]
+
+
 def test_digests_repeat(capsys):
     script = _load("digests")
     outs = {}
