@@ -4,11 +4,11 @@
 The kernels are ``medial._project_branch`` (the foot Newton),
 ``PuiseuxBranch._point`` (a branch point), ``PuiseuxBranch.param_at_radius``
 (a radius solve) and ``germs._miller_powers`` (Miller's recurrence in the
-series oracle).  One analysis of a benchmark workload's timed germs
-(``perfbench/workloads.py``, arc_fan at seed 0 by default) records the
-arguments of every call to each; every kernel is then timed on its own
-calls, the best of ``--repeats`` passes, and printed as one line ``kernel
-calls per analysis, microseconds per call``.  A ``_point`` call made
+series oracle).  One analysis of the arc_fan workload's timed germs at
+seed 0 (``perfbench/workloads.py``) records the arguments of every call
+to each; every kernel is then timed on its own calls, the best of
+``--repeats`` passes, and printed as one line ``kernel calls per
+analysis, microseconds per call``.  A ``_point`` call made
 inside a radius solve or a projection is recorded as a call of its own.
 
 Run from the root of a checkout as ``PYTHONPATH=src python
@@ -78,15 +78,13 @@ def best_seconds(fn, calls: list, repeats: int) -> float:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", choices=("plane_sweep", "arc_fan", "horn3d"), default="arc_fan")
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
 
-    calls = record(args.workload, args.seed)
-    print(f"kernels of one {args.workload} seed-{args.seed} analysis, best of {args.repeats}")
+    calls = record("arc_fan", 0)
+    print(f"kernels of one arc_fan seed-0 analysis, best of {args.repeats}")
     for name, (owner, attr) in KERNELS.items():
         made = calls[name]
         best = best_seconds(getattr(owner, attr), made, args.repeats)

@@ -354,21 +354,22 @@ def _miller_powers(a: np.ndarray, alphas: np.ndarray, n: int) -> np.ndarray:
     """Row i: the first n coefficients of a(u)**alphas[i], for a[0] > 0.
 
     Miller's recurrence  k a_0 b_k = sum_j ((alpha + 1) j - k) a_j b_{k-j}.
-    Every weight ((alpha + 1) j - k) a_j of every step is built in one array
-    before the loop, with the float operations of each step's own weights;
-    the loop keeps only what the bits need of numpy, each step's row sums.
-    The array holds (n - 1) len(alphas) (len(a) - 1) floats, as many as
-    the recurrence multiplies: 6.7 K for an arc_fan branch.
+    The factors (alpha + 1) j and a_j, which no step changes, are built
+    once before the loop; each step makes only the numpy calls whose bits
+    it pins, its weights ((alpha + 1) j - k) a_j in the old order and their
+    row sums against b_{k-1}, ..., b_{k-top}, read as a reversed view.
+    Memory stays one step's weights, len(alphas) (len(a) - 1) floats.
     """
     b = np.zeros((len(alphas), n))
     b[:, 0] = a[0] ** alphas
     j = np.arange(1, min(n - 1, len(a) - 1) + 1)
-    k = np.arange(1, n)[:, None, None]
-    weights = ((alphas[:, None] + 1.0) * j - k) * a[j]
+    base = (alphas[:, None] + 1.0) * j
+    aj = a[j]
     a0 = float(a[0])
     for k in range(1, n):
         top = min(k, len(a) - 1)
-        b[:, k] = (weights[k - 1, :, :top] * b[:, k - j[:top]]).sum(axis=1) / (k * a0)
+        back = b[:, k - top : k][:, ::-1]
+        b[:, k] = ((base[:, :top] - k) * aj[:top] * back).sum(axis=1) / (k * a0)
     return b
 
 

@@ -19,6 +19,7 @@ here as well.
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -263,6 +264,44 @@ def test_norm_inversion_feeds_the_recurrence_as_before(monkeypatch):
         slow = aligned(branches)
         monkeypatch.undo()
         assert fast == slow
+
+
+def test_norm_inversion_of_large_denominators_keeps_one_step_of_weights():
+    # exponent denominators of lcm 60 give 630 coefficients and 629 powers:
+    # the same bits as the old recurrence, and no more memory than the
+    # powers themselves need, where weights for every step at once would
+    # take 629 * 629 * 60 floats (190 MB)
+    branch = puiseux_branch(
+        [
+            (1, (1.0, 0.0)),
+            (Fraction(6, 5), (0.0, 0.4)),
+            (Fraction(5, 4), (0.0, -0.3)),
+            (Fraction(4, 3), (0.0, 0.5)),
+            (Fraction(3, 2), (0.0, 0.2)),
+        ],
+        1.0,
+        "lcm60",
+    )
+    m = branch.u_powers[1][0]
+    assert m == 60
+    g = np.zeros((branch.u_powers[1][-1] + 1 - m, 2))
+    for p, (_, c) in zip(branch.u_powers[1], branch.terms):
+        g[p - m] = c
+    q = np.convolve(g[:, 0], g[:, 0]) + np.convolve(g[:, 1], g[:, 1])
+    n = math.ceil(germs.separation_cap([branch]) * m)
+    assert n == 630
+    k = np.arange(1, n)
+    want = _reference_miller_powers(q, -k / (2.0 * m), n - 1)
+    tracemalloc.start()
+    try:
+        got = germs._miller_powers(q, -k / (2.0 * m), n - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < 2 * got.nbytes
+    psi = germs.invert_norm_series(q, m, n)
+    assert psi[1:].tobytes() == (want[k - 1, k - 1] / k).tobytes()
 
 
 # ---------------------------------------------------------------------------
