@@ -21,8 +21,9 @@ numpy's SIMD ``pow`` rounds differently from libm's on some inputs, and its
 vector loop differently again from its single-element calls.  Like every
 per-point kernel (see ``norms``), the scalar path and the radius solve on
 it make only the numpy calls whose bits they pin and run the rest on
-Python floats; Miller's recurrence in the series oracle builds all its
-weights in one array and keeps numpy only for each step's row sums.
+Python floats; Miller's recurrence in the series oracle builds the factors
+that no step changes once and keeps numpy only for each step's weights and
+row sums.
 """
 
 from __future__ import annotations

@@ -211,13 +211,14 @@ def test_param_at_radius_matches_its_old_body():
 
 
 # ---------------------------------------------------------------------------
-# Miller's recurrence: the prebuilt weights against the per-step weights
+# Miller's recurrence: the prebuilt factors against the per-step weights
 # ---------------------------------------------------------------------------
 
 
 def _reference_miller_powers(a, alphas, n):
-    """``germs._miller_powers`` as it was before it built every weight in
-    one array: each step's weights built in the loop."""
+    """``germs._miller_powers`` as it was before it built the factors
+    (alpha + 1) j and a_j once: each step builds them itself and indexes
+    b_{k-j} with an index array."""
     b = np.zeros((len(alphas), n))
     b[:, 0] = a[0] ** alphas
     for k in range(1, n):
