@@ -19,6 +19,9 @@ sections: the sha256 of the ``llne_test`` report on the default ladder.
 The germs are horn3d, whose link is connected, and horn3d with its wall
 |x| <= c y^2 for each c of ``LINK_WALLS``: narrower than the horns'
 inner generators for c < 1/4 (three components), crossing them above.
+Then come curves on a wall: horn3d's wall strip with the centre line
+(0, t, 0) and a second line (0, t, 0) + d t^2 for each d of
+``LINE_TERMS``, on a sample column of the strip, between two, and off it.
 
 Run from the root of a checkout as ``PYTHONPATH=src python
 scripts/digests.py``; ``--workloads`` and ``--seeds`` restrict the set.
@@ -35,7 +38,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from workloads import build_cases  # noqa: E402
 
-from lnegerm import RunConfig, builtin, cli, germ_set, llne_test, make_norm  # noqa: E402
+from lnegerm import (  # noqa: E402
+    RunConfig,
+    builtin,
+    cli,
+    germ_set,
+    llne_test,
+    make_norm,
+    puiseux_branch,
+)
 from lnegerm.report import canonical_json  # noqa: E402
 from lnegerm.scenarios import BUILTIN_LABELS, run_scenario  # noqa: E402
 from lnegerm.surfaces import WallPiece  # noqa: E402
@@ -60,6 +71,12 @@ CLI_RUNS = tuple(
 
 #: wall coefficients c of ``--links``' horn-plus-wall germs
 LINK_WALLS = (0.1, 0.2, 0.26, 0.3, 0.4, 0.5, 1.0)
+#: (name, offset d) of ``--links``' second lines (0, t, 0) + d t^2 on a wall
+LINE_TERMS = (
+    ("on_sample", (0.125, 0.0, 0.0)),
+    ("between_samples", (0.075, 0.0, 0.0)),
+    ("off_strip", (0.0, 0.0, 0.125)),
+)
 #: (name, kind, weights) of ``--links``' norms
 LINK_NORMS = (
     ("euclid", "euclid", None),
@@ -78,6 +95,21 @@ def link_germs() -> list:
             label=f"horn_wall_{c}",
         )
         for c in LINK_WALLS
+    ]
+
+
+def line_germs() -> list:
+    """horn3d's wall strip with the line (0, t, 0) and the line
+    (0, t, 0) + d t^2, per d of ``LINE_TERMS``."""
+    l1 = puiseux_branch([(1, (0.0, 1.0, 0.0))], t_max=1.0, label="l1")
+    wall = WallPiece(label="wall", half_width_coef=0.25)
+    return [
+        germ_set(
+            branches=(l1, puiseux_branch([(1, (0.0, 1.0, 0.0)), (2, d)], t_max=1.0, label="l2")),
+            surfaces=(wall,),
+            label=f"wall_lines_{name}",
+        )
+        for name, d in LINE_TERMS
     ]
 
 
@@ -109,7 +141,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="+", choices=[w for w, _ in DEFAULT])
     ap.add_argument("--seeds", nargs="+", type=int)
     ap.add_argument("--cli", action="store_true", help="digest lnegerm's stdout on CLI_RUNS")
-    ap.add_argument("--links", action="store_true", help="digest llne_test on the horn germs")
+    ap.add_argument("--links", action="store_true", help="digest llne_test on the horn and wall-line germs")
     args = ap.parse_args(argv)
 
     if args.cli:
@@ -117,7 +149,7 @@ def main(argv=None) -> int:
             print(f"cli {' '.join(run)} {cli_digest(run)}", flush=True)
         return 0
     if args.links:
-        for germ in link_germs():
+        for germ in link_germs() + line_germs():
             for name, kind, weights in LINK_NORMS:
                 norm = make_norm(kind, weights, germ.ambient_dim)
                 for density in LINK_DENSITIES:

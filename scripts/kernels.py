@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
-"""Time the per-point kernels on the arguments of one analysis.
+"""Time the per-point kernels and the link sections on the arguments of
+one analysis.
 
 The kernels are ``medial._project_branch`` (the foot Newton),
 ``PuiseuxBranch._point`` (a branch point), ``PuiseuxBranch.param_at_radius``
-(a radius solve) and ``germs._miller_powers`` (Miller's recurrence in the
-series oracle).  One analysis of the arc_fan workload's timed germs at
-seed 0 (``perfbench/workloads.py``) records the arguments of every call
-to each; every kernel is then timed on its own calls, the best of
-``--repeats`` passes, and printed as one line ``kernel calls per
-analysis, microseconds per call``.  A ``_point`` call made
-inside a radius solve or a projection is recorded as a call of its own.
+(a radius solve), ``germs._miller_powers`` (Miller's recurrence in the
+series oracle) and ``links.link_section`` (one link section).  One
+analysis of the arc_fan workload's timed germs at seed 0
+(``perfbench/workloads.py``) records the arguments of every call to each;
+``link_section`` also records one analysis of the horn3d builtin, so its
+calls are the arc_fan germ's curve sections and horn3d's surface sections.
+Every kernel is then timed on its own calls, the best of ``--repeats``
+passes, and printed as one line ``kernel calls, microseconds per call``.
+A ``_point`` call made inside a radius solve or a projection is recorded
+as a call of its own.  A ``link_section`` call runs against the
+``RadiusTable`` it was recorded with, which the analysis has filled, so
+its time is the section's assembly, not its solves.
 
 Run from the root of a checkout as ``PYTHONPATH=src python
 scripts/kernels.py``; pointing PYTHONPATH at another checkout's ``src``
@@ -25,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from workloads import build_cases  # noqa: E402
 
-from lnegerm import germs, medial  # noqa: E402
+from lnegerm import RunConfig, builtin, germs, links, medial  # noqa: E402
 from lnegerm.germs import PuiseuxBranch  # noqa: E402
 from lnegerm.scenarios import run_scenario  # noqa: E402
 
@@ -35,14 +41,15 @@ KERNELS = {
     "_point": (PuiseuxBranch, "_point"),
     "param_at_radius": (PuiseuxBranch, "param_at_radius"),
     "_miller_powers": (germs, "_miller_powers"),
+    "link_section": (links, "link_section"),
 }
 
 
-def record(workload: str, seed: int) -> dict:
-    """kernel name -> the (args, kwargs) of its calls in one analysis of the
-    workload's timed germs."""
-    calls = {name: [] for name in KERNELS}
-    originals = {name: getattr(owner, attr) for name, (owner, attr) in KERNELS.items()}
+def record(cases, names) -> dict:
+    """kernel name -> the (args, kwargs) of its calls in one analysis of
+    each (scenario, config) of ``cases``, for the kernels ``names``."""
+    calls = {name: [] for name in names}
+    originals = {name: getattr(*KERNELS[name]) for name in names}
 
     def recorder(name):
         original, log = originals[name], calls[name]
@@ -53,15 +60,14 @@ def record(workload: str, seed: int) -> dict:
 
         return recorded
 
-    for name, (owner, attr) in KERNELS.items():
-        setattr(owner, attr, recorder(name))
+    for name in names:
+        setattr(*KERNELS[name], recorder(name))
     try:
-        for case in build_cases(workload, seed):
-            if case.timed:
-                run_scenario(case.scenario, case.config)
+        for scenario, config in cases:
+            run_scenario(scenario, config)
     finally:
-        for name, (owner, attr) in KERNELS.items():
-            setattr(owner, attr, originals[name])
+        for name in names:
+            setattr(*KERNELS[name], originals[name])
     return calls
 
 
@@ -83,8 +89,15 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
 
-    calls = record("arc_fan", 0)
-    print(f"kernels of one arc_fan seed-0 analysis, best of {args.repeats}")
+    fan = [(case.scenario, case.config) for case in build_cases("arc_fan", 0) if case.timed]
+    calls = record(fan, KERNELS)
+    calls["link_section"] += record([(builtin("horn3d"), RunConfig())], ["link_section"])[
+        "link_section"
+    ]
+    print(
+        f"kernels of one arc_fan seed-0 analysis, link_section also of one horn3d, "
+        f"best of {args.repeats}"
+    )
     for name, (owner, attr) in KERNELS.items():
         made = calls[name]
         best = best_seconds(getattr(owner, attr), made, args.repeats)

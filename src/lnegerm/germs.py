@@ -269,10 +269,10 @@ class RadiusTable:
     surface pieces, on one scale ladder, each solved once per analysis.
 
     ``param`` solves each (branch, ladder radius, norm) once
-    (``param_at_radius``).  ``section`` is its surface twin: the first ask
-    for a (piece, norm, density) on a ladder radius solves that piece's
-    sections on the whole ladder in one pass (``piece.sections``) and keeps
-    one per radius.
+    (``param_at_radius``).  ``sections`` is its surface twin: the first ask
+    for a germ's surface pieces under a (norm, density) on a ladder radius
+    solves every piece's sections on the whole ladder in one lane pass
+    (``surfaces._sphere_sections``) and keeps one per radius.
 
     One analysis builds one table and hands it to every stage that needs
     them: the link sections, which solve under the configured norm, and
@@ -296,14 +296,21 @@ class RadiusTable:
             self._solved[key] = branch.param_at_radius(r, norm)
         return self._solved[key]
 
-    def section(self, piece, t: float, norm=EUCLID, density: int = 32):
-        """(points, params, edges) of the surface piece's section at radius t."""
+    def sections(self, pieces: tuple, t: float, norm=EUCLID, density: int = 32) -> list:
+        """One (points, params, edges) per surface piece of ``pieces``: its
+        section at radius t, as arrays (``surfaces._sphere_sections``).
+
+        The pieces are solved together, so the key is the whole tuple: a
+        germ asks for its ``surfaces`` at every radius of its link.
+        """
+        from .surfaces import _sphere_sections  # local import; surfaces builds on germs
+
         if t not in self.ladder:
-            return piece.sections((t,), norm, density)[0]
-        key = (piece, norm, density)
+            return _sphere_sections(pieces, (t,), norm, density)[0]
+        key = (pieces, norm, density)
         if key not in self._sections:
             ladder = sorted(self.ladder, reverse=True)
-            self._sections[key] = dict(zip(ladder, piece.sections(ladder, norm, density)))
+            self._sections[key] = dict(zip(ladder, _sphere_sections(pieces, ladder, norm, density)))
         return self._sections[key][t]
 
 

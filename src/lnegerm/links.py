@@ -9,7 +9,10 @@ one, and places each curve point lying on a surface piece between the
 section samples on either side of it; its components stand in for the
 connected components of the punctured germ at that scale.  Each section
 measures its pairwise distances once, in one matrix that serves the merge,
-the link ratio and the component gap.  The criterion combines a uniform
+the link ratio and the component gap: on Python floats for a germ of
+curves alone, whose sections hold a handful of points and no edges, and
+with whole-array numpy calls for a germ with surface pieces, whose
+sections come from one lane pass as arrays.  The criterion combines a uniform
 bound on the link inner/outer distance ratio C(t) per component with a
 linear lower bound on the separation between distinct components.
 """
@@ -77,7 +80,7 @@ class LinkSample:
 
 
 def _on_piece_edges(piece, curve_pts, spts, sparams, sedges, t, base) -> list:
-    """Edges placing each curve point (index c in ``curve_pts``) that lies on
+    """Edges placing each curve point (row c of ``curve_pts``) that lies on
     ``piece`` between its section samples (index base + j) on either side.
 
     A point lies on the piece when ``piece.project``, seeded at the nearest
@@ -86,7 +89,7 @@ def _on_piece_edges(piece, curve_pts, spts, sparams, sedges, t, base) -> list:
     without edges).
     """
     out: list = []
-    if not (spts and curve_pts):
+    if not (len(spts) and len(curve_pts)):
         return out
     spts = np.asarray(spts, dtype=float)
     e = np.array(sedges, dtype=int).reshape(-1, 2)
@@ -103,6 +106,20 @@ def _on_piece_edges(piece, curve_pts, spts, sparams, sedges, t, base) -> list:
     return out
 
 
+def _empty_section(set_: GermSet, t: float) -> LinkSample:
+    """The section of a germ that misses the sphere of radius t."""
+    return LinkSample(
+        scale=t,
+        points=np.zeros((0, set_.ambient_dim)),
+        labels=(),
+        graph=None,
+        component_of=np.zeros(0, dtype=int),
+        component_count=0,
+        empty=True,
+        distances=np.zeros((0, 0)),
+    )
+
+
 def link_section(
     set_: GermSet, t: float, norm=EUCLID, density: int = 32, table: RadiusTable | None = None
 ) -> LinkSample:
@@ -113,9 +130,9 @@ def link_section(
     nothing.  Each curve piece's parameter and each surface piece's
     section come from ``table``, the analysis's one ``RadiusTable``, so a
     (branch, radius, norm) that another stage has solved is not solved
-    again, and a surface piece's sections on every ladder radius are solved
-    together on the first ask; a caller without one gets a fresh table.
-    All emitted points satisfy the band constraint
+    again, and a germ's surface pieces have their sections on every ladder
+    radius solved together on the first ask; a caller without one gets a
+    fresh table.  All emitted points satisfy the band constraint
     | ||x||_norm - t | <= BAND * t by construction.
 
     The graph follows sample adjacency, not a radius: consecutive theta
@@ -129,60 +146,121 @@ def link_section(
     curve point lying on a surface piece joins that piece's section graph
     (``_on_piece_edges``); one that coincides with a sample merges with it.
 
-    The section's pairwise squared distances are computed once, from the
-    assembled points (``pairwise_sq_distances``): the merge reads them, and
-    the kept points' distances go with the sample for ``_link_ratio`` and
-    ``_component_separation``.  A section without edges (every curve
-    germ's) skips the edge sort and dedupe.
+    The section's pairwise squared distances are computed once: the merge
+    reads them, and the kept points' distances go with the sample for
+    ``_link_ratio`` and ``_component_separation``.  Which path builds them
+    depends only on whether the germ has surface pieces:
+
+    - A germ of curves alone has one point per branch that reaches the
+      sphere, a handful, and no edges, so numpy's per-call cost would be
+      most of the work.  Its section is built on Python floats
+      (``_curve_section``), with the bits of the array path, and its arrays
+      once, at the end.
+    - A germ with surface pieces (curves lying on them included) has tens
+      to hundreds of points per radius.  Its section is assembled from the
+      arrays the table hands back per piece (``surfaces._sphere_sections``)
+      with whole-array numpy calls (``_surface_section``).
     """
     if not (math.isfinite(t) and t > 0):
         raise InputError(f"link scale must be positive and finite, got {t}")
     if table is None:
         table = RadiusTable((t,))
-    pts_list, labels, edges = [], [], []
+    curves = []
     for piece in set_.branches:
         try:
             s = table.param(piece, t, norm)
         except DomainError:
             continue
-        pts_list.append(np.asarray(piece.eval(s), dtype=float))
-        labels.append(piece.label)
-    curve_pts = list(pts_list)
-    for piece in set_.surfaces:
-        spts, sparams, sedges = table.section(piece, t, norm, density)
-        base = len(pts_list)
-        edges.extend((base + i, base + j) for i, j in sedges)
-        edges.extend(_on_piece_edges(piece, curve_pts, spts, sparams, sedges, t, base))
-        pts_list.extend(np.asarray(p, dtype=float) for p in spts)
-        labels.extend([piece.label] * len(spts))
-    if not pts_list:
-        return LinkSample(
-            scale=t,
-            points=np.zeros((0, set_.ambient_dim)),
-            labels=(),
-            graph=None,
-            component_of=np.zeros(0, dtype=int),
-            component_count=0,
-            empty=True,
-            distances=np.zeros((0, 0)),
-        )
-    raw = np.array(pts_list)
+        curves.append((piece._point(s), piece.label))
+    if set_.surfaces:
+        return _surface_section(set_, t, norm, density, table, curves)
+    return _curve_section(set_, t, norm, curves)
+
+
+def _curve_section(set_: GermSet, t: float, norm, curves: list) -> LinkSample:
+    """The section of a germ of curves alone, from its (point, label)
+    ``curves``, each point a list of floats.
+
+    Bitwise the array path's section: each squared distance is summed
+    coordinate by coordinate from 0.0, (dx*dx + dy*dy) + dz*dz as
+    ``pairwise_sq_distances`` sums it; points within COINCIDENT_TOL * t
+    merge by a small union-find that keeps each group at its lowest index,
+    as ``linkage_labels`` does; the band check is ``norm.of``, the bits of
+    ``norm(pts)``; distances are the correctly rounded ``math.sqrt``, as
+    ``np.sqrt``.  Without edges every kept point is its own component.
+    """
+    n = len(curves)
+    if not n:
+        return _empty_section(set_, t)
+    tol = COINCIDENT_TOL * t
+    tol2 = tol * tol
+    sq = [[0.0] * n for _ in range(n)]
+    group = list(range(n))
+    for j in range(1, n):
+        pj = curves[j][0]
+        for i in range(j):
+            acc = 0.0
+            for a, b in zip(curves[i][0], pj):
+                d = a - b
+                acc += d * d
+            sq[i][j] = sq[j][i] = acc
+            if acc <= tol2 and group[i] != group[j]:
+                lo, hi = sorted((group[i], group[j]))
+                group = [lo if g == hi else g for g in group]
+    keep = [k for k in range(n) if group[k] == k]
+    labels = tuple(frozenset(label for g, (_, label) in zip(group, curves) if g == k) for k in keep)
+    for k in keep:
+        if abs(norm.of(curves[k][0]) - t) > BAND * t:
+            raise InputError(f"link section at t={t}: point outside the sphere band")
+    m = len(keep)
+    return LinkSample(
+        scale=t,
+        points=np.array([curves[k][0] for k in keep]),
+        labels=labels,
+        graph=None,
+        component_of=np.arange(m),
+        component_count=m,
+        empty=False,
+        distances=np.array([[math.sqrt(sq[i][j]) for j in keep] for i in keep]),
+    )
+
+
+def _surface_section(set_: GermSet, t: float, norm, density: int, table, curves: list) -> LinkSample:
+    """The section of a germ with surface pieces, assembled from the
+    per-piece arrays of ``table.sections`` and the (point, label)
+    ``curves``, with whole-array numpy calls."""
+    curve_pts = np.array([p for p, _ in curves], dtype=float).reshape(len(curves), set_.ambient_dim)
+    blocks, edges = [curve_pts], []
+    labels = [frozenset((label,)) for _, label in curves]
+    base = len(curves)
+    for piece, (spts, sparams, sedges) in zip(
+        set_.surfaces, table.sections(set_.surfaces, t, norm, density)
+    ):
+        edges.append(sedges + base)
+        on_piece = _on_piece_edges(piece, curve_pts, spts, sparams, sedges, t, base)
+        if on_piece:
+            edges.append(np.array(on_piece, dtype=int))
+        blocks.append(spts)
+        labels += [frozenset((piece.label,))] * len(spts)
+        base += len(spts)
+    if not base:
+        return _empty_section(set_, t)
+    raw = np.concatenate(blocks)
     sq = pairwise_sq_distances(raw)
     remap = linkage_labels(sq, COINCIDENT_TOL * t)
     keep = np.unique(remap, return_index=True)[1]
-    merged = [set() for _ in keep]
-    for g, label in zip(remap.tolist(), labels):
-        merged[g].add(label)
+    merged = list(map(labels.__getitem__, keep.tolist()))
+    for g in np.flatnonzero(np.bincount(remap) > 1).tolist():
+        merged[g] = frozenset().union(*(labels[i] for i in np.flatnonzero(remap == g).tolist()))
     pts = raw[keep]
     values = np.asarray(norm(pts), dtype=float)
     if np.any(np.abs(values - t) > BAND * t):
-        raise InputError(
-            f"link section at t={t}: point outside the sphere band"
-        )
+        raise InputError(f"link section at t={t}: point outside the sphere band")
+    edges = np.concatenate(edges)
     pairs = np.zeros((0, 2), dtype=int)
-    if edges:
+    if len(edges):
         m = len(pts)
-        pairs = np.sort(remap[np.array(edges, dtype=int)], axis=1)
+        pairs = np.sort(remap[edges], axis=1)
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         key = np.unique(pairs[:, 0] * m + pairs[:, 1])
         pairs = np.column_stack([key // m, key % m])
@@ -190,12 +268,12 @@ def link_section(
     return LinkSample(
         scale=t,
         points=pts,
-        labels=tuple(frozenset(l) for l in merged),
+        labels=tuple(merged),
         graph=edge_matrix(pts, pairs) if len(pairs) else None,
         component_of=comp,
         component_count=ncomp,
         empty=False,
-        distances=np.sqrt(sq[np.ix_(keep, keep)]),
+        distances=np.sqrt(sq[keep][:, keep]),
     )
 
 
@@ -231,6 +309,11 @@ def _component_separation(sample: LinkSample) -> float:
     """
     if sample.component_count <= 1:
         return math.inf
+    if sample.graph is None:
+        # every point its own component (every curve germ's section, a
+        # handful of points): the least distance off the diagonal, on floats
+        rows = sample.distances.tolist()
+        return min(min(row[:i]) for i, row in enumerate(rows) if i)
     comp = sample.component_of
     return float(np.min(sample.distances[comp[:, None] != comp[None, :]]))
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, ResolutionError, TraceError
 from .germs import GermSet, HalfLine, PuiseuxBranch, RadiusTable, sample_cloud
-from .metrics import cluster_labels
+from .metrics import linkage_labels, pairwise_sq_distances
 from .optimize import brentq, golden_min
 
 # candidate directions more than the default theta_min apart seed new groups
@@ -405,11 +405,16 @@ def _max_pair_angle(x, points) -> float:
 
 def _merge_feet(feet, tol: float):
     """Single-linkage merge of feet closer than tol; keep the nearest of
-    each group, return sorted by distance."""
+    each group, return sorted by distance.
+
+    A grid cluster holds a handful of feet, so every pair is a candidate
+    (``linkage_labels``): the labels are ``cluster_labels``', without
+    building a k-d tree per call."""
     if len(feet) <= 1:
         return list(feet)
     best: dict = {}
-    for g, f in zip(cluster_labels(np.array([f.point for f in feet]), tol), feet):
+    sq = pairwise_sq_distances(np.array([f.point for f in feet]))
+    for g, f in zip(linkage_labels(sq, tol), feet):
         if g not in best or f.dist < best[g].dist:
             best[g] = f
     return sorted(best.values(), key=lambda f: f.dist)

@@ -24,7 +24,6 @@ import numpy as np
 from .config import _check_types, _is_int, _is_number
 from .errors import DomainError, InputError, RegistryError
 from .germs import puiseux_branch
-from .norms import EUCLID
 from .optimize import brentq_lanes, golden_min
 
 
@@ -86,53 +85,82 @@ def _check_heights(piece, y) -> None:
         raise DomainError(f"surface {piece.label!r}: height outside [0, {piece.y_max}]")
 
 
-def _sphere_sections(piece, ts, norm, density: int) -> list:
-    """Points on {x in piece : ||x||_norm = t} for each radius t of ``ts``,
-    at most one per ray, solved in one Brent pass (``brentq_lanes``) over
-    the (radius, ray) lanes of every radius.
+def _sphere_sections(pieces, ts, norm, density: int) -> list:
+    """Points on {x in piece : ||x||_norm = t} for each piece of ``pieces``
+    and each radius t of ``ts``, at most one per ray, solved in one Brent
+    pass (``brentq_lanes``) over the (piece, radius, ray) lanes of them all.
 
     A ray is the fixed coordinate of a param pair whose height slot is free
     (``piece._rays(t, density)``).  On each ray the height solves
     ||x|| = t below the cap min(y_max, 1.5 t); a ray still inside the
-    sphere at the cap is skipped.  Each lane's values come from the piece's
-    column kernel (``piece._columns``) and ``norm.of_columns``, bitwise
-    ``norm.of(piece.eval_param(prm))``, so every root has the bits of a
-    scalar ``brentq`` on its ray.  Returns one (points, params, edges) per
-    radius; ``edges`` joins neighbouring rays' points, the last ray and the
-    first if the piece's rays close (``piece._CLOSED``).
+    sphere at the cap is skipped.  The lanes run piece by piece, and
+    ``brentq_lanes`` keeps its live lanes ascending, so each evaluation
+    hands each piece's run of them to that piece's column kernel
+    (``piece._columns``) and the joined columns to ``norm.of_columns``.
+    Every value is elementwise bitwise ``norm.of(piece.eval_param(prm))``,
+    so every root has the bits of a scalar ``brentq`` on its ray, whichever
+    pieces share the pass.
+
+    Returns one list per radius of ``ts``, holding one (points, params,
+    edges) per piece: the (k, 3) points and (k, 2) params of its hit rays,
+    slices of the pass's arrays, and the (e, 2) index array joining
+    neighbouring rays' points in ray order, then the last ray and the first
+    if the piece's rays close (``piece._CLOSED``) and both were hit.
     """
-    slot = piece._HEIGHT
-    rays_at = [piece._rays(t, density) for t in ts]
-    counts = [len(rays) for rays in rays_at]
-    fixed = [c for rays in rays_at for c in rays]
-    radius = np.repeat(np.asarray(ts, dtype=float), counts)
-    y_hi = np.repeat([min(piece.y_max, t * 1.5) for t in ts], counts)
-    columns = piece._columns(fixed)
+    ts = [float(t) for t in ts]
+    rays = [[piece._rays(t, density) for t in ts] for piece in pieces]
+    fixed = [[c for r in at for c in r] for at in rays]
+    kernels = [piece._columns(cs) for piece, cs in zip(pieces, fixed)]
+    piece_starts = np.cumsum([0, *map(len, fixed)])
+    # a block is one piece's rays at one radius, numbered piece by piece
+    counts = [len(r) for at in rays for r in at]
+    block_starts = np.cumsum([0, *counts])
+    radius = np.repeat(ts * len(pieces), counts)
+    y_hi = np.repeat([min(piece.y_max, t * 1.5) for piece in pieces for t in ts], counts)
+
+    def columns(y, lanes):
+        cut = np.searchsorted(lanes, piece_starts).tolist()
+        parts = [
+            kernel(y[lo:hi], lanes[lo:hi] - start)
+            for kernel, start, lo, hi in zip(kernels, piece_starts.tolist(), cut, cut[1:])
+            if hi > lo
+        ]
+        return parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
 
     def g(y, lanes):
         return norm.of_columns(columns(y, lanes)) - radius[lanes]
 
-    g_hi = g(y_hi, np.arange(len(fixed)))
-    hit = np.flatnonzero(~(g_hi < 0))
+    g_hi = g(y_hi, np.arange(len(radius)))
+    is_hit = ~(g_hi < 0)
+    hit = np.flatnonzero(is_hit)
     roots = brentq_lanes(
         lambda y, k: g(y, hit[k]), np.zeros(len(hit)), y_hi[hit], rtol=8.9e-16, fb=g_hi[hit]
     )
-    rows = list(np.column_stack(columns(roots, hit)))
-    heights = roots.tolist()
-    starts = np.cumsum([0, *counts])
-    ends = np.searchsorted(hit, starts).tolist()
-    out = []
-    for n, start, lo, hi in zip(counts, starts.tolist(), ends, ends[1:]):
-        rays = (hit[lo:hi] - start).tolist()
-        cs = [fixed[start + k] for k in rays]
-        ys = heights[lo:hi]
-        params = list(zip(ys, cs) if slot == 0 else zip(cs, ys))
-        index_of_ray = dict(zip(rays, range(len(rays))))
-        nxt = {k: (k + 1) % n if piece._CLOSED else k + 1 for k in rays}
-        edges = [
-            (i, index_of_ray[nxt[k]]) for k, i in index_of_ray.items() if nxt[k] in index_of_ray
-        ]
-        out.append((rows[lo:hi], params, edges))
+    points = np.column_stack(columns(roots, hit)) if len(hit) else np.zeros((0, 3))
+    rows = np.searchsorted(hit, block_starts)
+    params = np.empty((len(hit), 2))
+    at_ray = np.array([c for cs in fixed for c in cs])[hit]
+    for p, piece in enumerate(pieces):
+        lo, hi = rows[p * len(ts)], rows[(p + 1) * len(ts)]
+        params[lo:hi, piece._HEIGHT] = roots[lo:hi]
+        params[lo:hi, 1 - piece._HEIGHT] = at_ray[lo:hi]
+    # each hit ray has at most one edge: to the next ray of its block when
+    # that was hit, or from a closed block's last ray back to its first when
+    # both were hit; sources ascend, so each block's edges are in ray order
+    block_of = np.repeat(np.arange(len(counts)), np.diff(rows))
+    step = np.flatnonzero((np.diff(hit) == 1) & (np.diff(block_of) == 0))
+    closed = np.repeat(np.array([piece._CLOSED for piece in pieces], dtype=bool), len(ts))
+    ring = np.flatnonzero(closed & is_hit[block_starts[:-1]] & is_hit[block_starts[1:] - 1])
+    nxt = np.full(len(hit), -1)
+    nxt[step] = step + 1
+    nxt[rows[1:][ring] - 1] = rows[:-1][ring]
+    src = np.flatnonzero(nxt >= 0)
+    edges = np.column_stack([src, nxt[src]])
+    rows = rows.tolist()
+    cuts = np.searchsorted(edges[:, 0], rows).tolist()
+    out = [[] for _ in ts]
+    for b, (lo, hi, e_lo, e_hi) in enumerate(zip(rows, rows[1:], cuts, cuts[1:])):
+        out[b % len(ts)].append((points[lo:hi], params[lo:hi], edges[e_lo:e_hi] - lo))
     return out
 
 
@@ -296,12 +324,6 @@ class HornPiece:
         n_theta = max(32, 2 * int(math.ceil(math.pi * r_t * density / max(t, 1e-300))))
         return [2 * math.pi * k / n_theta for k in range(n_theta)]
 
-    def sections(self, ts, norm=EUCLID, density: int = 32) -> list:
-        """(points, params, edges) of {x in piece : ||x||_norm = t} for each
-        t of ``ts``, one point per theta ray (``_sphere_sections``): a closed
-        cycle exactly when no ray misses the sphere below the height cap."""
-        return _sphere_sections(self, ts, norm, density)
-
     def to_json(self) -> dict:
         return {
             "kind": "horn",
@@ -420,12 +442,6 @@ class WallPiece:
         """The u rays of every section: density / 2 + 1 across the strip,
         9 at least."""
         return np.linspace(-1.0, 1.0, max(8, density // 2) + 1).tolist()
-
-    def sections(self, ts, norm=EUCLID, density: int = 32) -> list:
-        """(points, params, edges) of {x in piece : ||x||_norm = t} for each
-        t of ``ts``, one point per u ray (``_sphere_sections``): an open
-        path, cut where a ray misses the sphere below the height cap."""
-        return _sphere_sections(self, ts, norm, density)
 
     def to_json(self) -> dict:
         return {

@@ -239,8 +239,11 @@ def _old_link_section(set_, t, norm, density, table):
         pts_list.append(np.asarray(piece.eval(s), dtype=float))
         labels.append({piece.label})
     curve_pts = list(pts_list)
-    for piece in set_.surfaces:
-        spts, sparams, sedges = table.section(piece, t, norm, density)
+    for piece, section in zip(set_.surfaces, table.sections(set_.surfaces, t, norm, density)):
+        # the lists the per-piece solve gave: point arrays, param tuples, edge tuples
+        spts = list(section[0])
+        sparams = [tuple(prm) for prm in section[1].tolist()]
+        sedges = [tuple(e) for e in section[2].tolist()]
         base = len(pts_list)
         edges.extend((base + i, base + j) for i, j in sedges)
         edges.extend(_on_piece_edges(piece, curve_pts, spts, sparams, sedges, t, base))
@@ -321,11 +324,53 @@ def _workload_germs(workload, seeds):
 _SURFACE_GERMS = [builtin("horn3d").germ()] + [
     horn_with_wall(c) for c in (0.1, 0.26, 0.3, 0.4, 0.5, 1.0)
 ]
+def _curves(label, *branches):
+    """A germ of curves alone from (terms, t_max) per branch, labelled b0, b1, ..."""
+    return germ_set(
+        branches=[puiseux_branch(terms, t_max, f"b{k}") for k, (terms, t_max) in enumerate(branches)],
+        label=label,
+    )
+
+
+_CUSP_UP = [(1, (1.0, 0.0)), ((3, 2), (0.0, 2.0))]
 _CURVE_GERMS = (
     [builtin(label).germ() for label in ("cusp", "abs_graph", "three_tangent")]
     + [wall_with_lines(term) for term in ((0.125, 0.0, 0.0), (0.075, 0.0, 0.0), (0.0, 0.0, 0.125))]
     + _workload_germs("plane_sweep", (0, 1))
     + _workload_germs("arc_fan", range(4))
+    + [
+        # b2 is b0 under a second label: their points coincide and merge at
+        # every radius
+        _curves("copied", (_CUSP_UP, 1.0), ([(1, (1.0, 0.0)), ((3, 2), (0.0, -1.0))], 1.0), (_CUSP_UP, 1.0)),
+        # b2 and b3 lie 1.4e-9 t and 0.7e-9 t off b0, against the merge
+        # tolerance 1e-9 t: b2 joins b0 only through b3, and the group keeps
+        # b0's bits, its lowest index
+        _curves(
+            "near_copies",
+            (_CUSP_UP, 1.0),
+            ([(1, (0.6, 0.8))], 1.0),
+            ([(1, (1.0, 1.4e-9)), ((3, 2), (0.0, 2.0))], 1.0),
+            ([(1, (1.0, 0.7e-9)), ((3, 2), (0.0, 2.0))], 1.0),
+        ),
+        # b1 stops below the three upper radii: the component count changes
+        # along the ladder
+        _curves(
+            "short_branch",
+            ([(1, (1.0, 0.0))], 1.0),
+            ([(1, (0.0, 1.0)), (2, (1.0, 0.0))], 0.01),
+            ([(1, (-1.0, 0.5))], 1.0),
+        ),
+        # every branch stops below the ladder: every section is empty
+        _curves("all_short", ([(1, (1.0, 0.0))], 2.0**-12), ([(1, (0.0, 1.0))], 2.0**-12)),
+        # space curves, under maxv with weights (40, 1, 20) among the norms
+        _curves(
+            "space_curves",
+            ([(1, (1.0, 0.0, 0.0)), ((3, 2), (0.0, 0.7, -0.3))], 1.0),
+            ([(1, (0.0, 1.0, 0.0)), (2, (0.2, 0.0, 1.1))], 1.0),
+            ([(1, (-0.6, 0.0, 0.8)), ((5, 2), (1.0, 1.0, 1.0))], 1.0),
+            ([(1, (0.3, -0.4, 0.5)), ((4, 3), (0.9, 0.1, -0.2))], 1.0),
+        ),
+    ]
 )
 
 

@@ -291,20 +291,26 @@ class TestOneSolvePerAnalysis:
 
     @pytest.mark.parametrize("config", [RunConfig(), RunConfig(norm_kind="maxv")])
     def test_each_surface_piece_solved_once(self, monkeypatch, config):
-        # the 7 link sections of each of horn3d's 3 pieces come from one
-        # lane solve per piece, on the whole ladder
+        # the 7 link sections of horn3d's 3 pieces come from one lane pass
+        # over all three pieces, on the whole ladder, under the link's norm
+        # and density
         calls = []
         original = surfaces._sphere_sections
 
-        def counted(piece, ts, norm, density):
-            calls.append((piece.label, tuple(ts), norm))
-            return original(piece, ts, norm, density)
+        def counted(pieces, ts, norm, density):
+            calls.append((tuple(piece.label for piece in pieces), tuple(ts), norm, density))
+            return original(pieces, ts, norm, density)
 
         monkeypatch.setattr(surfaces, "_sphere_sections", counted)
         run_scenario(builtin("horn3d"), config)
-        assert sorted(label for label, _, _ in calls) == ["horn_neg", "horn_pos", "wall"]
-        assert {ts for _, ts, _ in calls} == {tuple(sorted(config.scales(), reverse=True))}
-        assert {norm for _, _, norm in calls} == {config.norm(3)}
+        assert calls == [
+            (
+                ("horn_pos", "horn_neg", "wall"),
+                tuple(sorted(config.scales(), reverse=True)),
+                config.norm(3),
+                config.density,
+            )
+        ]
 
     @pytest.mark.parametrize("label, inversions", [("three_tangent", 3), ("cusp", 2)])
     def test_each_branch_inverted_once(self, monkeypatch, label, inversions):

@@ -68,7 +68,9 @@ def test_kernels(capsys):
     before = {name: getattr(owner, attr) for name, (owner, attr) in script.KERNELS.items()}
     assert script.main(["--repeats", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "kernels of one arc_fan seed-0 analysis, best of 1"
+    assert lines[0] == (
+        "kernels of one arc_fan seed-0 analysis, link_section also of one horn3d, best of 1"
+    )
     # one line per kernel, each called and timed in the analysis
     rows = [re.fullmatch(r"(\S+) +(\d+) calls +(\S+) us/call", line) for line in lines[1:]]
     assert all(rows) and [m[1] for m in rows] == list(script.KERNELS)
@@ -101,10 +103,12 @@ def test_digests_repeat(capsys):
     for run, line in zip(script.CLI_RUNS, lines):
         code = 2 if run[:-2] == undecided else 0
         assert re.fullmatch(rf"cli {' '.join(run)} exit {code} [0-9a-f]{{64}}", line), line
-    # one line per germ, norm and density: horn3d and 7 horn-plus-wall
-    # germs x 3 norms x 3 densities, none raising
+    # one line per germ, norm and density: horn3d, 7 horn-plus-wall germs
+    # and 3 wall-line germs x 3 norms x 3 densities, none raising
     lines = outs["--links"][0].splitlines()
-    assert len(lines) == 72
+    assert len(lines) == 99
     for line in lines:
-        pattern = r"links (horn3d|horn_wall_\S+) (euclid|maxv\S*) (8|32|64) [0-9a-f]{64}"
+        pattern = (
+            r"links (horn3d|horn_wall_\S+|wall_lines_\S+) (euclid|maxv\S*) (8|32|64) [0-9a-f]{64}"
+        )
         assert re.fullmatch(pattern, line), line

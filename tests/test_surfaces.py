@@ -455,15 +455,26 @@ def _reach(piece, norm, density):
 
 
 def _assert_same_section(got, want, where):
+    # the points, the params as floats and the edges as index pairs, bytes
+    # compared: the arrays of the one pass against the per-piece loop's lists
     assert _points_bits(got[0]) == _points_bits(want[0]), where
-    assert _param_bits(got[1]) == _param_bits(want[1]), where
-    assert got[2] == want[2], where
+    assert got[1].dtype == np.float64 and got[1].shape == (len(want[1]), 2), where
+    assert _param_bits(got[1].tolist()) == _param_bits(want[1]), where
+    assert got[2].dtype == np.intp and got[2].shape == (len(want[2]), 2), where
+    assert got[2].tolist() == [list(e) for e in want[2]], where
+
+
+def _ref_section(piece, t, norm, density):
+    ref = _ref_horn_section if isinstance(piece, HornPiece) else _ref_wall_section
+    return ref(piece, t, norm, density)
 
 
 @pytest.mark.parametrize("norm", list(_NORMS))
 def test_section_matches_per_piece_loops_bitwise(norm):
-    # each ladder's sections come from one solve per piece through the
-    # analysis's RadiusTable; an off-ladder radius is solved alone
+    # each ladder's sections of a tuple of pieces come from one lane pass
+    # through the analysis's RadiusTable; an off-ladder radius is solved
+    # alone; every piece's section is its own loop's, whatever pieces share
+    # the pass
     norm = _NORMS[norm]
     rng = np.random.default_rng(3)
     pieces = builtin("horn3d").germ().surfaces
@@ -476,28 +487,35 @@ def test_section_matches_per_piece_loops_bitwise(norm):
         t_mid = float(np.median(ladder))
         t_off = math.sqrt(ladder[0] * ladder[1])
         for density in (8, 32, 64):
+            cropped = []
             for piece in pieces:
-                ref = _ref_horn_section if isinstance(piece, HornPiece) else _ref_wall_section
                 # cropped at the median solved height at the ladder's median
                 # radius (below the cap 1.5 t), so the rays whose roots lie
                 # above it miss the sphere there and at larger radii
-                _, params, _ = ref(piece, t_mid, norm, density)
+                _, params, _ = _ref_section(piece, t_mid, norm, density)
                 y_mid = float(np.median([prm[piece._HEIGHT] for prm in params]))
-                cropped = dataclasses.replace(piece, y_max=y_mid)
-                reach = _reach(cropped, norm, density)
-                above = [8 * reach, 4 * reach, 2 * reach]
-                cases = [(piece, ladder), (cropped, ladder), (cropped, above)]
-                for case, ts in cases:
-                    table = RadiusTable(ts)
-                    for t in rng.permutation(ts).tolist():
-                        got = table.section(case, t, norm, density)
-                        want = ref(case, t, norm, density)
-                        _assert_same_section(got, want, (case, t, density))
-                        skipped += len(case._rays(t, density)) - len(got[1])
-                        empty += not got[0]
-                    got = table.section(case, t_off, norm, density)
-                    _assert_same_section(got, ref(case, t_off, norm, density), (case, t_off))
-                    assert set(table._sections[case, norm, density]) == set(ts)
+                cropped.append(dataclasses.replace(piece, y_max=y_mid))
+            cropped = tuple(cropped)
+            reach = max(_reach(piece, norm, density) for piece in cropped)
+            above = [8 * reach, 4 * reach, 2 * reach]
+            mixed = (cropped[0], pieces[1], cropped[2])
+            cases = [(pieces, ladder), (cropped, ladder), (cropped, above), (mixed, ladder)]
+            cases += [((piece,), ladder) for piece in pieces]
+            for case, ts in cases:
+                table = RadiusTable(ts)
+                for t in rng.permutation(ts).tolist():
+                    got = table.sections(case, t, norm, density)
+                    assert len(got) == len(case)
+                    for piece, section in zip(case, got):
+                        want = _ref_section(piece, t, norm, density)
+                        _assert_same_section(section, want, (piece, t, density))
+                        skipped += len(piece._rays(t, density)) - len(section[1])
+                        empty += not len(section[0])
+                got = table.sections(case, t_off, norm, density)
+                for piece, section in zip(case, got):
+                    want = _ref_section(piece, t_off, norm, density)
+                    _assert_same_section(section, want, (piece, t_off))
+                assert set(table._sections[case, norm, density]) == set(ts)
     assert skipped > 0 and empty >= 3 * len(ladders) * len(pieces) * 3
 
 
