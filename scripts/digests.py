@@ -141,7 +141,9 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="+", choices=[w for w, _ in DEFAULT])
     ap.add_argument("--seeds", nargs="+", type=int)
     ap.add_argument("--cli", action="store_true", help="digest lnegerm's stdout on CLI_RUNS")
-    ap.add_argument("--links", action="store_true", help="digest llne_test on the horn and wall-line germs")
+    ap.add_argument(
+        "--links", action="store_true", help="digest llne_test on the horn and wall-line germs"
+    )
     args = ap.parse_args(argv)
 
     if args.cli:

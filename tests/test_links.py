@@ -327,7 +327,9 @@ _SURFACE_GERMS = [builtin("horn3d").germ()] + [
 def _curves(label, *branches):
     """A germ of curves alone from (terms, t_max) per branch, labelled b0, b1, ..."""
     return germ_set(
-        branches=[puiseux_branch(terms, t_max, f"b{k}") for k, (terms, t_max) in enumerate(branches)],
+        branches=[
+            puiseux_branch(terms, t_max, f"b{k}") for k, (terms, t_max) in enumerate(branches)
+        ],
         label=label,
     )
 
@@ -341,7 +343,12 @@ _CURVE_GERMS = (
     + [
         # b2 is b0 under a second label: their points coincide and merge at
         # every radius
-        _curves("copied", (_CUSP_UP, 1.0), ([(1, (1.0, 0.0)), ((3, 2), (0.0, -1.0))], 1.0), (_CUSP_UP, 1.0)),
+        _curves(
+            "copied",
+            (_CUSP_UP, 1.0),
+            ([(1, (1.0, 0.0)), ((3, 2), (0.0, -1.0))], 1.0),
+            (_CUSP_UP, 1.0),
+        ),
         # b2 and b3 lie 1.4e-9 t and 0.7e-9 t off b0, against the merge
         # tolerance 1e-9 t: b2 joins b0 only through b3, and the group keeps
         # b0's bits, its lowest index
