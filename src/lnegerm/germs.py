@@ -300,8 +300,12 @@ class RadiusTable:
         """One (points, params, edges) per surface piece of ``pieces``: its
         section at radius t, as arrays (``surfaces._sphere_sections``).
 
-        The pieces are solved together, so the key is the whole tuple: a
-        germ asks for its ``surfaces`` at every radius of its link.
+        Only the link sections of a germ with surface pieces ask for it; a
+        germ of curves alone needs no arrays and takes its points from
+        ``param``.  The pieces are solved together, one lane pass per
+        (norm, density), since one pass costs far less than a pass per
+        piece, so the key is the whole tuple: a germ asks for its
+        ``surfaces`` at every radius of its link.
         """
         from .surfaces import _sphere_sections  # local import; surfaces builds on germs
 

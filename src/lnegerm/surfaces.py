@@ -105,7 +105,10 @@ def _sphere_sections(pieces, ts, norm, density: int) -> list:
     edges) per piece: the (k, 3) points and (k, 2) params of its hit rays,
     slices of the pass's arrays, and the (e, 2) index array joining
     neighbouring rays' points in ray order, then the last ray and the first
-    if the piece's rays close (``piece._CLOSED``) and both were hit.
+    if the piece's rays close (``piece._CLOSED``) and both were hit.  The
+    link sections of a germ with surface pieces (``RadiusTable.sections``)
+    are its one caller and assemble straight from these arrays, with no
+    per-point Python: a section holds tens to hundreds of points.
     """
     ts = [float(t) for t in ts]
     rays = [[piece._rays(t, density) for t in ts] for piece in pieces]
