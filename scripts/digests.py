@@ -23,6 +23,14 @@ Then come curves on a wall: horn3d's wall strip with the centre line
 (0, t, 0) and a second line (0, t, 0) + d t^2 for each d of
 ``LINE_TERMS``, on a sample column of the strip, between two, and off it.
 
+``--orders`` prints instead one line ``orders <germ> <b1>|<b2> <order>``
+per pair of Puiseux branches of the default germs (the germ named
+``workload:seed:germ``) and of the 210 germs of ``plane_family.py``: the
+series oracle's ``tord_exact`` of the pair alone
+(``symbolic_separation_order``), or ``INFINITE<cap`` when no lattice term
+below the cap separates it.  The canonical JSON carries no exact order,
+so only these lines show a change in the oracle.
+
 Run from the root of a checkout as ``PYTHONPATH=src python
 scripts/digests.py``; ``--workloads`` and ``--seeds`` restrict the set.
 """
@@ -31,11 +39,15 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from plane_family import COEFFS, EXPONENTS, family_germ  # noqa: E402
 from workloads import build_cases  # noqa: E402
 
 from lnegerm import (  # noqa: E402
@@ -46,7 +58,9 @@ from lnegerm import (  # noqa: E402
     llne_test,
     make_norm,
     puiseux_branch,
+    symbolic_separation_order,
 )
+from lnegerm.germs import PuiseuxBranch  # noqa: E402
 from lnegerm.report import canonical_json  # noqa: E402
 from lnegerm.scenarios import BUILTIN_LABELS, run_scenario  # noqa: E402
 from lnegerm.surfaces import WallPiece  # noqa: E402
@@ -113,6 +127,39 @@ def line_germs() -> list:
     ]
 
 
+def order_germs(workloads=None, seeds=None) -> list:
+    """(name, germ) of the default germs, then of the plane family."""
+    out = []
+    for workload, default_seeds in DEFAULT:
+        if workloads and workload not in workloads:
+            continue
+        for seed in seeds if seeds is not None else default_seeds:
+            for case in build_cases(workload, seed):
+                out.append((f"{workload}:{seed}:{case.name}", case.scenario.germ()))
+    for e in map(Fraction, EXPONENTS):
+        for c1, c2 in itertools.permutations(COEFFS, 2):
+            germ = family_germ(e, c1, c2)
+            out.append((germ.label, germ))
+    return out
+
+
+def order_pairs(germs) -> list:
+    """(germ name, b1, b2) per pair of Puiseux branches of each germ."""
+    return [
+        (name, b1, b2)
+        for name, germ in germs
+        for b1, b2 in itertools.combinations(
+            [b for b in germ.branches if isinstance(b, PuiseuxBranch)], 2
+        )
+    ]
+
+
+def order_line(name, b1, b2) -> str:
+    sep = symbolic_separation_order(b1, b2)
+    shown = f"INFINITE<{sep.undecided_beyond}" if sep.infinite else str(sep.order)
+    return f"orders {name} {b1.label}|{b2.label} {shown}"
+
+
 def link_digest(germ, norm, density) -> str:
     try:
         report = llne_test(germ, RunConfig().scales(), norm, density)
@@ -144,7 +191,15 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--links", action="store_true", help="digest llne_test on the horn and wall-line germs"
     )
+    ap.add_argument(
+        "--orders", action="store_true", help="print the series oracle's order of each pair"
+    )
     args = ap.parse_args(argv)
+
+    if args.orders:
+        for pair in order_pairs(order_germs(args.workloads, args.seeds)):
+            print(order_line(*pair), flush=True)
+        return 0
 
     if args.cli:
         for run in CLI_RUNS:

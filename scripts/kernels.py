@@ -5,11 +5,13 @@ one analysis.
 The kernels are ``medial._project_branch`` (the foot Newton),
 ``PuiseuxBranch._point`` (a branch point), ``PuiseuxBranch.param_at_radius``
 (a radius solve), ``germs._miller_powers`` (Miller's recurrence in the
-series oracle) and ``links.link_section`` (one link section).  One
-analysis of the arc_fan workload's timed germs at seed 0
-(``perfbench/workloads.py``) records the arguments of every call to each;
-``link_section`` also records one analysis of the horn3d builtin, so its
-calls are the arc_fan germ's curve sections and horn3d's surface sections.
+series oracle), ``germs._aligned_components`` (a branch aligned to the
+distance for the oracle: its norm inversion and Horner pass) and
+``links.link_section`` (one link section).  One analysis of the arc_fan
+workload's timed germs at seed 0 (``perfbench/workloads.py``) records
+the arguments of every call to each; ``link_section`` also records one
+analysis of the horn3d builtin, so its calls are the arc_fan germ's curve
+sections and horn3d's surface sections.
 Every kernel is then timed on its own calls, the best of ``--repeats``
 passes, and printed as one line ``kernel calls, microseconds per call``.
 A ``_point`` call made inside a radius solve or a projection is recorded
@@ -41,6 +43,7 @@ KERNELS = {
     "_point": (PuiseuxBranch, "_point"),
     "param_at_radius": (PuiseuxBranch, "param_at_radius"),
     "_miller_powers": (germs, "_miller_powers"),
+    "_aligned_components": (germs, "_aligned_components"),
     "link_section": (links, "link_section"),
 }
 
@@ -102,7 +105,7 @@ def main(argv=None) -> int:
         made = calls[name]
         best = best_seconds(getattr(owner, attr), made, args.repeats)
         us = 1e6 * best / len(made) if made else 0.0
-        print(f"{name:<16} {len(made):>5} calls  {us:8.2f} us/call")
+        print(f"{name:<19} {len(made):>5} calls  {us:8.2f} us/call")
     return 0
 
 

@@ -21,9 +21,15 @@ numpy's SIMD ``pow`` rounds differently from libm's on some inputs, and its
 vector loop differently again from its single-element calls.  Like every
 per-point kernel (see ``norms``), the scalar path and the radius solve on
 it make only the numpy calls whose bits they pin and run the rest on
-Python floats; Miller's recurrence in the series oracle builds the factors
-that no step changes once and keeps numpy only for each step's weights and
-row sums.
+Python floats, and skip a call whose value an identity fixes (a term of
+exponent 1 is s itself); Miller's recurrence in the series oracle builds
+the factors that no step changes once and keeps numpy only for each step's
+weights and row sums.
+
+The series oracle aligns its branches first to a short cap (max_exp + 1,
+``first_separation_cap``) and to its full cap only for a pair that does
+not separate below the short one; the shorter alignment is bitwise a
+prefix of the longer, so the order is the full computation's.
 """
 
 from __future__ import annotations
@@ -117,10 +123,13 @@ class PuiseuxBranch:
         ``eval`` does.  Never Python's ``**`` (libm ``pow``) nor one vector
         ``np.power`` over all exponents: numpy's SIMD ``pow`` rounds
         differently from both on some inputs, so either would change bits
-        of the output.  The terms are summed on floats in ``eval``'s order
-        from 0.0 (so the first term is 0.0 + p c, which turns a -0.0
-        product into 0.0 as ``eval``'s zeroed array does), unrolled for
-        plane and space branches.
+        of the output.  A term of exponent 1 takes s itself and makes no
+        call, since ``np.power(s, 1.0)`` is s for every float s (a test
+        holds the identity over every binade); every other exponent makes
+        its call.  The terms are summed on floats in ``eval``'s order from
+        0.0 (so the first term is 0.0 + p c, which turns a -0.0 product
+        into 0.0 as ``eval``'s zeroed array does), unrolled for plane and
+        space branches.
         """
         if s < 0 or s > self.t_max * (1 + 1e-12):
             raise DomainError(f"branch {self.label!r}: parameter outside [0, {self.t_max}]")
@@ -128,21 +137,21 @@ class PuiseuxBranch:
         if dim == 2:
             x = y = 0.0
             for e, (cx, cy) in self.float_terms:
-                p = float(np.power(s, e))
+                p = s if e == 1.0 else float(np.power(s, e))
                 x += p * cx
                 y += p * cy
             return [x, y]
         if dim == 3:
             x = y = z = 0.0
             for e, (cx, cy, cz) in self.float_terms:
-                p = float(np.power(s, e))
+                p = s if e == 1.0 else float(np.power(s, e))
                 x += p * cx
                 y += p * cy
                 z += p * cz
             return [x, y, z]
         out = [0.0] * dim
         for e, c in self.float_terms:
-            p = float(np.power(s, e))
+            p = s if e == 1.0 else float(np.power(s, e))
             out = [o + p * ck for o, ck in zip(out, c)]
         return out
 
@@ -405,6 +414,13 @@ def separation_cap(branches) -> Fraction:
     return 3 * max(b.max_exponent() for b in branches) + 6
 
 
+def first_separation_cap(branches) -> Fraction:
+    """The short cap max_exp + 1 to which ``symbolic_separation_order``
+    first aligns pairs among ``branches``: tangent branches most often
+    separate at an exponent of their own, so below it."""
+    return max(b.max_exponent() for b in branches) + 1
+
+
 def _aligned_components(b: PuiseuxBranch, cap: Fraction):
     """(m, A): b at distance t as power series in t^{1/m}; A[:, k] is the
     coefficient vector of t^{k/m}, for k/m < cap.
@@ -431,16 +447,18 @@ def _aligned_components(b: PuiseuxBranch, cap: Fraction):
 
 class AlignedSeries:
     """Each Puiseux branch's distance-aligned series (``_aligned_components``),
-    computed once, to the length that ``cap`` asks of it.
+    computed once, to at least the length that ``cap`` asks of it.
 
-    ``pair_reports`` builds one per call, with the largest cap of its series
-    pairs, and ``symbolic_separation_order`` slices each pair's first
-    ceil(cap m) columns off it.  The slice is bitwise the series aligned at
-    that length: Miller's recurrence fills each coefficient of the norm
-    inversion by itself, and each Horner step's truncated product fills
-    coefficient k from coefficients 0..k of its factors alone.  Branches
-    key the store by identity, and the store lives only as long as its
-    ``pair_reports`` call.
+    ``pair_reports`` builds one per call, at the first cap of its series
+    branches (``first_separation_cap``), and ``symbolic_separation_order``
+    slices each pair's first ceil(cap m) columns off it; a pair that asks
+    for more than the store holds has its branches aligned again, at the
+    longer cap.  The slice is bitwise the series aligned at that length:
+    Miller's recurrence fills each coefficient of the norm inversion by
+    itself, and each Horner step's truncated product fills coefficient k
+    from coefficients 0..k of its factors alone.  Branches key the store
+    by identity, and the store lives only as long as its ``pair_reports``
+    call.
     """
 
     def __init__(self, cap: Fraction):
@@ -454,6 +472,20 @@ class AlignedSeries:
             hit = self._series[b] = _aligned_components(b, max(cap, self.cap))
         m, a = hit
         return m, a[:, : math.ceil(cap * m)]
+
+
+def _first_separating_term(b1, b2, aligned: AlignedSeries, cap: Fraction):
+    """The first lattice exponent below ``cap`` at which the aligned series
+    of b1 and b2 differ by more than the floor, or None."""
+    (m1, a1), (m2, a2) = (aligned.of(b, cap) for b in (b1, b2))
+    lcm = math.lcm(m1, m2)
+    lattice = np.zeros((2, b1.ambient_dim, math.ceil(cap * lcm)))
+    lattice[0][:, :: lcm // m1] = a1
+    lattice[1][:, :: lcm // m2] = a2
+    diff = np.abs(lattice[0] - lattice[1]).max(axis=0)
+    floor = COEFF_TOL * np.maximum.accumulate(np.abs(lattice).max(axis=(0, 1)))
+    hits = np.flatnonzero(diff > floor)
+    return Fraction(int(hits[0]), lcm) if hits.size else None
 
 
 def symbolic_separation_order(
@@ -470,27 +502,32 @@ def symbolic_separation_order(
     (t, c t^{3/2})), so a floor set by the largest coefficient of the whole
     truncation would hide the true order.
 
+    The lattice is compared first up to a short cap, the store's cap or
+    the pair's own if that is smaller, and up to the full cap only when
+    no term below the short cap separates the pair.  Both passes give the
+    full computation's order: a series aligned to a shorter cap is bitwise
+    the prefix of the longer one (``AlignedSeries``), and the floor is a
+    running maximum, so at lattice index k it reads indices up to k alone.
+    INFINITE still means no separating term below 3 max_exp + 6.
+
     ``aligned`` shares each branch's aligned series across the pairs of one
     ``pair_reports`` call (one norm inversion and one Horner pass per
-    branch, at the largest cap); the order is bitwise the same with or
+    branch, at the first cap of its branches); a lone call aligns its pair
+    at ``first_separation_cap``.  The order is bitwise the same with or
     without it.
     """
     if b1.ambient_dim != b2.ambient_dim:
         raise InputError("branches must share an ambient dimension")
     cap = separation_cap((b1, b2))
     if aligned is None:
-        aligned = AlignedSeries(cap)
-    (m1, a1), (m2, a2) = (aligned.of(b, cap) for b in (b1, b2))
-    lcm = math.lcm(m1, m2)
-    lattice = np.zeros((2, b1.ambient_dim, math.ceil(cap * lcm)))
-    lattice[0][:, :: lcm // m1] = a1
-    lattice[1][:, :: lcm // m2] = a2
-    diff = np.abs(lattice[0] - lattice[1]).max(axis=0)
-    floor = COEFF_TOL * np.maximum.accumulate(np.abs(lattice).max(axis=(0, 1)))
-    hits = np.flatnonzero(diff > floor)
-    if hits.size == 0:
+        aligned = AlignedSeries(first_separation_cap((b1, b2)))
+    first = min(aligned.cap, cap)
+    order = _first_separating_term(b1, b2, aligned, first)
+    if order is None and first < cap:
+        order = _first_separating_term(b1, b2, aligned, cap)
+    if order is None:
         return SeparationOrder(None, True, undecided_beyond=cap)
-    return SeparationOrder(Fraction(int(hits[0]), lcm), False, None)
+    return SeparationOrder(order, False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +541,9 @@ class GermSet:
 
     ``branches`` may hold any objects with the curve-piece interface
     (``label``, ``point_at_radius``, ``max_radius``, and ``arc_length``, the
-    length from 0 to the radius-r point); exact Puiseux branches
+    length from 0 to the radius-r point); a piece other than a Puiseux
+    branch also gives ``arc_lengths``, that length for each radius of a
+    ladder, which the pair ladders read.  Exact Puiseux branches
     additionally support the series-level oracles.
     """
 

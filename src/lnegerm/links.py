@@ -30,7 +30,7 @@ from .germs import GermSet, RadiusTable
 # links.build_graph by name, so the name stays importable from this module.
 from .metrics import build_graph, components, edge_matrix  # noqa: F401
 from .metrics import linkage_labels, pairwise_sq_distances
-from .norms import EUCLID
+from .norms import EUCLID, WeightedMaxNorm
 from .tangency import MIN_SCALES, OrderEstimate, Verdict, estimate_order
 # pair_verdict is no longer called here, but perfbench/tracer.py wraps
 # links.pair_verdict by name, so the name stays importable from this module.
@@ -133,7 +133,9 @@ def link_section(
     again, and a germ's surface pieces have their sections on every ladder
     radius solved together on the first ask; a caller without one gets a
     fresh table.  All emitted points satisfy the band constraint
-    | ||x||_norm - t | <= BAND * t by construction.
+    | ||x||_norm - t | <= BAND * t by construction.  A max norm needs one
+    weight per ambient coordinate of the germ; here, where the two meet,
+    any other count is an ``InputError`` naming both.
 
     The graph follows sample adjacency, not a radius: consecutive theta
     rays on a horn (a closed cycle when no ray is skipped) and consecutive
@@ -163,6 +165,11 @@ def link_section(
     """
     if not (math.isfinite(t) and t > 0):
         raise InputError(f"link scale must be positive and finite, got {t}")
+    if isinstance(norm, WeightedMaxNorm) and len(norm.weights) != set_.ambient_dim:
+        raise InputError(
+            f"germ set {set_.label!r} has ambient dimension {set_.ambient_dim}, "
+            f"max norm has {len(norm.weights)} weights"
+        )
     if table is None:
         table = RadiusTable((t,))
     curves = []

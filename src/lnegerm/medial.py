@@ -40,6 +40,7 @@ radius, so raw sample distances cannot separate competing pieces.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -109,6 +110,14 @@ def _project_branch(branch: PuiseuxBranch, x0: float, x1: float, seed: float, wi
     convergence test are float comparisons with the semantics of Python's
     ``min`` and ``max`` (the first argument wins a tie, so NaN and signed
     zeros come out as they would), at a fraction of a builtin call's cost.
+    A linear lead term costs no power: its point term is 0.0 + c s, since
+    libm's s**1.0 is s, its derivative term the constant 0.0 + c, since
+    Python's s**0.0 is 1.0, and it has no curvature term, whose weight
+    e (e - 1) is 0 and would add a signed zero to a sum of squares.  The
+    skip keeps the bits wherever the skipped power s**-1.0 is finite; at
+    0 < s <= 2**-1024 it overflows, and computing it would raise
+    ``OverflowError``.  The ``0.0 + ...`` forms keep the signed zeros of
+    the loop.
     The returned point is ``branch._point``'s (numpy's ``pow``, as
     ``branch.eval``) and the distance ``sqrt(d.dot(d))`` of the ambient
     difference array d, one BLAS ``ddot``, which rounds differently from a
@@ -133,6 +142,12 @@ def _project_branch(branch: PuiseuxBranch, x0: float, x1: float, seed: float, wi
             gy += cy * pe
         return math.sqrt((gx - x0) ** 2 + (gy - x1) ** 2)
 
+    # a linear lead term costs no power: s**1.0 is s and s**0.0 is 1.0
+    unit = terms[0][0] == 1.0
+    if unit:
+        _, _, _, _, ux, uy, eux, euy = terms[0]
+        g1x0, g1y0 = 0.0 + eux, 0.0 + euy
+    rest = terms[1:] if unit else terms
     s = lo if lo > seed else seed  # min(max(seed, lo), hi)
     if hi < s:
         s = hi
@@ -140,8 +155,13 @@ def _project_branch(branch: PuiseuxBranch, x0: float, x1: float, seed: float, wi
     for _ in range(30):
         if s == 0.0 and terms[0][0] < 1.0:
             break  # gamma' is unbounded at 0
-        gx = gy = g1x = g1y = 0.0
-        for e, e1, _, _, cx, cy, ecx, ecy in terms:
+        if unit:
+            gx = 0.0 + ux * s
+            gy = 0.0 + uy * s
+            g1x, g1y = g1x0, g1y0
+        else:
+            gx = gy = g1x = g1y = 0.0
+        for e, e1, _, _, cx, cy, ecx, ecy in rest:
             pe = s**e
             pe1 = s**e1
             gx += cx * pe
@@ -152,7 +172,8 @@ def _project_branch(branch: PuiseuxBranch, x0: float, x1: float, seed: float, wi
         psi = rx * g1x + ry * g1y
         dpsi = g1x * g1x + g1y * g1y
         if s > 0.0:
-            for _, _, e2, ee1, cx, cy, _, _ in terms:
+            # a linear term's curvature weight e (e - 1) is 0
+            for _, _, e2, ee1, cx, cy, _, _ in rest:
                 pe2 = ee1 * s**e2
                 dpsi += rx * cx * pe2
                 dpsi += ry * cy * pe2
@@ -699,13 +720,34 @@ class SampledCurve:
 
     def arc_length(self, r: float) -> float:
         """Length of the chord path from 0 through the points at the
-        ``ladder`` radii below r to the radius-r point; at a ladder radius
-        it needs no solve."""
-        r = float(r)
-        below = sorted(t for t in self.ladder if t < r * (1 - 1e-9))
-        path = [np.zeros(self.ambient_dim)] + [self.point_at_radius(t) for t in below]
-        path.append(self.point_at_radius(r))
-        return float(np.linalg.norm(np.diff(path, axis=0), axis=1).sum())
+        ``ladder`` radii below r to the radius-r point (``arc_lengths``)."""
+        return self.arc_lengths([r])[0]
+
+    def arc_lengths(self, rs) -> list:
+        """``arc_length`` of each radius of ``rs``: the length of the chord
+        path from 0 through the points at the ``ladder`` radii below r to
+        the radius-r point, which at a ladder radius needs no solve.
+
+        The chords between consecutive ladder points are measured once, in
+        one row-norm pass.  Each radius sums, with one ``.sum()``, the
+        chords of its own path in its order: a prefix of the ladder chords,
+        and for a radius off the ladder one more chord to its own point,
+        measured by the same row norm.  So each length has the bits of its
+        path measured alone, numpy's pairwise sum of 8 or more chords
+        included.
+        """
+        up = sorted(self.ladder)
+        path = [np.zeros(self.ambient_dim)] + [self.point_at_radius(t) for t in up]
+        chords = np.linalg.norm(np.diff(path, axis=0), axis=1)
+        out = []
+        for r in map(float, rs):
+            k = bisect.bisect_left(up, r * (1 - 1e-9))
+            if k < len(up) and up[k] == r:
+                out.append(float(chords[: k + 1].sum()))
+                continue
+            last = np.linalg.norm(np.diff([path[k], self.point_at_radius(r)], axis=0), axis=1)
+            out.append(float(np.concatenate([chords[:k], last]).sum()))
+        return out
 
 
 def _angle(p) -> float:

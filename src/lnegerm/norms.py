@@ -18,7 +18,13 @@ The rule of every per-point kernel (``of``, ``PuiseuxBranch._point`` and
 ``param_at_radius``, ``medial._project_branch``, ``germs._miller_powers``):
 it makes only the numpy calls whose bits it pins, its clamps and
 tolerances run on Python floats with the semantics of Python's ``min`` and
-``max``, and arrays are built at the root, where a caller keeps one.
+``max``, and arrays are built at the root, where a caller keeps one.  A
+kernel skips a call only where an identity fixes its value for every
+float: ``np.power(x, 1.0)`` and libm's ``x ** 1.0`` are x (the scalar
+kernel tests hold both over every binade), CPython's ``x ** 0.0`` is 1.0
+without a libm call, and a term 0.0 * (finite) adds a signed zero, which
+leaves a sum of squares as it is.  No other exponent is skipped: libm's
+``x ** 2.0`` is not ``x * x`` on every input.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from .germs import (
     PuiseuxBranch,
     RadiusTable,
     check_scale_ladder,
-    separation_cap,
+    first_separation_cap,
     symbolic_separation_order,
 )
 # build_graph and inner_distance are no longer called here, but
@@ -181,7 +181,7 @@ class _Ladder:
     def lengths(self) -> list:
         if isinstance(self.piece, PuiseuxBranch):
             return self.piece.arc_lengths_at(self.params)
-        return [self.piece.arc_length(t) for t in self.scales]
+        return self.piece.arc_lengths(self.scales)
 
 
 def _separation(b1, b2, ladders, aligned=None) -> tuple:
@@ -282,9 +282,12 @@ def pair_reports(
     Each piece's work is done once, however many pairs it is in: it is put
     on the ladder once, with its parameters from ``table`` (see
     ``_Ladder``), and a Puiseux branch is aligned to the distance once
-    (one norm inversion and one Horner pass), to the largest cap of the
-    series pairs (``AlignedSeries``); each pair then slices its own cap off
-    it and runs the separation oracle with the same bits as alone.
+    (one norm inversion and one Horner pass), to the first cap of the
+    series branches, their largest max exponent plus 1
+    (``first_separation_cap``, ``AlignedSeries``); each pair then slices
+    its own length off it and runs the separation oracle with the same
+    bits as alone.  Only a pair with no separating term below that cap
+    has its branches aligned again, to its full cap 3 max_exp + 6.
     Both stores are keyed by the piece itself (pieces hash by identity).
     Every pair's distances, oracle and checks run first, in pair order,
     with the ladder checked after the first pair's, where a one-pair call
@@ -299,7 +302,7 @@ def pair_reports(
     series = {
         b for pair in pairs if all(isinstance(b, PuiseuxBranch) for b in pair) for b in pair
     }
-    aligned = AlignedSeries(separation_cap(series)) if series else None
+    aligned = AlignedSeries(first_separation_cap(series)) if series else None
     ladders: dict = {}
     separations, lengths = [], []
     for b1, b2 in pairs:

@@ -1,9 +1,12 @@
 """Curve germs: construction, evaluation, reparametrization, series oracle,
 and the germ JSON format."""
 
+import collections
+import importlib.util
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +280,114 @@ class TestSharedInversions:
             calls.clear()
             pair_reports(itertools.combinations(group, 2), [2.0**-k for k in range(4, 11)])
             assert sorted(map(id, calls)) == sorted(map(id, group))
+
+
+def _reference_separation_order(b1, b2):
+    """``symbolic_separation_order`` as it was before its short first cap:
+    both branches aligned to the pair's full cap, compared in one pass."""
+    cap = germs.separation_cap((b1, b2))
+    (m1, a1), (m2, a2) = (germs._aligned_components(b, cap) for b in (b1, b2))
+    lcm = math.lcm(m1, m2)
+    lattice = np.zeros((2, b1.ambient_dim, math.ceil(cap * lcm)))
+    lattice[0][:, :: lcm // m1] = a1
+    lattice[1][:, :: lcm // m2] = a2
+    diff = np.abs(lattice[0] - lattice[1]).max(axis=0)
+    floor = germs.COEFF_TOL * np.maximum.accumulate(np.abs(lattice).max(axis=(0, 1)))
+    hits = np.flatnonzero(diff > floor)
+    if hits.size == 0:
+        return germs.SeparationOrder(None, True, undecided_beyond=cap)
+    return germs.SeparationOrder(Fraction(int(hits[0]), lcm), False, None)
+
+
+def _load_script(name: str):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: (t, t^{6/5} + t^{4/3}/2 - 2 t^{7/4}) and (t, -t^{6/5} + 3 t^{5/2}): lattice
+#: t^{1/60}, order 6/5, full cap 3 * 5/2 + 6
+LCM_60 = (
+    puiseux_branch(
+        [(1, (1.0, 0.0)), ((6, 5), (0.0, 1.0)), ((4, 3), (0.0, 0.5)), ((7, 4), (0.0, -2.0))],
+        1.0,
+        "m1",
+    ),
+    puiseux_branch([(1, (1.0, 0.0)), ((6, 5), (0.0, -1.0)), ((5, 2), (0.0, 3.0))], 1.0, "m2"),
+)
+#: (s + s^2, s^3) and (s, s^3): y = x^3 - 3x^4 + ... against y = x^3, so
+#: order 4, at the first cap max_exp + 1 = 4; only the second pass finds it
+AT_FIRST_CAP = (
+    puiseux_branch([(1, (1.0, 0.0)), (2, (1.0, 0.0)), (3, (0.0, 1.0))], 1.0, "x_bent"),
+    puiseux_branch([(1, (1.0, 0.0)), (3, (0.0, 1.0))], 1.0, "x_straight"),
+)
+
+
+class TestShortFirstCap:
+    """The oracle compares up to ``first_separation_cap`` first and goes to
+    the full cap only for a pair that does not separate below it; every
+    order is held to the full-cap body it replaced."""
+
+    def _groups(self):
+        digests = _load_script("digests")
+        groups = {}
+        for name, b1, b2 in digests.order_pairs(digests.order_germs()):
+            groups.setdefault(name, []).append((b1, b2))
+        for seed in (0, 1, 2):
+            for k, group in enumerate(_seeded_fans(seed)):
+                pairs = list(itertools.combinations(group, 2))
+                # a coincident copy never separates: INFINITE, after both passes
+                pairs += [(b, puiseux_branch(b.terms, b.t_max, b.label + "_copy")) for b in group]
+                groups[f"fans{seed}:{k}"] = pairs
+        groups["lcm60"] = [LCM_60]
+        groups["at_first_cap"] = [AT_FIRST_CAP]
+        return groups
+
+    def test_orders_match_the_full_cap_body(self):
+        # every Puiseux pair of the digest germs (the default set and the
+        # 210-germ plane family), the seeded fans with coincident copies,
+        # the lcm-60 pair and a pair at the first cap; alone and through
+        # one store per group, as pair_reports shares it
+        seen = collections.Counter()
+        for pairs in self._groups().values():
+            branches = {b for pair in pairs for b in pair}
+            aligned = germs.AlignedSeries(germs.first_separation_cap(branches))
+            for b1, b2 in pairs:
+                ref = _reference_separation_order(b1, b2)
+                assert symbolic_separation_order(b1, b2) == ref, (b1.label, b2.label)
+                assert symbolic_separation_order(b1, b2, aligned) == ref, (b1.label, b2.label)
+                seen["infinite" if ref.infinite else "finite"] += 1
+        assert seen["finite"] > 700 and seen["infinite"] > 300
+
+    def test_pair_at_the_first_cap_takes_the_second_pass(self, monkeypatch):
+        calls = []
+        original = germs._aligned_components
+
+        def recorded(b, cap):
+            calls.append((b.label, cap))
+            return original(b, cap)
+
+        monkeypatch.setattr(germs, "_aligned_components", recorded)
+        sep = symbolic_separation_order(*AT_FIRST_CAP)
+        assert sep.order == 4 >= germs.first_separation_cap(AT_FIRST_CAP)
+        assert calls == [("x_bent", 4), ("x_straight", 4), ("x_bent", 15), ("x_straight", 15)]
+        # pair_reports' exact order takes the same second pass
+        (report,) = pair_reports([AT_FIRST_CAP], [2.0**-k for k in range(4, 11)])
+        assert report.tord_exact == 4
+
+    def test_separating_pairs_align_to_the_first_cap_only(self, monkeypatch):
+        # the lcm-60 pair separates at 6/5, below its first cap 7/2: each
+        # branch is aligned once, to the first cap, and the lattice holds
+        # 210 terms of t^{1/60}, not the full cap's 810
+        calls = []
+        original = germs._aligned_components
+        monkeypatch.setattr(
+            germs, "_aligned_components", lambda b, cap: calls.append(cap) or original(b, cap)
+        )
+        assert symbolic_separation_order(*LCM_60).order == Fraction(6, 5)
+        assert calls == [Fraction(7, 2)] * 2
 
 
 class TestSampling:

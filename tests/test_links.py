@@ -69,6 +69,20 @@ class TestLinkSection:
             got = {tuple(np.round(p / t, 9)) for p in s.points}
             assert got == {(1.0, 1.0), (-1.0, 1.0)}
 
+    def test_max_norm_weights_must_match_the_germ(self):
+        # two space lines: a max norm with two or four weights is an
+        # InputError naming both, not a numpy broadcast error or a zip
+        # that drops a coordinate
+        lines = _curves("space_lines", ([(1, (1.0, 0.0, 0.0))], 1.0), ([(1, (0.0, 1.0, 0.0))], 1.0))
+        for weights in ((1.0, 1.0), (1.0, 1.0, 1.0, 1.0)):
+            match = f"'space_lines' has ambient dimension 3, max norm has {len(weights)} weights"
+            with pytest.raises(InputError, match=match):
+                link_section(lines, 0.1, WeightedMaxNorm(weights))
+            with pytest.raises(InputError, match=match):
+                llne_test(lines, RunConfig().scales(), WeightedMaxNorm(weights))
+        with pytest.raises(InputError, match="max norm has 2 weights"):
+            link_section(builtin("horn3d").germ(), 0.1, WeightedMaxNorm((1.0, 1.0)))
+
     def test_too_short_piece_contributes_nothing(self):
         short = puiseux_branch([(1, (1, 0))], 0.01, "short")
         long = puiseux_branch([(1, (0, 1))], 1.0, "long")

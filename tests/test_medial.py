@@ -5,8 +5,10 @@ plane germs (``_scan_crossings``), it is the independent reference that the
 exact bisector branches are held to.
 """
 
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from lnegerm import (
     FootFinder,
     InputError,
+    LnegermError,
     PuiseuxBranch,
     RadiusTable,
     ResolutionError,
@@ -24,6 +27,7 @@ from lnegerm import (
     medial_branch_germs,
     pair_reports,
     puiseux_branch,
+    run_scenario,
 )
 from lnegerm import medial
 from lnegerm.surfaces import HornPiece, WallPiece
@@ -729,6 +733,69 @@ class TestPlaneMedialBranches:
         germ = germ_set(branches=(_sampled_line((0.1,)), _line((0, 1), "line")))
         with pytest.raises(InputError):
             medial_branch_germs(germ, [0.1, 0.05])
+
+
+def _reference_arc_length(curve, r):
+    """``SampledCurve.arc_length`` as it was before ``arc_lengths``: the
+    chord path of one radius, measured alone."""
+    r = float(r)
+    below = sorted(t for t in curve.ladder if t < r * (1 - 1e-9))
+    path = [np.zeros(curve.ambient_dim)] + [curve.point_at_radius(t) for t in below]
+    path.append(curve.point_at_radius(r))
+    return float(np.linalg.norm(np.diff(path, axis=0), axis=1).sum())
+
+
+def _length_outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except LnegermError as exc:
+        return type(exc).__name__
+
+
+def _digest_medial_curves():
+    """The medial curves of every default germ of ``scripts/digests.py``."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "digests.py"
+    spec = importlib.util.spec_from_file_location("digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    return [
+        curve
+        for workload, seeds in digests.DEFAULT
+        for seed in seeds
+        for case in digests.build_cases(workload, seed)
+        for curve in run_scenario(case.scenario, case.config).medial_curves
+    ]
+
+
+class TestChordsOnce:
+    """``SampledCurve.arc_lengths`` measures the ladder chords once; each
+    length must have the bits of its own chord path measured alone."""
+
+    def _check(self, curve, off_ladder):
+        ladder = curve.ladder
+        ref = [_reference_arc_length(curve, t).hex() for t in ladder]
+        assert [v.hex() for v in curve.arc_lengths(ladder)] == ref, curve.label
+        assert [curve.arc_length(t).hex() for t in ladder] == ref, curve.label
+        for r in off_ladder:
+            want = _length_outcome(_reference_arc_length, curve, r)
+            assert _length_outcome(curve.arc_length, r) == want, (curve.label, r)
+
+    def test_digest_germs(self):
+        curves = _digest_medial_curves()
+        assert len(curves) > 90
+        for curve in curves:
+            top, low = curve.ladder[0], curve.ladder[-1]
+            self._check(curve, [0.0, 0.75 * curve.ladder[2], 0.5 * low, top * (1 - 1e-10)])
+
+    @pytest.mark.parametrize("label", ["cusp", "three_tangent", "horn3d"])
+    def test_twelve_levels(self, label):
+        # the top radii sum 8 to 12 chords, which numpy adds pairwise
+        scales = RunConfig(levels=12).scales()
+        _, curves = medial_branch_germs(builtin(label).germ(), scales)
+        assert curves and all(len(c.ladder) == 12 for c in curves)
+        for curve in curves:
+            mids = [math.sqrt(a * b) for a, b in zip(scales, scales[1:])]
+            self._check(curve, mids[:3] + [2.0 * scales[0], -1.0])
 
 
 class TestBranchTracking:

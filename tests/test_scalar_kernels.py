@@ -120,21 +120,42 @@ def _hexes(values) -> list:
 def test_branch_point_matches_its_old_body():
     # plane and space branches take the unrolled sums, any other dimension
     # the general loop; zero coefficients and s = 0 make -0.0 products,
-    # which the first term's 0.0 + p c turns into 0.0 on every path
+    # which the first term's 0.0 + p c turns into 0.0 on every path.  A
+    # term of exponent 1 takes s in place of np.power(s, 1.0): unit terms,
+    # leading or not, meet s = 0, -0.0, subnormal s and t_max
     rng = random.Random(6)
     branches = _branches(0) + [
         puiseux_branch([(1, (-1.0,)), ((5, 2), (2.0,))], 1.0, "line1"),
         puiseux_branch([(1, (1.0, -0.0, 0.0, -2.0)), ((4, 3), (0.0, 1.0, -1.0, 0.5))], 1.0, "b4"),
         puiseux_branch([(1, (-1.0, 0.0)), (2, (0.0, -3.0))], 1.0, "signed"),
         puiseux_branch([(1, (0.0, -1.0, 0.0)), ((3, 2), (0.0, 0.0, -2.0))], 1.0, "signed3"),
+        puiseux_branch([(1, (-0.0, 2.0))], 0.5, "line2"),
+        puiseux_branch([((1, 2), (1.0, -0.0)), (1, (-0.0, -1.0)), (2, (3.0, 0.0))], 1.0, "mid2"),
+        puiseux_branch([((2, 3), (0.0, 1.0, -0.0)), (1, (-2.0, -0.0, 1.0))], 1.0, "mid3"),
     ]
     assert {b.ambient_dim for b in branches} == {1, 2, 3, 4}
+    assert sum(any(e == 1 for e, _ in b.terms) for b in branches) >= 10
     for b in branches:
-        for s in _params(b, rng) + [-0.0]:
+        for s in _params(b, rng) + [-0.0, 5e-324, 1e-310, 1e-308]:
             got = b._point(s)
             assert type(got) is list and all(type(v) is float for v in got)
             assert _hexes(got) == _hexes(_reference_point(b, s)), (b.label, s)
     assert _hexes(branches[-1]._point(0.0)) == _hexes([0.0, 0.0, 0.0])
+
+
+def test_unit_power_is_the_identity_on_every_binade():
+    # _point takes s for np.power(s, 1.0), and the foot Newton takes s for
+    # libm's s**1.0 and 1.0 for s**0.0; should an identity fail on some
+    # platform, this fails rather than the bits changing silently
+    rng = np.random.default_rng(29)
+    biased = np.repeat(np.arange(2047, dtype=np.uint64), 8)  # 0: the subnormals
+    mantissa = rng.integers(0, 2**52, size=biased.size, dtype=np.uint64)
+    sign = rng.integers(0, 2, size=biased.size, dtype=np.uint64)
+    xs = ((sign << np.uint64(63)) | (biased << np.uint64(52)) | mantissa).view(np.float64)
+    for x in xs.tolist() + [0.0, -0.0, 5e-324, 2.0**-1022, 1.0, np.finfo(float).max]:
+        assert (x**1.0).hex() == x.hex()
+        assert float(np.power(x, 1.0)).hex() == x.hex()
+        assert x**0.0 == 1.0
 
 
 def test_branch_domain_errors_on_both_paths():
@@ -544,6 +565,44 @@ def test_project_branch_feet_at_zero():
     half = puiseux_branch([((1, 2), (1.0, 0.0)), (1, (0.0, 1.0))], 1.0, "half")
     for q in ([-0.01, 0.0], [0.0, 0.2], [0.04, -0.1]):
         _same_projection(half, np.array(q), 0.0, 0.5)
+
+
+def test_project_branch_unit_lead_term():
+    # a linear lead term costs the Newton step no power (point term c s,
+    # derivative term c, no curvature term): seeds at +-0, at subnormals
+    # whose reciprocal is finite, inside and at t_max, with -0.0
+    # coefficients, in the plane and on a 3D trace.  A seed of -0.0 with
+    # the query at the origin keeps the sign of its foot parameter only
+    # while the point and derivative terms start from 0.0 as the loop did
+    branches = [
+        puiseux_branch([(1, (1.0, -0.0)), ((3, 2), (-0.0, 2.0))], 0.5, "u2"),
+        puiseux_branch([(1, (-0.0, -1.0)), (2, (0.5, -0.0))], 1.0, "u2b"),
+        puiseux_branch([(1, (1.0, 0.5)), ((7, 3), (0.0, -1.0))], 1.0, "u2c"),
+        puiseux_branch([(1, (-0.0, 1.0, 0.0)), ((5, 2), (1.0, -0.0, -0.0))], 1.0, "u3"),
+        puiseux_branch([(1, (1.0, -0.0))], 1.0, "line"),
+        puiseux_branch([(1, (0.6, 0.8))], 1.0, "diagonal"),
+    ]
+    tiny = (1e-308, math.nextafter(2.0**-1024, 1.0))
+    for b in branches:
+        assert b.plane_terms[0][0] == 1.0
+        t = b.t_max
+        pad = [0.0] * (b.ambient_dim - 2)
+        foot = b.eval(np.asarray(0.4 * t))
+        near = foot.copy()
+        near[:2] += 0.05 * t
+        queries = [foot, near, np.array([-0.01, 0.02, *pad]), np.zeros(b.ambient_dim)]
+        for seed in (0.0, -0.0, *tiny, 0.3 * t, t):
+            for window in (1e-3 * t, 0.5 * t, 2.0 * t):
+                for q in queries:
+                    _same_projection(b, q, seed, window)
+    # at 0 < s <= 2**-1024, where s**-1.0 overflows, the old loop's
+    # curvature power raised; the kernel skips it and solves on
+    b = branches[0]
+    q = b.eval(np.asarray(0.25))
+    with pytest.raises(OverflowError):
+        _reference_project_branch(b, q, 2.0**-1024, 0.5)
+    dist, _, s = medial._project_branch(b, *medial._plane_query(b, q), 2.0**-1024, 0.5)
+    assert dist < 1e-9 and s == pytest.approx(0.25, rel=1e-6)
 
 
 def test_project_branch_clamps_and_zero_seeds():

@@ -84,7 +84,8 @@ def test_kernels(capsys):
 def test_digests_repeat(capsys):
     script = _load("digests")
     outs = {}
-    for argv in (["--workloads", "arc_fan", "--seeds", "3"], ["--cli"], ["--links"]) * 2:
+    runs = (["--workloads", "arc_fan", "--seeds", "3"], ["--cli"], ["--links"], ["--orders"])
+    for argv in runs * 2:
         assert script.main(argv) == 0
         outs.setdefault(argv[0], []).append(capsys.readouterr().out)
     # a second run of the same germs and command lines gives the same bytes
@@ -111,4 +112,12 @@ def test_digests_repeat(capsys):
         pattern = (
             r"links (horn3d|horn_wall_\S+|wall_lines_\S+) (euclid|maxv\S*) (8|32|64) [0-9a-f]{64}"
         )
+        assert re.fullmatch(pattern, line), line
+    # one line per Puiseux pair: 128 of the default germs (none of horn3d)
+    # and one per germ of the 210-germ plane family, each with its exact
+    # order, none INFINITE
+    lines = outs["--orders"][0].splitlines()
+    assert len(lines) == 128 + 210
+    for line in lines:
+        pattern = r"orders (\w+:\d:)?[\w-]+ \w+\|\w+ \d+(/\d+)?"
         assert re.fullmatch(pattern, line), line
