@@ -1,9 +1,9 @@
 """Run configuration shared by the scenario runner and the CLI.
 
 A configuration bundles the geometric scale grid, the sampling density of
-link sections and point clouds, the angular threshold of medial bisectors,
-the order tolerance of the arc criterion, the ambient norm selector, and
-output options.  Everything downstream is deterministic for a fixed
+surface link sections (and of ``--plot``'s branch samples), the angular
+threshold of medial bisectors, the order tolerance of the arc criterion,
+the ambient norm selector, and output options.  Everything downstream is deterministic for a fixed
 configuration; ``seed`` is recorded in reports so that randomized *callers*
 (property tests, randomized germ generators) can tie their output to a run.
 """

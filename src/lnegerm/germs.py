@@ -47,6 +47,10 @@ from .metrics import PointCloud, cluster_labels
 from .norms import EUCLID
 from .optimize import brentq
 
+#: the fewest scales a ladder may have (``check_scale_ladder``): the log-log
+#: fits and the link trend need at least this many
+MIN_SCALES = 5
+
 
 @dataclass(frozen=True, eq=False)
 class HalfLine:
@@ -685,19 +689,22 @@ def merge_coincident(pts: np.ndarray, labels, params, tol: float):
     )
 
 
-def check_scale_ladder(scales) -> None:
-    """Raise ``InputError`` unless the scales are positive and finite and
-    decrease strictly along a geometric sequence."""
-    t = np.asarray(scales, dtype=float)
+def check_scale_ladder(scales) -> list:
+    """The scales as floats; ``InputError`` unless there are at least
+    ``MIN_SCALES`` of them, positive and finite, decreasing strictly along a
+    geometric sequence."""
+    scales = [float(t) for t in scales]
+    if len(scales) < MIN_SCALES:
+        raise InputError(f"need at least {MIN_SCALES} scales, got {len(scales)}")
+    t = np.asarray(scales)
     if not np.all(np.isfinite(t) & (t > 0)):
         raise InputError("scales must be positive and finite")
-    if len(t) < 2:
-        return
     ratios = t[1:] / t[:-1]
     if np.any(ratios >= 1):
         raise InputError("scales must be strictly decreasing")
     if np.max(ratios) - np.min(ratios) > 1e-6:
         raise InputError("scales must form a geometric sequence")
+    return scales
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .germs import GermSet, RadiusTable
+from .germs import GermSet, RadiusTable, check_scale_ladder
 # build_graph is no longer called here, but perfbench/tracer.py wraps
 # links.build_graph by name, so the name stays importable from this module.
 from .metrics import build_graph, components, edge_matrix  # noqa: F401
 from .metrics import linkage_labels, pairwise_sq_distances
 from .norms import EUCLID, WeightedMaxNorm
-from .tangency import MIN_SCALES, OrderEstimate, Verdict, estimate_order
+from .tangency import OrderEstimate, Verdict, estimate_order
 # pair_verdict is no longer called here, but perfbench/tracer.py wraps
 # links.pair_verdict by name, so the name stays importable from this module.
 from .tangency import pair_verdict  # noqa: F401
@@ -190,11 +190,12 @@ def _curve_section(set_: GermSet, t: float, norm, curves: list) -> LinkSample:
 
     Bitwise the array path's section: each squared distance is summed
     coordinate by coordinate from 0.0, (dx*dx + dy*dy) + dz*dz as
-    ``pairwise_sq_distances`` sums it; points within COINCIDENT_TOL * t
-    merge by a small union-find that keeps each group at its lowest index,
-    as ``linkage_labels`` does; the band check is ``norm.of``, the bits of
-    ``norm(pts)``; distances are the correctly rounded ``math.sqrt``, as
-    ``np.sqrt``.  Without edges every kept point is its own component.
+    ``pairwise_sq_distances`` sums it; where two points lie within
+    COINCIDENT_TOL * t, the matrix goes to ``linkage_labels``, the array
+    path's one union-find, and each group is kept at its lowest index; the
+    band check is ``norm.of``, the bits of ``norm(pts)``; distances are the
+    correctly rounded ``math.sqrt``, as ``np.sqrt``.  Without edges every
+    kept point is its own component.
     """
     n = len(curves)
     if not n:
@@ -202,7 +203,7 @@ def _curve_section(set_: GermSet, t: float, norm, curves: list) -> LinkSample:
     tol = COINCIDENT_TOL * t
     tol2 = tol * tol
     sq = [[0.0] * n for _ in range(n)]
-    group = list(range(n))
+    coincident = False
     for j in range(1, n):
         pj = curves[j][0]
         for i in range(j):
@@ -211,9 +212,12 @@ def _curve_section(set_: GermSet, t: float, norm, curves: list) -> LinkSample:
                 d = a - b
                 acc += d * d
             sq[i][j] = sq[j][i] = acc
-            if acc <= tol2 and group[i] != group[j]:
-                lo, hi = sorted((group[i], group[j]))
-                group = [lo if g == hi else g for g in group]
+            if acc <= tol2:
+                coincident = True
+    group = list(range(n))
+    if coincident:
+        remap = linkage_labels(np.array(sq), tol)
+        group = np.unique(remap, return_index=True)[1][remap].tolist()
     keep = [k for k in range(n) if group[k] == k]
     labels = tuple(frozenset(label for g, (_, label) in zip(group, curves) if g == k) for k in keep)
     for k in keep:
@@ -373,9 +377,7 @@ def llne_test(
     scale grid broken by empty sections, is undecided.  ``table`` is as in
     ``link_section``; without one the sections share a fresh table.
     """
-    scales = [float(t) for t in scales]
-    if len(scales) < MIN_SCALES:
-        raise InputError(f"need at least {MIN_SCALES} scales, got {len(scales)}")
+    scales = check_scale_ladder(scales)
     if table is None:
         table = RadiusTable(scales)
     samples = [link_section(set_, t, norm, density, table) for t in scales]

@@ -96,6 +96,10 @@ def _project_branch(branch: PuiseuxBranch, x0: float, x1: float, seed: float, wi
     s = 0 the rounding noise of psi keeps moving s by up to about 7e-18,
     which a floor scaled by s alone never absorbs: such a call would spin
     its 30 steps and then search the window for the root it already holds.
+    A lead exponent below 1 drops the 1e-9: its gamma' is unbounded at 0,
+    where Newton stops, and an iterate near 0 moves by steps of its own size,
+    which the floor would read as converged far from the foot.  Near 0 its
+    negative powers may overflow too, and the window is searched then.
 
     Every projection lies in the first coordinate plane (plane germs, and
     3D germs solved on their z = 0 trace), so the kernel takes the query's
@@ -151,48 +155,52 @@ def _project_branch(branch: PuiseuxBranch, x0: float, x1: float, seed: float, wi
     s = lo if lo > seed else seed  # min(max(seed, lo), hi)
     if hi < s:
         s = hi
+    floor = 1e-9 if terms[0][0] >= 1.0 else 0.0
     converged = False
-    for _ in range(30):
-        if s == 0.0 and terms[0][0] < 1.0:
-            break  # gamma' is unbounded at 0
-        if unit:
-            gx = 0.0 + ux * s
-            gy = 0.0 + uy * s
-            g1x, g1y = g1x0, g1y0
-        else:
-            gx = gy = g1x = g1y = 0.0
-        for e, e1, _, _, cx, cy, ecx, ecy in rest:
-            pe = s**e
-            pe1 = s**e1
-            gx += cx * pe
-            gy += cy * pe
-            g1x += ecx * pe1
-            g1y += ecy * pe1
-        rx, ry = gx - x0, gy - x1
-        psi = rx * g1x + ry * g1y
-        dpsi = g1x * g1x + g1y * g1y
-        if s > 0.0:
-            # a linear term's curvature weight e (e - 1) is 0
-            for _, _, e2, ee1, cx, cy, _, _ in rest:
-                pe2 = ee1 * s**e2
-                dpsi += rx * cx * pe2
-                dpsi += ry * cy * pe2
-        if dpsi <= 0.0:
-            break
-        step = s - psi / dpsi
-        s_new = lo if lo > step else step  # min(max(step, lo), hi)
-        if hi < s_new:
-            s_new = hi
-        size = abs(s_new)  # max(abs(s_new), seed, 1e-9)
-        if seed > size:
-            size = seed
-        if 1e-9 > size:
-            size = 1e-9
-        if abs(s_new - s) <= 1e-14 * size:
+    try:
+        for _ in range(30):
+            if s == 0.0 and terms[0][0] < 1.0:
+                break  # gamma' is unbounded at 0
+            if unit:
+                gx = 0.0 + ux * s
+                gy = 0.0 + uy * s
+                g1x, g1y = g1x0, g1y0
+            else:
+                gx = gy = g1x = g1y = 0.0
+            for e, e1, _, _, cx, cy, ecx, ecy in rest:
+                pe = s**e
+                pe1 = s**e1
+                gx += cx * pe
+                gy += cy * pe
+                g1x += ecx * pe1
+                g1y += ecy * pe1
+            rx, ry = gx - x0, gy - x1
+            psi = rx * g1x + ry * g1y
+            dpsi = g1x * g1x + g1y * g1y
+            if s > 0.0:
+                # a linear term's curvature weight e (e - 1) is 0
+                for _, _, e2, ee1, cx, cy, _, _ in rest:
+                    pe2 = ee1 * s**e2
+                    dpsi += rx * cx * pe2
+                    dpsi += ry * cy * pe2
+            if dpsi <= 0.0:
+                break
+            step = s - psi / dpsi
+            s_new = lo if lo > step else step  # min(max(step, lo), hi)
+            if hi < s_new:
+                s_new = hi
+            size = abs(s_new)  # max(abs(s_new), seed, floor)
+            if seed > size:
+                size = seed
+            if floor > size:
+                size = floor
+            if abs(s_new - s) <= 1e-14 * size:
+                s = s_new
+                converged = True
+                break
             s = s_new
-            converged = True
-            break
-        s = s_new
+    except OverflowError:
+        pass  # a negative power overflows near 0, where gamma'' is unbounded
     if not converged:
         s, _ = golden_min(dist_at, lo, hi)
     s = float(s)
@@ -881,10 +889,12 @@ def medial_branch_germs(
     point with its two feet, the failed solves, and the smallest scale as
     its resolution.
 
-    Every branch parameter comes from ``table``, the analysis's one
-    ``RadiusTable`` (a fresh one on ``scales`` without it): each (branch,
-    ladder radius) is solved once for all the sectors and bisectors of the
-    analysis, and an off-ladder radius afresh.
+    Every ladder solve takes its branch parameters from ``table``, the
+    analysis's one ``RadiusTable`` (a fresh one on ``scales`` without it):
+    each (branch, ladder radius) is solved once for all the sectors and
+    bisectors of the analysis.  A curve's ``solve`` solves its parameters
+    afresh (``param_at_radius``), as the table does off its ladder, so no
+    curve holds the table.
     """
     scales = sorted((float(t) for t in scales), reverse=True)
     if not scales:
@@ -903,7 +913,10 @@ def medial_branch_germs(
     for b1, b2 in _sectors_below_pi(trace, scales[-1], param):
         others = tuple(b for b in trace if b is not b1 and b is not b2)
 
-        def solve(r, b1=b1, b2=b2, others=others, projected=None):
+        # the curve keeps this solve, whose default param holds no table
+        def solve(
+            r, b1=b1, b2=b2, others=others, param=PuiseuxBranch.param_at_radius, projected=None
+        ):
             return _bisector_point(
                 b1, b2, r, others, theta_min, set_.surfaces, param, projected
             )
@@ -911,7 +924,7 @@ def medial_branch_germs(
         anchors, flags = [], ()
         for t in scales:
             try:
-                anchors.append(solve(t, projected=projected))
+                anchors.append(solve(t, param=param, projected=projected))
             except (DomainError, TraceError) as exc:
                 failures.append((t, str(exc)))
                 if anchors:

@@ -8,11 +8,11 @@ it here means analysing a germ never imports ``scipy.optimize``.
 ``brentq_lanes`` runs the same iteration on many brackets at once, one
 numpy lane per bracket, with every lane's bits those of ``brentq``.
 
-Foot-point polishing evaluates cheap closed-form distance functions many
-thousands of times per extraction run, through a dependency-free
-golden-section search.  Its overhead is not negligible: about 50 loop
-steps per call in Python, which put it next to the horn distance function
-it calls at the top of the self time in a profile of the horn3d grid.
+``golden_min`` is a dependency-free golden-section search on a foot
+window: where a branch's Newton foot stalls (``medial._project_branch``)
+and in the surface pieces' ``project``.  A call makes about 50 loop steps
+in Python.  No benchmark workload reaches it: the medial grid, whose feet
+it polished by the thousand, runs in no analysis.
 """
 
 from __future__ import annotations

@@ -8,11 +8,14 @@ over a geometric scale grid, cross-checked against the exact series oracle
 where one exists.  The pairwise Lojasiewicz exponent is the ratio
 outer/inner order, so that a germ is LNE exactly when its exponent is 1.
 
-Every fit takes one path, ``estimate_orders``: the columns of one ladder,
-checked and logged once, each fitted by its own ``np.polyfit``.
-``pair_reports`` fits the outer series of all its pairs in one call and
-their inner sums in another; ``estimate_order``, ``outer_tangency_order``
-and ``inner_tangency_order`` are its one-column and one-pair calls.
+Every arc-criterion result takes one path, ``pair_reports``: it puts each
+piece on the ladder once and fits the outer series of all its pairs in one
+``estimate_orders`` call and their inner sums in another.
+``pair_verdict``, ``outer_tangency_order`` and ``inner_tangency_order`` are
+its one-pair calls.  Every fit takes one path too, ``estimate_orders``: the
+columns of one ladder, checked (``germs.check_scale_ladder``, the one home
+of the ladder rule) and logged once, each fitted by its own
+``np.polyfit``; ``estimate_order`` is its one-column call.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError
 from .germs import (
+    MIN_SCALES,  # noqa: F401  (config, links and the tests import it from here)
     AlignedSeries,
     PuiseuxBranch,
     RadiusTable,
@@ -39,10 +42,9 @@ from .germs import (
 # by name, so the names stay importable from this module.
 from .metrics import build_graph, inner_distance  # noqa: F401
 
-#: log-log fits are trusted when the RMS residual is below this and the fit
-#: spans at least MIN_SCALES scales.
+#: log-log fits are trusted when the RMS residual is below this; every fit
+#: spans at least MIN_SCALES scales (``check_scale_ladder``).
 RESIDUAL_GATE = 0.02
-MIN_SCALES = 5
 #: local-slope steps below this are rounding, not pre-asymptotic drift
 ROUNDING_STEP = 1e-12
 #: geometric decay shows as steady step ratios; ratios further apart than
@@ -80,16 +82,6 @@ class OrderEstimate:
         }
 
 
-def _check_ladder(scales) -> list:
-    """The scales as floats; ``InputError`` unless there are at least
-    ``MIN_SCALES`` of them on a geometric ladder (``check_scale_ladder``)."""
-    scales = [float(t) for t in scales]
-    if len(scales) < MIN_SCALES:
-        raise InputError(f"need at least {MIN_SCALES} scales, got {len(scales)}")
-    check_scale_ladder(scales)
-    return scales
-
-
 def estimate_orders(scales, columns) -> tuple:
     """Least-squares log-log fits of columns of positive values over one
     geometric scale ladder: one ``OrderEstimate`` per column.
@@ -100,7 +92,7 @@ def estimate_orders(scales, columns) -> tuple:
     value that is not finite is an ``InputError``, as is a nonpositive
     value.
     """
-    scales = _check_ladder(scales)
+    scales = check_scale_ladder(scales)
     values = np.array(columns, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(scales):
         raise InputError("each column needs one value per scale")
@@ -155,42 +147,23 @@ def extrapolate_order(fit: OrderEstimate, values) -> OrderEstimate:
     return OrderEstimate(slope, intercept, fit.residual, fit.scales_used, fit.confident)
 
 
-class _Ladder:
-    """A curve piece on a scale ladder: its radius-t points and the arc
-    lengths to them, each computed once.  A Puiseux branch takes each
-    radius's parameter from ``table``, the analysis's one ``RadiusTable``
-    (a fresh one without it), for both: a radius the link sections or the
-    medial bisectors have solved is not solved again."""
-
-    def __init__(self, piece, scales, table: RadiusTable | None = None):
-        self.piece = piece
-        self.scales = [float(t) for t in scales]
-        self.table = RadiusTable(self.scales) if table is None else table
-
-    @cached_property
-    def params(self) -> list:
-        return [self.table.param(self.piece, t) for t in self.scales]
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        if isinstance(self.piece, PuiseuxBranch):
-            return np.array([self.piece.eval(s) for s in self.params])
-        return np.array([self.piece.point_at_radius(t) for t in self.scales])
-
-    @cached_property
-    def lengths(self) -> list:
-        if isinstance(self.piece, PuiseuxBranch):
-            return self.piece.arc_lengths_at(self.params)
-        return self.piece.arc_lengths(self.scales)
+def _on_ladder(piece, scales, table: RadiusTable) -> tuple:
+    """(points, lengths): a curve piece's radius-t points on the ladder, as
+    an array, and the arc lengths from 0 to them.  A Puiseux branch takes
+    each radius's parameter from ``table`` for both, so a radius the link
+    sections or the medial bisectors have solved is not solved again."""
+    if isinstance(piece, PuiseuxBranch):
+        params = [table.param(piece, t) for t in scales]
+        return np.array([piece.eval(s) for s in params]), piece.arc_lengths_at(params)
+    return np.array([piece.point_at_radius(t) for t in scales]), piece.arc_lengths(scales)
 
 
-def _separation(b1, b2, ladders, aligned=None) -> tuple:
-    """(d, exact, series_pair): the outer distances of two curve pieces on
-    their ``_Ladder``s, the series oracle's order (or None), and whether
-    both are Puiseux branches.  Raises ``InputError`` when the pieces are
-    numerically indistinguishable."""
-    l1, l2 = ladders
-    d = np.linalg.norm(l1.points - l2.points, axis=1)
+def _separation(b1, b2, p1, p2, aligned) -> tuple:
+    """(d, exact, series_pair): the outer distances of two curve pieces
+    from their ladder points ``p1`` and ``p2``, the series oracle's order
+    (or None), and whether both are Puiseux branches.  Raises
+    ``InputError`` when the pieces are numerically indistinguishable."""
+    d = np.linalg.norm(p1 - p2, axis=1)
     exact = None
     infinite = False
     series_pair = isinstance(b1, PuiseuxBranch) and isinstance(b2, PuiseuxBranch)
@@ -205,47 +178,21 @@ def _separation(b1, b2, ladders, aligned=None) -> tuple:
     return d, exact, series_pair
 
 
-def _outer_fits(scales, separations) -> list:
-    """The outer-order fits of ``_separation`` results, all in one
-    ``estimate_orders`` call; a Puiseux pair's fit is extrapolated."""
-    fits = estimate_orders(scales, [d for d, _, _ in separations])
-    return [
-        extrapolate_order(fit, d) if series_pair else fit
-        for fit, (d, _, series_pair) in zip(fits, separations)
-    ]
-
-
-def _summed_lengths(ladders) -> list:
-    """l1(t) + l2(t) on the ladder: the inner distance of two curve pieces
-    meeting only at 0."""
-    l1, l2 = ladders
-    return [a1 + a2 for a1, a2 in zip(l1.lengths, l2.lengths)]
-
-
-def outer_tangency_order(b1, b2, scales, ladders=None, aligned=None):
-    """(fit, exact) outer order of tangency between two curve pieces.
+def outer_tangency_order(b1, b2, scales):
+    """(fit, exact) outer order of tangency between two curve pieces: the
+    ``tord`` and ``tord_exact`` of ``pair_reports`` on the one pair.
 
     The exact rational value is attached when both pieces are Puiseux
     branches and the series oracle decides; ``exact`` is None otherwise.
-    Between two Puiseux branches the distances are exact up to rounding, so
-    the fitted slope is extrapolated to the limit (``extrapolate_order``);
-    sampled pieces keep the plain fit.  ``ladders`` are the pieces'
-    ``_Ladder`` on ``scales`` and ``aligned`` their ``AlignedSeries``,
-    when the caller keeps them.  ``pair_reports`` takes the same path for
-    all of its pairs at once.
     """
-    scales = [float(t) for t in scales]
-    ladders = ladders or (_Ladder(b1, scales), _Ladder(b2, scales))
-    separation = _separation(b1, b2, ladders, aligned)
-    return _outer_fits(scales, [separation])[0], separation[1]
+    report = pair_reports([(b1, b2)], scales)[0]
+    return report.tord, report.tord_exact
 
 
-def inner_tangency_order(b1, b2, scales, ladders=None) -> OrderEstimate:
+def inner_tangency_order(b1, b2, scales) -> OrderEstimate:
     """Inner order of tangency between two curve pieces meeting only at 0:
-    the fit of l1(t) + l2(t), the arc lengths from 0 to their radius-t
-    points (``arc_length``).  ``ladders`` as in ``outer_tangency_order``."""
-    ladders = ladders or (_Ladder(b1, scales), _Ladder(b2, scales))
-    return estimate_orders(scales, [_summed_lengths(ladders)])[0]
+    the ``tord_inn`` of ``pair_reports`` on the one pair."""
+    return pair_reports([(b1, b2)], scales)[0].tord_inn
 
 
 @dataclass(frozen=True)
@@ -279,24 +226,32 @@ def pair_reports(
     outer and inner orders agree within the tolerance, with the
     outer/inner ratio as the pairwise Lojasiewicz exponent.
 
+    The outer order is the fit of the pieces' distances at their radius-t
+    points.  Between two Puiseux branches the distances are exact up to
+    rounding, so its slope is extrapolated to the limit
+    (``extrapolate_order``), and the series oracle's exact order is
+    attached where it decides; sampled pieces keep the plain fit.  The
+    inner order is the fit of l1(t) + l2(t), the arc lengths from 0 to
+    those points, the inner distance of two pieces meeting only at 0.
+
     Each piece's work is done once, however many pairs it is in: it is put
-    on the ladder once, with its parameters from ``table`` (see
-    ``_Ladder``), and a Puiseux branch is aligned to the distance once
-    (one norm inversion and one Horner pass), to the first cap of the
-    series branches, their largest max exponent plus 1
-    (``first_separation_cap``, ``AlignedSeries``); each pair then slices
-    its own length off it and runs the separation oracle with the same
-    bits as alone.  Only a pair with no separating term below that cap
-    has its branches aligned again, to its full cap 3 max_exp + 6.
-    Both stores are keyed by the piece itself (pieces hash by identity).
-    Every pair's distances, oracle and checks run first, in pair order,
-    with the ladder checked after the first pair's, where a one-pair call
-    checks it; then the outer series of all pairs are fitted in one
+    on the ladder once (``_on_ladder``), with its parameters from ``table``,
+    and a Puiseux branch is aligned to the distance once (one norm
+    inversion and one Horner pass), to the first cap of the series
+    branches, their largest max exponent plus 1 (``first_separation_cap``,
+    ``AlignedSeries``); each pair then slices its own length off it and
+    runs the separation oracle with the same bits as alone.  Only a pair
+    with no separating term below that cap has its branches aligned again,
+    to its full cap 3 max_exp + 6.  Both stores are keyed by the piece
+    itself (pieces hash by identity).  Every pair's distances, oracle and
+    checks run first, in pair order, with the ladder checked after the
+    first pair's; then the outer series of all pairs are fitted in one
     ``estimate_orders`` call and their inner sums in another.
     """
     pairs = list(pairs)
     if not pairs:
         return ()
+    scales = [float(t) for t in scales]
     if table is None:
         table = RadiusTable(scales)
     series = {
@@ -306,16 +261,21 @@ def pair_reports(
     ladders: dict = {}
     separations, lengths = [], []
     for b1, b2 in pairs:
-        pair = tuple(ladders.setdefault(b, _Ladder(b, scales, table)) for b in (b1, b2))
-        separations.append(_separation(b1, b2, pair, aligned))
+        for b in (b1, b2):
+            if b not in ladders:
+                ladders[b] = _on_ladder(b, scales, table)
+        (p1, l1), (p2, l2) = ladders[b1], ladders[b2]
+        separations.append(_separation(b1, b2, p1, p2, aligned))
         if len(separations) == 1:
-            # where a one-pair call checks the ladder: after its separation
-            _check_ladder(scales)
-        lengths.append(_summed_lengths(pair))
-    tords = _outer_fits(scales, separations)
+            check_scale_ladder(scales)
+        lengths.append([a1 + a2 for a1, a2 in zip(l1, l2)])
+    fits = estimate_orders(scales, [d for d, _, _ in separations])
     tord_inns = estimate_orders(scales, lengths)
     reports = []
-    for (b1, b2), tord, (_, exact, _), tord_inn in zip(pairs, tords, separations, tord_inns):
+    for (b1, b2), fit, (d, exact, series_pair), tord_inn in zip(
+        pairs, fits, separations, tord_inns
+    ):
+        tord = extrapolate_order(fit, d) if series_pair else fit
         l_pair = tord.slope / tord_inn.slope
         if not (tord.confident and tord_inn.confident):
             verdict = Verdict.UNDECIDED

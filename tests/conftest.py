@@ -8,9 +8,28 @@ the plane germs take theirs.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from lnegerm import RunConfig, builtin, run_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_module(path: str, name: str | None = None):
+    """The module of the file ``path`` under the repository root (a script
+    under ``scripts/`` or a module of ``perfbench/``), executed afresh and
+    registered in ``sys.modules`` as ``name``, the file's stem by default,
+    so that its dataclasses can look their module up by name."""
+    path = ROOT / path
+    spec = importlib.util.spec_from_file_location(name or path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

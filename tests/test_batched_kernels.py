@@ -10,12 +10,9 @@ the 73 germs of ``scripts/digests.py`` ask for, and on seeded random inputs.
 Every comparison is on the float's hex.
 """
 
-import importlib.util
 import math
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +20,7 @@ import pytest
 from lnegerm import InputError, puiseux_branch, run_scenario, tangency
 from lnegerm.germs import _ARC_NODES, _ARC_WEIGHTS, PuiseuxBranch, check_scale_ladder
 from lnegerm.tangency import MIN_SCALES, RESIDUAL_GATE, estimate_orders
+from conftest import load_module
 
 
 def _old_estimate_order(samples):
@@ -74,14 +72,7 @@ def _old_fit_bits(samples):
 def _digest_cases():
     """The 73 germs of ``scripts/digests.py``: plane_sweep and arc_fan at
     seeds 0-7, horn3d at seed 0."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = sys.modules.get(spec.name)
-    if module is None:
-        module = importlib.util.module_from_spec(spec)
-        # its dataclasses look their module up by name
-        sys.modules[spec.name] = module
-        spec.loader.exec_module(module)
+    module = load_module("perfbench/workloads.py", "perfbench_workloads")
     sets = (("plane_sweep", range(8)), ("arc_fan", range(8)), ("horn3d", range(1)))
     return [
         case

@@ -1,23 +1,17 @@
 """scripts/bench.py: parsing run.py's output and the pair statistics, on
 canned output.  No benchmark process is started."""
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+from conftest import load_module
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def _load():
-    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-bench = _load()
+bench = load_module("scripts/bench.py")
 
 MACHINE = {
     "affinity": 2,

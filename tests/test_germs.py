@@ -2,11 +2,9 @@
 and the germ JSON format."""
 
 import collections
-import importlib.util
 import itertools
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +26,7 @@ from lnegerm import (
 from lnegerm import germs
 from lnegerm.germs import merge_coincident
 from lnegerm.tangency import pair_reports
+from conftest import load_module
 
 
 def line(direction, label="line", t_max=1.0):
@@ -299,14 +298,6 @@ def _reference_separation_order(b1, b2):
     return germs.SeparationOrder(Fraction(int(hits[0]), lcm), False, None)
 
 
-def _load_script(name: str):
-    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 #: (t, t^{6/5} + t^{4/3}/2 - 2 t^{7/4}) and (t, -t^{6/5} + 3 t^{5/2}): lattice
 #: t^{1/60}, order 6/5, full cap 3 * 5/2 + 6
 LCM_60 = (
@@ -331,7 +322,7 @@ class TestShortFirstCap:
     order is held to the full-cap body it replaced."""
 
     def _groups(self):
-        digests = _load_script("digests")
+        digests = load_module("scripts/digests.py")
         groups = {}
         for name, b1, b2 in digests.order_pairs(digests.order_germs()):
             groups.setdefault(name, []).append((b1, b2))

@@ -1,9 +1,6 @@
 """Link sections and the link-based LNE criterion."""
 
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +31,7 @@ from lnegerm.links import (
 )
 from lnegerm.metrics import components, edge_matrix
 from lnegerm.surfaces import HornPiece, WallPiece
+from conftest import load_module
 
 SCALES = tuple(2.0 ** -k for k in range(3, 10))
 
@@ -159,6 +157,26 @@ class TestLLNE:
         germ = germ_set(branches=(short,), label="g")
         with pytest.raises(InputError):
             llne_test(germ, SCALES)
+
+    @pytest.mark.parametrize(
+        "scales, ladder_error",
+        [
+            (SCALES[:3], "at least 5 scales"),
+            ((0.1, 0.05, 0.02, 0.01, 0.005), "geometric"),
+            (SCALES[::-1], "strictly decreasing"),
+        ],
+    )
+    def test_ladder_checked_before_any_section(self, scales, ladder_error, monkeypatch):
+        # the ladder rule of the order fits (check_scale_ladder) holds
+        # before a section is solved: a germ whose every section is empty
+        # names its ladder, not its empty sections
+        solved = []
+        monkeypatch.setattr(links, "link_section", lambda *args: solved.append(args))
+        short = puiseux_branch([(1, (1, 0))], 1e-4, "short")
+        for germ in (builtin("cusp").germ(), germ_set(branches=(short,), label="g")):
+            with pytest.raises(InputError, match=ladder_error):
+                llne_test(germ, scales)
+        assert not solved
 
     def test_cusp_separation_order_half(self):
         # the two cusp link points separate like t^{3/2}, so d0/t ~ t^{1/2}
@@ -322,14 +340,7 @@ def _old_component_separation(pts, comp, ncomp):
 
 
 def _workload_germs(workload, seeds):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = sys.modules.get(spec.name)
-    if module is None:
-        module = importlib.util.module_from_spec(spec)
-        # its dataclasses look their module up by name
-        sys.modules[spec.name] = module
-        spec.loader.exec_module(module)
+    module = load_module("perfbench/workloads.py", "perfbench_workloads")
     return [
         case.scenario.make_germ() for seed in seeds for case in module.build_cases(workload, seed)
     ]
@@ -435,11 +446,7 @@ def test_section_path_bitwise_as_before(germ):
 def test_edge_matrix_is_scipys_coo_conversion(monkeypatch):
     # every section graph of scripts/digests.py --links has the data,
     # indices and indptr arrays, dtypes included, of scipy's COO-to-CSR
-    spec = importlib.util.spec_from_file_location(
-        "digests", Path(__file__).resolve().parents[1] / "scripts" / "digests.py"
-    )
-    digests = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digests)
+    digests = load_module("scripts/digests.py")
     built = []
 
     def recorded(pts, pairs):

@@ -5,10 +5,10 @@ plane germs (``_scan_crossings``), it is the independent reference that the
 exact bisector branches are held to.
 """
 
-import importlib.util
+import gc
 import itertools
 import math
-from pathlib import Path
+import weakref
 
 import numpy as np
 import pytest
@@ -29,8 +29,9 @@ from lnegerm import (
     puiseux_branch,
     run_scenario,
 )
-from lnegerm import medial
+from lnegerm import medial, scenarios
 from lnegerm.surfaces import HornPiece, WallPiece
+from conftest import load_module
 
 
 def _nearest(germ, x):
@@ -754,10 +755,7 @@ def _length_outcome(fn, *args):
 
 def _digest_medial_curves():
     """The medial curves of every default germ of ``scripts/digests.py``."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "digests.py"
-    spec = importlib.util.spec_from_file_location("digests", path)
-    digests = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digests)
+    digests = load_module("scripts/digests.py")
     return [
         curve
         for workload, seeds in digests.DEFAULT
@@ -810,6 +808,27 @@ class TestBranchTracking:
         assert len(flagfree) == 2
         for c in flagfree:
             assert np.allclose(c.tangent().direction, (1.0, 0.0), atol=0.05)
+
+    def test_kept_result_holds_no_table(self, monkeypatch):
+        # the analysis's RadiusTable lives only as long as the analysis: the
+        # medial curves of a kept result solve off their ladder afresh
+        tables = []
+
+        def recorded(scales):
+            table = RadiusTable(scales)
+            tables.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(scenarios, "RadiusTable", recorded)
+        config = RunConfig()
+        result = run_scenario(builtin("three_tangent"), config)
+        gc.collect()
+        assert len(tables) == 1 and tables[0]() is None
+        r = 1.5 * min(config.scales())
+        curves = [c for c in result.medial_curves if not c.flags]
+        assert curves
+        for c in curves:
+            assert np.linalg.norm(c.point_at_radius(r)) == pytest.approx(r, rel=1e-12)
 
     def test_continuation_reaches_small_radii(self, three_result):
         for c in three_result.medial_curves:

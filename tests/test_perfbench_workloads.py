@@ -8,28 +8,13 @@ run.  This loads the workloads by path, as ``test_perfbench_tracer.py``
 loads the tracer, and runs every case at a few seeds.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from lnegerm import germs
 from lnegerm.scenarios import run_scenario
+from conftest import load_module
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up by name
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load_workloads()
+workloads = load_module("perfbench/workloads.py", "perfbench_workloads")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

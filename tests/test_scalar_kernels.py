@@ -605,6 +605,20 @@ def test_project_branch_unit_lead_term():
     assert dist < 1e-9 and s == pytest.approx(0.25, rel=1e-6)
 
 
+def test_project_branch_lead_below_one_near_zero():
+    # (s^{1/2}, s) from seeds near 0: a seed of 1e-210 overflowed the
+    # curvature power s**(e - 2), and from 1e-200 the steps, tiny next to
+    # 1e-9, read as converged at s = 3e-200.  Both find the window's foot
+    half = puiseux_branch([((1, 2), (1.0, 0.0)), (1, (0.0, 1.0))], 1.0, "half")
+    s = np.linspace(0.0, 1e-3, 100001)
+    scan = np.hypot(np.sqrt(s) - 0.01, s - 0.02)
+    for seed in (1e-210, 1e-200):
+        dist, point, foot = medial._project_branch(half, 0.01, 0.02, seed, 1e-3)
+        assert dist == pytest.approx(scan.min(), abs=1e-12)
+        assert foot == pytest.approx(s[np.argmin(scan)], abs=1e-8)
+        assert point == half._point(foot)
+
+
 def test_project_branch_clamps_and_zero_seeds():
     # a narrow window around a seed on the wrong side of the foot clamps
     # the Newton step at hi (foot above the seed) or at lo (below it); a

@@ -1,22 +1,13 @@
 """Smoke runs of the experiment scripts under scripts/."""
 
-import importlib.util
 import re
 import sys
-from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_module
 
 
 def test_bisector_orders(monkeypatch, capsys):
-    script = _load("bisector_orders")
+    script = load_module("scripts/bisector_orders.py")
     monkeypatch.setattr(sys, "argv", ["bisector_orders.py"])
     assert script.main() == 0
     out = capsys.readouterr().out
@@ -28,7 +19,7 @@ def test_bisector_orders(monkeypatch, capsys):
 
 
 def test_plane_family(monkeypatch, capsys):
-    script = _load("plane_family")
+    script = load_module("scripts/plane_family.py")
     monkeypatch.setattr(
         sys, "argv", ["plane_family.py", "--exponents", "3", "3/2", "--coeffs", "-2", "1"]
     )
@@ -44,7 +35,7 @@ def test_plane_family(monkeypatch, capsys):
 
 
 def test_horn_center_curves(monkeypatch, capsys):
-    script = _load("horn_center_curves")
+    script = load_module("scripts/horn_center_curves.py")
     monkeypatch.setattr(sys, "argv", ["horn_center_curves.py"])
     assert script.main() == 0
     out = capsys.readouterr().out
@@ -64,7 +55,7 @@ def test_horn_center_curves(monkeypatch, capsys):
 
 
 def test_kernels(capsys):
-    script = _load("kernels")
+    script = load_module("scripts/kernels.py")
     before = {name: getattr(owner, attr) for name, (owner, attr) in script.KERNELS.items()}
     assert script.main(["--repeats", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -82,7 +73,7 @@ def test_kernels(capsys):
 
 
 def test_digests_repeat(capsys):
-    script = _load("digests")
+    script = load_module("scripts/digests.py")
     outs = {}
     runs = (["--workloads", "arc_fan", "--seeds", "3"], ["--cli"], ["--links"], ["--orders"])
     for argv in runs * 2:

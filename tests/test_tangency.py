@@ -26,6 +26,7 @@ from lnegerm import (
 )
 from lnegerm import germs, links, medial, metrics, tangency
 from lnegerm.scenarios import _pairwise_reports, combine_verdicts, scenario_for_germ
+from conftest import load_module
 
 SCALES = tuple(2.0 ** -k for k in range(3, 10))
 
@@ -137,6 +138,14 @@ class TestInnerOrder:
         germ = builtin("abs_graph").germ()
         fit = inner_tangency_order(*germ.branches, SCALES)
         assert fit.slope == pytest.approx(1.0, abs=0.02)
+
+    def test_indistinguishable_branches_rejected(self):
+        # the one-pair call runs pair_reports, whose separation check comes
+        # first: the outer order's error
+        b1 = puiseux_branch([(1, (1, 0))], 1.0, "b1")
+        b2 = puiseux_branch([(1, (1, 0))], 1.0, "b2")
+        with pytest.raises(InputError, match="indistinguishable"):
+            inner_tangency_order(b1, b2, SCALES)
 
     def test_merged_tips_named(self):
         # (-u, -u^5) and (-u, 0), u = s^{1/2}, separate like t^5, below
@@ -253,6 +262,45 @@ class TestPairVerdict:
             assert len(reports) == count and len(solves) == 2
             for rep, pair in zip(reports, pairs):
                 assert rep.to_dict() == pair_verdict(*pair, SCALES).to_dict()
+
+
+def _fit_bits(fit):
+    return fit.slope.hex(), fit.intercept.hex(), fit.residual.hex(), fit.confident
+
+
+def test_one_pair_calls_match_the_analysis():
+    # every set pair and medial pair of the 73 germs of scripts/digests.py:
+    # each one-pair call, with its own table and series store, has the bits
+    # of the analysis's report, whose pair_reports call shares them
+    workloads = load_module("perfbench/workloads.py", "perfbench_workloads")
+    sets = (("plane_sweep", range(8)), ("arc_fan", range(8)), ("horn3d", range(1)))
+    checked = 0
+    for workload, seeds in sets:
+        for seed in seeds:
+            for case in workloads.build_cases(workload, seed):
+                config = case.config
+                scales = config.scales()
+                result = run_scenario(case.scenario, config)
+                germ = case.scenario.germ()
+                set_pairs = () if germ.surfaces else itertools.combinations(germ.branches, 2)
+                selected = [c for c in result.medial_curves if not c.flags]
+                medial_pairs = itertools.combinations(selected, 2) if len(selected) > 1 else ()
+                for pairs, reports in (
+                    (list(set_pairs), result.set_reports),
+                    (list(medial_pairs), result.medial_reports),
+                ):
+                    assert len(pairs) == len(reports)
+                    for (b1, b2), rep in zip(pairs, reports):
+                        assert rep.pair == (b1.label, b2.label)
+                        fit, exact = outer_tangency_order(b1, b2, scales)
+                        assert (_fit_bits(fit), exact) == (_fit_bits(rep.tord), rep.tord_exact)
+                        inner = inner_tangency_order(b1, b2, scales)
+                        assert _fit_bits(inner) == _fit_bits(rep.tord_inn)
+                        alone = pair_verdict(b1, b2, scales, config.order_tolerance)
+                        assert alone.to_dict() == rep.to_dict()
+                        assert alone.lojasiewicz_pair.hex() == rep.lojasiewicz_pair.hex()
+                        checked += 1
+    assert checked > 100
 
 
 class TestLojasiewiczGerm:
