@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InputError
 from .germs import (
-    MIN_SCALES,  # noqa: F401  (config, links and the tests import it from here)
+    MIN_SCALES,  # noqa: F401  (config and the tests import it from here)
     AlignedSeries,
     PuiseuxBranch,
     RadiusTable,
