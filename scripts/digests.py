@@ -31,6 +31,12 @@ series oracle's ``tord_exact`` of the pair alone
 below the cap separates it.  The canonical JSON carries no exact order,
 so only these lines show a change in the oracle.
 
+``--pairs`` prints instead one line ``pairs workload seed germ sha256``
+per default germ: the sha256 of the canonical JSON of its set and medial
+pair reports (``TangencyReport.to_dict``).  The germ's canonical JSON
+carries no pair report, so only these lines show a change in a pair's
+``tord`` or ``tord_inn`` that moves no verdict and no L.
+
 Run from the root of a checkout as ``PYTHONPATH=src python
 scripts/digests.py``; ``--workloads`` and ``--seeds`` restrict the set.
 """
@@ -168,12 +174,20 @@ def link_digest(germ, norm, density) -> str:
     return hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest()
 
 
-def digest(case) -> str:
+def digest(case, pairs: bool = False) -> str:
+    """The sha256 of the germ's canonical JSON, or with ``pairs`` of its
+    set and medial pair reports."""
     try:
         result = run_scenario(case.scenario, case.config)
     except Exception as exc:  # a germ that raises is part of its record
         return f"raised {type(exc).__name__}"
-    return hashlib.sha256(canonical_json(result.to_dict()).encode()).hexdigest()
+    data = result.to_dict()
+    if pairs:
+        data = {
+            "set": [r.to_dict() for r in result.set_reports],
+            "medial": [r.to_dict() for r in result.medial_reports],
+        }
+    return hashlib.sha256(canonical_json(data).encode()).hexdigest()
 
 
 def cli_digest(argv) -> str:
@@ -193,6 +207,9 @@ def main(argv=None) -> int:
     )
     ap.add_argument(
         "--orders", action="store_true", help="print the series oracle's order of each pair"
+    )
+    ap.add_argument(
+        "--pairs", action="store_true", help="digest each germ's set and medial pair reports"
     )
     args = ap.parse_args(argv)
 
@@ -218,7 +235,8 @@ def main(argv=None) -> int:
             continue
         for seed in args.seeds if args.seeds is not None else seeds:
             for case in build_cases(workload, seed):
-                print(f"{workload} {seed} {case.name} {digest(case)}", flush=True)
+                line = f"{workload} {seed} {case.name} {digest(case, args.pairs)}"
+                print(f"pairs {line}" if args.pairs else line, flush=True)
     return 0
 
 

@@ -22,7 +22,6 @@ from .errors import (
 )
 from .germs import (
     GermSet,
-    HalfLine,
     PuiseuxBranch,
     RadiusTable,
     germ_set,

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
+from .germs import MIN_SCALES
 from .norms import make_norm
-from .tangency import MIN_SCALES
 
 
 def _is_number(v) -> bool:

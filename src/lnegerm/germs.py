@@ -4,7 +4,7 @@ Curve germs are finite Puiseux sums with exact rational exponents and float
 coefficient vectors.  Surface germs are procedural samplers (see
 ``surfaces``).  This module owns evaluation, distance reparametrization,
 arc lengths (all of a branch's ladder parameters in one quadrature pass,
-``PuiseuxBranch.arc_lengths_at``), tangent half-lines, the exact separation-order oracle (dense
+``PuiseuxBranch.arc_lengths_at``), the exact separation-order oracle (dense
 power series on an integer lattice), the per-analysis table of radius
 parameters and surface sections (``RadiusTable``), the germ JSON file
 format, and sampling into point clouds: the reference clouds of the radius
@@ -52,20 +52,7 @@ from .optimize import brentq
 MIN_SCALES = 5
 
 
-@dataclass(frozen=True, eq=False)
-class HalfLine:
-    """Half-line R+ * direction, direction a unit vector."""
-
-    direction: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
-        n = np.linalg.norm(d)
-        if not math.isclose(n, 1.0, rel_tol=1e-9):
-            raise InputError("half-line direction must be a unit vector")
-
-
-#: Gauss-Legendre nodes and weights on [-1, 1] for ``PuiseuxBranch.arc_length``
+#: Gauss-Legendre nodes and weights on [-1, 1] for ``PuiseuxBranch.arc_lengths_at``
 _ARC_NODES, _ARC_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
@@ -159,11 +146,6 @@ class PuiseuxBranch:
             out = [o + p * ck for o, ck in zip(out, c)]
         return out
 
-    def norm_at(self, s, norm=EUCLID):
-        if isinstance(s, float):
-            return norm.of(self._point(s))
-        return norm(self.eval(s))
-
     def eval_deriv(self, t):
         """gamma'(t) for t > 0 (fractional exponents blow up at 0)."""
         t = np.asarray(t, dtype=float)
@@ -208,14 +190,6 @@ class PuiseuxBranch:
     def max_radius(self) -> float:
         return float(np.linalg.norm(self.eval(self.t_max)))
 
-    def arc_length(self, r: float) -> float:
-        """Length of the branch from 0 to its radius-r point."""
-        return self.arc_length_at(self.param_at_radius(r))
-
-    def arc_length_at(self, s: float) -> float:
-        """Length of the branch from 0 to gamma(s) (``arc_lengths_at``)."""
-        return self.arc_lengths_at([s])[0]
-
     def arc_lengths_at(self, params) -> list:
         """Length of the branch from 0 to gamma(s), for each s of ``params``.
 
@@ -242,8 +216,7 @@ class PuiseuxBranch:
 
         A per-point kernel: each evaluation is ``norm.of(self._point(s))``,
         which has the bits of the norm's array call on ``eval``'s point
-        (``norm_at``) without its dispatch, and ``brentq`` gets that
-        function directly.
+        without its dispatch, and ``brentq`` gets that function directly.
         """
         if r < 0:
             raise DomainError("radius must be nonnegative")
@@ -543,12 +516,13 @@ def symbolic_separation_order(
 class GermSet:
     """Named union of curve pieces and procedural surface pieces at 0.
 
-    ``branches`` may hold any objects with the curve-piece interface
-    (``label``, ``point_at_radius``, ``max_radius``, and ``arc_length``, the
-    length from 0 to the radius-r point); a piece other than a Puiseux
-    branch also gives ``arc_lengths``, that length for each radius of a
-    ladder, which the pair ladders read.  Exact Puiseux branches
-    additionally support the series-level oracles.
+    ``branches`` may hold any objects with the curve-piece interface that
+    ``germ_set``, the pair ladders (``tangency._on_ladder``) and the cloud
+    sampler (``_sample_curve_piece``) read: ``label``, ``ambient_dim``,
+    ``point_at_radius``, ``max_radius``, and, for a piece other than a
+    Puiseux branch, ``arc_lengths``, the length from 0 to the radius-r
+    point for each radius of a ladder.  Exact Puiseux branches
+    additionally support the series-level oracles and the link sections.
     """
 
     branches: tuple
@@ -562,12 +536,6 @@ class GermSet:
             raise InputError(f"germ set {self.label!r}: piece labels must be unique")
         if not labels:
             raise InputError(f"germ set {self.label!r}: no pieces")
-
-    def branch(self, label: str):
-        for b in self.branches:
-            if b.label == label:
-                return b
-        raise InputError(f"no branch labelled {label!r} in germ set {self.label!r}")
 
     @property
     def pieces(self):
@@ -716,7 +684,7 @@ def germset_to_json(set_: GermSet) -> dict:
     branches = []
     for b in set_.branches:
         if not isinstance(b, PuiseuxBranch):
-            raise InputError("only exact Puiseux branches can be serialized")
+            raise InputError(f"curve piece {b.label!r}: only Puiseux branches can be serialized")
         branches.append(
             {
                 "label": b.label,

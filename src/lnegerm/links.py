@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .germs import GermSet, RadiusTable, check_scale_ladder
+from .germs import GermSet, PuiseuxBranch, RadiusTable, check_scale_ladder
 # build_graph is no longer called here, but perfbench/tracer.py wraps
 # links.build_graph by name, so the name stays importable from this module.
 from .metrics import build_graph, components, edge_matrix  # noqa: F401
@@ -135,7 +135,9 @@ def link_section(
     fresh table.  All emitted points satisfy the band constraint
     | ||x||_norm - t | <= BAND * t by construction.  A max norm needs one
     weight per ambient coordinate of the germ; here, where the two meet,
-    any other count is an ``InputError`` naming both.
+    any other count is an ``InputError`` naming both.  Curve pieces must
+    be Puiseux branches, whose radius parameters the table solves; any
+    other curve piece is an ``InputError`` naming it.
 
     The graph follows sample adjacency, not a radius: consecutive theta
     rays on a horn (a closed cycle when no ray is skipped) and consecutive
@@ -174,6 +176,8 @@ def link_section(
         table = RadiusTable((t,))
     curves = []
     for piece in set_.branches:
+        if not isinstance(piece, PuiseuxBranch):
+            raise InputError(f"curve piece {piece.label!r}: link sections need a Puiseux branch")
         try:
             s = table.param(piece, t, norm)
         except DomainError:

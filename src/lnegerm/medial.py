@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError, ResolutionError, TraceError
-from .germs import GermSet, HalfLine, PuiseuxBranch, RadiusTable, sample_cloud
+from .germs import GermSet, PuiseuxBranch, RadiusTable, sample_cloud
 from .metrics import linkage_labels, pairwise_sq_distances
 from .optimize import brentq, golden_min
 
@@ -705,10 +705,6 @@ class SampledCurve:
     def max_radius(self) -> float:
         return self.ladder[0]
 
-    def tangent(self) -> HalfLine:
-        p = self.points[-1]
-        return HalfLine(p / np.linalg.norm(p))
-
     def point_at_radius(self, r: float) -> np.ndarray:
         r = float(r)
         if r < 0:
@@ -726,15 +722,10 @@ class SampledCurve:
         except (DomainError, TraceError) as exc:
             raise ResolutionError(f"curve {self.label!r}: {exc}") from exc
 
-    def arc_length(self, r: float) -> float:
-        """Length of the chord path from 0 through the points at the
-        ``ladder`` radii below r to the radius-r point (``arc_lengths``)."""
-        return self.arc_lengths([r])[0]
-
     def arc_lengths(self, rs) -> list:
-        """``arc_length`` of each radius of ``rs``: the length of the chord
-        path from 0 through the points at the ``ladder`` radii below r to
-        the radius-r point, which at a ladder radius needs no solve.
+        """The arc length of each radius r of ``rs``: the length of the
+        chord path from 0 through the points at the ``ladder`` radii below r
+        to the radius-r point, which at a ladder radius needs no solve.
 
         The chords between consecutive ladder points are measured once, in
         one row-norm pass.  Each radius sums, with one ``.sum()``, the

@@ -9,19 +9,19 @@ where one exists.  The pairwise Lojasiewicz exponent is the ratio
 outer/inner order, so that a germ is LNE exactly when its exponent is 1.
 
 Every arc-criterion result takes one path, ``pair_reports``: it puts each
-piece on the ladder once and fits the outer series of all its pairs in one
-``estimate_orders`` call and their inner sums in another.
+piece on the ladder once, checks the ladder once, and fits the outer series
+of all its pairs in one pass and their inner sums in another.
 ``pair_verdict``, ``outer_tangency_order`` and ``inner_tangency_order`` are
 its one-pair calls.  Every fit takes one path too, ``estimate_orders``: the
 columns of one ladder, checked (``germs.check_scale_ladder``, the one home
 of the ladder rule) and logged once, each fitted by its own
-``np.polyfit``; ``estimate_order`` is its one-column call.
+``np.polyfit``; ``estimate_order`` is its one-column call, and
+``pair_reports``, which has checked its ladder, runs its fit body alone.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import InputError
 from .germs import (
-    MIN_SCALES,  # noqa: F401  (config and the tests import it from here)
     AlignedSeries,
     PuiseuxBranch,
     RadiusTable,
@@ -68,10 +67,6 @@ class OrderEstimate:
     scales_used: tuple
     confident: bool
 
-    @property
-    def leading_constant(self) -> float:
-        return math.exp(self.intercept)
-
     def to_dict(self) -> dict:
         return {
             "slope": self.slope,
@@ -92,7 +87,12 @@ def estimate_orders(scales, columns) -> tuple:
     value that is not finite is an ``InputError``, as is a nonpositive
     value.
     """
-    scales = check_scale_ladder(scales)
+    return _fit_columns(check_scale_ladder(scales), columns)
+
+
+def _fit_columns(scales: list, columns) -> tuple:
+    """``estimate_orders`` on a ladder already checked, as the float list
+    that ``check_scale_ladder`` returns."""
     values = np.array(columns, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(scales):
         raise InputError("each column needs one value per scale")
@@ -245,8 +245,9 @@ def pair_reports(
     to its full cap 3 max_exp + 6.  Both stores are keyed by the piece
     itself (pieces hash by identity).  Every pair's distances, oracle and
     checks run first, in pair order, with the ladder checked after the
-    first pair's; then the outer series of all pairs are fitted in one
-    ``estimate_orders`` call and their inner sums in another.
+    first pair's, the call's one check; then the outer series of all pairs
+    are fitted in one pass of ``estimate_orders``' fit body and their inner
+    sums in another.
     """
     pairs = list(pairs)
     if not pairs:
@@ -269,8 +270,8 @@ def pair_reports(
         if len(separations) == 1:
             check_scale_ladder(scales)
         lengths.append([a1 + a2 for a1, a2 in zip(l1, l2)])
-    fits = estimate_orders(scales, [d for d, _, _ in separations])
-    tord_inns = estimate_orders(scales, lengths)
+    fits = _fit_columns(scales, [d for d, _, _ in separations])
+    tord_inns = _fit_columns(scales, lengths)
     reports = []
     for (b1, b2), fit, (d, exact, series_pair), tord_inn in zip(
         pairs, fits, separations, tord_inns

@@ -4,7 +4,7 @@ replaced.
 ``tangency.estimate_orders`` fits every column of one ladder in one
 least-squares solve, and ``PuiseuxBranch.arc_lengths_at`` integrates every
 parameter of a branch in one quadrature pass.  Each is held here to a copy
-of the one-column ``estimate_order`` and the per-parameter ``arc_length_at``
+of the one-column ``estimate_order`` and of the per-parameter quadrature
 as they were before, on every fit and every arc length that the analyses of
 the 73 germs of ``scripts/digests.py`` ask for, and on seeded random inputs.
 Every comparison is on the float's hex.
@@ -18,8 +18,14 @@ import numpy as np
 import pytest
 
 from lnegerm import InputError, puiseux_branch, run_scenario, tangency
-from lnegerm.germs import _ARC_NODES, _ARC_WEIGHTS, PuiseuxBranch, check_scale_ladder
-from lnegerm.tangency import MIN_SCALES, RESIDUAL_GATE, estimate_orders
+from lnegerm.germs import (
+    _ARC_NODES,
+    _ARC_WEIGHTS,
+    MIN_SCALES,
+    PuiseuxBranch,
+    check_scale_ladder,
+)
+from lnegerm.tangency import RESIDUAL_GATE, estimate_orders
 from conftest import load_module
 
 
@@ -41,9 +47,9 @@ def _old_estimate_order(samples):
     return float(slope), float(intercept), resid, tuple(scales), confident
 
 
-def _old_arc_length_at(branch, s):
-    """``PuiseuxBranch.arc_length_at`` as it was before ``arc_lengths_at``:
-    one quadrature pass per parameter."""
+def _old_arc_length(branch, s):
+    """A branch's arc length to gamma(s) as it was measured before
+    ``arc_lengths_at``: one quadrature pass per parameter."""
     n, powers = branch.u_powers
     u_r = s ** (1.0 / n)
     u = 0.5 * u_r * (_ARC_NODES + 1.0)
@@ -84,11 +90,12 @@ def _digest_cases():
 
 @pytest.fixture(scope="module")
 def digest_calls():
-    """(fits, lengths): every ``estimate_orders`` call (scales, columns) and
-    every ``arc_lengths_at`` call (branch, params) of the digest germs'
+    """(fits, lengths): every pass (scales, columns) of the fit body that
+    ``estimate_orders`` and ``pair_reports`` share, and every
+    ``arc_lengths_at`` call (branch, params) of the digest germs'
     analyses."""
     fits, lengths = [], []
-    fit, integrate = tangency.estimate_orders, PuiseuxBranch.arc_lengths_at
+    fit, integrate = tangency._fit_columns, PuiseuxBranch.arc_lengths_at
 
     def fit_recorded(scales, columns):
         fits.append((list(scales), [list(c) for c in columns]))
@@ -101,7 +108,7 @@ def digest_calls():
     cases = _digest_cases()
     assert len(cases) == 73
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tangency, "estimate_orders", fit_recorded)
+        mp.setattr(tangency, "_fit_columns", fit_recorded)
         mp.setattr(PuiseuxBranch, "arc_lengths_at", integrate_recorded)
         for case in cases:
             run_scenario(case.scenario, case.config)
@@ -145,7 +152,7 @@ def test_digest_arc_lengths_are_the_per_scale_lengths(digest_calls):
     assert len(lengths) >= 100
     for branch, params in lengths:
         got = branch.arc_lengths_at(params)
-        assert [v.hex() for v in got] == [_old_arc_length_at(branch, s).hex() for s in params]
+        assert [v.hex() for v in got] == [_old_arc_length(branch, s).hex() for s in params]
 
 
 def test_random_branch_arc_lengths():
@@ -160,8 +167,8 @@ def test_random_branch_arc_lengths():
         b = puiseux_branch(terms, rng.uniform(0.05, 2.0), f"b{k}")
         params = [0.0, b.t_max] + [rng.uniform(0.0, b.t_max) for _ in range(rng.randint(1, 12))]
         got = b.arc_lengths_at(params)
-        assert [v.hex() for v in got] == [_old_arc_length_at(b, s).hex() for s in params]
-        assert b.arc_length_at(params[-1]).hex() == got[-1].hex()
+        assert [v.hex() for v in got] == [_old_arc_length(b, s).hex() for s in params]
+        assert b.arc_lengths_at(params[-1:])[0].hex() == got[-1].hex()
 
 
 def test_columns_must_match_the_ladder():

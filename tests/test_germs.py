@@ -25,6 +25,7 @@ from lnegerm import (
 )
 from lnegerm import germs
 from lnegerm.germs import merge_coincident
+from lnegerm.medial import SampledCurve
 from lnegerm.tangency import pair_reports
 from conftest import load_module
 
@@ -95,20 +96,25 @@ class TestReparametrization:
             b.param_at_radius(0.5)
 
 
+def arc_length(b, r):
+    """The branch's arc length from 0 to its radius-r point."""
+    return b.arc_lengths_at([b.param_at_radius(r)])[0]
+
+
 class TestArcLength:
     RADII = (0.5, 2.0**-3, 2.0**-9)
 
     def test_line_length_is_radius(self):
         b = line((3, 4))
         for r in self.RADII:
-            assert math.isclose(b.arc_length(r), r, rel_tol=1e-12)
+            assert math.isclose(arc_length(b, r), r, rel_tol=1e-12)
 
     def test_cusp_closed_form(self):
         b = puiseux_branch([(1, (1, 0)), ((3, 2), (0, 1))], 1.0, "cusp")
         for r in self.RADII:
             s = b.param_at_radius(r)
             exact = (8 / 27) * ((1 + 9 * s / 4) ** 1.5 - 1)
-            assert math.isclose(b.arc_length(r), exact, rel_tol=1e-12)
+            assert math.isclose(arc_length(b, r), exact, rel_tol=1e-12)
 
     def test_matches_quad_on_thirds(self):
         b = puiseux_branch(
@@ -120,7 +126,7 @@ class TestArcLength:
                 lambda x: float(np.linalg.norm(b.eval_deriv(x))),
                 0.0, s, epsabs=0.0, epsrel=1e-13, limit=200,
             )
-            assert math.isclose(b.arc_length(r), ref, rel_tol=1e-12)
+            assert math.isclose(arc_length(b, r), ref, rel_tol=1e-12)
 
 
 class TestSeparationOrder:
@@ -439,6 +445,11 @@ class TestGermJson:
         for (e1, c1), (e2, c2) in zip(back.branches[0].terms, germ.branches[0].terms):
             assert e1 == e2
             assert np.array_equal(c1, c2)
+
+    def test_only_puiseux_branches_serialize(self):
+        curve = SampledCurve("m0", 2, (0.5,), (np.array([0.5, 0.0]),), solve=None)
+        with pytest.raises(InputError, match="curve piece 'm0': only Puiseux branches"):
+            germset_to_json(germ_set(branches=(curve,)))
 
     def test_exponents_must_be_integer_pairs(self):
         data = {

@@ -1,6 +1,7 @@
 """Link sections and the link-based LNE criterion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from lnegerm import (
     llne_test,
     make_norm,
     puiseux_branch,
+    run_scenario,
 )
 from lnegerm import links
 from lnegerm.germs import RadiusTable, merge_coincident
@@ -80,6 +82,19 @@ class TestLinkSection:
                 llne_test(lines, RunConfig().scales(), WeightedMaxNorm(weights))
         with pytest.raises(InputError, match="max norm has 2 weights"):
             link_section(builtin("horn3d").germ(), 0.1, WeightedMaxNorm((1.0, 1.0)))
+
+    def test_curve_pieces_must_be_puiseux_branches(self):
+        # three_tangent's medial curves as a germ: an InputError naming the
+        # first curve, not an AttributeError from the radius solve
+        curves = run_scenario(builtin("three_tangent")).medial_curves
+        germ = germ_set(branches=curves, label="medial")
+        match = re.escape(f"curve piece {curves[0].label!r}: link sections need a Puiseux branch")
+        with pytest.raises(InputError, match=match):
+            link_section(germ, 2.0**-6)
+        with pytest.raises(InputError, match=match):
+            llne_test(germ, RunConfig().scales())
+        with pytest.raises(InputError, match=match):
+            link_criterion_verdict(germ, RunConfig().scales())
 
     def test_too_short_piece_contributes_nothing(self):
         short = puiseux_branch([(1, (1, 0))], 0.01, "short")

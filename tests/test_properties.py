@@ -55,7 +55,7 @@ class TestOrderFit:
         scales = [2.0 ** -k for k in range(2, 2 + n)]
         fit = estimate_order([(t, const * t**alpha) for t in scales])
         assert fit.slope == pytest.approx(alpha, abs=1e-9)
-        assert fit.leading_constant == pytest.approx(const, rel=1e-9)
+        assert math.exp(fit.intercept) == pytest.approx(const, rel=1e-9)
         assert fit.confident
 
 

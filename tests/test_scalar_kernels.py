@@ -81,12 +81,14 @@ def test_denominators_covered():
 
 
 def test_norm_at_matches_array_norm():
+    # the norm at a float parameter on the scalar path, as the radius solve
+    # takes it, against the array call on the array path
     rng = random.Random(2)
     for b in _branches(0):
         for norm in _norms(b.ambient_dim):
             for s in _params(b, rng):
                 ref = norm(b.eval(np.asarray(s)))
-                got = b.norm_at(s, norm)
+                got = norm.of(b._point(s))
                 assert type(got) is float
                 assert got.hex() == float(ref).hex(), (b.label, norm, s)
 
@@ -166,15 +168,16 @@ def test_branch_domain_errors_on_both_paths():
             with pytest.raises(DomainError):
                 b.eval(np.asarray(s))
             with pytest.raises(DomainError):
-                b.norm_at(s)
+                b._point(s)
         # the tolerance above t_max holds on both paths alike
         edge = b.t_max * (1 + 1e-12)
         assert b.eval(edge).tobytes() == b.eval(np.asarray(edge)).tobytes()
 
 
 def _reference_param_at_radius(branch, r, norm=EUCLID):
-    """``PuiseuxBranch.param_at_radius`` as it was before it handed
-    ``brentq`` ``norm.of`` directly: every evaluation through ``norm_at``."""
+    """``PuiseuxBranch.param_at_radius``'s body written out as a reference:
+    the bracket widening and the ``brentq`` solve, each evaluation
+    ``norm.of(branch._point(s))``."""
     if r < 0:
         raise DomainError("radius must be nonnegative")
     if r == 0:
@@ -182,14 +185,14 @@ def _reference_param_at_radius(branch, r, norm=EUCLID):
     exp0, c0 = branch.terms[0]
     lead = float(norm(np.asarray(c0, dtype=float)))
     hi = min(branch.t_max, (r / lead) ** (1.0 / float(exp0)))
-    at_hi = branch.norm_at(hi, norm)
+    at_hi = norm.of(branch._point(hi))
     while at_hi < r:
         if hi >= branch.t_max:
             raise DomainError(f"branch {branch.label!r}: radius {r} not reached within t_max")
         hi = min(hi * 1.5, branch.t_max)
-        at_hi = branch.norm_at(hi, norm)
+        at_hi = norm.of(branch._point(hi))
     return brentq(
-        lambda s: branch.norm_at(s, norm) - r,
+        lambda s: norm.of(branch._point(s)) - r,
         0.0,
         hi,
         xtol=1e-14 * hi,
@@ -216,7 +219,7 @@ def test_param_at_radius_matches_its_old_body():
     widened = beyond = solved = 0
     for b in _branches(0):
         for norm in _norms(b.ambient_dim):
-            reach = b.norm_at(b.t_max, norm)
+            reach = norm.of(b._point(b.t_max))
             radii = [-1e-300, 0.0] + ladder + [reach * rng.uniform(0.0, 1.3) for _ in range(12)]
             for r in radii:
                 want = _outcome(_reference_param_at_radius, b, r, norm)
@@ -227,7 +230,7 @@ def test_param_at_radius_matches_its_old_body():
                     exp0, c0 = b.terms[0]
                     lead = float(norm(np.asarray(c0, dtype=float)))
                     hi = min(b.t_max, (r / lead) ** (1.0 / float(exp0)))
-                    widened += hi < b.t_max and b.norm_at(hi, norm) < r
+                    widened += hi < b.t_max and norm.of(b._point(hi)) < r
     assert solved > 500 and beyond > 50 and widened > 50
 
 
@@ -557,7 +560,8 @@ def test_project_branch_feet_at_zero():
     # abs_graph: the query on one branch has its foot at s = 0 on the
     # perpendicular branch; a leading exponent below 1 stops Newton at s = 0
     germ = builtin("abs_graph").germ()
-    plus, minus = germ.branch("abs_plus"), germ.branch("abs_minus")
+    plus, minus = germ.branches
+    assert (plus.label, minus.label) == ("abs_plus", "abs_minus")
     for r in RunConfig().scales():
         q = plus.point_at_radius(r)
         s = minus.param_at_radius(r)

@@ -138,6 +138,12 @@ class TestRunResults:
         )
         assert ratios[0] == pytest.approx(-0.625, abs=0.01)
         assert ratios[1] == pytest.approx(0.625, abs=0.01)
+        # the center pair is tangent to order 2 and meets only at 0, so its
+        # inner order is 1: not LNE
+        (rep,) = horn_result.medial_reports
+        assert abs(rep.tord.slope - 2.0) <= 0.01
+        assert abs(rep.tord_inn.slope - 1.0) <= 0.01
+        assert rep.verdict is Verdict.NOT_LNE
 
     def test_horn_runs_without_the_grid(self, monkeypatch):
         from lnegerm import medial, scenarios
@@ -377,5 +383,5 @@ class TestPlaneFuzz:
         if res.l_set is not None and res.l_medial is not None:
             assert res.l_medial <= res.l_set + 0.1
         for r in res.set_reports:
-            b1, b2 = (germ.branch(lab) for lab in r.pair)
+            b1, b2 = ({b.label: b for b in germ.branches}[lab] for lab in r.pair)
             assert r.tord_exact == symbolic_separation_order(b1, b2).order

@@ -6,18 +6,6 @@ import sys
 from conftest import load_module
 
 
-def test_bisector_orders(monkeypatch, capsys):
-    script = load_module("scripts/bisector_orders.py")
-    monkeypatch.setattr(sys, "argv", ["bisector_orders.py"])
-    assert script.main() == 0
-    out = capsys.readouterr().out
-    orders = [float(v) for v in re.findall(r"bisector order (\S+),", out)]
-    # one line per parabola pair, each bisector of order 2
-    assert len(orders) == 3
-    for order in orders:
-        assert abs(order - 2.0) <= 0.01
-
-
 def test_plane_family(monkeypatch, capsys):
     script = load_module("scripts/plane_family.py")
     monkeypatch.setattr(
@@ -32,26 +20,6 @@ def test_plane_family(monkeypatch, capsys):
     assert lines[1].startswith("e = 3/2: 2 germs;")
     assert "failed" not in lines[1] and "raised" not in lines[1]
     assert lines[2].startswith("elapsed ")
-
-
-def test_horn_center_curves(monkeypatch, capsys):
-    script = load_module("scripts/horn_center_curves.py")
-    monkeypatch.setattr(sys, "argv", ["horn_center_curves.py"])
-    assert script.main() == 0
-    out = capsys.readouterr().out
-    # per a_i in {1.5, 2, 3}, the ratio x/y^2 at the smallest radius is
-    # within 1e-3 of +-(1 + 1/a_i^2)/2 on both center curves
-    limits = [float(v) for v in re.findall(r"limit \+-(\S+)\)", out)]
-    assert limits == [round(0.5 * (1 + 1 / a**2), 6) for a in (1.5, 2.0, 3.0)]
-    last_rows = re.findall(r"\n  0\.000977  (\S+)  (\S+)", out)
-    assert len(last_rows) == 3
-    for limit, (plus, minus) in zip(limits, last_rows):
-        assert abs(float(plus) - limit) <= 1e-3
-        assert abs(float(minus) + limit) <= 1e-3
-    outer, inner = re.search(r"outer order (\S+) .* inner order (\S+) ->", out).groups()
-    assert abs(float(outer) - 2.0) <= 0.01
-    assert abs(float(inner) - 1.0) <= 0.01
-    assert "-> NOT_LNE" in out
 
 
 def test_kernels(capsys):
@@ -75,15 +43,18 @@ def test_kernels(capsys):
 def test_digests_repeat(capsys):
     script = load_module("scripts/digests.py")
     outs = {}
-    runs = (["--workloads", "arc_fan", "--seeds", "3"], ["--cli"], ["--links"], ["--orders"])
+    one_germ = ["--workloads", "arc_fan", "--seeds", "3"]
+    runs = (one_germ, ["--pairs", *one_germ], ["--cli"], ["--links"], ["--orders"])
     for argv in runs * 2:
         assert script.main(argv) == 0
         outs.setdefault(argv[0], []).append(capsys.readouterr().out)
     # a second run of the same germs and command lines gives the same bytes
     for first, second in outs.values():
         assert second == first
-    # one line per germ
+    # one line per germ, of its JSON and of its pair reports
     assert re.fullmatch(r"arc_fan 3 arc_fan [0-9a-f]{64}\n", outs["--workloads"][0])
+    assert re.fullmatch(r"pairs arc_fan 3 arc_fan [0-9a-f]{64}\n", outs["--pairs"][0])
+    assert outs["--pairs"][0].split()[-1] != outs["--workloads"][0].split()[-1]
     # one line per command line: 4 builtins x (analyze json/csv, medial
     # json/csv, link csv), then the builtin table, the flag-set ladder and
     # horn3d's link and analysis under maxv

@@ -36,7 +36,7 @@ class TestEstimateOrder:
         samples = [(t, 3.0 * t**1.5) for t in SCALES]
         fit = estimate_order(samples)
         assert fit.slope == pytest.approx(1.5, abs=1e-9)
-        assert fit.leading_constant == pytest.approx(3.0, rel=1e-9)
+        assert math.exp(fit.intercept) == pytest.approx(3.0, rel=1e-9)
         assert fit.confident
 
     def test_needs_enough_scales(self):
@@ -184,7 +184,8 @@ class TestInnerOrder:
             graph = build_graph(cloud, 4.0 * cloud.spacing)
             for b1, b2 in itertools.combinations(germ.branches, 2):
                 d = inner_distance(graph, cloud.tip_index[b1.label], cloud.tip_index[b2.label])
-                arcs = b1.arc_length(t) + b2.arc_length(t)
+                (l1,), (l2,) = (b.arc_lengths_at([b.param_at_radius(t)]) for b in (b1, b2))
+                arcs = l1 + l2
                 assert d == pytest.approx(arcs, rel=1e-3)
 
     def test_cubic_contact_reads_three(self, config):
@@ -237,15 +238,8 @@ class TestPairVerdict:
         with pytest.raises(InputError, match="indistinguishable"):
             tangency.pair_reports([(a, twin), (a, b)], scales)
 
-    def test_two_fit_calls_per_call(self, monkeypatch):
-        # all outer series in one estimate_orders call, all inner sums in
-        # another, whatever the number of pairs; each report keeps the bits
-        # it has alone
-        solves = []
-        fit = tangency.estimate_orders
-        monkeypatch.setattr(
-            tangency, "estimate_orders", lambda *a, **k: solves.append(1) or fit(*a, **k)
-        )
+    @staticmethod
+    def _fan_pairs():
         bends = ((0.0, 1.0), (0.0, -2.0), (1.0, 1.0), (2.5, 3.0))
         fan = [
             puiseux_branch(
@@ -255,13 +249,38 @@ class TestPairVerdict:
             )
             for i, (a, k) in enumerate(bends)
         ]
-        pairs = list(itertools.combinations(fan, 2))
+        return list(itertools.combinations(fan, 2))
+
+    def test_two_fit_calls_per_call(self, monkeypatch):
+        # all outer series in one pass of the fit body, all inner sums in
+        # another, whatever the number of pairs; each report keeps the bits
+        # it has alone
+        solves = []
+        fit = tangency._fit_columns
+        monkeypatch.setattr(
+            tangency, "_fit_columns", lambda *a, **k: solves.append(1) or fit(*a, **k)
+        )
+        pairs = self._fan_pairs()
         for count in (1, 2, len(pairs)):
             solves.clear()
             reports = tangency.pair_reports(pairs[:count], SCALES)
             assert len(reports) == count and len(solves) == 2
             for rep, pair in zip(reports, pairs):
                 assert rep.to_dict() == pair_verdict(*pair, SCALES).to_dict()
+
+    def test_one_ladder_check_per_call(self, monkeypatch):
+        # the ladder is checked once, after the first pair's separation;
+        # the fits take the checked ladder as it is
+        checks = []
+        check = tangency.check_scale_ladder
+        monkeypatch.setattr(
+            tangency, "check_scale_ladder", lambda *a, **k: checks.append(1) or check(*a, **k)
+        )
+        pairs = self._fan_pairs()
+        for count in (1, 2, len(pairs)):
+            checks.clear()
+            assert len(tangency.pair_reports(pairs[:count], SCALES)) == count
+            assert len(checks) == 1
 
 
 def _fit_bits(fit):
