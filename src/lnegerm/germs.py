@@ -21,10 +21,13 @@ numpy's SIMD ``pow`` rounds differently from libm's on some inputs, and its
 vector loop differently again from its single-element calls.  Like every
 per-point kernel (see ``norms``), the scalar path and the radius solve on
 it make only the numpy calls whose bits they pin and run the rest on
-Python floats, and skip a call whose value an identity fixes (a term of
-exponent 1 is s itself); Miller's recurrence in the series oracle builds
-the factors that no step changes once and keeps numpy only for each step's
-weights and row sums.
+Python floats, and skip a call whose value an identity fixes: a term of
+exponent 1 is s itself and a term of exponent 2 is s * s, on the scalar
+and the array path alike, since numpy's ``np.power(x, 1.0)`` is x and its
+``np.power(x, 2.0)`` is x * x for every float x (libm's ``x ** 2.0`` is
+not x * x on every input, so Python's ``**`` never stands in for it).
+Miller's recurrence in the series oracle builds the factors that no step
+changes once and keeps numpy only for each step's weights and row sums.
 
 The series oracle aligns its branches first to a short cap (max_exp + 1,
 ``first_separation_cap``) and to its full cap only for a pair that does
@@ -44,7 +47,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, ReparametrizationError
 from .metrics import PointCloud, cluster_labels
-from .norms import EUCLID
+from .norms import EUCLID, WeightedMaxNorm
 from .optimize import brentq
 
 #: the fewest scales a ladder may have (``check_scale_ladder``): the log-log
@@ -102,7 +105,9 @@ class PuiseuxBranch:
             raise DomainError(f"branch {self.label!r}: parameter outside [0, {self.t_max}]")
         out = np.zeros(t.shape + (self.ambient_dim,))
         for exp, coeff in self.terms:
-            out += np.power(t, float(exp))[..., None] * np.asarray(coeff, dtype=float)
+            e = float(exp)
+            p = t if e == 1.0 else t * t if e == 2.0 else np.power(t, e)
+            out += p[..., None] * np.asarray(coeff, dtype=float)
         return out
 
     def _point(self, s: float) -> list:
@@ -114,13 +119,15 @@ class PuiseuxBranch:
         ``eval`` does.  Never Python's ``**`` (libm ``pow``) nor one vector
         ``np.power`` over all exponents: numpy's SIMD ``pow`` rounds
         differently from both on some inputs, so either would change bits
-        of the output.  A term of exponent 1 takes s itself and makes no
-        call, since ``np.power(s, 1.0)`` is s for every float s (a test
-        holds the identity over every binade); every other exponent makes
-        its call.  The terms are summed on floats in ``eval``'s order from
-        0.0 (so the first term is 0.0 + p c, which turns a -0.0 product
-        into 0.0 as ``eval``'s zeroed array does), unrolled for plane and
-        space branches.
+        of the output.  A term of exponent 1 takes s itself and a term of
+        exponent 2 takes s * s, and neither makes a call, since
+        ``np.power(s, 1.0)`` is s and ``np.power(s, 2.0)`` is s * s for
+        every float s (a test holds both identities over every binade),
+        as ``eval`` takes them too; every other exponent makes its call.
+        The terms are summed on floats in ``eval``'s order from 0.0 (so the
+        first term is 0.0 + p c, which turns a -0.0 product into 0.0 as
+        ``eval``'s zeroed array does), unrolled for plane and space
+        branches.
         """
         if s < 0 or s > self.t_max * (1 + 1e-12):
             raise DomainError(f"branch {self.label!r}: parameter outside [0, {self.t_max}]")
@@ -128,21 +135,21 @@ class PuiseuxBranch:
         if dim == 2:
             x = y = 0.0
             for e, (cx, cy) in self.float_terms:
-                p = s if e == 1.0 else float(np.power(s, e))
+                p = s if e == 1.0 else s * s if e == 2.0 else float(np.power(s, e))
                 x += p * cx
                 y += p * cy
             return [x, y]
         if dim == 3:
             x = y = z = 0.0
             for e, (cx, cy, cz) in self.float_terms:
-                p = s if e == 1.0 else float(np.power(s, e))
+                p = s if e == 1.0 else s * s if e == 2.0 else float(np.power(s, e))
                 x += p * cx
                 y += p * cy
                 z += p * cz
             return [x, y, z]
         out = [0.0] * dim
         for e, c in self.float_terms:
-            p = s if e == 1.0 else float(np.power(s, e))
+            p = s if e == 1.0 else s * s if e == 2.0 else float(np.power(s, e))
             out = [o + p * ck for o, ck in zip(out, c)]
         return out
 
@@ -216,15 +223,22 @@ class PuiseuxBranch:
 
         A per-point kernel: each evaluation is ``norm.of(self._point(s))``,
         which has the bits of the norm's array call on ``eval``'s point
-        without its dispatch, and ``brentq`` gets that function directly.
+        without its dispatch, and ``brentq`` gets that function directly;
+        the first bracket's lead norm is ``norm.of`` of the lead
+        coefficient, for the same reason.  A max norm whose weight count
+        is not the branch's dimension is an ``InputError`` naming both.
         """
+        if isinstance(norm, WeightedMaxNorm) and len(norm.weights) != self.ambient_dim:
+            raise InputError(
+                f"branch {self.label!r} has ambient dimension {self.ambient_dim}, "
+                f"max norm has {len(norm.weights)} weights"
+            )
         if r < 0:
             raise DomainError("radius must be nonnegative")
         if r == 0:
             return 0.0
-        exp0, c0 = self.terms[0]
-        lead = float(norm(np.asarray(c0, dtype=float)))
-        hi = min(self.t_max, (r / lead) ** (1.0 / float(exp0)))
+        exp0, c0 = self.float_terms[0]
+        hi = min(self.t_max, (r / norm.of(c0)) ** (1.0 / exp0))
         point, of = self._point, norm.of
         at_hi = of(point(hi))
         while at_hi < r:

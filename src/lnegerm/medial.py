@@ -16,7 +16,8 @@ each query is its two coordinates, projected once per branch by one Newton
 kernel (``_project_branch``), and the query and its feet become arrays
 only at the root.  The kernel follows the rule of every per-point kernel
 (see ``norms``): only the numpy calls whose bits it pins, clamps and
-tolerances on floats with Python's ``min``/``max`` semantics.
+tolerances on floats with Python's ``min``/``max`` semantics, and no libm
+``s**1.0`` or ``s**0.0`` in the Newton step, whose values are s and 1.0.
 
 The grid medial axis is an independent reference that only tests call: it
 samples the germ and searches the space around it, so it would show a
@@ -121,7 +122,11 @@ def _project_branch(branch: PuiseuxBranch, x0: float, x1: float, seed: float, wi
     skip keeps the bits wherever the skipped power s**-1.0 is finite; at
     0 < s <= 2**-1024 it overflows, and computing it would raise
     ``OverflowError``.  The ``0.0 + ...`` forms keep the signed zeros of
-    the loop.
+    the loop.  The derivative and curvature powers of the other terms skip
+    the same two calls: an exponent e - 1 or e - 2 of 1 takes s and one of
+    0 takes 1.0 (a term of exponent 2 pays only its s**e, one of exponent
+    3 its s**e and s**(e - 1)).  The point power s**e is always libm's:
+    libm's s**2.0 is not s * s on every input.
     The returned point is ``branch._point``'s (numpy's ``pow``, as
     ``branch.eval``) and the distance ``sqrt(d.dot(d))`` of the ambient
     difference array d, one BLAS ``ddot``, which rounds differently from a
@@ -169,7 +174,7 @@ def _project_branch(branch: PuiseuxBranch, x0: float, x1: float, seed: float, wi
                 gx = gy = g1x = g1y = 0.0
             for e, e1, _, _, cx, cy, ecx, ecy in rest:
                 pe = s**e
-                pe1 = s**e1
+                pe1 = s if e1 == 1.0 else 1.0 if e1 == 0.0 else s**e1
                 gx += cx * pe
                 gy += cy * pe
                 g1x += ecx * pe1
@@ -180,7 +185,7 @@ def _project_branch(branch: PuiseuxBranch, x0: float, x1: float, seed: float, wi
             if s > 0.0:
                 # a linear term's curvature weight e (e - 1) is 0
                 for _, _, e2, ee1, cx, cy, _, _ in rest:
-                    pe2 = ee1 * s**e2
+                    pe2 = ee1 * s if e2 == 1.0 else ee1 if e2 == 0.0 else ee1 * s**e2
                     dpsi += rx * cx * pe2
                     dpsi += ry * cy * pe2
             if dpsi <= 0.0:

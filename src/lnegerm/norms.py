@@ -20,11 +20,15 @@ it makes only the numpy calls whose bits it pins, its clamps and
 tolerances run on Python floats with the semantics of Python's ``min`` and
 ``max``, and arrays are built at the root, where a caller keeps one.  A
 kernel skips a call only where an identity fixes its value for every
-float: ``np.power(x, 1.0)`` and libm's ``x ** 1.0`` are x (the scalar
-kernel tests hold both over every binade), CPython's ``x ** 0.0`` is 1.0
+float: ``np.power(x, 1.0)`` and libm's ``x ** 1.0`` are x, numpy's
+``np.power(x, 2.0)`` is ``x * x`` (the scalar kernel tests hold these over
+every binade, for scalar and array calls), CPython's ``x ** 0.0`` is 1.0
 without a libm call, and a term 0.0 * (finite) adds a signed zero, which
-leaves a sum of squares as it is.  No other exponent is skipped: libm's
-``x ** 2.0`` is not ``x * x`` on every input.
+leaves a sum of squares as it is.  So a branch term of exponent 1 or 2
+makes no ``np.power`` call, and the foot Newton step skips ``** 1.0`` and
+``** 0.0``.  No other power is skipped: libm's ``x ** 2.0`` is not
+``x * x`` on every input, so the Newton step's ``s ** e`` stays a libm call
+at e = 2.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 JSON is the canonical format and is byte-deterministic for a fixed input:
 keys are sorted, containers are converted recursively, and non-finite
-floats are replaced by None.  CSV is a lossy flattening of the same data.
+floats are written as null (``canonical_json``, one writer with the bytes
+of json's indented dump).  CSV is a lossy flattening of the same data.
 The SVG overlay is a best-effort 2D plot (set samples plus medial axis
 points) written with fixed-precision coordinates so that identical inputs
 produce identical files.
@@ -12,39 +13,91 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
 
-def jsonable(obj):
-    """Recursively convert to plain JSON types; non-finite floats -> None."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, Fraction):
-        return [obj.numerator, obj.denominator]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return jsonable(float(obj))
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [jsonable(v) for v in seq]
-    if hasattr(obj, "to_dict"):
-        return jsonable(obj.to_dict())
-    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
-
-
 def canonical_json(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
+    """``obj`` as canonical JSON: keys sorted, two-space indent, a final
+    newline.
+
+    One recursive writer that converts and encodes in one pass, with the
+    bytes of ``json.dumps(v, sort_keys=True, indent=2)`` on the plain value
+    v: numpy scalars and arrays become Python numbers and lists, a Fraction
+    the list [numerator, denominator], a set its sorted list, a tuple a
+    list, an object with ``to_dict`` that dict, and a dict's keys ``str(k)``
+    (of keys equal after ``str``, the last one's value).  Numbers and
+    strings are json's own primitives (``int.__repr__``,
+    ``float.__repr__``, ``encode_basestring_ascii``); a non-finite float is
+    null.  ``json.dumps`` runs any indented dump through its pure-Python
+    encoder, which takes about twice the writer's time.
+    """
+    out = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, out: list, newline: str) -> None:
+    """Append the JSON of ``obj`` to ``out``; ``newline`` is the line break
+    and indent of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif isinstance(obj, float):
+        out.append(float.__repr__(obj) if math.isfinite(obj) else "null")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+            out.append(sep)
+            out.append(_encode_str(key))
+            out.append(": ")
+            _write(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        _write_list(obj, out, newline)
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, Fraction):
+        _write_list((obj.numerator, obj.denominator), out, newline)
+    elif isinstance(obj, np.integer):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, np.floating):
+        _write(float(obj), out, newline)
+    elif isinstance(obj, np.ndarray):
+        _write(obj.tolist(), out, newline)
+    elif isinstance(obj, (set, frozenset)):
+        _write_list(sorted(obj), out, newline)
+    elif hasattr(obj, "to_dict"):
+        _write(obj.to_dict(), out, newline)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _write_list(items, out: list, newline: str) -> None:
+    if not items:
+        out.append("[]")
+        return
+    inner = newline + "  "
+    sep = "[" + inner
+    for value in items:
+        out.append(sep)
+        _write(value, out, inner)
+        sep = "," + inner
+    out.append(newline + "]")
 
 
 # ---------------------------------------------------------------------------

@@ -151,10 +151,12 @@ def _on_ladder(piece, scales, table: RadiusTable) -> tuple:
     """(points, lengths): a curve piece's radius-t points on the ladder, as
     an array, and the arc lengths from 0 to them.  A Puiseux branch takes
     each radius's parameter from ``table`` for both, so a radius the link
-    sections or the medial bisectors have solved is not solved again."""
+    sections or the medial bisectors have solved is not solved again, and
+    evaluates all of them in one array ``eval``, bitwise each parameter's
+    own float ``eval``."""
     if isinstance(piece, PuiseuxBranch):
         params = [table.param(piece, t) for t in scales]
-        return np.array([piece.eval(s) for s in params]), piece.arc_lengths_at(params)
+        return piece.eval(np.array(params)), piece.arc_lengths_at(params)
     return np.array([piece.point_at_radius(t) for t in scales]), piece.arc_lengths(scales)
 
 

@@ -90,6 +90,13 @@ class TestReparametrization:
         p = b.eval(s)
         assert math.isclose(float(np.max(np.abs(p))), 0.25, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("weights", [(1.0,), (1.0, 2.0, 3.0)])
+    def test_max_norm_weights_must_match_the_dimension(self, weights):
+        # too few weights would drop coordinates from the norm silently
+        b = puiseux_branch([(1, (1, 0)), (2, (0, 2))], 1.0, "b")
+        with pytest.raises(InputError, match=f"dimension 2, max norm has {len(weights)} weights"):
+            b.param_at_radius(0.25, WeightedMaxNorm(weights))
+
     def test_radius_beyond_reach(self):
         b = line((1, 0), t_max=0.1)
         with pytest.raises(DomainError):

@@ -36,7 +36,7 @@ from lnegerm import (
     puiseux_branch,
     run_scenario,
 )
-from lnegerm import germs, medial
+from lnegerm import germs, medial, tangency
 from lnegerm.germs import PuiseuxBranch
 from lnegerm.norms import EuclideanNorm
 from lnegerm.optimize import brentq, golden_min
@@ -145,19 +145,81 @@ def test_branch_point_matches_its_old_body():
     assert _hexes(branches[-1]._point(0.0)) == _hexes([0.0, 0.0, 0.0])
 
 
-def test_unit_power_is_the_identity_on_every_binade():
-    # _point takes s for np.power(s, 1.0), and the foot Newton takes s for
-    # libm's s**1.0 and 1.0 for s**0.0; should an identity fail on some
-    # platform, this fails rather than the bits changing silently
-    rng = np.random.default_rng(29)
-    biased = np.repeat(np.arange(2047, dtype=np.uint64), 8)  # 0: the subnormals
+def _every_binade(seed) -> list:
+    """Eight random finite floats of each sign and biased exponent (0: the
+    subnormals), and a few edge values."""
+    rng = np.random.default_rng(seed)
+    biased = np.repeat(np.arange(2047, dtype=np.uint64), 8)
     mantissa = rng.integers(0, 2**52, size=biased.size, dtype=np.uint64)
     sign = rng.integers(0, 2, size=biased.size, dtype=np.uint64)
     xs = ((sign << np.uint64(63)) | (biased << np.uint64(52)) | mantissa).view(np.float64)
-    for x in xs.tolist() + [0.0, -0.0, 5e-324, 2.0**-1022, 1.0, np.finfo(float).max]:
+    return xs.tolist() + [0.0, -0.0, 5e-324, 2.0**-1022, 1.0, np.finfo(float).max]
+
+
+def test_unit_power_is_the_identity_on_every_binade():
+    # _point and the array eval take s for np.power(s, 1.0), and the foot
+    # Newton takes s for libm's s**1.0 and 1.0 for s**0.0; should an
+    # identity fail on some platform, this fails rather than the bits
+    # changing silently
+    xs = _every_binade(29)
+    for x in xs:
         assert (x**1.0).hex() == x.hex()
         assert float(np.power(x, 1.0)).hex() == x.hex()
         assert x**0.0 == 1.0
+    arr = np.array(xs)
+    assert np.power(arr, 1.0).tobytes() == arr.tobytes()
+
+
+def test_square_power_is_the_product_on_every_binade():
+    # _point and the array eval take s * s for np.power(s, 2.0): numpy's
+    # power loop squares exactly.  pyproject admits numpy >= 1.23; on a
+    # numpy whose power lacks the exact square this fails rather than the
+    # bits changing silently.  libm's s**2.0 is not held to it, and the foot
+    # Newton keeps its s**e
+    xs = _every_binade(30)
+    arr = np.array(xs)
+    with np.errstate(over="ignore"):
+        for x in xs:
+            assert float(np.power(x, 2.0)).hex() == (x * x).hex(), x
+        assert np.power(arr, 2.0).tobytes() == (arr * arr).tobytes()
+        assert np.power(arr[:7], 2.0).tobytes() == (arr[:7] * arr[:7]).tobytes()
+
+
+def _square_and_cube_branches():
+    """Branches with terms of exponent 2 and 3, leading or not, after a
+    unit term or a fractional lead (whose unit term follows), with signed
+    zero coefficients, in dimensions 1 to 4; all but the last two lie in
+    the first coordinate plane."""
+    return [
+        puiseux_branch([(2, (1.0, -0.5))], 1.0, "square"),
+        puiseux_branch([(1, (1.0, 0.0)), (2, (0.3, -1.2))], 1.5, "line_square"),
+        puiseux_branch([(1, (1.0, -0.0)), (3, (-0.0, 0.7))], 1.0, "line_cube"),
+        puiseux_branch(
+            [((1, 2), (0.0, 1.0)), (1, (1.0, 0.0)), (2, (-0.0, 2.0)), (3, (0.5, -0.0))],
+            0.8,
+            "half_to_cube",
+        ),
+        puiseux_branch(
+            [(2, (1.0, 0.0, 0.0)), ((5, 2), (0.0, 1.0, -0.0)), (3, (0.2, 0.0, 0.0))], 2.0, "trace"
+        ),
+        puiseux_branch([(2, (1.0,)), (3, (-1.0,))], 0.5, "one"),
+        puiseux_branch([(2, (1.0, -0.0, 0.0, -2.0)), ((7, 3), (0.0, 1.0, -1.0, 0.5))], 1.0, "four"),
+    ]
+
+
+def test_square_and_cube_terms_match_the_power_call():
+    # a term of exponent 2 takes s * s on the scalar and the array path,
+    # one of exponent 3 keeps its np.power call; 4000 parameters a branch
+    # meet the inputs on which libm's s**2.0, or s * s * s for the cube,
+    # rounds differently
+    rng = random.Random(31)
+    for b in _square_and_cube_branches():
+        params = _params(b, rng) + [rng.uniform(0.0, b.t_max) for _ in range(4000)]
+        params += [-0.0, 5e-324, 1e-160, 1e-310]
+        want = [_reference_point(b, s) for s in params]
+        for s, ref in zip(params, want):
+            assert _hexes(b._point(s)) == _hexes(ref), (b.label, s)
+        assert b.eval(np.array(params)).tobytes() == np.array(want).tobytes(), b.label
 
 
 def test_branch_domain_errors_on_both_paths():
@@ -556,6 +618,30 @@ def test_project_branch_matches_any_dimension_loop(monkeypatch):
     assert 0 < len(searches) < cases
 
 
+def test_project_branch_square_and_cube_terms():
+    # the Newton step's powers of exponent 1 and 0 are s and 1.0: a term of
+    # exponent 2 skips its derivative and curvature powers, one of
+    # exponent 3 its curvature power, and a unit term after a fractional
+    # lead its derivative power; each point power s**e stays libm's: on
+    # the last two queries (found by a seeded search) s * s in place of
+    # libm's s**2.0 moves the foot's last bits
+    rng = np.random.default_rng(32)
+    branches = [b for b in _square_and_cube_branches() if b.label not in ("one", "four")]
+    for b in branches:
+        for _ in range(20):
+            for q, seed, window in _queries(b, rng):
+                _same_projection(b, q, seed, window)
+        for seed in (0.0, 0.5 * b.t_max):
+            _same_projection(b, np.zeros(b.ambient_dim), seed, b.t_max)
+    square = branches[0]
+    for case in [
+        "0x1.695aaf984aff6p-5 -0x1.e4598c99f5bd2p-8 0x1.784e6f123eafep-3 0x1.9637f7654c162p-3",
+        "0x1.afa1273257b21p-3 -0x1.afbbc0a9e0f6ep-4 0x1.19e3ee3acf6fap-1 0x1.77a3dada91e50p-3",
+    ]:
+        x0, x1, seed, window = (float.fromhex(v) for v in case.split())
+        _same_projection(square, np.array([x0, x1]), seed, window)
+
+
 def test_project_branch_feet_at_zero():
     # abs_graph: the query on one branch has its foot at s = 0 on the
     # perpendicular branch; a leading exponent below 1 stops Newton at s = 0
@@ -648,6 +734,21 @@ def test_project_branch_rejects_points_off_the_plane():
     flat = puiseux_branch([(1, (1.0, 0.0, 0.0))], 1.0, "flat")
     with pytest.raises(InputError, match="coordinate plane"):
         medial._plane_query(flat, np.array([0.1, 0.0, 1e-3]))
+
+
+def test_ladder_points_match_each_float_eval():
+    # tangency._on_ladder evaluates a branch's ladder parameters in one
+    # array eval: bitwise the per-radius eval(float) of each
+    branches = [b for seed in (0, 1) for b in _branches(seed)] + _square_and_cube_branches()
+    branches += [b for label in ("three_tangent", "cusp") for b in builtin(label).germ().branches]
+    branches += [g for piece in builtin("horn3d").germ().surfaces for g in piece.trace()]
+    for b in branches:
+        reach = EUCLID.of(b._point(b.t_max))
+        scales = [reach * 2.0**-k for k in range(1, 8)]
+        table = germs.RadiusTable(scales)
+        points, _ = tangency._on_ladder(b, scales, table)
+        want = np.array([b.eval(table.param(b, t)) for t in scales])
+        assert points.tobytes() == want.tobytes(), b.label
 
 
 # ---------------------------------------------------------------------------

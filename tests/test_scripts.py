@@ -28,11 +28,13 @@ def test_kernels(capsys):
     assert script.main(["--repeats", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == (
-        "kernels of one arc_fan seed-0 analysis, link_section also of one horn3d, best of 1"
+        "kernels of one arc_fan and plane_sweep seed-0 analysis, "
+        "link_section also of one horn3d, best of 1"
     )
-    # one line per kernel, each called and timed in the analysis
+    # one line per kernel, each called and timed in the analysis, then the
+    # writer on the analysis's results
     rows = [re.fullmatch(r"(\S+) +(\d+) calls +(\S+) us/call", line) for line in lines[1:]]
-    assert all(rows) and [m[1] for m in rows] == list(script.KERNELS)
+    assert all(rows) and [m[1] for m in rows] == [*script.KERNELS, "canonical_json"]
     for m in rows:
         assert int(m[2]) > 0 and float(m[3]) > 0.0
     # the recording wrappers are gone again
